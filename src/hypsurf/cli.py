@@ -241,7 +241,9 @@ def cmd_lemma_a1(args) -> int:
 def cmd_orbit(args) -> int:
     group = bolza_group() if args.group == "bolza" else cyclic_group(args.length)
     ball = orbit_enumerate(group, DiscPoint(0, 0), args.R)
-    inj = injectivity_radius_at(group, DiscPoint(0, 0), max(args.R, 1.0))
+    # the injectivity radius is searched within radius max(R, 1)
+    inj = (ball.injectivity_radius() if args.R >= 1.0
+           else injectivity_radius_at(group, DiscPoint(0, 0), 1.0))
     sys_bound, wl = systole_upper_bound(group, args.word_len)
     write_csv(args.out, "orbit", "displacement,word_length",
               [(e.displacement, len(e.word)) for e in ball.elements])

@@ -31,7 +31,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (FormatError, MeshPairingFailure, OrthonormalityViolation,
                      ResidualViolation, SolverNotConverged)
-from .fuchsian import CoverSurface, FuchsianGroup, _compose_perms
+from .fuchsian import (CoverSurface, FuchsianGroup, _compose_perms, _face_points,
+                       _in_dirichlet_domain, _sinh2_half_dists)
 from .geometry import mobius_apply_complex
 
 
@@ -46,10 +47,6 @@ class SurfaceMesh:
     h: float
 
 
-def _sinh_sq_half_dist(z: np.ndarray, w: complex) -> np.ndarray:
-    return np.abs(z - w) ** 2 / ((1.0 - np.abs(z) ** 2) * (1.0 - abs(w) ** 2))
-
-
 class _OctagonDomain:
     """Dirichlet-domain membership and side-pairing reduction for a group."""
 
@@ -57,16 +54,12 @@ class _OctagonDomain:
         if group.dirichlet_radius is None:
             raise ValueError("mesh needs a cocompact group with known radius")
         self.group = group
-        n = group.n_generators
         self.pairings = group.symmetrized()              # gamma_k, k in 0..2n-1
-        self.pair_pts = np.array([mobius_apply_complex(g, 0j) for g in self.pairings])
+        self.pair_pts = _face_points(group)
         self.pair_inv = [g.inverse() for g in self.pairings]
 
     def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        own = abs(z) ** 2 / (1.0 - abs(z) ** 2)
-        others = np.abs(z - self.pair_pts) ** 2 / (
-            (1.0 - abs(z) ** 2) * (1.0 - np.abs(self.pair_pts) ** 2))
-        return own <= float(np.min(others)) / 1.0 + tol
+        return _in_dirichlet_domain(z, self.pair_pts, tol)
 
     def reduce(self, z: complex, max_steps: int = 12):
         """Pull z into the domain by pairing moves; returns (z', word).
@@ -76,9 +69,7 @@ class _OctagonDomain:
         """
         word = []
         for _ in range(max_steps):
-            own = abs(z) ** 2 / (1.0 - abs(z) ** 2)
-            others = np.abs(z - self.pair_pts) ** 2 / (
-                (1.0 - abs(z) ** 2) * (1.0 - np.abs(self.pair_pts) ** 2))
+            own, others = _sinh2_half_dists(z, self.pair_pts)
             k = int(np.argmin(others))
             if own <= others[k] + 1e-13:
                 return z, word

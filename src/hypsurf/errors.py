@@ -13,6 +13,10 @@ class SeriesDiverged(HypsurfError):
     """Series tail estimate exceeds the requested tolerance."""
 
 
+class ParameterOutOfRange(HypsurfError, ValueError):
+    """An input lies outside the range a computation supports."""
+
+
 class BudgetExceeded(HypsurfError):
     """An enumeration grew past its configured element cap."""
 

@@ -1,13 +1,34 @@
 """Finitely generated Fuchsian groups and their desk-scale statistics.
 
-Orbit enumeration is a breadth-first search over reduced words with
-displacement pruning; completeness at radius R is validated by the
-word-cap + 2 re-enumeration invariant rather than assumed.  Injectivity
-radius at z is half the smallest displacement d(z, gamma z) over nontrivial
-gamma.  Covers are described by one permutation of the sheets per generator;
-the built-in random covers use cyclic shifts (a random weight in Z_n per
-generator), which automatically respect the surface relation because every
-generator has zero net exponent in it.
+Orbit balls, injectivity-radius queries and the systole bound share one
+breadth-first search over reduced words (no generator next to its own
+inverse).  The search is level-synchronous: all children of a level come
+from one numpy product, are normalized and sign-fixed as GroupElement does,
+and are deduplicated against every element seen so far in first-found order
+(parent order, then generator order).  Each caller prunes which elements
+the search expands.
+
+Tile prune.  When a group declares a Dirichlet radius R_D, its symmetrized
+generators pair the sides of the Dirichlet domain D at 0 (see
+FuchsianGroup), so the tile gD shares a side with each tile g s D, s a
+symmetrized generator, and lies in the ball B(g 0, R_D).  The tiles that
+meet a convex ball B(c, R) are connected through shared sides.  For c in D,
+every gamma with d(c, gamma c) <= R is among them (gamma c lies in gamma D),
+and each of them has d(c, g 0) <= R + R_D.  A search that expands g while
+d(c, g 0) <= R + R_D + 1e-9 therefore reaches every such gamma.  For c
+outside D the same argument runs on B(c, R + d(0, c)), which holds 0 and
+every such gamma 0, so the margin grows by d(0, c).  The search runs until
+its frontier is empty, and that is what makes the ball complete: no cap on
+the word length is needed.  Groups without a Dirichlet radius (the cyclic
+and trivial presets) expand g while d(c, g c) <= R + max generator
+displacement + 1; for a cyclic group the displacement grows along the
+powers of the generator, so this loses nothing.
+
+Injectivity radius at z is half the smallest displacement d(z, gamma z) over
+nontrivial gamma.  Covers are described by one permutation of the sheets per
+generator; the built-in random covers use cyclic shifts (a random weight in
+Z_n per generator), which automatically respect the surface relation because
+every generator has zero net exponent in it.
 
 The built-in cocompact preset is the genus-2 surface of the regular
 hyperbolic octagon with vertex angle pi/4 and opposite-side pairings:
@@ -26,7 +47,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, NonTransitive, RelationViolation
+from .errors import (BudgetExceeded, NonTransitive, ParameterOutOfRange,
+                     RelationViolation)
 from .geometry import DiscPoint, GroupElement, mobius_apply_complex
 from .quadrature import gauss_legendre
 from .transforms import RadialKernel  # noqa: F401  (re-exported for hs_bound_check callers)
@@ -42,8 +64,11 @@ class FuchsianGroup:
 
     relation: defining relator as signed 1-based generator indices
     (+k = generator k-1, -k = its inverse); empty for free groups.
-    dirichlet_radius: circumradius of the Dirichlet domain at 0 when the
-    group is cocompact (used for sampling and periodization bounds).
+    dirichlet_radius: circumradius R_D of the Dirichlet domain D at 0 when
+    the group is cocompact.  Setting it is a contract: the symmetrized
+    generators are the face pairings of D, i.e. D is bounded exactly by the
+    bisectors between 0 and the images of 0 under them.  Domain membership,
+    the domain sampler and the tile prune of the orbit search rely on it.
     """
 
     generators: tuple
@@ -123,6 +148,32 @@ def _displacement(g: GroupElement, center: complex) -> float:
     return 2.0 * math.asinh(math.sqrt(num / den))
 
 
+def _face_points(group: FuchsianGroup) -> np.ndarray:
+    """Images of 0 under the symmetrized generators: for a group with a
+    Dirichlet radius, the centres of the tiles across the sides of D."""
+    return np.array([mobius_apply_complex(g, 0j) for g in group.symmetrized()])
+
+
+def _sinh2_half_dists(z: complex, points: np.ndarray):
+    """sinh^2(d/2) from z to 0 and to each point (monotone in the distance)."""
+    own = abs(z) ** 2 / (1.0 - abs(z) ** 2)
+    others = np.abs(z - points) ** 2 / (
+        (1.0 - abs(z) ** 2) * (1.0 - np.abs(points) ** 2))
+    return own, others
+
+
+def _in_dirichlet_domain(z: complex, points: np.ndarray, tol: float = 1e-12) -> bool:
+    """Dirichlet-domain membership at 0: no face point is closer to z than 0.
+
+    points are the face points of the group (_face_points); with the face
+    pairing contract of FuchsianGroup this is membership in D itself.
+    """
+    if len(points) == 0:
+        return True
+    own, others = _sinh2_half_dists(z, points)
+    return own <= float(np.min(others)) + tol
+
+
 BOLZA_SIDE_LENGTH = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
 BOLZA_VERTEX_RADIUS = math.acosh(3.0 + 2.0 * math.sqrt(2.0))
 
@@ -177,8 +228,17 @@ def trivial_group() -> FuchsianGroup:
 
 
 # ---------------------------------------------------------------------------
-# Orbit enumeration
+# The orbit engine
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class InjRadResult:
+    value: float
+    is_lower_bound: bool
+
+    def __float__(self):
+        return self.value
+
 
 @dataclass(frozen=True)
 class OrbitElement:
@@ -199,81 +259,176 @@ class OrbitBall:
     def nontrivial(self):
         return [e for e in self.elements if e.word]
 
+    def injectivity_radius(self) -> InjRadResult:
+        """Half the minimal displacement of the centre within the ball.
 
-def _canon_key(g: GroupElement):
-    return (round(g.alpha.real, 7), round(g.alpha.imag, 7),
-            round(g.beta.real, 7), round(g.beta.imag, 7))
+        If no nontrivial element moves the centre, radius / 2 is returned
+        flagged as a lower bound.
+        """
+        moving = [e.displacement for e in self.nontrivial() if e.displacement > 1e-12]
+        if not moving:
+            return InjRadResult(self.radius / 2.0, True)
+        return InjRadResult(min(moving) / 2.0, False)
+
+
+@dataclass
+class _Level:
+    """The fresh elements of one search level, in first-found order.
+
+    The consumer sets `expand` to the mask of elements whose children the
+    search visits next; the others stay in the seen-set all the same.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    words: np.ndarray           # (count, depth) symmetrized generator indices
+    sheets: np.ndarray | None   # image of the query sheet along each word (covers)
+    expand: np.ndarray | None = None
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complex product by the schoolbook formula, rounded as Python's complex
+    type rounds it (numpy's complex multiply may fuse a multiply-add)."""
+    out = np.empty(len(x), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _compose(a1, b1, a2, b2):
+    """Products of the elements (a1, b1) and (a2, b2), rounded bit for bit as
+    GroupElement.compose and GroupElement's normalization round them."""
+    alpha = _cmul(a1, a2) + _cmul(b1, np.conj(b2))
+    beta = _cmul(a1, b2) + _cmul(b1, np.conj(a2))
+    # abs(z) ** 2 of Python is hypot, then the C pow (not always x * x)
+    det = (np.float_power(np.hypot(alpha.real, alpha.imag), 2.0)
+           - np.float_power(np.hypot(beta.real, beta.imag), 2.0))
+    s = 1.0 / np.sqrt(det)
+    alpha, beta = alpha * s, beta * s
+    comps = np.stack([alpha.real, alpha.imag, beta.real, beta.imag])
+    # the first component above 1e-14 is made positive (|alpha| >= 1, so one is)
+    lead = comps[np.argmax(np.abs(comps) > 1e-14, axis=0), np.arange(len(alpha))]
+    flip = lead < 0.0
+    return np.where(flip, -alpha, alpha), np.where(flip, -beta, beta)
+
+
+def _element(alpha: complex, beta: complex) -> GroupElement:
+    """The GroupElement of a pair _compose made: its constructor would
+    normalize the pair a second time, which can move the last bit."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "alpha", complex(alpha))
+    object.__setattr__(g, "beta", complex(beta))
+    return g
+
+
+def _canon_keys(alpha: np.ndarray, beta: np.ndarray) -> list:
+    """Identity of group elements: the four matrix entries to 7 decimals."""
+    k = np.rint(np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=1) * 1e7)
+    return list(map(tuple, k.astype(np.int64).tolist()))
+
+
+def _displacements(alpha: np.ndarray, beta: np.ndarray, c: complex) -> np.ndarray:
+    """d(c, g c) for the elements g = (alpha, beta)."""
+    w = (alpha * c + beta) / (np.conj(beta) * c + np.conj(alpha))
+    num = np.abs(w - c) ** 2
+    den = (1.0 - np.abs(w) ** 2) * (1.0 - abs(c) ** 2)
+    return 2.0 * np.arcsinh(np.sqrt(num / den))
+
+
+def _word_levels(group: FuchsianGroup, max_levels: int | None = None,
+                 element_cap: int = 1_000_000, perms: np.ndarray | None = None,
+                 sheet: int = 0):
+    """Level-synchronous breadth-first search over reduced words.
+
+    Yields one _Level per word length, starting at 1; the consumer sets its
+    `expand` mask before the search goes on.  The search ends when nothing is
+    expanded or after max_levels levels.  perms, a (2n, degree) table of the
+    symmetrized generators' sheet permutations, makes each level carry the
+    image of `sheet` along its words, _compose_perms(cover, word)[sheet].
+    """
+    gens = group.symmetrized()
+    n_sym = len(gens)
+    gen_alpha = np.array([g.alpha for g in gens], dtype=complex)
+    gen_beta = np.array([g.beta for g in gens], dtype=complex)
+    inverse = (np.arange(n_sym) + n_sym // 2) % n_sym
+    alpha, beta = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
+    words = np.zeros((1, 0), dtype=np.int64)
+    sheets = np.full(1, sheet) if perms is not None else None
+    seen = set(_canon_keys(alpha, beta))
+    explored = 1
+    depth = 0
+    while len(alpha) and (max_levels is None or depth < max_levels):
+        depth += 1
+        parent = np.repeat(np.arange(len(alpha)), n_sym)
+        gen = np.tile(np.arange(n_sym), len(alpha))
+        if depth > 1:  # reduced: no generator right after its inverse
+            ok = gen != inverse[words[parent, -1]]
+            parent, gen = parent[ok], gen[ok]
+        a, b = _compose(alpha[parent], beta[parent], gen_alpha[gen], gen_beta[gen])
+        fresh = []
+        for i, key in enumerate(_canon_keys(a, b)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        explored += len(fresh)
+        if explored > element_cap:
+            raise BudgetExceeded(f"orbit search passed {element_cap} elements")
+        fresh = np.array(fresh, dtype=np.intp)
+        parent, gen = parent[fresh], gen[fresh]
+        level = _Level(a[fresh], b[fresh], np.column_stack([words[parent], gen]),
+                       perms[gen, sheets[parent]] if perms is not None else None)
+        yield level
+        keep = level.expand
+        alpha, beta, words = level.alpha[keep], level.beta[keep], level.words[keep]
+        sheets = level.sheets[keep] if perms is not None else None
+
+
+def _expand_test(group: FuchsianGroup, c: complex, radius: float) -> Callable:
+    """The prune of a search for every gamma with d(c, gamma c) <= radius.
+
+    Returns (level, displacements) -> mask of the elements to expand; see
+    the module docstring for why the tile prune is sound.
+    """
+    if group.dirichlet_radius is not None:
+        margin = group.dirichlet_radius
+        if not _in_dirichlet_domain(c, _face_points(group)):
+            margin += 2.0 * math.atanh(abs(c))
+        # sinh^2(d(c, g 0) / 2) = |c conj(alpha) - beta|^2 / (1 - |c|^2)
+        bound = math.sinh((radius + margin + 1e-9) / 2.0) ** 2 * (1.0 - abs(c) ** 2)
+        return lambda level, disp: np.abs(c * np.conj(level.alpha) - level.beta) ** 2 <= bound
+    limit = radius + group.max_generator_displacement(c) + 1.0
+    return lambda level, disp: disp <= limit
 
 
 def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
-                    word_cap: int | None = None, slack: float | None = None,
+                    word_cap: int | None = None,
                     element_cap: int = 1_000_000) -> OrbitBall:
     """All gamma with d(center, gamma center) <= R, as an OrbitBall.
 
-    BFS over reduced words; branches are pruned once their displacement
-    exceeds R + slack (default: max generator displacement + 1, at least the
-    Dirichlet diameter when known).  word_cap defaults to a generous bound
-    from the minimal generator displacement; completeness is checked by the
-    word_cap + 2 invariant in the test-suite, and against an exhaustive word
-    oracle in acceptance runs.
+    Breadth-first search over reduced words with the tile prune (groups
+    with a Dirichlet radius) or the displacement prune (the others), run
+    until the frontier is empty, which makes the ball complete; see the
+    module docstring.  word_cap optionally stops the search after that many
+    levels, which can only lose elements.  Each element carries the first
+    word that reached it; ties in displacement keep first-found order.
     """
     if R > 25:
-        raise ValueError("R > 25 would enumerate exponentially many elements")
+        raise ParameterOutOfRange("R > 25 would enumerate exponentially many elements")
     c = center.z
-    ident = GroupElement.identity()
-    elements = [OrbitElement(ident, 0.0, ())]
+    elements = [OrbitElement(GroupElement.identity(), 0.0, ())]
     if group.n_generators == 0:
         return OrbitBall(center, R, elements)
-    gens = group.symmetrized()
-    n = group.n_generators
-    if slack is None:
-        slack = group.max_generator_displacement(c) + 1.0
-        if group.dirichlet_radius is not None:
-            slack = max(slack, 2.0 * group.dirichlet_radius + 0.5)
-    if word_cap is None:
-        ell_min = min(_displacement(g, c) for g in gens)
-        word_cap = int((R + slack) / max(ell_min, 0.05)) + 3
-    if word_cap < 1:
-        raise ValueError("word_cap must be >= 1")
-    seen = {_canon_key(ident)}
-    frontier = [(ident, ())]
-    explored = 1
-    for _ in range(word_cap):
-        nxt = []
-        for g, word in frontier:
-            last_inv = (word[-1] + n) % (2 * n) if word else None
-            for gi in range(2 * n):
-                if gi == last_inv:
-                    continue
-                h = g @ gens[gi]
-                key = _canon_key(h)
-                if key in seen:
-                    continue
-                seen.add(key)
-                explored += 1
-                if explored > element_cap:
-                    raise BudgetExceeded(f"orbit enumeration passed {element_cap} elements")
-                disp = _displacement(h, c)
-                if disp > R + slack:
-                    continue
-                w2 = word + (gi,)
-                if disp <= R:
-                    elements.append(OrbitElement(h, disp, w2))
-                nxt.append((h, w2))
-        frontier = nxt
-        if not frontier:
-            break
+    if word_cap is not None and word_cap < 1:
+        raise ParameterOutOfRange("word_cap must be >= 1")
+    expand = _expand_test(group, c, R)
+    for level in _word_levels(group, word_cap, element_cap):
+        disp = _displacements(level.alpha, level.beta, c)
+        level.expand = expand(level, disp)
+        for i in np.flatnonzero(disp <= R):
+            g = _element(level.alpha[i], level.beta[i])
+            elements.append(OrbitElement(g, _displacement(g, c), tuple(level.words[i].tolist())))
     elements.sort(key=lambda e: e.displacement)
     return OrbitBall(center, R, elements)
-
-
-@dataclass(frozen=True)
-class InjRadResult:
-    value: float
-    is_lower_bound: bool
-
-    def __float__(self):
-        return self.value
 
 
 def injectivity_radius_at(group: FuchsianGroup, z: DiscPoint, search_R: float,
@@ -283,102 +438,59 @@ def injectivity_radius_at(group: FuchsianGroup, z: DiscPoint, search_R: float,
     If no nontrivial element moves z by <= search_R the value search_R / 2
     is returned flagged as a lower bound.
     """
-    ball = orbit_enumerate(group, z, search_R, **kw)
-    moving = [e.displacement for e in ball.nontrivial() if e.displacement > 1e-12]
-    if not moving:
-        return InjRadResult(search_R / 2.0, True)
-    return InjRadResult(min(moving) / 2.0, False)
+    return orbit_enumerate(group, z, search_R, **kw).injectivity_radius()
 
 
 def injrad_below(surface, z: DiscPoint, R: float, sheet: int = 0,
                  word_cap: int | None = None, element_cap: int = 1_000_000) -> bool:
     """Decide InjRad(z[, sheet]) < R, i.e. some nontrivial deck motion < 2R.
 
-    Early-exits on the first witness; on covers the witness's permutation
-    must fix the sheet.
+    The search of orbit_enumerate at radius 2R, stopped at the first level
+    holding a witness; on covers the witness's permutation must fix the
+    sheet.
     """
-    group = surface.base if isinstance(surface, CoverSurface) else surface
     cover = surface if isinstance(surface, CoverSurface) else None
+    group = cover.base if cover is not None else surface
     if group.n_generators == 0:
         return False
     c = z.z
-    gens = group.symmetrized()
-    n = group.n_generators
-    slack = group.max_generator_displacement(c) + 1.0
-    if group.dirichlet_radius is not None:
-        slack = max(slack, 2.0 * group.dirichlet_radius + 0.5)
     target = 2.0 * R
-    if word_cap is None:
-        ell_min = min(_displacement(g, c) for g in gens)
-        word_cap = int((target + slack) / max(ell_min, 0.05)) + 3
-    seen = {_canon_key(GroupElement.identity())}
-    frontier = [(GroupElement.identity(), ())]
-    explored = 1
-    for _ in range(word_cap):
-        nxt = []
-        for g, word in frontier:
-            last_inv = (word[-1] + n) % (2 * n) if word else None
-            for gi in range(2 * n):
-                if gi == last_inv:
-                    continue
-                h = g @ gens[gi]
-                key = _canon_key(h)
-                if key in seen:
-                    continue
-                seen.add(key)
-                explored += 1
-                if explored > element_cap:
-                    raise BudgetExceeded("injrad search passed the element cap")
-                disp = _displacement(h, c)
-                if disp > target + slack:
-                    continue
-                w2 = word + (gi,)
-                if 1e-12 < disp < target:
-                    if cover is None:
-                        return True
-                    if _compose_perms(cover, w2)[sheet] == sheet:
-                        return True
-                nxt.append((h, w2))
-        frontier = nxt
-        if not frontier:
-            break
+    expand = _expand_test(group, c, target)
+    perms = None
+    if cover is not None:
+        perms = np.array([cover.perm_array(gi) for gi in range(2 * group.n_generators)])
+    for level in _word_levels(group, word_cap, element_cap, perms, sheet):
+        disp = _displacements(level.alpha, level.beta, c)
+        witness = (disp > 1e-12) & (disp < target)
+        if cover is not None:
+            witness &= level.sheets == sheet
+        if witness.any():
+            return True
+        level.expand = expand(level, disp)
     return False
 
 
 def systole_upper_bound(group: FuchsianGroup, word_len: int = 8):
     """Minimal translation length over reduced words up to word_len.
 
-    An upper bound for the systole; the word length used is reported.
+    An upper bound for the systole; the word length used is reported.  The
+    search expands an element while d(0, g 0) <= best + 2 R_D + 2 (R_D = 3
+    without a Dirichlet radius), best being the bound found so far.
     """
     if group.n_generators == 0:
         return math.inf, word_len
-    gens = group.symmetrized()
-    n = group.n_generators
-    best = math.inf
-    keep = 2.0 * (group.dirichlet_radius or 3.0) + 2.0
-    seen = {_canon_key(GroupElement.identity())}
-    frontier = [(GroupElement.identity(), None)]
-    for _ in range(word_len):
-        nxt = []
-        for g, last in frontier:
-            last_inv = (last + n) % (2 * n) if last is not None else None
-            for gi in range(2 * n):
-                if gi == last_inv:
-                    continue
-                h = g @ gens[gi]
-                key = _canon_key(h)
-                if key in seen:
-                    continue
-                seen.add(key)
-                tr = abs(2.0 * h.alpha.real)
-                if tr > 2.0 + 1e-12:
-                    best = min(best, 2.0 * math.acosh(tr / 2.0))
-                if _displacement(h, 0j) <= best + keep:
-                    nxt.append((h, gi))
-        frontier = nxt
-        if not frontier:
-            break
-    return best, word_len
+    margin = 2.0 * (group.dirichlet_radius or 3.0) + 2.0
+    min_trace = math.inf
+    for level in _word_levels(group, word_len):
+        trace = np.abs(2.0 * level.alpha.real)
+        trace = np.where(trace > 2.0 + 1e-12, trace, np.inf)
+        # the bound as it stood when each element was found
+        running = np.minimum.accumulate(np.append(min_trace, trace))[1:]
+        if len(running):
+            min_trace = float(running[-1])
+        best = 2.0 * np.arccosh(running / 2.0)
+        level.expand = _displacements(level.alpha, level.beta, 0j) <= best + margin
+    return 2.0 * math.acosh(min_trace / 2.0), word_len
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +600,7 @@ class DomainSampler:
     """Uniform (hyperbolic-area) sampler of the Dirichlet domain at 0.
 
     Rejection from the hyperbolic disc of the Dirichlet circumradius;
-    membership test: no orbit point of 0 is closer than 0 itself.
+    membership test: no face point of the domain is closer than 0 itself.
     """
 
     def __init__(self, group: FuchsianGroup):
@@ -496,19 +608,10 @@ class DomainSampler:
             raise ValueError("sampler needs a cocompact group with known radius")
         self.group = group
         self.radius = group.dirichlet_radius
-        ball = orbit_enumerate(group, DiscPoint(0, 0), 2.0 * self.radius + 0.2)
-        self.orbit0 = np.array([mobius_apply_complex(e.g, 0j)
-                                for e in ball.nontrivial()])
+        self.faces = _face_points(group)
 
     def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        if len(self.orbit0) == 0:
-            return True
-        d0 = abs(z)
-        lhs = d0 * d0 / (1.0 - d0 * d0)
-        num = np.abs(z - self.orbit0) ** 2
-        den = (1.0 - d0 * d0) * (1.0 - np.abs(self.orbit0) ** 2)
-        # sinh^2(d/2) comparison is monotone in the distance
-        return lhs <= float(np.min(num / den)) + tol
+        return _in_dirichlet_domain(z, self.faces, tol)
 
     def sample(self, rng: np.random.Generator) -> complex:
         cosh_R = math.cosh(self.radius)
@@ -531,9 +634,9 @@ class BsStatResult:
 def bs_statistic(surface, R: float, n_samples: int, seed: int) -> BsStatResult:
     """Monte Carlo estimate of Vol{InjRad < R} / Vol over the surface."""
     if R > 25:
-        raise ValueError("R > 25 not supported")
+        raise ParameterOutOfRange("R > 25 not supported")
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ParameterOutOfRange("n_samples must be >= 1")
     base = surface.base if isinstance(surface, CoverSurface) else surface
     degree = surface.degree if isinstance(surface, CoverSurface) else 1
     sampler = DomainSampler(base)
@@ -624,22 +727,7 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
         window_radius = base_radius
     rng = np.random.default_rng(seed)
 
-    if base_radius is not None:
-        membership = DomainSampler(group).contains
-    else:
-        ball0 = orbit_enumerate(group, DiscPoint(0, 0), 2.0 * window_radius + 0.2,
-                                slack=2.0)
-        pts = np.array([mobius_apply_complex(e.g, 0j) for e in ball0.nontrivial()])
-
-        def membership(z, tol=1e-12):
-            if len(pts) == 0:
-                return True
-            d0 = abs(z)
-            lhs_m = d0 * d0 / (1.0 - d0 * d0)
-            num = np.abs(z - pts) ** 2
-            den = (1.0 - d0 * d0) * (1.0 - np.abs(pts) ** 2)
-            return lhs_m <= float(np.min(num / den)) + tol
-
+    faces = _face_points(group)
     cosh_R = math.cosh(window_radius)
     proposal_vol = 2.0 * math.pi * (cosh_R - 1.0)
     samples = []
@@ -648,7 +736,7 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
         r_h = math.acosh(1.0 + rng.random() * (cosh_R - 1.0))
         z = math.tanh(r_h / 2.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         n_prop += 1
-        if membership(z):
+        if _in_dirichlet_domain(z, faces):
             samples.append(z)
         if n_prop > 400 * n_mc:
             raise BudgetExceeded("window acceptance rate too low")

@@ -106,3 +106,11 @@ class TestContracts:
         err = capsys.readouterr().err
         rec = json.loads(err.strip())
         assert rec["error"] == "EmptyWindow"
+
+    @pytest.mark.parametrize("subcommand", ["orbit", "bs-stat"])
+    def test_radius_guard_is_a_json_error(self, tmp_path, capsys, subcommand):
+        code = main([subcommand, "--out", str(tmp_path), "--R", "30"])
+        assert code == 1
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ParameterOutOfRange"
+        assert rec["subcommand"] == subcommand

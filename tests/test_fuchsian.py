@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypsurf.fuchsian as F
-from hypsurf.errors import NonTransitive, RelationViolation
+from hypsurf.errors import NonTransitive, ParameterOutOfRange, RelationViolation
 from hypsurf.geometry import DiscPoint, GroupElement, mobius_apply_complex
 from hypsurf.transforms import RadialKernel
 
@@ -83,6 +84,11 @@ def exhaustive_word_ball(group, R, max_len):
     return count_in_ball
 
 
+def element_key(g):
+    return (round(g.alpha.real, 7), round(g.alpha.imag, 7),
+            round(g.beta.real, 7), round(g.beta.imag, 7))
+
+
 @pytest.fixture(scope="module")
 def bolza():
     return F.bolza_group()
@@ -143,6 +149,30 @@ class TestOrbit:
         b2 = F.orbit_enumerate(bolza, z, 4.5, word_cap=9)
         assert len(b1) == len(b2)
 
+    def test_bolza_ball_r8_frozen(self, bolza):
+        ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), 8.0)
+        assert len(ball) == 793
+        lengths = Counter(len(e.word) for e in ball.elements)
+        assert lengths == {0: 1, 1: 8, 2: 56, 3: 224, 4: 264, 5: 176, 6: 48, 7: 16}
+
+    # inside the octagon, inside near a vertex, outside beyond a vertex
+    @pytest.mark.parametrize("c", [0.3 + 0.2j, 0.8 * np.exp(1j * math.pi / 8),
+                                   0.9 * np.exp(1j * math.pi / 8)])
+    def test_off_center_ball_is_filtered_origin_ball(self, bolza, c):
+        # d(0, g 0) <= d(0, c) + d(c, g c) + d(g c, g 0) bounds the ball at 0
+        R = 4.0
+        big = F.orbit_enumerate(bolza, DiscPoint(0, 0), R + 2.0 * 2.0 * math.atanh(abs(c)))
+        expect = {element_key(e.g) for e in big.elements if F._displacement(e.g, c) <= R}
+        ball = F.orbit_enumerate(bolza, DiscPoint.from_complex(complex(c)), R)
+        assert len(ball) == len(expect)
+        assert {element_key(e.g) for e in ball.elements} == expect
+
+    def test_word_cap_is_only_a_limit(self, bolza):
+        free = F.orbit_enumerate(bolza, DiscPoint(0.1, 0.05), 6.0)
+        capped = F.orbit_enumerate(bolza, DiscPoint(0.1, 0.05), 6.0, word_cap=40)
+        assert [(e.word, e.displacement) for e in free.elements] == \
+            [(e.word, e.displacement) for e in capped.elements]
+
     def test_budget_guard(self, bolza):
         with pytest.raises(F.BudgetExceeded):
             F.orbit_enumerate(bolza, DiscPoint(0, 0), 12.0, element_cap=50)
@@ -150,6 +180,28 @@ class TestOrbit:
     def test_radius_guard(self, bolza):
         with pytest.raises(ValueError):
             F.orbit_enumerate(bolza, DiscPoint(0, 0), 26.0)
+        with pytest.raises(ParameterOutOfRange):
+            F.orbit_enumerate(bolza, DiscPoint(0, 0), 3.0, word_cap=0)
+        with pytest.raises(ParameterOutOfRange):
+            F.bs_statistic(bolza, 1.0, 0, seed=0)
+
+
+class TestDirichletDomain:
+    @pytest.mark.parametrize("group, radius", [(F.bolza_group(), F.BOLZA_VERTEX_RADIUS),
+                                               (F.cyclic_group(1.0), 2.5)])
+    def test_face_test_matches_orbit_test(self, group, radius):
+        # membership against the face points only == against every orbit point
+        # of 0 that can be closer than 0 to a point of the disc of this radius
+        ball = F.orbit_enumerate(group, DiscPoint(0, 0), 2.0 * radius + 0.2)
+        orbit0 = np.array([mobius_apply_complex(e.g, 0j) for e in ball.nontrivial()])
+        faces = F._face_points(group)
+        assert len(orbit0) > len(faces)
+        rng = np.random.default_rng(17)
+        r_e = math.tanh(radius / 2.0)
+        zs = r_e * np.sqrt(rng.random(5000)) * np.exp(2j * math.pi * rng.random(5000))
+        for z in zs:
+            own, others = F._sinh2_half_dists(z, orbit0)
+            assert F._in_dirichlet_domain(z, faces) == (own <= float(np.min(others)) + 1e-12)
 
 
 class TestInjectivityRadius:
@@ -312,6 +364,28 @@ class TestCovers:
                 assert (not below_base) <= (not below_lift) or below_base >= below_lift
                 if below_lift:
                     assert below_base
+
+    def test_injrad_below_matches_full_ball(self, bolza):
+        # early exit and carried sheet images against the whole ball of radius
+        # 2R filtered by the composed permutation of each word
+        cov = F.random_cover(bolza, 4, seed=0)
+        sampler = F.DomainSampler(bolza)
+        rng = np.random.default_rng(21)
+        R = 1.7
+        agree = hits = 0
+        for k in range(50):
+            z = sampler.sample(rng)
+            zp = DiscPoint(z.real, z.imag)
+            sheet = k % 4
+            ball = F.orbit_enumerate(bolza, zp, 2.0 * R)
+            expect = any(1e-12 < e.displacement < 2.0 * R
+                         and F._compose_perms(cov, e.word)[sheet] == sheet
+                         for e in ball.nontrivial())
+            got = F.injrad_below(cov, zp, R, sheet=sheet)
+            agree += got == expect
+            hits += got
+        assert agree == 50
+        assert 0 < hits < 50
 
     def test_json_round_trip(self, bolza):
         cov = F.random_cover(bolza, 5, seed=13)
