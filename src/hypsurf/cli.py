@@ -312,9 +312,9 @@ def _tower_surface(base, degree, seed):
 
 def cmd_variance(args) -> int:
     base = bolza_group()
+    window = SpectralWindow(*(float(x) for x in args.window.split(":")))
     surface = _tower_surface(base, args.degree, args.seed)
     data = fem_eigensolve(disc_surface_mesh(surface, args.h), args.modes)
-    window = SpectralWindow(*(float(x) for x in args.window.split(":")))
     a_vals = mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, data)
     rep = quantum_variance(a_vals, data, window,
                            weight_from_name(args.weight), seed=args.seed)
@@ -335,9 +335,9 @@ def cmd_variance(args) -> int:
 
 def cmd_weyl(args) -> int:
     base = bolza_group()
+    window = SpectralWindow(*(float(x) for x in args.window.split(":")))
     surface = _tower_surface(base, args.degree, args.seed)
     data = fem_eigensolve(disc_surface_mesh(surface, args.h), args.modes)
-    window = SpectralWindow(*(float(x) for x in args.window.split(":")))
     rep = weyl_ratio(data, window)
     ok = 0.5 <= rep.ratio <= 2.0
     write_summary(args.out, "weyl", {
@@ -585,15 +585,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _apply_config(parser: argparse.ArgumentParser, args, path: str):
+    """Set the subcommand options named in a JSON file, through their own
+    argparse types and choices; an unknown key is a usage error (exit 2)."""
+    with open(path) as f:
+        overrides = json.load(f)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sp = sub.choices[args.command]
+    options = {a.dest: a.option_strings[0] for a in sp._actions
+               if a.option_strings and a.dest != "help"}
+    for key, val in overrides.items():
+        if key not in options:
+            sp.error(f"unknown config key {key!r} in {path}")
+        sp.parse_args([f"{options[key]}={val}"], namespace=args)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        with open(args.config) as f:
-            overrides = json.load(f)
-        for key, val in overrides.items():
-            if hasattr(args, key):
-                setattr(args, key, val)
+        _apply_config(parser, args, args.config)
     try:
         return args.func(args)
     except HypsurfError as exc:

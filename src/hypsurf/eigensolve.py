@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (FormatError, MeshPairingFailure, OrthonormalityViolation,
-                     ResidualViolation, SolverNotConverged)
+                     ParameterOutOfRange, ResidualViolation, SolverNotConverged)
 from .fuchsian import (CoverSurface, FuchsianGroup, _compose_perms, _face_points,
                        _in_dirichlet_domain, _sinh2_half_dists)
 from .geometry import mobius_apply_complex
@@ -81,7 +81,7 @@ class _OctagonDomain:
 def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
     """Chart-grid mesh of a cocompact quotient (or a finite cover of one)."""
     if not (0.01 <= h <= 0.2):
-        raise ValueError("h must lie in [0.01, 0.2]")
+        raise ParameterOutOfRange("h must lie in [0.01, 0.2]")
     group = surface.base if isinstance(surface, CoverSurface) else surface
     cover = surface if isinstance(surface, CoverSurface) else None
     degree = cover.degree if cover else 1
@@ -172,7 +172,7 @@ def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
 def torus_mesh(h: float) -> SurfaceMesh:
     """Flat unit torus R^2/Z^2 through the same pipeline (exact pairings)."""
     if not (0.005 <= h <= 0.2):
-        raise ValueError("h out of range")
+        raise ParameterOutOfRange("h must lie in [0.005, 0.2]")
     n = int(round(1.0 / h))
     h = 1.0 / n
     idx = lambda i, j: (i % n) * n + (j % n)
@@ -231,7 +231,7 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8,
     """Shift-invert Lanczos eigenpairs of K psi = nu M psi on the mesh."""
     n = mesh.stiffness.shape[0]
     if n_modes >= n - 1:
-        raise ValueError("n_modes must be far below the mesh size")
+        raise ParameterOutOfRange("n_modes must be far below the mesh size")
     M = sp.diags(mesh.weights)
     try:
         vals, vecs = spla.eigsh(mesh.stiffness, k=n_modes, M=M, sigma=sigma,

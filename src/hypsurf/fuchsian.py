@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import (BudgetExceeded, NonTransitive, ParameterOutOfRange,
                      RelationViolation)
-from .geometry import DiscPoint, GroupElement, mobius_apply_complex
+from .geometry import (DiscPoint, GroupElement, _dist_array, _dist_complex,
+                       _mobius_array, mobius_apply_complex)
 from .quadrature import gauss_legendre
 from .transforms import RadialKernel  # noqa: F401  (re-exported for hs_bound_check callers)
 
@@ -140,12 +141,7 @@ class FuchsianGroup:
 
 
 def _displacement(g: GroupElement, center: complex) -> float:
-    w = mobius_apply_complex(g, center)
-    num = abs(w - center) ** 2
-    if num == 0.0:
-        return 0.0
-    den = (1.0 - abs(w) ** 2) * (1.0 - abs(center) ** 2)
-    return 2.0 * math.asinh(math.sqrt(num / den))
+    return _dist_complex(center, mobius_apply_complex(g, center))
 
 
 def _face_points(group: FuchsianGroup) -> np.ndarray:
@@ -203,15 +199,10 @@ def octagon_vertices() -> list:
 def octagon_area() -> float:
     """Hyperbolic area of the regular octagon by angle defect, measured numerically."""
     verts = octagon_vertices()
-
-    def d(z, w):
-        return 2.0 * math.asinh(math.sqrt(abs(z - w) ** 2 /
-                                          ((1 - abs(z) ** 2) * (1 - abs(w) ** 2))))
-
     angles = []
     for k in range(8):
         v, p, q = verts[k], verts[(k - 1) % 8], verts[(k + 1) % 8]
-        bb, cc, aa = d(v, p), d(v, q), d(p, q)
+        bb, cc, aa = _dist_complex(v, p), _dist_complex(v, q), _dist_complex(p, q)
         angles.append(math.acos((math.cosh(bb) * math.cosh(cc) - math.cosh(aa))
                                 / (math.sinh(bb) * math.sinh(cc))))
     return 6.0 * math.pi - sum(angles)
@@ -329,10 +320,7 @@ def _canon_keys(alpha: np.ndarray, beta: np.ndarray) -> list:
 
 def _displacements(alpha: np.ndarray, beta: np.ndarray, c: complex) -> np.ndarray:
     """d(c, g c) for the elements g = (alpha, beta)."""
-    w = (alpha * c + beta) / (np.conj(beta) * c + np.conj(alpha))
-    num = np.abs(w - c) ** 2
-    den = (1.0 - np.abs(w) ** 2) * (1.0 - abs(c) ** 2)
-    return 2.0 * np.arcsinh(np.sqrt(num / den))
+    return _dist_array(c, _mobius_array(alpha, beta, c))
 
 
 def _word_levels(group: FuchsianGroup, max_levels: int | None = None,
@@ -475,22 +463,30 @@ def systole_upper_bound(group: FuchsianGroup, word_len: int = 8):
 
     An upper bound for the systole; the word length used is reported.  The
     search expands an element while d(0, g 0) <= best + 2 R_D + 2 (R_D = 3
-    without a Dirichlet radius), best being the bound found so far.
+    without a Dirichlet radius), best being the bound found so far.  Long
+    words carry round-off in their traces, so the value comes from the first
+    trace found (the shortest word) within 1e-9 relative of the minimum.
     """
     if group.n_generators == 0:
         return math.inf, word_len
     margin = 2.0 * (group.dirichlet_radius or 3.0) + 2.0
     min_trace = math.inf
+    traces = []
     for level in _word_levels(group, word_len):
         trace = np.abs(2.0 * level.alpha.real)
         trace = np.where(trace > 2.0 + 1e-12, trace, np.inf)
+        traces.append(trace)
         # the bound as it stood when each element was found
         running = np.minimum.accumulate(np.append(min_trace, trace))[1:]
         if len(running):
             min_trace = float(running[-1])
         best = 2.0 * np.arccosh(running / 2.0)
         level.expand = _displacements(level.alpha, level.beta, 0j) <= best + margin
-    return 2.0 * math.acosh(min_trace / 2.0), word_len
+    if not math.isfinite(min_trace):
+        return math.inf, word_len
+    traces = np.concatenate(traces)
+    first = float(traces[np.argmax(traces <= min_trace * (1.0 + 1e-9))])
+    return 2.0 * math.acosh(first / 2.0), word_len
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +577,7 @@ def random_cover(base: FuchsianGroup, degree: int, seed: int,
     and the degree are coprime as a set, else redraw.
     """
     if degree < 1:
-        raise ValueError("degree must be >= 1")
+        raise ParameterOutOfRange("degree must be >= 1")
     rng = np.random.default_rng(seed)
     for _ in range(max_draws):
         weights = rng.integers(0, degree, size=base.n_generators)
@@ -676,14 +672,16 @@ def periodize_truncated(kernel: Callable[[complex, complex], float],
         margin = 2.0 * (group.dirichlet_radius or 1.0) + 0.2
         ball = orbit_enumerate(group, DiscPoint(0, 0), r + margin)
     mats = [e.g for e in ball.elements]
+    alpha = np.array([g.alpha for g in mats])
+    beta = np.array([g.beta for g in mats])
 
     def periodized(z: complex, w: complex) -> float:
+        # array pass picks the candidates; the scalar test and sum run on them
+        near = _dist_array(z, _mobius_array(alpha, beta, w)) <= r + 1e-9
         total = 0.0
-        for g in mats:
-            gw = mobius_apply_complex(g, w)
-            num = abs(z - gw) ** 2
-            den = (1.0 - abs(z) ** 2) * (1.0 - abs(gw) ** 2)
-            d = 2.0 * math.asinh(math.sqrt(num / den))
+        for i in np.flatnonzero(near):
+            gw = mobius_apply_complex(mats[i], w)
+            d = _dist_complex(z, gw)
             if d <= r:
                 total += kernel(z, gw) * float(chi(d / r))
         return total
@@ -744,10 +742,7 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
     zs, ws = samples[:n_mc], samples[n_mc:]
 
     def kcall(z, w):
-        num = abs(z - w) ** 2
-        den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
-        d = 2.0 * math.asinh(math.sqrt(num / den))
-        return float(kernel(d))
+        return float(kernel(_dist_complex(z, w)))
 
     periodized = periodize_truncated(kcall, group, r)
     vals = np.array([periodized(z, w) ** 2 for z, w in zip(zs, ws)])

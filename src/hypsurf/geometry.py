@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _DISC_EDGE = 1.0 - 1e-12
-_SU11_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,7 @@ class GroupElement:
         det = abs(self.alpha) ** 2 - abs(self.beta) ** 2
         if det <= 0:
             raise ValueError("not an SU(1,1) matrix: |alpha|^2 - |beta|^2 <= 0")
-        if abs(det - 1.0) > _SU11_TOL:
-            s = 1.0 / math.sqrt(det)
-        else:
-            s = 1.0 / math.sqrt(det)  # always renormalize; cheap and exact enough
+        s = 1.0 / math.sqrt(det)  # always renormalize; cheap and exact enough
         a, b = _canonical_sign(complex(self.alpha) * s, complex(self.beta) * s)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
@@ -234,6 +230,11 @@ def mobius_apply_complex(g: GroupElement, z: complex) -> complex:
     return (g.alpha * z + g.beta) / (g.beta.conjugate() * z + g.alpha.conjugate())
 
 
+def _mobius_array(alpha, beta, z):
+    """Mobius action of the elements (alpha, beta) on z; numpy, broadcasting."""
+    return (alpha * z + beta) / (np.conj(beta) * z + np.conj(alpha))
+
+
 # ---------------------------------------------------------------------------
 # Distance, Busemann, Poisson
 # ---------------------------------------------------------------------------
@@ -244,10 +245,18 @@ def hyp_distance(z: DiscPoint, w: DiscPoint) -> float:
 
 
 def _dist_complex(z: complex, w: complex) -> float:
+    """Distance of two chart points; math on scalars, for Python loops."""
     num = abs(z - w) ** 2
     den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
     # cosh d = 1 + 2 num/den;  d = 2 asinh(sqrt(num/den)) avoids cancellation
     return 2.0 * math.asinh(math.sqrt(num / den))
+
+
+def _dist_array(z, w):
+    """The distance formula of _dist_complex on numpy arrays (broadcasting)."""
+    num = np.abs(z - w) ** 2
+    den = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
+    return 2.0 * np.arcsinh(np.sqrt(num / den))
 
 
 def dist_to_origin(z: complex) -> float:
@@ -262,8 +271,17 @@ def point_at_distance(t: float, angle: float = 0.0) -> DiscPoint:
 
 def busemann(z: DiscPoint, b: BoundaryPoint) -> float:
     """Signed horocyclic distance <z, b> = log((1-|z|^2)/|z-b|^2)."""
-    zz = z.z
-    return math.log1p(-abs(zz) ** 2) - 2.0 * math.log(abs(zz - b.z))
+    return _busemann_complex(z.z, b.z)
+
+
+def _busemann_complex(z: complex, b: complex) -> float:
+    """<z, b> of a chart point and a unit-modulus b; math on scalars."""
+    return math.log1p(-abs(z) ** 2) - 2.0 * math.log(abs(z - b))
+
+
+def _busemann_array(z, b):
+    """The Busemann formula of _busemann_complex on numpy arrays (broadcasting)."""
+    return np.log1p(-np.abs(z) ** 2) - 2.0 * np.log(np.abs(z - b))
 
 
 def poisson_weight(z: DiscPoint, b: BoundaryPoint) -> float:

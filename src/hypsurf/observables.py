@@ -28,7 +28,8 @@ import numpy as np
 from .errors import StencilOutOfDomain
 from .fuchsian import (CoverSurface, DomainSampler, bs_statistic,
                        systole_upper_bound)
-from .geometry import DiscPoint, GroupElement, mobius_apply_complex
+from .geometry import (DiscPoint, GroupElement, _busemann_complex, _dist_complex,
+                       mobius_apply_complex)
 from .quadrature import gauss_legendre
 from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
                          phi_eval)
@@ -36,21 +37,9 @@ from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
 TWO_PI = 2.0 * math.pi
 
 
-def _busemann_c(z: complex, b: complex) -> float:
-    return math.log1p(-abs(z) ** 2) - 2.0 * math.log(abs(z - b))
-
-
-def _dist_c(z: complex, w: complex) -> float:
-    num = abs(z - w) ** 2
-    if num == 0.0:
-        return 0.0
-    den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
-    return 2.0 * math.asinh(math.sqrt(num / den))
-
-
 def plane_wave(lam: float, b: complex):
     def pw(z: complex) -> complex:
-        return cmath.exp((0.5 + 1j * lam) * _busemann_c(z, b))
+        return cmath.exp((0.5 + 1j * lam) * _busemann_complex(z, b))
     return pw
 
 
@@ -101,13 +90,12 @@ def finite_range_observable(K: Callable[[complex, complex], complex], S: float,
 def radial_kernel_observable(psi: Callable, S: float, C: float | None = None) -> Observable:
     """Finite-range observable with K(z, w) = psi(d(z, w)), psi supported [0, S]."""
     if C is None:
-        ts = np.linspace(0.0, S, 512)
         # |Au(x)| <= ||u||_C0 * int |psi| dmu over the ball
         t, w = gauss_legendre(0.0, S, 256)
         C = TWO_PI * float(np.sum(np.abs(psi(t)) * np.sinh(t) * w))
 
     def K(z, w):
-        return psi(_dist_c(z, w))
+        return psi(_dist_complex(z, w))
 
     return Observable("finite_range", LocalityConstants(C, S, 0), kernel=K,
                       radial_profile=psi)
@@ -134,33 +122,44 @@ def _fd_step(z: complex) -> float:
     return h
 
 
+# Centred differences on the chart: (i, j) -> (terms, denominator); the
+# derivative d_x^i d_y^j u(z) is sum(weight * u(z + step * h)) / denominator(h),
+# summed in the order listed.
+_CENTRED = {
+    (0, 0): (((1, 0),), lambda h: 1),
+    (1, 0): (((1, 1), (-1, -1)), lambda h: 2 * h),
+    (0, 1): (((1, 1j), (-1, -1j)), lambda h: 2 * h),
+    (2, 0): (((1, 1), (-2.0, 0), (1, -1)), lambda h: h * h),
+    (0, 2): (((1, 1j), (-2.0, 0), (1, -1j)), lambda h: h * h),
+    (1, 1): (((1, 1 + 1j), (-1, 1 - 1j), (-1, -1 + 1j), (1, -1 - 1j)),
+             lambda h: 4 * h * h),
+}
+
+
+def _centred_diff(u: Callable, z: complex, h: float, order: tuple):
+    if order not in _CENTRED:
+        raise ValueError(f"unsupported derivative {order}")
+    terms, denominator = _CENTRED[order]
+    acc = 0
+    for weight, step in terms:
+        acc += weight * u(z + step * h)
+    return acc / denominator(h)
+
+
+def _ck_sum(u: Callable, z: complex, h: float, k: int) -> float:
+    """Sum of |chart derivatives| of u at z of every order up to k."""
+    return sum(abs(_centred_diff(u, z, h, order)) for order in _CENTRED
+               if sum(order) <= k)
+
+
 def _apply_differential(coeffs: dict, u: Callable, z: complex) -> complex:
     h = _fd_step(z)
     out = 0.0 + 0.0j
-
-    def coeff_val(c):
-        return c(z) if callable(c) else c
-
-    for (i, j), c in coeffs.items():
-        cv = coeff_val(c)
+    for order, c in coeffs.items():
+        cv = c(z) if callable(c) else c
         if cv == 0:
             continue
-        if (i, j) == (0, 0):
-            der = u(z)
-        elif (i, j) == (1, 0):
-            der = (u(z + h) - u(z - h)) / (2 * h)
-        elif (i, j) == (0, 1):
-            der = (u(z + 1j * h) - u(z - 1j * h)) / (2 * h)
-        elif (i, j) == (2, 0):
-            der = (u(z + h) - 2.0 * u(z) + u(z - h)) / (h * h)
-        elif (i, j) == (0, 2):
-            der = (u(z + 1j * h) - 2.0 * u(z) + u(z - 1j * h)) / (h * h)
-        elif (i, j) == (1, 1):
-            der = (u(z + h + 1j * h) - u(z + h - 1j * h)
-                   - u(z - h + 1j * h) + u(z - h - 1j * h)) / (4 * h * h)
-        else:
-            raise ValueError(f"unsupported derivative {(i, j)}")
-        out += cv * der
+        out += cv * _centred_diff(u, z, h, order)
     return out
 
 
@@ -199,7 +198,7 @@ def complete_symbol(A: Observable, z: complex, lam: float, b: complex) -> comple
         return complex(A.a(z))
     pw = plane_wave(lam, b)
     val = A.apply(pw, z)
-    return val * cmath.exp(-(0.5 + 1j * lam) * _busemann_c(z, b))
+    return val * cmath.exp(-(0.5 + 1j * lam) * _busemann_complex(z, b))
 
 
 def symbol_of(A: Observable, lambda_support=(0.0, math.inf)) -> Symbol:
@@ -285,7 +284,7 @@ def smooth_sandwich_kernel(A: Observable, t: float, sigma: float, z: complex,
     from .propagators import default_eta
     eta = eta or default_eta
     S = A.locality.S
-    if _dist_c(z, w) > 2.0 * t + S:
+    if _dist_complex(z, w) > 2.0 * t + S:
         return 0.0 + 0.0j
     c_t = math.cosh(t) ** -0.5
 
@@ -300,19 +299,19 @@ def smooth_sandwich_kernel(A: Observable, t: float, sigma: float, z: complex,
             r_e = math.tanh(tt / 2.0)
             for ang in TWO_PI * np.arange(n_ang) / n_ang:
                 u = mobius_apply_complex(trans, r_e * cmath.exp(1j * ang))
-                duw = _dist_c(u, w)
+                duw = _dist_complex(u, w)
                 if duw >= t:
                     continue
                 total += (wq[i] * math.sinh(tt) * (TWO_PI / n_ang)
                           * float(k_t(tt)) * A.a(u) * float(k_t(duw)))
         return total
     if A.variant == "differential":
-        cutoff = lambda v: complex(k_t(_dist_c(v, w)))
+        cutoff = lambda v: complex(k_t(_dist_complex(v, w)))
         for i, tt in enumerate(tq):
             r_e = math.tanh(tt / 2.0)
             for ang in TWO_PI * np.arange(n_ang) / n_ang:
                 u = mobius_apply_complex(trans, r_e * cmath.exp(1j * ang))
-                if _dist_c(u, w) > t + 2e-2:
+                if _dist_complex(u, w) > t + 2e-2:
                     continue
                 total += (wq[i] * math.sinh(tt) * (TWO_PI / n_ang)
                           * float(k_t(tt)) * A.apply(cutoff, u))
@@ -325,7 +324,7 @@ def smooth_sandwich_kernel(A: Observable, t: float, sigma: float, z: complex,
             r_e = math.tanh(tt / 2.0)
             for ang in TWO_PI * np.arange(n_ang) / n_ang:
                 u = mobius_apply_complex(trans, r_e * cmath.exp(1j * ang))
-                if _dist_c(u, w) > t + S:
+                if _dist_complex(u, w) > t + S:
                     continue
                 trans_u = GroupElement.translation_to(DiscPoint(u.real, u.imag))
                 inner = 0.0 + 0.0j
@@ -335,7 +334,7 @@ def smooth_sandwich_kernel(A: Observable, t: float, sigma: float, z: complex,
                     r2 = math.tanh(ss / 2.0)
                     for ang2 in TWO_PI * np.arange(n2a) / n2a:
                         v = mobius_apply_complex(trans_u, r2 * cmath.exp(1j * ang2))
-                        dvw = _dist_c(v, w)
+                        dvw = _dist_complex(v, w)
                         if dvw >= t:
                             continue
                         inner += (w2[i2] * math.sinh(ss) * (TWO_PI / n2a)
@@ -359,27 +358,15 @@ def sandwich_sup_bound(A: Observable, t: float, sigma: float, eta=None,
     c_t = math.cosh(t) ** -0.5
     k = A.locality.k
 
-    def f(v: complex, w: complex) -> float:
-        return c_t * float(_smooth_chi(t, sigma, _dist_c(v, w), eta))
+    def f(v: complex) -> float:
+        return c_t * float(_smooth_chi(t, sigma, _dist_complex(v, 0j), eta))
 
     # radial symmetry: put w at the origin, scan v along a ray and measure
     # chart derivatives up to order k by centered differences
-    w0 = 0.0 + 0.0j
-    ts = np.linspace(0.0, t + 0.05, n_grid)
     worst = 0.0
-    for tt in ts:
+    for tt in np.linspace(0.0, t + 0.05, n_grid):
         v = math.tanh(tt / 2.0) + 0.0j
-        h = 1e-5 * (1.0 - abs(v) ** 2)
-        total = abs(f(v, w0))
-        if k >= 1:
-            total += abs((f(v + h, w0) - f(v - h, w0)) / (2 * h))
-            total += abs((f(v + 1j * h, w0) - f(v - 1j * h, w0)) / (2 * h))
-        if k >= 2:
-            total += abs((f(v + h, w0) - 2 * f(v, w0) + f(v - h, w0)) / (h * h))
-            total += abs((f(v + 1j * h, w0) - 2 * f(v, w0) + f(v - 1j * h, w0)) / (h * h))
-            total += abs((f(v + h + 1j * h, w0) - f(v + h - 1j * h, w0)
-                          - f(v - h + 1j * h, w0) + f(v - h - 1j * h, w0)) / (4 * h * h))
-        worst = max(worst, total)
+        worst = max(worst, _ck_sum(f, v, 1e-5 * (1.0 - abs(v) ** 2), k))
     r, wq = gauss_legendre(0.0, t, 256)
     l1 = TWO_PI * c_t * float(np.sum(np.asarray(_smooth_chi(t, sigma, r, eta))
                                      * np.sinh(r) * wq))
@@ -396,17 +383,7 @@ def locality_ratio(A: Observable, u: Callable, z: complex, n_ball: int = 7) -> f
     for tt in np.linspace(0.0, S_eff, n_ball):
         for ang in TWO_PI * np.arange(8) / 8:
             v = mobius_apply_complex(trans, math.tanh(tt / 2.0) * cmath.exp(1j * ang))
-            h = 1e-4 * (1.0 - abs(v) ** 2)
-            total = abs(u(v))
-            if k >= 1:
-                total += abs((u(v + h) - u(v - h)) / (2 * h))
-                total += abs((u(v + 1j * h) - u(v - 1j * h)) / (2 * h))
-            if k >= 2:
-                total += abs((u(v + h) - 2 * u(v) + u(v - h)) / (h * h))
-                total += abs((u(v + 1j * h) - 2 * u(v) + u(v - 1j * h)) / (h * h))
-                total += abs((u(v + h + 1j * h) - u(v + h - 1j * h)
-                              - u(v - h + 1j * h) + u(v - h - 1j * h)) / (4 * h * h))
-            norm = max(norm, total)
+            norm = max(norm, _ck_sum(u, v, 1e-4 * (1.0 - abs(v) ** 2), k))
     return val / norm if norm > 0 else 0.0
 
 

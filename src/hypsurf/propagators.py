@@ -27,9 +27,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import QuadratureNotConverged
-from .quadrature import gauss_legendre
-from .transforms import RadialKernel, abel_sharp, abel_smooth, fourier_of_abel
+from .errors import ParameterOutOfRange, QuadratureNotConverged
+from .quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule
+from .transforms import (RadialKernel, _md_integral, abel_sharp, abel_smooth,
+                         fourier_of_abel)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -50,7 +51,7 @@ class CutoffSpec:
 
     def __post_init__(self):
         if not (0.0 < self.sigma < self.t):
-            raise ValueError("need 0 < sigma < t")
+            raise ParameterOutOfRange("need 0 < sigma < t")
         eps = 1e-9 * max(1.0, self.t)
         if abs(float(self.eta(np.array([-1.0 - 1e-9]))[0]) - 1.0) > 1e-12:
             raise ValueError("eta must equal 1 on (-inf, -1]")
@@ -77,7 +78,7 @@ class Propagator:
 
 def sharp_propagator(t: float) -> Propagator:
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise ParameterOutOfRange("t must be positive")
     c = math.cosh(t) ** -0.5
     kern = RadialKernel(lambda r: c * (np.asarray(r, dtype=float) <= t),
                         support_bound=t, smoothness_class="indicator")
@@ -100,31 +101,16 @@ def _g_smooth_grid(t: float, sigma: float, eta: Callable, us: np.ndarray,
                    n_v: int = 48) -> np.ndarray:
     """Abel profile of the smooth kernel on an array of u >= 0.
 
-    Splits the v-integral at the chi == 1 plateau edge: the plateau part is
-    v-length exactly, the ramp part is a mapped Gauss-Legendre panel.
+    In v = sqrt(cosh r - cosh u) the integrand is 2 chi(r) dv: the chi == 1
+    plateau up to t - sigma gives 2 v exactly, the ramp after it is a
+    sqrt_edge_rule panel per u.
     """
     us = np.asarray(us, dtype=float)
-    cosh_u = np.cosh(us)
-    cosh_t = math.cosh(t)
-    cosh_ts = math.cosh(t - sigma)
-    V = np.sqrt(np.maximum(cosh_t - cosh_u, 0.0))
-    V1 = np.sqrt(np.maximum(cosh_ts - cosh_u, 0.0))
-    x, w = gauss_legendre(0.0, 1.0, n_v)
-    # ramp panel [V1, V] mapped per u
-    lo = V1[:, None]
-    span = (V - V1)[:, None]
-    v = lo + span * x[None, :]
-    r = np.arccosh(np.minimum(cosh_u[:, None] + v * v, cosh_t))
-    chi = eta((r - t) / sigma)
-    ramp = (chi * (span * w[None, :])).sum(axis=1)
-    out = 2.0 * SQRT2 / math.sqrt(cosh_t) * (V1 + ramp)
+    plateau = np.sqrt(np.maximum(cosh_diff(t - sigma, us), 0.0))
+    r, v, w = sqrt_edge_rule(us, np.clip(us, t - sigma, t), t, n_v)
+    ramp = (eta((r - t) / sigma) * np.sinh(r) / v * w).sum(axis=-1)
+    out = SQRT2 / math.sqrt(math.cosh(t)) * (2.0 * plateau + ramp)
     return np.where(us >= t, 0.0, out)
-
-
-def _g_sharp_grid(t: float, us: np.ndarray) -> np.ndarray:
-    us = np.asarray(us, dtype=float)
-    return 2.0 * np.sqrt(2.0 * np.maximum(math.cosh(t) - np.cosh(us), 0.0)
-                         / math.cosh(t))
 
 
 def _h_from_profile(t: float, lams: np.ndarray, g_fn, knots: Sequence[float],
@@ -139,31 +125,22 @@ def _h_from_profile(t: float, lams: np.ndarray, g_fn, knots: Sequence[float],
     split = t - min(1.0, t / 2.0)
     edges = [0.0] + sorted(k for k in knots if 0.0 < k < split) + [split]
     n_scale = max(n_u, int(10 * t) + 8 * int(np.max(lams) if lams.size else 1))
-    out = np.zeros(lams.shape)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        u, w = gauss_legendre(lo, hi, n_scale)
-        out = out + 2.0 * np.cos(np.multiply.outer(lams, u)) @ (g_fn(u) * w)
-    cosh_t = math.cosh(t)
-    v_knots = sorted((math.sqrt(cosh_t - math.cosh(k)) for k in knots
-                      if split < k < t), reverse=True)
-    v_edges = [0.0] + v_knots + [math.sqrt(cosh_t - math.cosh(split))]
-    for lo, hi in zip(v_edges[:-1], v_edges[1:]):
-        if hi <= lo:
-            continue
-        v, w = gauss_legendre(lo, hi, n_scale)
-        u_sub = np.arccosh(np.maximum(cosh_t - v * v, 1.0))
-        jac = 2.0 * v / np.sinh(np.maximum(u_sub, 1e-300))
-        out = out + 2.0 * np.cos(np.multiply.outer(lams, u_sub)) @ (g_fn(u_sub) * jac * w)
-    return out
+    rules = [gauss_legendre(lo, hi, n_scale) for lo, hi in zip(edges[:-1], edges[1:])
+             if hi > lo]
+    tail_edges = [split] + sorted(k for k in knots if split < k < t) + [t]
+    for lo, hi in zip(tail_edges[:-1], tail_edges[1:]):
+        u, _, w = sqrt_edge_rule(t, lo, hi, n_scale)
+        rules.append((u, w))
+    u = np.concatenate([x for x, _ in rules])
+    w = np.concatenate([w for _, w in rules])
+    return np.cos(np.multiply.outer(lams, u)) @ (2.0 * g_fn(u) * w)
 
 
 def h_sharp(t: float, lam) -> float | np.ndarray:
     """Multiplier of the sharp propagator, via the closed-form Abel profile."""
     if t <= 0:
-        raise ValueError("t must be positive")
-    vals = _h_from_profile(t, lam, lambda u: _g_sharp_grid(t, u), ())
+        raise ParameterOutOfRange("t must be positive")
+    vals = _h_from_profile(t, lam, abel_sharp(t), ())
     return vals if np.ndim(lam) else float(vals[0])
 
 
@@ -189,32 +166,11 @@ def h_smooth_reference(t: float, sigma: float, lam: float,
 # Lemma-A.1-type oscillatory integral and the smooth-sharp difference
 # ---------------------------------------------------------------------------
 
-def _cos_over_sqrt_integral(r: float, lams: np.ndarray, n: int = 160) -> np.ndarray:
-    """I(r, lam) = int_0^r cos(lam u) / sqrt(cosh r - cosh u) du.
-
-    Split at r - 1 (or r/2 for small r); the singular stretch is integrated
-    in the variable v = sqrt(cosh r - cosh u).
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    split = r - min(1.0, r / 2.0)
-    total = np.zeros(lams.shape)
-    if split > 0:
-        n_plain = max(n, int(8 * r))
-        u, w = gauss_legendre(0.0, split, n_plain)
-        total = np.cos(np.multiply.outer(lams, u)) / np.sqrt(np.cosh(r) - np.cosh(u)) @ w
-    v_hi = math.sqrt(np.cosh(r) - np.cosh(split))
-    v, w = gauss_legendre(0.0, v_hi, n)
-    u_sub = np.arccosh(np.maximum(np.cosh(r) - v * v, 1.0))
-    total = total + np.cos(np.multiply.outer(lams, u_sub)) * (2.0 / np.sinh(
-        np.maximum(u_sub, 1e-300))) @ w
-    return total
-
-
 def lemma_a1_check(lam, r: float) -> float | np.ndarray:
     """e^{r/2} |int_0^r cos(lam u)/sqrt(cosh r - cosh u) du|; bounded in r."""
     if r <= 1.0:
         raise ValueError("r must exceed 1")
-    vals = math.exp(r / 2.0) * np.abs(_cos_over_sqrt_integral(r, lam))
+    vals = math.exp(r / 2.0) * np.abs(_md_integral(np.atleast_1d(lam), r))
     return vals if np.ndim(lam) else float(vals[0])
 
 
@@ -245,7 +201,7 @@ def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta,
     if route in ("formula", "both"):
         spec = CutoffSpec(t, sigma, eta)
         rr, w = gauss_legendre(t - sigma, t, 64)
-        inner = np.vstack([_cos_over_sqrt_integral(float(r), lams) for r in rr]).T
+        inner = np.vstack([_md_integral(lams, float(r)) for r in rr]).T
         coef = (np.asarray(spec.chi(rr)) - 1.0) * np.sinh(rr) * w
         out_form = 2.0 * math.sqrt(2.0 / math.cosh(t)) * (inner @ coef)
     if route == "both":
@@ -278,40 +234,33 @@ def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray,
     return np.vstack(rows)
 
 
-def avg_multiplier_H(T: float, sigma: float, lam, n_t: int = 8,
-                     eta: Callable = default_eta):
-    """H_T(lambda) = (1/T) int_0^T h_{t,sigma}(lambda)^2 dt.
-
-    Composite Gauss-Legendre in t, n_t points per unit length.
-    """
+def _time_average_sq(T: float, lam, n_t: int, h_rows: Callable):
+    """(1/T) int_0^T h_t(lam)^2 dt, composite Gauss-Legendre in t with n_t
+    points per unit length; h_rows(ts, lams) is the matrix of h_t(lams)."""
     if T <= 0:
-        raise ValueError("T must be positive")
+        raise ParameterOutOfRange("T must be positive")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     n_panels = max(1, int(math.ceil(T)))
     edges = np.linspace(0.0, T, n_panels + 1)
     acc = np.zeros(lams.shape)
     for lo, hi in zip(edges[:-1], edges[1:]):
         t, w = gauss_legendre(lo, hi, n_t)
-        hmat = h_smooth_on_grid(t, sigma, lams, eta)
-        acc = acc + (hmat ** 2 * w[:, None]).sum(axis=0)
+        acc = acc + (h_rows(t, lams) ** 2 * w[:, None]).sum(axis=0)
     out = acc / T
     return out if np.ndim(lam) else float(out[0])
+
+
+def avg_multiplier_H(T: float, sigma: float, lam, n_t: int = 8,
+                     eta: Callable = default_eta):
+    """H_T(lambda) = (1/T) int_0^T h_{t,sigma}(lambda)^2 dt."""
+    return _time_average_sq(T, lam, n_t,
+                            lambda ts, lams: h_smooth_on_grid(ts, sigma, lams, eta))
 
 
 def avg_multiplier_H_sharp(T: float, lam, n_t: int = 8):
     """Sharp-kernel analogue (1/T) int h_t^sharp(lam)^2 dt."""
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    n_panels = max(1, int(math.ceil(T)))
-    edges = np.linspace(0.0, T, n_panels + 1)
-    acc = np.zeros(lams.shape)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t, w = gauss_legendre(lo, hi, n_t)
-        hmat = np.vstack([_h_from_profile(float(tt), lams,
-                                          lambda u, t2=float(tt): _g_sharp_grid(t2, u), ())
-                          if tt > 0 else np.zeros(lams.shape) for tt in t])
-        acc = acc + (hmat ** 2 * w[:, None]).sum(axis=0)
-    out = acc / T
-    return out if np.ndim(lam) else float(out[0])
+    return _time_average_sq(T, lam, n_t, lambda ts, lams: np.vstack(
+        [h_sharp(float(t), lams) for t in ts]))
 
 
 @dataclass(frozen=True)
@@ -336,7 +285,7 @@ def prop33_certificate(interval, sigma: float, T_list, lam_spacing: float = 0.02
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (0 < lo < hi):
-        raise ValueError("need 0 < lam_lo < lam_hi")
+        raise ParameterOutOfRange("need 0 < lam_lo < lam_hi")
     n_lam = max(2, int(math.ceil((hi - lo) / lam_spacing)) + 1)
     lam_grid = np.linspace(lo, hi, n_lam)
     T_list = tuple(float(T) for T in T_list)
@@ -365,19 +314,13 @@ def beta_norm_check(t: float, p: float = 1.5) -> float:
     its claimed growth e^{pt/2}; bounded in t and -> 0 as t -> 0.
     """
     if not (1.0 < p < 2.0):
-        raise ValueError("p must lie in (1, 2)")
+        raise ParameterOutOfRange("p must lie in (1, 2)")
     if t <= 0:
         return 0.0
     # integrate in v = sqrt(cosh t - cosh s) near s = t, plain elsewhere
     split = t - min(1.0, t / 2.0)
-    total = 0.0
-    if split > 0:
-        s, w = gauss_legendre(0.0, split, 200)
-        total += float(np.sum(np.exp((p - 1.0) * s / 2.0)
-                              * np.sqrt(np.cosh(t) - np.cosh(s)) * 2.0 * w))
-    v_hi = math.sqrt(np.cosh(t) - np.cosh(split))
-    v, w = gauss_legendre(0.0, v_hi, 200)
-    s_sub = np.arccosh(np.maximum(np.cosh(t) - v * v, 1.0))
-    jac = 2.0 * v / np.sinh(np.maximum(s_sub, 1e-300))
-    total += float(np.sum(np.exp((p - 1.0) * s_sub / 2.0) * v * 2.0 * jac * w))
+    s, w = gauss_legendre(0.0, split, 200)
+    total = float(np.sum(np.exp((p - 1.0) * s / 2.0) * np.sqrt(cosh_diff(t, s)) * 2.0 * w))
+    s, v, w = sqrt_edge_rule(t, split, t, 200)
+    total += float(np.sum(np.exp((p - 1.0) * s / 2.0) * v * 2.0 * w))
     return math.exp(-p * t / 2.0) * total

@@ -40,6 +40,37 @@ def composite_gl(a: float, b: float, n_panels: int, n_per_panel: int = 8):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def cosh_diff(a, b):
+    """cosh a - cosh b, formed as 2 sinh((a+b)/2) sinh((a-b)/2) so that close
+    arguments keep their digits (cosh a - cosh b cancels for small a, b)."""
+    return 2.0 * np.sinh(0.5 * (a + b)) * np.sinh(0.5 * (a - b))
+
+
+def sqrt_edge_rule(c, a, b, n: int):
+    """n-point Gauss-Legendre rule for int_a^b f(x) dx in v = sqrt|cosh c - cosh x|.
+
+    The panel [a, b] lies on one side of the edge c: below it (b <= c, the
+    upper edge, cosh x = cosh c - v^2) or above it (a >= c, the lower edge,
+    cosh x = cosh c + v^2).  A factor 1/sqrt|cosh c - cosh x| = 1/v, singular
+    at x = c, is then smooth in v.  Nodes are mapped as
+    x = 2 asinh(sqrt(sinh^2(c/2) -+ v^2/2)), which keeps every digit near 0.
+
+    c, a and b broadcast; the nodes run along a new last axis.  Returns
+    (x, v, w): nodes, their v, and weights including dx/dv = 2 v / sinh x.
+    """
+    c, a, b = (np.asarray(y, dtype=float) for y in (c, a, b))
+    va = np.sqrt(np.abs(cosh_diff(c, a)))[..., None]
+    vb = np.sqrt(np.abs(cosh_diff(c, b)))[..., None]
+    y, wy = _gl_rule(n)
+    v = 0.5 * (vb - va) * y + 0.5 * (va + vb)
+    half = np.where(a >= c, 0.5, -0.5)[..., None]
+    s2 = np.sinh(0.5 * c)[..., None] ** 2 + half * (v * v)
+    s = np.sqrt(s2)
+    # sinh x = 2 s sqrt(1 + s^2), so dx/dv = v / (s sqrt(1 + s^2))
+    w = (0.5 * np.abs(vb - va) * wy) * v / (s * np.sqrt(1.0 + s2))
+    return 2.0 * np.arcsinh(s), v, w
+
+
 def gl_integrate(f, a: float, b: float, n0: int = 32, tol: float = 1e-10,
                  max_doublings: int = 8):
     """Integrate a vectorized callable on [a, b], doubling nodes until stable."""

@@ -30,8 +30,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import QuadratureNotConverged, SeriesDiverged
-from .quadrature import gauss_legendre, trapezoid_periodic
+from .errors import ParameterOutOfRange, QuadratureNotConverged, SeriesDiverged
+from .geometry import _busemann_array
+from .quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule, trapezoid_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,17 +148,15 @@ def spherical_phi(lam: float, t: float, tol: float = 1e-9) -> float:
     this route to moderate t (raises QuadratureNotConverged beyond it).
     """
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise ParameterOutOfRange("t must be >= 0")
     if t > 50:
-        raise ValueError("t > 50 not supported")
+        raise ParameterOutOfRange("t > 50 not supported")
     if t == 0.0:
         return 1.0
     z = math.tanh(t / 2.0)
 
     def f(theta):
-        b = np.exp(1j * theta)
-        bus = np.log1p(-z * z) - 2.0 * np.log(np.abs(z - b))
-        return np.exp((0.5 + 1j * lam) * bus)
+        return np.exp((0.5 + 1j * lam) * _busemann_array(z, np.exp(1j * theta)))
 
     n0 = 64
     while n0 < 8 * math.exp(t) and n0 < (1 << 21):  # resolve the Poisson peak
@@ -172,27 +171,26 @@ def spherical_phi(lam: float, t: float, tol: float = 1e-9) -> float:
 # Spherical function: Mehler-Dirichlet integral (fast, any t > 0)
 # ---------------------------------------------------------------------------
 
-def _phi_md_grid(lams: np.ndarray, t: float, n: int = 160) -> np.ndarray:
-    """phi on an array of lambdas via (sqrt2/pi) int_0^t cos(lam u)/sqrt(cosh t - cosh u) du.
+def _md_integral(lams: np.ndarray, t: float, n: int = 160) -> np.ndarray:
+    """int_0^t cos(lam u) / sqrt(cosh t - cosh u) du on an array of lambdas, t > 0.
 
-    Integrable 1/sqrt singularity at u = t removed by cosh u = cosh t - v^2.
+    Plain panel up to t - min(1, t/2); the rest in v = sqrt(cosh t - cosh u),
+    which removes the integrable 1/sqrt singularity at u = t.
     """
+    lams = np.asarray(lams, dtype=float)
+    split = t - min(1.0, t / 2.0)
+    u, w = gauss_legendre(0.0, split, max(n, int(6 * t)))
+    total = np.cos(np.multiply.outer(lams, u)) @ (w / np.sqrt(cosh_diff(t, u)))
+    u, v, w = sqrt_edge_rule(t, split, t, n)
+    return total + np.cos(np.multiply.outer(lams, u)) @ (w / v)
+
+
+def _phi_md_grid(lams: np.ndarray, t: float, n: int = 160) -> np.ndarray:
+    """phi on an array of lambdas: (sqrt 2 / pi) times the Mehler-Dirichlet integral."""
     lams = np.asarray(lams, dtype=float)
     if t == 0.0:
         return np.ones_like(lams)
-    split = t - min(1.0, t / 2.0)
-    total = np.zeros(lams.shape)
-    if split > 0:
-        n_plain = max(n, int(6 * t))
-        u, w = gauss_legendre(0.0, split, n_plain)
-        f = np.cos(np.multiply.outer(lams, u)) / np.sqrt(np.cosh(t) - np.cosh(u))
-        total = f @ w
-    v_hi = math.sqrt(np.cosh(t) - np.cosh(split))
-    v, w = gauss_legendre(0.0, v_hi, n)
-    u_sub = np.arccosh(np.maximum(np.cosh(t) - v * v, 1.0))
-    f2 = np.cos(np.multiply.outer(lams, u_sub)) * (2.0 / np.sinh(np.maximum(u_sub, 1e-300)))
-    total = total + f2 @ w
-    return math.sqrt(2.0) / math.pi * total
+    return math.sqrt(2.0) / math.pi * _md_integral(lams, t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +412,8 @@ def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
     """g(u) = sqrt2 int_{|u|}^T k(r) sinh r / sqrt(cosh r - cosh u) dr.
 
     The inverse square root is singular at r = |u|; on [|u|, |u|+1] the
-    substitution cosh r = cosh u + v^2 removes it exactly
-    (sinh r dr = 2 v dv), and the remainder is integrated in r directly.
+    variable v = sqrt(cosh r - cosh u) removes it (sqrt_edge_rule), and the
+    remainder is integrated in r directly.
     """
     if not math.isfinite(k.support_bound):
         raise ValueError("Abel transform implemented for compactly supported kernels")
@@ -431,24 +429,20 @@ def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
                 continue
             mid = min(u + 1.0, T)
             acc = 0.0
-            # singular stretch in the variable v = sqrt(cosh r - cosh u),
-            # split at kernel knots so each panel is smooth
-            v_edges = [0.0] + [math.sqrt(np.cosh(b) - np.cosh(u))
-                               for b in knots if u < b < mid]
-            v_edges.append(math.sqrt(np.cosh(mid) - np.cosh(u)))
-            for lo, hi in zip(v_edges[:-1], v_edges[1:]):
+            # singular stretch in v, split at kernel knots so each panel is smooth
+            edges = [u] + [b for b in knots if u < b < mid] + [mid]
+            for lo, hi in zip(edges[:-1], edges[1:]):
                 if hi <= lo:
                     continue
-                v, w = gauss_legendre(lo, hi, n)
-                r = np.arccosh(np.cosh(u) + v * v)
-                acc += 2.0 * float(np.sum(k(r) * w))
+                r, v, w = sqrt_edge_rule(u, lo, hi, n)
+                acc += float(np.sum(k(r) * np.sinh(r) / v * w))
             if mid < T:
                 r_edges = [mid] + [b for b in knots if mid < b < T] + [T]
                 for lo, hi in zip(r_edges[:-1], r_edges[1:]):
                     n_tail = max(n, int(16 * (hi - lo)))
                     r2, w2 = gauss_legendre(lo, hi, n_tail)
                     acc += float(np.sum(k(r2) * np.sinh(r2)
-                                        / np.sqrt(np.cosh(r2) - np.cosh(u)) * w2))
+                                        / np.sqrt(cosh_diff(r2, u)) * w2))
             out[i] = math.sqrt(2.0) * acc
         return out
 
@@ -459,12 +453,11 @@ def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
 def abel_sharp(t: float) -> AbelProfile:
     """Closed-form Abel profile of the sharp ball kernel (cosh t)^{-1/2} 1_{r<=t}."""
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise ParameterOutOfRange("t must be positive")
 
     def g(us):
         us = np.abs(np.atleast_1d(np.asarray(us, dtype=float)))
-        return 2.0 * np.sqrt(2.0 * np.maximum(np.cosh(t) - np.cosh(us), 0.0)
-                             / np.cosh(t))
+        return 2.0 * np.sqrt(2.0 * np.maximum(cosh_diff(t, us), 0.0) / np.cosh(t))
 
     return AbelProfile(lambda u: g(u) if np.ndim(u) else float(g(np.array([u]))[0]),
                        support_bound=t)
@@ -474,7 +467,7 @@ def abel_smooth(t: float, sigma: float, eta: Callable[[np.ndarray], np.ndarray],
                 n: int = 200) -> AbelProfile:
     """Abel profile of the smooth ball kernel with cutoff chi(r) = eta((r - t)/sigma)."""
     if not (0 < sigma < t):
-        raise ValueError("need 0 < sigma < t")
+        raise ParameterOutOfRange("need 0 < sigma < t")
 
     def kv(r):
         return np.cosh(t) ** -0.5 * eta((np.asarray(r, dtype=float) - t) / sigma)
@@ -495,10 +488,7 @@ def fourier_of_abel(g: AbelProfile) -> SpectralMultiplier:
     S = g.support_bound
     split = S - min(1.0, S / 2.0)
     plain_edges = [0.0] + sorted(b for b in g.breakpoints if 0.0 < b < split) + [split]
-    # knots falling in the substituted stretch become splits in the v variable
-    v_knots = sorted((math.sqrt(np.cosh(S) - np.cosh(b))
-                      for b in g.breakpoints if split < b < S), reverse=True)
-    v_edges = [0.0] + v_knots + [math.sqrt(np.cosh(S) - np.cosh(split))]
+    tail_edges = [split] + sorted(b for b in g.breakpoints if split < b < S) + [S]
 
     def h(lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
@@ -511,13 +501,9 @@ def fourier_of_abel(g: AbelProfile) -> SpectralMultiplier:
                     continue
                 u, w = gauss_legendre(lo, hi, trial)
                 cur = cur + 2.0 * np.cos(np.multiply.outer(lams, u)) @ (g(u) * w)
-            for lo, hi in zip(v_edges[:-1], v_edges[1:]):
-                if hi <= lo:
-                    continue
-                v, w = gauss_legendre(lo, hi, trial)
-                u_sub = np.arccosh(np.cosh(S) - v * v)
-                jac = 2.0 * v / np.sinh(np.maximum(u_sub, 1e-300))
-                cur = cur + 2.0 * np.cos(np.multiply.outer(lams, u_sub)) @ (g(u_sub) * jac * w)
+            for lo, hi in zip(tail_edges[:-1], tail_edges[1:]):
+                u, _, w = sqrt_edge_rule(S, lo, hi, trial)
+                cur = cur + 2.0 * np.cos(np.multiply.outer(lams, u)) @ (g(u) * w)
             if vals is not None and np.max(np.abs(cur - vals)) > 3e-8 * max(
                     1.0, float(np.max(np.abs(cur)))):
                 raise QuadratureNotConverged("Fourier of Abel profile did not stabilize")
@@ -549,8 +535,7 @@ def helgason_forward(u: Callable[[complex], complex], support_radius: float = 0.
     area_w = np.multiply.outer(np.sinh(t) * wt, np.full(n_ang, TWO_PI / n_ang))
 
     def transform(lam: float, b_angle: float) -> complex:
-        b = np.exp(1j * b_angle)
-        bus = np.log1p(-np.abs(Z) ** 2) - 2.0 * np.log(np.abs(Z - b))
+        bus = _busemann_array(Z, np.exp(1j * b_angle))
         return complex(np.sum(np.exp((0.5 - 1j * lam) * bus) * U * area_w))
 
     return transform
@@ -570,8 +555,8 @@ def kernel_from_symbol(a: Callable[[complex, float, complex], complex],
     wb = TWO_PI / n_ang
 
     def K(z: complex, w: complex) -> complex:
-        bus_z = np.log1p(-abs(z) ** 2) - 2.0 * np.log(np.abs(z - b))
-        bus_w = np.log1p(-abs(w) ** 2) - 2.0 * np.log(np.abs(w - b))
+        bus_z = _busemann_array(z, b)
+        bus_w = _busemann_array(w, b)
         acc = 0.0 + 0.0j
         for i, l in enumerate(lam):
             av = np.array([a(z, float(l), bb) for bb in b])
@@ -605,7 +590,7 @@ def hs_norm_disc(a: Callable[[complex, float, complex], complex],
         r_e = math.tanh(tt / 2.0)
         for ph in phis:
             z = r_e * np.exp(1j * ph)
-            pz = np.exp(np.log1p(-abs(z) ** 2) - 2.0 * np.log(np.abs(z - b)))
+            pz = np.exp(_busemann_array(z, b))
             lam_acc = 0.0
             for j, l in enumerate(lam):
                 av2 = np.abs(np.array([a(z, float(l), bb) for bb in b])) ** 2
@@ -621,7 +606,7 @@ def hs_norm_disc(a: Callable[[complex, float, complex], complex],
 def bump_multiplier(lo: float, hi: float, amplitude: float = 1.0) -> SpectralMultiplier:
     """Smooth compactly supported bump on [lo, hi], sup value = amplitude."""
     if not (0 <= lo < hi):
-        raise ValueError("need 0 <= lo < hi")
+        raise ParameterOutOfRange("need 0 <= lo < hi")
 
     def f(lam):
         lam = np.asarray(lam, dtype=float)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyWindow, WindowNotResolved
+from .errors import EmptyWindow, ParameterOutOfRange, WindowNotResolved
 from .eigensolve import EigenData
 from .fuchsian import CoverSurface, bs_statistic, systole_upper_bound
 from .observables import (Observable, limit_term, multiplier_tail_bound,
@@ -54,7 +54,7 @@ class SpectralWindow:
 
     def __post_init__(self):
         if not (0.25 + 1e-9 < self.nu_lo < self.nu_hi):
-            raise ValueError("window must sit strictly above 1/4")
+            raise ParameterOutOfRange("window must sit strictly above 1/4")
 
     @property
     def lam_lo(self) -> float:

@@ -114,3 +114,28 @@ class TestContracts:
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["error"] == "ParameterOutOfRange"
         assert rec["subcommand"] == subcommand
+
+    def test_config_values_use_option_types(self, tmp_path):
+        out = str(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": "0.05", "modes": 6}))
+        assert main(["--config", str(cfg), "fem", "--out", out]) == 0
+        assert read(out, "fem")["config"]["h"] == 0.05
+
+    @pytest.mark.parametrize("overrides", [{"no_such_key": 1}, {"h": "abc"},
+                                           {"surface": "sphere"}])
+    def test_bad_config_exits_2(self, tmp_path, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "fem", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["variance", "--window", "0.1:4"],
+                                      ["fem", "--h", "0.5"]])
+    def test_input_guard_is_a_json_error(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 1
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ParameterOutOfRange"
+        assert rec["subcommand"] == argv[0]

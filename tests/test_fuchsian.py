@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,13 @@ class TestInjectivityRadius:
         assert inj.value == pytest.approx(sys8 / 2.0, abs=1e-9)
         assert sys8 == pytest.approx(2 * math.acosh(1 + math.sqrt(2)), abs=1e-9)
 
+    def test_systole_bound_stable_in_word_length(self, bolza):
+        # round-off in long words must not pull the bound below the systole
+        values = {F.systole_upper_bound(bolza, n)[0] for n in range(1, 10)}
+        assert len(values) == 1
+        exact = 2 * mp.acosh(1 + mp.sqrt(2))
+        assert abs(values.pop() - exact) / exact <= 1e-15
+
 
 class TestBsStatistic:
     def test_zero_below_half_systole(self, bolza):
@@ -274,6 +282,26 @@ class TestPeriodization:
         z, w = 0.1 + 0.05j, 0.2 - 0.1j
         d = 2 * math.asinh(abs(z - w) / math.sqrt((1 - abs(z) ** 2) * (1 - abs(w) ** 2)))
         assert per(z, w) == pytest.approx(K(z, w) * float(F.smoothstep_cutoff(d / r)))
+
+    def test_bolza_matches_scalar_sum_over_ball(self, bolza):
+        # the array pre-selection of candidates drops no contributing element
+        def K(z, w):
+            return math.exp(-abs(z - w) ** 2)
+
+        r = 2.0
+        ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), r + 2 * bolza.dirichlet_radius + 0.2)
+        per = F.periodize_truncated(K, bolza, r, ball=ball)
+        rng = np.random.default_rng(4)
+        sampler = F.DomainSampler(bolza)
+        for _ in range(20):
+            z, w = sampler.sample(rng), sampler.sample(rng)
+            direct = 0.0
+            for e in ball.elements:
+                gw = mobius_apply_complex(e.g, w)
+                d = 2 * math.asinh(abs(z - gw) / math.sqrt((1 - abs(z) ** 2) * (1 - abs(gw) ** 2)))
+                if d <= r:
+                    direct += K(z, gw) * float(F.smoothstep_cutoff(d / r))
+            assert per(z, w) == pytest.approx(direct, rel=1e-14, abs=1e-300)
 
     def test_cyclic_matches_direct_sum(self):
         L = 1.0

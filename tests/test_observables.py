@@ -8,6 +8,7 @@ from scipy.integrate import quad
 import hypsurf.observables as O
 from hypsurf.errors import StencilOutOfDomain
 from hypsurf.fuchsian import bolza_group
+from hypsurf.geometry import _dist_complex
 from hypsurf.transforms import PlancherelWeight, bump_multiplier
 
 
@@ -214,7 +215,7 @@ class TestLimitTerm:
         psi = radial_bump(S)
         A_rad = O.radial_kernel_observable(psi, S)
         A_gen = O.finite_range_observable(
-            lambda z, w: complex(psi(np.array([O._dist_c(z, w)]))[0]), S,
+            lambda z, w: complex(psi(np.array([_dist_complex(z, w)]))[0]), S,
             A_rad.locality.C)
         lam = 1.0
         lt_r = O.limit_term(A_rad, lam, bolza)

@@ -30,6 +30,7 @@ from hypsurf.transforms import (
     spherical_phi_series,
     weight_from_name,
 )
+from hypsurf.transforms import _phi_md_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,6 +53,14 @@ class TestSphericalPhi:
                 oracle = float(mp.re(mp.legenp(mp.mpc(-0.5, lam), 0, mp.cosh(t))))
                 assert spherical_phi(lam, t) == pytest.approx(oracle, abs=1e-9)
                 assert phi_eval(lam, t) == pytest.approx(oracle, abs=1e-9)
+
+    def test_md_grid_keeps_digits_at_small_t(self):
+        # cosh t - cosh u cancels at small t unless it is formed stably
+        lams = np.array([0.5, 1.3, 1.9])
+        for t in [1e-4, 0.002, 0.01, 0.05]:
+            oracle = [float(mp.re(mp.legenp(mp.mpc(-0.5, lam), 0, mp.cosh(t), type=3)))
+                      for lam in lams]
+            assert np.max(np.abs(_phi_md_grid(lams, t) - oracle)) <= 1e-13
 
     def test_series_matches_integral(self):
         for lam in [0.5, 1.0, 2.0, 3.0]:
