@@ -310,6 +310,11 @@ def _tower_surface(base, degree, seed):
     return base if degree == 1 else random_cover(base, degree, seed)
 
 
+def _mesh_counters(mesh) -> dict:
+    return {"mesh_nodes": len(mesh.points), "triangles": mesh.triangles,
+            "stiffness_nnz": int(mesh.stiffness.nnz)}
+
+
 def cmd_variance(args) -> int:
     base = bolza_group()
     window = SpectralWindow(*(float(x) for x in args.window.split(":")))
@@ -355,9 +360,8 @@ def cmd_tower(args) -> int:
     degrees = [int(x) for x in args.degrees.split(",")]
     rows, summaries = [], []
     for deg in degrees:
-        surface = _tower_surface(base, deg, args.seed)
-        data = fem_eigensolve(disc_surface_mesh(surface, args.h),
-                              args.modes_base + 10 * deg)
+        mesh = disc_surface_mesh(_tower_surface(base, deg, args.seed), args.h)
+        data = fem_eigensolve(mesh, args.modes_base + 10 * deg)
         a_vals = mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, data)
         rep = quantum_variance(a_vals, data, window,
                                weight_from_name(args.weight), seed=args.seed)
@@ -367,7 +371,7 @@ def cmd_tower(args) -> int:
         summaries.append({"degree": deg, "count": rep.count,
                           "variance": rep.variance, "spread_stderr": spread,
                           "uncertainty": rep.uncertainty,
-                          "weyl_ratio": wr.ratio})
+                          "weyl_ratio": wr.ratio, **_mesh_counters(mesh)})
     trend_ok = all(
         summaries[i + 1]["variance"] <= summaries[i]["variance"]
         + 2.0 * (summaries[i]["spread_stderr"] + summaries[i + 1]["spread_stderr"])
@@ -399,7 +403,8 @@ def cmd_fem(args) -> int:
     write_summary(args.out, "fem", {
         "config": {**_base_config(args), "surface": args.surface, "h": args.h,
                    "modes": args.modes, "degree": args.degree},
-        "n_mesh": len(data.points), "eigenvalues": list(data.eigenvalues),
+        "n_mesh": len(data.points), **_mesh_counters(mesh),
+        "eigenvalues": list(data.eigenvalues),
         "max_residual": float(np.max(data.residuals)),
         "gram_deviation": data.gram_deviation(), "passed": True})
     return 0

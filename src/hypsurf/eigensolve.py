@@ -1,29 +1,34 @@
-"""Desk-scale Laplace-Beltrami eigensolver on chart grids with side pairings.
+"""Laplace-Beltrami eigensolver: one conforming P1 assembly for every surface.
 
-The disc metric is conformal, so the Dirichlet energy on the chart is the
-flat one: the stiffness matrix is the plain 5-point graph Laplacian of the
-grid, and all geometry enters through the diagonal mass matrix of hyperbolic
-cell areas 4 h^2 / (1 - |z|^2)^2.  Grid nodes fill the Dirichlet domain;
-stencil legs that exit it are pulled back by the side-pairing isometries and
-expressed through bilinear interpolation on interior nodes (the pulled-back
-point does not land on the grid).  On covers each node carries a sheet index
-and boundary crossings permute sheets by the cover's monodromy.
+The Dirichlet energy is conformally invariant in two dimensions, so the
+stiffness matrix K is the flat P1 (cotangent) stiffness of a triangulated
+chart domain, and a metric rho |dz|^2 enters only through the lumped mass
+rho(z_i) * (area of the triangles at node i) / 3, rho = 4 / (1 - |z|^2)^2 on
+the disc.  Paired sides of the domain carry node sets that the side pairings
+map onto each other: node i on sheet s and its image j on the sheet the
+pairing moves s to are one unknown.  The connected components of this
+(node, sheet) graph, through which the corners close up too, label the
+unknowns, and K and the masses are assembled straight onto the labels.
 
-The same pipeline runs on the flat unit torus (exact periodic pairings,
-known spectrum 4 pi^2 (m^2 + n^2)), which serves as the solver's self-test.
+Octagon: nodes on each geodesic side, equally spaced in chart arc length (a
+pairing g keeps |z| on a side, so it keeps arc length and density), grid
+nodes of spacing h inside D and clear of the sides, and the Delaunay
+triangles whose centroid lies in D.  Flat unit torus: the (n+1)^2 lattice in
+right triangles with opposite edges identified; its stiffness is exactly the
+5-point Laplacian and its masses h^2, so the known spectrum
+(4/h^2)(sin^2 pi m h + sin^2 pi n h) tests the assembly that builds the
+octagon and its covers.
 
-Eigenpairs come from shift-invert Lanczos (ARPACK) on the generalized
-symmetric problem K psi = nu M psi; the asymmetry introduced by ghost
-interpolation is removed by symmetrizing K, which preserves zero row+column
-mass so the constant mode stays an exact null vector up to interpolation
-error.
+K is exactly symmetric and its rows sum to zero up to rounding.  Eigenpairs
+come from shift-invert Lanczos (ARPACK) on K psi = nu M psi, started from a
+fixed vector so that runs are reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,9 +36,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import (FormatError, MeshPairingFailure, OrthonormalityViolation,
                      ParameterOutOfRange, ResidualViolation, SolverNotConverged)
-from .fuchsian import (CoverSurface, FuchsianGroup, _compose_perms, _face_points,
-                       _in_dirichlet_domain, _sinh2_half_dists)
-from .geometry import mobius_apply_complex
+from .fuchsian import CoverSurface, _face_points, _in_dirichlet_domain
+from .geometry import _mobius_array
+
+_CLEARANCE = 0.5    # grid nodes stay this many h away from every side node
+_MATCH_TOL = 1e-9   # a side node's pairing image lands this close to a side node
 
 
 @dataclass(frozen=True)
@@ -41,156 +48,137 @@ class SurfaceMesh:
     label: str
     points: np.ndarray      # complex chart coordinates, (n,)
     sheets: np.ndarray      # int, (n,)
-    weights: np.ndarray     # cell measures, (n,)
+    weights: np.ndarray     # lumped masses, (n,)
     stiffness: sp.csr_matrix
     volume: float           # continuum volume, for reference
     h: float
+    triangles: int          # over all sheets
 
 
-class _OctagonDomain:
-    """Dirichlet-domain membership and side-pairing reduction for a group."""
+def _xy(z: np.ndarray) -> np.ndarray:
+    return np.column_stack([z.real, z.imag])
 
-    def __init__(self, group: FuchsianGroup):
-        if group.dirichlet_radius is None:
-            raise ValueError("mesh needs a cocompact group with known radius")
-        self.group = group
-        self.pairings = group.symmetrized()              # gamma_k, k in 0..2n-1
-        self.pair_pts = _face_points(group)
-        self.pair_inv = [g.inverse() for g in self.pairings]
 
-    def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        return _in_dirichlet_domain(z, self.pair_pts, tol)
+def _p1_mesh(label, pts, tri, density, pairings, degree, volume, h) -> SurfaceMesh:
+    """Conforming P1 mesh of a triangulated fundamental domain.
 
-    def reduce(self, z: complex, max_steps: int = 12):
-        """Pull z into the domain by pairing moves; returns (z', word).
+    pts: chart points (n,); tri: (t, 3) node indices; density: the metric
+    density at pts; pairings: (i, j, perm) triples saying that node i[m] on
+    sheet s is node j[m] on sheet perm[s].
+    """
+    from scipy.sparse.csgraph import connected_components  # here: keeps start-up short
+    n = len(pts)
+    sheets = np.arange(degree)[:, None]
+    src = np.concatenate([(sheets * n + i).ravel() for i, _, _ in pairings])
+    dst = np.concatenate([(perm[:, None] * n + j).ravel() for _, j, perm in pairings])
+    graph = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(degree * n,) * 2)
+    n_lab, lab = connected_components(graph, directed=False)
+    lab = lab.reshape(degree, n)
+    # e[:, k] is the edge opposite vertex k; the edge joining vertices a and
+    # b has the cotangent weight -e_a . e_b / (4 area)
+    z = pts[tri]
+    e = z[:, [2, 0, 1]] - z[:, [1, 2, 0]]
+    area = 0.5 * np.abs(e[:, 1].real * e[:, 2].imag - e[:, 1].imag * e[:, 2].real)
+    a, b = [1, 2, 0], [2, 0, 1]
+    w = -(e[:, a].real * e[:, b].real + e[:, a].imag * e[:, b].imag) / (4 * area[:, None])
+    ends = lab[:, tri]
+    W = sp.coo_matrix((np.broadcast_to(w, ends.shape).ravel(),
+                       (ends[:, :, a].ravel(), ends[:, :, b].ravel())),
+                      shape=(n_lab, n_lab)).tocsr()
+    W = W + W.T
+    K = (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+    K.eliminate_zeros()
+    mass = density * (np.bincount(tri.ravel(), np.repeat(area, 3), n) / 3.0)
+    weights = np.bincount(lab.ravel(), np.tile(mass, degree), n_lab)
+    _, first = np.unique(lab.ravel(), return_index=True)
+    return SurfaceMesh(label, np.tile(pts, degree)[first], first // n, weights, K,
+                       volume, h, degree * len(tri))
 
-        word lists the symmetrized generator indices applied, in order, and
-        determines the sheet monodromy on covers.
-        """
-        word = []
-        for _ in range(max_steps):
-            own, others = _sinh2_half_dists(z, self.pair_pts)
-            k = int(np.argmin(others))
-            if own <= others[k] + 1e-13:
-                return z, word
-            z = mobius_apply_complex(self.pair_inv[k], z)
-            word.append(k)
-        raise MeshPairingFailure("side-pairing reduction did not terminate")
+
+def _side_nodes(faces: np.ndarray, h: float):
+    """Nodes on the sides of the Dirichlet domain with these face points.
+
+    Side k is the bisector of 0 and faces[k]: the circle |z|^2 - 2 Re(z
+    conj(c)) + 1 = 0 with c = 1 / conj(faces[k]).  Sides follow each other
+    in the angular order of the face points, and paired sides (k and
+    k + len(faces) / 2) get the same number of segments.  Returns the nodes
+    and, per side, the indices of its nodes from one end to the other.
+    """
+    order = np.argsort(np.angle(faces))
+    nxt, prev = np.empty_like(order), np.empty_like(order)
+    nxt[order], prev[order] = np.roll(order, -1), np.roll(order, 1)
+    c1 = 1.0 / np.conj(faces)
+    c2 = c1[nxt]
+    q = np.imag(c2 * np.conj(c1))
+    # end of side k: the crossing with side nxt[k] inside the disc
+    end = 1j * (c1 - c2) / (q + np.sign(q) * np.sqrt(q * q - np.abs(c1 - c2) ** 2))
+    start = end[prev]
+    turn = np.angle((end - c1) / (start - c1))
+    arc = np.abs(start - c1) * np.abs(turn)
+    segments = np.ceil(np.maximum(arc, np.roll(arc, len(faces) // 2)) / h).astype(int)
+    offset = np.concatenate([[0], np.cumsum(segments)])
+    nodes = np.concatenate([start[k] + (start[k] - c1[k])
+                            * (np.exp(1j * turn[k] * np.arange(m) / m) - 1.0)
+                            for k, m in enumerate(segments)])
+    sides = [np.append(np.arange(offset[k], offset[k + 1]), offset[nxt[k]])
+             for k in range(len(faces))]
+    return nodes, sides
 
 
 def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
-    """Chart-grid mesh of a cocompact quotient (or a finite cover of one)."""
+    """Conforming P1 mesh of a cocompact quotient (or a finite cover of one)."""
+    from scipy.spatial import Delaunay, cKDTree  # here: keeps CLI start-up short
     if not (0.01 <= h <= 0.2):
         raise ParameterOutOfRange("h must lie in [0.01, 0.2]")
-    group = surface.base if isinstance(surface, CoverSurface) else surface
     cover = surface if isinstance(surface, CoverSurface) else None
+    group = cover.base if cover else surface
+    if group.dirichlet_radius is None:
+        raise ValueError("mesh needs a cocompact group with known radius")
     degree = cover.degree if cover else 1
-    dom = _OctagonDomain(group)
-    r_max = math.tanh(group.dirichlet_radius / 2.0) + 2 * h
-    m = int(math.ceil(r_max / h))
-    base_nodes = {}
-    pts = []
-    for i in range(-m, m + 1):
-        for j in range(-m, m + 1):
-            z = complex(i * h, j * h)
-            if abs(z) < 1.0 and dom.contains(z):
-                base_nodes[(i, j)] = len(pts)
-                pts.append(z)
-    n_base = len(pts)
-    if n_base < 16:
-        raise MeshPairingFailure(f"grid too coarse: {n_base} nodes")
-    pts = np.array(pts)
-
-    def sheet_after(word, s):
-        if cover is None or not word:
-            return s
-        return int(_compose_perms(cover, word)[s])
-
-    rows, cols, vals = [], [], []
-    unmatched = 0
-
-    def add_leg(terms):
-        """Energy contribution (1/2) (sum_m c_m u_m)^2 for one stencil leg.
-
-        Keeps the form symmetric PSD and exactly zero on constants (the
-        coefficients of every leg sum to zero by construction).
-        """
-        for (r, cr) in terms:
-            for (c, cc) in terms:
-                rows.append(r)
-                cols.append(c)
-                vals.append(0.5 * cr * cc)
-
-    offsets = [h, -h, 1j * h, -1j * h]
-    for (i, j), idx in base_nodes.items():
-        z = pts[idx]
-        for off in offsets:
-            w = z + off
-            iw = (i + int(round(off.real / h)), j + int(round(off.imag / h)))
-            if iw in base_nodes:
-                nb = base_nodes[iw]
-                for s in range(degree):
-                    add_leg([(idx + s * n_base, 1.0), (nb + s * n_base, -1.0)])
-                continue
-            # ghost neighbor: pull back into the domain, bilinear on the grid
-            wr, word = dom.reduce(w)
-            gx, gy = wr.real / h, wr.imag / h
-            i0, j0 = int(math.floor(gx)), int(math.floor(gy))
-            fx, fy = gx - i0, gy - j0
-            corners = [((i0, j0), (1 - fx) * (1 - fy)), ((i0 + 1, j0), fx * (1 - fy)),
-                       ((i0, j0 + 1), (1 - fx) * fy), ((i0 + 1, j0 + 1), fx * fy)]
-            avail = [(base_nodes[c], wgt) for c, wgt in corners if c in base_nodes]
-            wsum = sum(wgt for _, wgt in avail)
-            if not avail or wsum < 0.05:
-                # corner sliver: all useful bilinear corners exited the
-                # domain; snap to the nearest interior node instead
-                d2 = np.abs(pts - wr)
-                nearest = int(np.argmin(d2))
-                if d2[nearest] > 1.6 * h:
-                    unmatched += 1
-                    continue
-                avail = [(nearest, 1.0)]
-                wsum = 1.0
-            for s in range(degree):
-                s2 = sheet_after(word, s)
-                add_leg([(idx + s * n_base, 1.0)]
-                        + [(nb + s2 * n_base, -wgt / wsum) for nb, wgt in avail])
-    if unmatched > 0:
-        raise MeshPairingFailure(f"{unmatched} stencil legs had no usable pairing image")
-
-    n = n_base * degree
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    weights_base = 4.0 * h * h / (1.0 - np.abs(pts) ** 2) ** 2
-    weights = np.tile(weights_base, degree)
-    points = np.tile(pts, degree)
-    sheets = np.repeat(np.arange(degree), n_base)
-    vol = group.volume() * degree
+    faces = _face_points(group)
+    side_pts, sides = _side_nodes(faces, h)
+    tree = cKDTree(_xy(side_pts))
+    r = np.abs(side_pts).max()        # D lies in the disc through its corners
+    m = int(math.ceil(r / h))
+    x = h * np.arange(-m, m + 1)
+    grid = (x[:, None] + 1j * x[None, :]).ravel()
+    grid = grid[np.abs(grid) < r]
+    grid = grid[_in_dirichlet_domain(grid[:, None], faces)]
+    grid = grid[tree.query(_xy(grid))[0] >= _CLEARANCE * h]
+    pts = np.concatenate([grid, side_pts])
+    tri = Delaunay(_xy(pts)).simplices
+    tri = tri[_in_dirichlet_domain(pts[tri].mean(axis=1, keepdims=True), faces)]
+    pairings = []
+    for k, g in enumerate(group.symmetrized()):
+        image = _mobius_array(np.conj(g.alpha), -g.beta, side_pts[sides[k]])  # g^-1
+        dist, j = tree.query(_xy(image))
+        if dist.max() > _MATCH_TOL:
+            raise MeshPairingFailure(f"side {k}: pairing images off by {dist.max():.2e}")
+        perm = cover.perm_array(k) if cover else np.zeros(1, dtype=int)
+        pairings.append((len(grid) + sides[k], len(grid) + j, perm))
+    density = 4.0 / (1.0 - np.abs(pts) ** 2) ** 2
     label = group.label + (f":deg{degree}" if degree > 1 else "")
-    return SurfaceMesh(label, points, sheets, weights, K, vol, h)
+    return _p1_mesh(label, pts, tri, density, pairings, degree,
+                    group.volume() * degree, h)
 
 
 def torus_mesh(h: float) -> SurfaceMesh:
-    """Flat unit torus R^2/Z^2 through the same pipeline (exact pairings)."""
+    """Flat unit torus R^2/Z^2: the lattice of spacing 1/n in right triangles."""
     if not (0.005 <= h <= 0.2):
         raise ParameterOutOfRange("h must lie in [0.005, 0.2]")
     n = int(round(1.0 / h))
     h = 1.0 / n
-    idx = lambda i, j: (i % n) * n + (j % n)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        for j in range(n):
-            r = idx(i, j)
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                rows.append(r)
-                cols.append(r)
-                vals.append(1.0)
-                rows.append(r)
-                cols.append(idx(i + di, j + dj))
-                vals.append(-1.0)
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
-    pts = np.array([complex(i * h, j * h) for i in range(n) for j in range(n)])
-    return SurfaceMesh("torus", pts, np.zeros(n * n, dtype=int),
-                       np.full(n * n, h * h), K, 1.0, h)
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)     # node i (n + 1) + j
+    cell = np.flatnonzero((i < n) & (j < n))
+    tri = np.concatenate([np.column_stack([cell, cell + n + 1, cell + n + 2]),
+                          np.column_stack([cell, cell + n + 2, cell + 1])])
+    right, top = np.flatnonzero(i == n), np.flatnonzero(j == n)
+    same = np.zeros(1, dtype=int)
+    pairings = [(right, right - n * (n + 1), same), (top, top - n, same)]
+    # the stiffness does not see scale, so the integer lattice is the chart,
+    # with metric h^2 |dz|^2; the points are reported in torus coordinates
+    mesh = _p1_mesh("torus", i + 1j * j, tri, np.full(len(i), h * h), pairings, 1, 1.0, h)
+    return replace(mesh, points=h * mesh.points)
 
 
 @dataclass(frozen=True)
@@ -233,9 +221,12 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8,
     if n_modes >= n - 1:
         raise ParameterOutOfRange("n_modes must be far below the mesh size")
     M = sp.diags(mesh.weights)
+    # a fixed start makes runs reproducible; not a constant vector, which is
+    # the null eigenvector and would end the Lanczos iteration
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         vals, vecs = spla.eigsh(mesh.stiffness, k=n_modes, M=M, sigma=sigma,
-                                which="LM")
+                                which="LM", v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise SolverNotConverged(str(exc)) from exc
     order = np.argsort(vals)

@@ -158,16 +158,16 @@ def _sinh2_half_dists(z: complex, points: np.ndarray):
     return own, others
 
 
-def _in_dirichlet_domain(z: complex, points: np.ndarray, tol: float = 1e-12) -> bool:
+def _in_dirichlet_domain(z, points: np.ndarray, tol: float = 1e-12):
     """Dirichlet-domain membership at 0: no face point is closer to z than 0.
 
     points are the face points of the group (_face_points); with the face
-    pairing contract of FuchsianGroup this is membership in D itself.
+    pairing contract of FuchsianGroup this is membership in D itself.  For an
+    array of points, give z a trailing axis of length 1: the face points run
+    along it.
     """
-    if len(points) == 0:
-        return True
     own, others = _sinh2_half_dists(z, points)
-    return own <= float(np.min(others)) + tol
+    return (own <= others + tol).all(axis=-1)
 
 
 BOLZA_SIDE_LENGTH = 2.0 * math.acosh(1.0 + math.sqrt(2.0))

@@ -62,6 +62,8 @@ class TestBasicRuns:
                      "--modes", "6", "--export", "torusdata"]) == 0
         d = read(out, "fem")
         assert abs(d["eigenvalues"][0]) < 1e-10
+        # 20 x 20 nodes, two triangles per cell, 5-point stencil
+        assert (d["mesh_nodes"], d["triangles"], d["stiffness_nnz"]) == (400, 800, 2000)
         assert os.path.exists(os.path.join(out, "torusdata.json"))
 
 
@@ -83,6 +85,14 @@ class TestContracts:
         first = read_bytes(out, "geometry_check")
         assert main(args) == 0
         assert read_bytes(out, "geometry_check") == first
+
+    def test_deterministic_eigensolve(self, tmp_path):
+        out = str(tmp_path)
+        args = ["fem", "--out", out, "--surface", "bolza", "--h", "0.05"]
+        assert main(args) == 0
+        first = read_bytes(out, "fem")
+        assert main(args) == 0
+        assert read_bytes(out, "fem") == first
 
     def test_config_file_override(self, tmp_path):
         out = str(tmp_path)

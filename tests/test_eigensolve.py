@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hypsurf.eigensolve import (disc_surface_mesh, export_eigendata,
                                 fem_eigensolve, ingest_eigendata, torus_mesh)
-from hypsurf.errors import (FormatError, OrthonormalityViolation,
-                            ResidualViolation)
-from hypsurf.fuchsian import bolza_group, random_cover
+from hypsurf.errors import (FormatError, MeshPairingFailure,
+                            OrthonormalityViolation, ResidualViolation)
+from hypsurf.fuchsian import (BOLZA_SIDE_LENGTH, FuchsianGroup, bolza_group,
+                              random_cover)
+from hypsurf.geometry import GroupElement
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,30 @@ class TestTorusSelfTest:
         assert abs(data.eigenvalues[0]) < 1e-10
         psi0 = data.eigenvectors[:, 0]
         assert np.std(psi0) < 1e-8 * np.abs(psi0).max()
+
+
+class TestTorusAssembly:
+    H = 0.05
+
+    def test_stiffness_is_the_five_point_laplacian(self):
+        n = round(1 / self.H)
+        idx = np.arange(n * n).reshape(n, n)
+        rows = np.repeat(idx.ravel(), 4)
+        cols = np.stack([np.roll(idx, s, axis=ax).ravel() for s, ax in
+                         ((1, 0), (-1, 0), (1, 1), (-1, 1))], axis=1).ravel()
+        five = (4.0 * sp.eye(n * n)
+                - sp.coo_matrix((np.ones(4 * n * n), (rows, cols)))).tocsr()
+        mesh = torus_mesh(self.H)
+        assert (mesh.stiffness != five).nnz == 0
+        assert np.allclose(mesh.weights, self.H ** 2, rtol=1e-15, atol=0.0)
+
+    def test_discrete_spectrum(self):
+        # 13 = 1 + 4 + 4 + 4 modes: the levels below the 8-fold one
+        n = round(1 / self.H)
+        s = np.sin(math.pi * np.arange(n) / n) ** 2
+        exact = np.sort(4 * n * n * (s[:, None] + s[None, :]).ravel())[:13]
+        data = fem_eigensolve(torus_mesh(self.H), 13)
+        assert np.all(np.abs(data.eigenvalues - exact) <= 1e-10 * np.maximum(exact, 1.0))
 
 
 class TestBolzaSolve:
@@ -65,6 +92,75 @@ class TestBolzaSolve:
     def test_h_guard(self, bolza):
         with pytest.raises(ValueError):
             disc_surface_mesh(bolza, 0.5)
+
+
+# Strohmaier & Uski, Commun. Math. Phys. 317 (2013): the first two nonzero
+# eigenvalues of the Bolza surface and their multiplicities
+BOLZA_LAMBDA1, BOLZA_MULT1 = 3.83888726, 3
+BOLZA_LAMBDA2, BOLZA_MULT2 = 5.35360134, 4
+
+
+@pytest.fixture(scope="module")
+def bolza_spectra(bolza):
+    return {h: fem_eigensolve(disc_surface_mesh(bolza, h), 12).eigenvalues
+            for h in (0.02, 0.01)}
+
+
+def _clusters(ev):
+    """The lambda_1 triple, the lambda_2 quadruple and the next eigenvalue."""
+    return ev[1:1 + BOLZA_MULT1], ev[4:4 + BOLZA_MULT2], ev[8]
+
+
+class TestBolzaSpectrum:
+    def test_clusters_near_literature(self, bolza_spectra):
+        l1, l2, _ = _clusters(bolza_spectra[0.02])
+        assert np.all(np.abs(l1 - BOLZA_LAMBDA1) <= 0.01 * BOLZA_LAMBDA1)
+        assert np.all(np.abs(l2 - BOLZA_LAMBDA2) <= 0.005 * BOLZA_LAMBDA2)
+
+    def test_clusters_tight(self, bolza_spectra):
+        l1, l2, nxt = _clusters(bolza_spectra[0.02])
+        assert l1[-1] - l1[0] < 0.01 * (l2[0] - l1[-1])
+        assert l2[-1] - l2[0] < 0.01 * (nxt - l2[-1])
+
+    def test_richardson_limit(self, bolza_spectra):
+        # eigenvalue error O(h^2): m(h) + (m(h) - m(2h)) / 3 removes it
+        coarse, fine = _clusters(bolza_spectra[0.02]), _clusters(bolza_spectra[0.01])
+        for k, want in ((0, BOLZA_LAMBDA1), (1, BOLZA_LAMBDA2)):
+            m2, m1 = coarse[k].mean(), fine[k].mean()
+            assert m1 + (m1 - m2) / 3.0 == pytest.approx(want, rel=1e-3)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("degree", [1, 4])
+    def test_stiffness_and_volume(self, bolza, degree):
+        surface = bolza if degree == 1 else random_cover(bolza, degree, seed=0)
+        mesh = disc_surface_mesh(surface, 0.02)
+        K = mesh.stiffness
+        assert (K != K.T).nnz == 0
+        assert np.abs(K @ np.ones(K.shape[0])).max() <= 1e-12
+        assert np.sum(mesh.weights) == pytest.approx(4 * math.pi * degree, rel=0.01)
+
+    def test_base_modes_lift_to_cover(self, bolza, bolza_data):
+        # a base eigenfunction pulled back to the sheets is an eigenfunction
+        # of the cover's mesh, which is the base mesh on every sheet
+        cover = fem_eigensolve(disc_surface_mesh(random_cover(bolza, 4, seed=0), 0.05), 64)
+        base = bolza_data.eigenvalues[:12]
+        assert base[-1] < cover.eigenvalues[-1]
+        assert cover.eigenvalues[1] > 1e-6          # one zero mode: the sheets connect
+        for nu in base:
+            tol = 1e-8 * max(nu, 1.0)
+            assert (np.sum(np.abs(cover.eigenvalues - nu) <= tol)
+                    >= np.sum(np.abs(base - nu) <= tol))
+
+    def test_unpaired_sides_rejected(self, bolza):
+        # a longer first translation g still maps the line of one of its
+        # sides onto the other's, but no longer the ends of the sides
+        g = GroupElement.translation(0.0, 1.05 * BOLZA_SIDE_LENGTH)
+        gens = (g,) + bolza.generators[1:]
+        group = FuchsianGroup(gens, "bent", bolza.covolume_hint,
+                              dirichlet_radius=bolza.dirichlet_radius)
+        with pytest.raises(MeshPairingFailure):
+            disc_surface_mesh(group, 0.1)
 
 
 class TestEigenDataIO:

@@ -72,6 +72,11 @@ class TestQuantumVariance:
         assert rep.variance >= 0.0
         assert rep.count == int(np.sum(w.contains_nu(bolza_data.eigenvalues)))
 
+    def test_window_holds_the_lambda1_triple(self, bolza_data):
+        # [1, 4] holds lambda_1 = 3.8389 (multiplicity 3) and nothing else
+        vals = mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, bolza_data)
+        assert quantum_variance(vals, bolza_data, SpectralWindow(1.0, 4.0)).count == 3
+
     def test_empty_window(self, bolza_data):
         with pytest.raises(EmptyWindow):
             quantum_variance(np.ones_like(bolza_data.weights), bolza_data,
