@@ -96,7 +96,7 @@ def _base_config(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_toy1d(args) -> int:
-    window = tuple(float(x) for x in args.window.split(":"))
+    window = tuple(args.window)
     rep = toy1d_variance(args.L, window, alternating_step(args.blocks))
     ok = rep.passed
     write_csv(args.out, "toy1d", "L,n_modes,variance,bound",
@@ -142,8 +142,7 @@ def cmd_geometry_check(args) -> int:
 
 
 def cmd_spherical(args) -> int:
-    lams = [float(x) for x in args.lams.split(",")]
-    ts = [float(x) for x in args.ts.split(",")]
+    lams, ts = args.lams, args.ts
     rows, worst = [], 0.0
     for lam in lams:
         for t in ts:
@@ -183,7 +182,7 @@ def cmd_selberg(args) -> int:
 
 def cmd_kernel_decay(args) -> int:
     weight = weight_from_name(args.weight)
-    lo, hi = (float(x) for x in args.support.split(":"))
+    lo, hi = args.support
     rho = bump_multiplier(lo, hi)
     ts = np.linspace(1.0, 40.0, args.n_t)
     s1 = np.abs(k_rho_scaled(rho, weight, ts, n_lambda=256))
@@ -204,8 +203,8 @@ def cmd_kernel_decay(args) -> int:
 
 
 def cmd_prop33(args) -> int:
-    T_list = [float(x) for x in args.T.split(",")]
-    lam_lo, lam_hi = (float(x) for x in args.interval.split(":"))
+    T_list = args.T
+    lam_lo, lam_hi = args.interval
     cert = prop33_certificate((lam_lo, lam_hi), args.sigma, T_list,
                               lam_spacing=args.lam_spacing)
     write_summary(args.out, "prop33", {
@@ -221,7 +220,7 @@ def cmd_prop33(args) -> int:
 
 
 def cmd_lemma_a1(args) -> int:
-    lams = [float(x) for x in args.lams.split(",")]
+    lams = args.lams
     rows = []
     per_lam_max = {}
     for lam in lams:
@@ -317,7 +316,7 @@ def _mesh_counters(mesh) -> dict:
 
 def cmd_variance(args) -> int:
     base = bolza_group()
-    window = SpectralWindow(*(float(x) for x in args.window.split(":")))
+    window = SpectralWindow(*args.window)
     surface = _tower_surface(base, args.degree, args.seed)
     data = fem_eigensolve(disc_surface_mesh(surface, args.h), args.modes)
     a_vals = mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, data)
@@ -340,7 +339,7 @@ def cmd_variance(args) -> int:
 
 def cmd_weyl(args) -> int:
     base = bolza_group()
-    window = SpectralWindow(*(float(x) for x in args.window.split(":")))
+    window = SpectralWindow(*args.window)
     surface = _tower_surface(base, args.degree, args.seed)
     data = fem_eigensolve(disc_surface_mesh(surface, args.h), args.modes)
     rep = weyl_ratio(data, window)
@@ -356,8 +355,8 @@ def cmd_weyl(args) -> int:
 
 def cmd_tower(args) -> int:
     base = bolza_group()
-    window = SpectralWindow(*(float(x) for x in args.window.split(":")))
-    degrees = [int(x) for x in args.degrees.split(",")]
+    window = SpectralWindow(*args.window)
+    degrees = args.degrees
     rows, summaries = [], []
     for deg in degrees:
         mesh = disc_surface_mesh(_tower_surface(base, deg, args.seed), args.h)
@@ -367,11 +366,14 @@ def cmd_tower(args) -> int:
                                weight_from_name(args.weight), seed=args.seed)
         spread = float(np.std(rep.terms) / math.sqrt(rep.count))
         wr = weyl_ratio(data, window)
+        new = data.eigenvalues[data.characters != 0]
         rows.append((deg, rep.count, rep.variance, spread, wr.ratio))
         summaries.append({"degree": deg, "count": rep.count,
                           "variance": rep.variance, "spread_stderr": spread,
                           "uncertainty": rep.uncertainty,
-                          "weyl_ratio": wr.ratio, **_mesh_counters(mesh)})
+                          "weyl_ratio": wr.ratio,
+                          "min_new_eigenvalue": float(new.min()) if len(new) else None,
+                          **_mesh_counters(mesh)})
     trend_ok = all(
         summaries[i + 1]["variance"] <= summaries[i]["variance"]
         + 2.0 * (summaries[i]["spread_stderr"] + summaries[i + 1]["spread_stderr"])
@@ -382,7 +384,10 @@ def cmd_tower(args) -> int:
         "config": {**_base_config(args), "degrees": degrees, "h": args.h,
                    "window": args.window, "modes_base": args.modes_base,
                    "observable": "sign_re_mean_zero",
-                   "bs_spectral_gap_assumption": "unchecked"},
+                   "bs_spectral_gap_assumption": (
+                       "measured per degree as min_new_eigenvalue, the lowest"
+                       " eigenvalue of a nontrivial deck character; cyclic covers"
+                       " are not expanders, so it shrinks as the degree grows")},
         "per_degree": summaries, "trend_nonincreasing_within_bars": trend_ok,
         "weyl_ratio_final_ok": weyl_ok, "passed": trend_ok and weyl_ok})
     return 0 if (trend_ok and weyl_ok) else 1
@@ -413,7 +418,7 @@ def cmd_fem(args) -> int:
 def cmd_pipeline(args) -> int:
     base = bolza_group()
     surface = _tower_surface(base, args.degree, args.seed)
-    window = SpectralWindow(*(float(x) for x in args.window.split(":")))
+    window = SpectralWindow(*args.window)
     A = multiplication_observable(lambda z: 1.0 if z.real > 0 else -1.0, 1.0)
     budget = variance_pipeline_bounds(A, surface, T=args.T, r=args.r, s=args.s,
                                       window=window,
@@ -440,7 +445,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    ts = [float(x) for x in args.ts.split(",")]
+    ts = args.ts
     vals = [beta_norm_check(t, args.p) for t in ts]
     band_ok = max(vals) / max(min(v for v in vals if v > 0), 1e-12) < 10.0
     write_csv(args.out, "beta_norm", "t,value", list(zip(ts, vals)))
@@ -453,6 +458,25 @@ def cmd_beta(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _split(convert, sep: str, count: int | None = None):
+    """argparse type of a sep-separated list: a bad value is a usage error."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(x) for x in text.split(sep)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {convert.__name__} values separated by {sep!r}, got {text!r}")
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(
+                f"expected {count} values separated by {sep!r}, got {text!r}")
+        return values
+    return parse
+
+
+_PAIR = _split(float, ":", 2)
+_FLOATS = _split(float, ",")
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hypsurf",
@@ -468,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("toy1d", help="interval-model variance and Parseval bound")
     common(sp)
     sp.add_argument("--L", type=float, default=100.0)
-    sp.add_argument("--window", default="1:2")
+    sp.add_argument("--window", type=_PAIR, default="1:2")
     sp.add_argument("--blocks", type=int, default=7)
     sp.set_defaults(func=cmd_toy1d)
 
@@ -480,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spherical", help="spherical function: integral vs series")
     common(sp)
-    sp.add_argument("--lams", default="0.5,1,2,3")
-    sp.add_argument("--ts", default="1,2,5,10")
+    sp.add_argument("--lams", type=_FLOATS, default="0.5,1,2,3")
+    sp.add_argument("--ts", type=_FLOATS, default="1,2,5,10")
     sp.set_defaults(func=cmd_spherical)
 
     sp = sub.add_parser("selberg", help="transform-triangle consistency")
@@ -492,21 +516,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel-decay", help="scaled decay of the multiplier kernel")
     common(sp)
-    sp.add_argument("--support", default="1:2")
+    sp.add_argument("--support", type=_PAIR, default="1:2")
     sp.add_argument("--n-t", type=int, default=200, dest="n_t")
     sp.set_defaults(func=cmd_kernel_decay)
 
     sp = sub.add_parser("prop33", help="averaged-multiplier positivity certificate")
     common(sp)
-    sp.add_argument("--interval", default="0.8660254037844386:1.9364916731037085")
+    sp.add_argument("--interval", type=_PAIR,
+                    default="0.8660254037844386:1.9364916731037085")
     sp.add_argument("--sigma", type=float, default=0.1)
-    sp.add_argument("--T", default="10,20,40")
+    sp.add_argument("--T", type=_FLOATS, default="10,20,40")
     sp.add_argument("--lam-spacing", type=float, default=0.02, dest="lam_spacing")
     sp.set_defaults(func=cmd_prop33)
 
     sp = sub.add_parser("lemma-a1", help="oscillatory-integral uniform bound scan")
     common(sp)
-    sp.add_argument("--lams", default="0.5,1,2,3")
+    sp.add_argument("--lams", type=_FLOATS, default="0.5,1,2,3")
     sp.set_defaults(func=cmd_lemma_a1)
 
     sp = sub.add_parser("orbit", help="orbit ball, injectivity radius, systole")
@@ -541,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=1)
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--modes", type=int, default=30)
-    sp.add_argument("--window", default="1:4")
+    sp.add_argument("--window", type=_PAIR, default="1:4")
     sp.set_defaults(func=cmd_variance)
 
     sp = sub.add_parser("weyl", help="window eigenvalue count vs predicted density")
@@ -549,14 +574,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--modes", type=int, default=60)
-    sp.add_argument("--window", default="1:4")
+    sp.add_argument("--window", type=_PAIR, default="1:4")
     sp.set_defaults(func=cmd_weyl)
 
     sp = sub.add_parser("tower", help="variance trend across a cover tower")
     common(sp)
-    sp.add_argument("--degrees", default="1,2,4")
+    sp.add_argument("--degrees", type=_split(int, ","), default="1,2,4")
     sp.add_argument("--h", type=float, default=0.05)
-    sp.add_argument("--window", default="1:4")
+    sp.add_argument("--window", type=_PAIR, default="1:4")
     sp.add_argument("--modes-base", type=int, default=24, dest="modes_base")
     sp.set_defaults(func=cmd_tower)
 
@@ -572,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pipeline", help="term-by-term variance budget")
     common(sp)
     sp.add_argument("--degree", type=int, default=1)
-    sp.add_argument("--window", default="1:4")
+    sp.add_argument("--window", type=_PAIR, default="1:4")
     sp.add_argument("--T", type=float, default=4.0)
     sp.add_argument("--r", type=float, default=3.0)
     sp.add_argument("--s", type=float, default=3.0)
@@ -583,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("beta-norm", help="averaging-density norm majorant scan")
     common(sp)
-    sp.add_argument("--ts", default="2,5,10,15")
+    sp.add_argument("--ts", type=_FLOATS, default="2,5,10,15")
     sp.add_argument("--p", type=float, default=1.5)
     sp.set_defaults(func=cmd_beta)
 

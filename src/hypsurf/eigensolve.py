@@ -22,6 +22,35 @@ octagon and its covers.
 K is exactly symmetric and its rows sum to zero up to rounding.  Eigenpairs
 come from shift-invert Lanczos (ARPACK) on K psi = nu M psi, started from a
 fixed vector so that runs are reproducible.
+
+Covers are solved one character of the deck group at a time.  The mesh
+records `deck`, the unknown holding the same node one sheet up
+(deck[lab[s]] = lab[s + 1 mod degree]).  It is kept when the sheet shift
+maps identification classes onto classes and acts freely on them, which
+holds for the cyclic-shift covers of `random_cover`; otherwise (degree 1,
+the torus, a non-cyclic cover) it is the identity and the deck order d is 1.
+K and M commute with the deck map, so they are block-diagonal in the
+characters chi_k(s) = exp(2 pi i k s / d).  With orbit representatives r_a
+and sheet offsets sigma(u) (u = deck^sigma(u) r_a), character k gives the
+twisted Laplacian on N = n / d unknowns
+
+    K_k[a, b] = sum over u in orbit b of K[r_a, u] chi_k(sigma(u)),
+    M_k = diag(weights[r_a]),
+
+real when 2k = 0 mod d and complex Hermitian otherwise; character d - k is
+its conjugate and adds nothing new, so k runs over 0..d // 2.  An eigenpair
+(nu, psi) of block k lifts to f(u) = chi_k(sigma(u)) psi(orbit(u)) / sqrt(d);
+a real block gives the real mode f, a complex block the two modes
+sqrt(2) Re f and sqrt(2) Im f, both with eigenvalue nu.  Complex blocks go
+through ARPACK's non-Hermitian driver, so their Ritz vectors are made
+M_k-orthonormal by a Rayleigh-Ritz step on the returned span.
+
+Completeness: each block is asked for ceil(n_modes / d) + _PAD pairs; any
+block whose largest returned eigenvalue lies below the n_modes-th value of
+the union is solved again with twice the count.  Once no block is short,
+every eigenvalue below that value has been found, and the union sorted
+(stably) is the cover spectrum.  Residuals are taken against the full
+cover K.  At d = 1 the one block is K itself and the solve is the plain one.
 """
 
 from __future__ import annotations
@@ -41,6 +70,7 @@ from .geometry import _mobius_array
 
 _CLEARANCE = 0.5    # grid nodes stay this many h away from every side node
 _MATCH_TOL = 1e-9   # a side node's pairing image lands this close to a side node
+_PAD = 6            # eigenpairs asked of each character block beyond its share
 
 
 @dataclass(frozen=True)
@@ -53,6 +83,7 @@ class SurfaceMesh:
     volume: float           # continuum volume, for reference
     h: float
     triangles: int          # over all sheets
+    deck: np.ndarray        # int, (n,): the unknown one sheet up (identity if none)
 
 
 def _xy(z: np.ndarray) -> np.ndarray:
@@ -92,7 +123,31 @@ def _p1_mesh(label, pts, tri, density, pairings, degree, volume, h) -> SurfaceMe
     weights = np.bincount(lab.ravel(), np.tile(mass, degree), n_lab)
     _, first = np.unique(lab.ravel(), return_index=True)
     return SurfaceMesh(label, np.tile(pts, degree)[first], first // n, weights, K,
-                       volume, h, degree * len(tri))
+                       volume, h, degree * len(tri), _deck_map(lab, n_lab))
+
+
+def _deck_map(lab: np.ndarray, n_lab: int) -> np.ndarray:
+    """deck[lab[s]] = lab[s + 1 mod degree] when that is a free action on the
+    classes (a deck transformation); the identity otherwise."""
+    up = np.roll(lab, -1, axis=0)
+    deck = np.empty(n_lab, dtype=int)
+    deck[lab] = up
+    if np.array_equal(deck[lab], up) and _deck_walk(deck) is not None:
+        return deck
+    return np.arange(n_lab)
+
+
+def _deck_walk(deck: np.ndarray) -> np.ndarray | None:
+    """walk[t, u] = deck^t(u) for t below the order of deck, or None when an
+    orbit is shorter than the order (the action is not free)."""
+    identity = np.arange(len(deck))
+    walk, power = [identity], deck
+    while not np.array_equal(power, identity):
+        if np.any(power == identity):
+            return None
+        walk.append(power)
+        power = deck[power]
+    return np.stack(walk)
 
 
 def _side_nodes(faces: np.ndarray, h: float):
@@ -194,6 +249,7 @@ class EigenData:
     residual_tol: float
     volume: float
     h: float
+    characters: np.ndarray      # deck character k of each mode, 0 off covers
 
     @property
     def n_modes(self) -> int:
@@ -214,23 +270,92 @@ class EigenData:
         return self
 
 
-def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8,
-                   sigma: float = -0.1) -> EigenData:
-    """Shift-invert Lanczos eigenpairs of K psi = nu M psi on the mesh."""
-    n = mesh.stiffness.shape[0]
-    if n_modes >= n - 1:
-        raise ParameterOutOfRange("n_modes must be far below the mesh size")
-    M = sp.diags(mesh.weights)
+def _smallest_pairs(K, weights: np.ndarray, count: int, sigma: float):
+    """The count eigenpairs of K psi = nu diag(weights) psi nearest sigma, ascending."""
     # a fixed start makes runs reproducible; not a constant vector, which is
     # the null eigenvector and would end the Lanczos iteration
-    v0 = np.random.default_rng(0).standard_normal(n)
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     try:
-        vals, vecs = spla.eigsh(mesh.stiffness, k=n_modes, M=M, sigma=sigma,
+        vals, vecs = spla.eigsh(K, k=count, M=sp.diags(weights), sigma=sigma,
                                 which="LM", v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise SolverNotConverged(str(exc)) from exc
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    return vals[order], vecs[:, order]
+
+
+def _character_pairs(K, weights: np.ndarray, count: int, sigma: float):
+    """Eigenpairs of one character block, M-orthonormal.  A complex block is
+    solved by ARPACK's non-Hermitian driver, whose Ritz vectors are neither
+    M-normalized nor orthogonal inside clusters: a Rayleigh-Ritz step on
+    their span makes them so."""
+    from scipy.linalg import eigh
+    vals, vecs = _smallest_pairs(K, weights, count, sigma)
+    if np.iscomplexobj(K):
+        gram = vecs.conj().T @ (weights[:, None] * vecs)
+        vals, coef = eigh(vecs.conj().T @ (K @ vecs), gram)
+        vecs = vecs @ coef
+    return vals, vecs
+
+
+def _character_solve(mesh: SurfaceMesh, n_modes: int, sigma: float):
+    """The n_modes lowest eigenpairs of a cover, one deck character at a time
+    (see the module docstring); returns values, cover modes and characters."""
+    n = len(mesh.deck)
+    walk = _deck_walk(mesh.deck)
+    d = len(walk)
+    reps = np.flatnonzero(walk.min(axis=0) == walk[0])    # least of each orbit
+    orbit, offset = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    orbit[walk[:, reps]] = np.arange(len(reps))
+    offset[walk[:, reps]] = np.arange(d)[:, None]
+    rows = mesh.stiffness[reps].tocoo()
+    w = mesh.weights[reps]
+    ks = range(d // 2 + 1)
+    mult = {k: 1 if 2 * k % d == 0 else 2 for k in ks}   # a complex pair is 2 modes
+    count = dict.fromkeys(ks, -(-n_modes // d) + _PAD)
+    pairs = {}
+    while True:
+        for k in ks:
+            if k in pairs and len(pairs[k][0]) == count[k]:
+                continue
+            if count[k] > len(reps) - 2:
+                raise ParameterOutOfRange("n_modes must be far below the mesh size")
+            phase = np.exp(2j * np.pi * (k * offset[rows.col] % d) / d)
+            Kk = sp.csr_matrix((rows.data * (phase.real if mult[k] == 1 else phase),
+                                (rows.row, orbit[rows.col])), shape=(len(reps),) * 2)
+            pairs[k] = _character_pairs(0.5 * (Kk + Kk.conj().T), w, count[k], sigma)
+        nu = np.concatenate([np.repeat(pairs[k][0], mult[k]) for k in ks])
+        cut = np.sort(nu)[n_modes - 1]
+        short = [k for k in ks if pairs[k][0][-1] < cut]
+        if not short:
+            break
+        for k in short:
+            count[k] *= 2
+    char = np.concatenate([np.full(len(pairs[k][0]) * mult[k], k) for k in ks])
+    part = np.concatenate([np.arange(len(pairs[k][0]) * mult[k]) for k in ks])
+    order = np.argsort(nu, kind="stable")[:n_modes]
+    vecs = np.empty((n, n_modes))
+    for k in ks:
+        sel = np.flatnonzero(char[order] == k)
+        j = part[order[sel]]        # pair j // mult, real part unless j % mult
+        f = (np.exp(2j * np.pi * (k * offset % d) / d)[:, None]
+             * pairs[k][1][:, j // mult[k]][orbit])
+        vecs[:, sel] = math.sqrt(mult[k] / d) * np.where(j % mult[k], f.imag, f.real)
+    return nu[order], vecs, char[order]
+
+
+def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8,
+                   sigma: float = -0.1) -> EigenData:
+    """Eigenpairs of K psi = nu M psi on the mesh, by shift-invert Lanczos on
+    each character block of the deck group (one block, K, off covers)."""
+    n = mesh.stiffness.shape[0]
+    if n_modes >= n - 1:
+        raise ParameterOutOfRange("n_modes must be far below the mesh size")
+    if np.array_equal(mesh.deck, np.arange(n)):
+        vals, vecs = _smallest_pairs(mesh.stiffness, mesh.weights, n_modes, sigma)
+        chars = np.zeros(n_modes, dtype=int)
+    else:
+        vals, vecs, chars = _character_solve(mesh, n_modes, sigma)
     res = []
     for j in range(n_modes):
         r = mesh.stiffness @ vecs[:, j] - vals[j] * (mesh.weights * vecs[:, j])
@@ -240,7 +365,7 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8,
     return EigenData(mesh.label, mesh.points, mesh.sheets, mesh.weights,
                      vals, vecs, res, ortho_tol,
                      residual_tol=max(1e-6, 10.0 * float(res.max())),
-                     volume=mesh.volume, h=mesh.h).validate()
+                     volume=mesh.volume, h=mesh.h, characters=chars).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +386,7 @@ def export_eigendata(data: EigenData, basename: str):
         "residuals": [float(_FMT % r) for r in data.residuals],
         "volume": data.volume,
         "h": data.h,
+        "characters": [int(k) for k in data.characters],
     }
     with open(basename + ".json", "w") as f:
         json.dump(header, f, sort_keys=True, indent=1)
@@ -299,11 +425,16 @@ def ingest_eigendata(basename: str, ortho_tol: float | None = None) -> EigenData
     if len(eigs) != header["n_modes"] or modes.shape != (header["n_modes"],
                                                          header["n_mesh"]):
         raise FormatError("eigen arrays do not match the header")
+    # files written before characters were recorded hold no cover characters
+    characters = np.asarray(header.get("characters", [0] * header["n_modes"]), dtype=int)
+    if characters.shape != (header["n_modes"],):
+        raise FormatError("characters do not match the header")
     data = EigenData(header["surface_id"],
                      mesh_rows[:, 0] + 1j * mesh_rows[:, 1],
                      mesh_rows[:, 2].astype(int), mesh_rows[:, 3],
                      eigs, modes.T, np.asarray(header["residuals"], dtype=float),
                      ortho_tol if ortho_tol is not None else header["ortho_tol"],
                      header.get("residual_tol", math.inf),
-                     header.get("volume", float("nan")), header.get("h", float("nan")))
+                     header.get("volume", float("nan")), header.get("h", float("nan")),
+                     characters)
     return data.validate()

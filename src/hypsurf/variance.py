@@ -2,6 +2,12 @@
 
 The variance of an observable A over a spectral window J is the mean of
 |<psi_j, A psi_j> - limit_term(lambda_j)|^2 over eigenvalues nu_j in J.
+Inside a degenerate cluster (eigenvalues equal to _DEGENERATE_REL relative,
+as the conjugate characters of a cyclic cover give) the eigenbasis is
+arbitrary, so the cluster's matrix elements are the eigenvalues of the
+compressed observable Psi^T diag(a w) Psi: their squared deviations sum to
+the basis-free |Psi^T diag(a w) Psi - limit|_F^2.  A window edge that splits
+a cluster raises WindowNotResolved.
 Matrix elements are mesh quadratures against EigenData; the limit term for
 multiplication observables is the weighted mesh mean of the density (the
 spherical function at distance zero is 1), and for radial finite-range
@@ -34,6 +40,7 @@ from .transforms import (PlancherelWeight, SpectralMultiplier,
                          plateau_multiplier)
 
 TWO_PI = 2.0 * math.pi
+_DEGENERATE_REL = 1e-8   # eigenvalues this close (relative, floor 1) are one cluster
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +144,32 @@ def quantum_variance(A_or_values, data: EigenData, window: SpectralWindow,
     or a mesh-value array (Gamma-invariance is the caller's contract; bounded
     measurable densities are fine).
     """
-    inside = window.contains_nu(data.eigenvalues)
+    nu = data.eigenvalues
+    inside = window.contains_nu(nu)
     idx = np.nonzero(inside)[0]
     if len(idx) == 0:
         raise EmptyWindow(f"no eigenvalue in [{window.nu_lo}, {window.nu_hi}]")
+    cluster = np.concatenate([[0], np.cumsum(
+        np.diff(nu) > _DEGENERATE_REL * np.maximum(1.0, nu[:-1]))])
+    if np.isin(cluster[~inside], cluster[inside]).any():
+        raise WindowNotResolved("a window edge splits a degenerate eigenvalue cluster")
     a_vals = _density_values(A_or_values, data)
     sup_a = float(np.max(np.abs(a_vals)))
     limit = mesh_mean(a_vals, data)
     me, terms, unc = [], [], []
-    for j in idx:
-        psi = data.eigenvectors[:, j]
-        val = float(np.sum(a_vals * psi * psi * data.weights))
-        dev = val - limit
-        me.append(val)
-        terms.append(dev * dev)
-        eps = data.residuals[j] * sup_a
-        unc.append((2.0 * abs(dev) + eps) * eps)
+    for c in np.unique(cluster[idx]):
+        members = np.flatnonzero(cluster == c)
+        psi = data.eigenvectors[:, members]
+        if len(members) == 1:
+            vals = [float(np.sum(a_vals * psi[:, 0] * psi[:, 0] * data.weights))]
+        else:
+            vals = np.linalg.eigvalsh(psi.T @ ((a_vals * data.weights)[:, None] * psi))
+        eps = float(np.max(data.residuals[members])) * sup_a
+        for val in vals:
+            dev = float(val) - limit
+            me.append(float(val))
+            terms.append(dev * dev)
+            unc.append((2.0 * abs(dev) + eps) * eps)
     me = np.array(me)
     terms = np.array(terms)
     variance = float(np.mean(terms))

@@ -141,6 +141,26 @@ class TestContracts:
             main(["--config", str(cfg), "fem", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["toy1d", "--window", "abc"],
+                                      ["tower", "--degrees", "1,x"],
+                                      ["prop33", "--T", "10,a"],
+                                      ["kernel-decay", "--support", "1:2:3"]])
+    def test_malformed_split_option_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_deterministic_tower(self, tmp_path):
+        out = str(tmp_path)
+        args = ["tower", "--out", out, "--degrees", "1,2", "--h", "0.05"]
+        assert main(args) == 0
+        first = read_bytes(out, "tower")
+        assert main(args) == 0
+        assert read_bytes(out, "tower") == first
+        rows = read(out, "tower")["per_degree"]
+        assert rows[0]["min_new_eigenvalue"] is None        # the base has no deck
+        assert 0.0 < rows[1]["min_new_eigenvalue"] < 10.0
+
     @pytest.mark.parametrize("argv", [["variance", "--window", "0.1:4"],
                                       ["fem", "--h", "0.5"]])
     def test_input_guard_is_a_json_error(self, tmp_path, capsys, argv):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hypsurf.eigensolve import (disc_surface_mesh, export_eigendata,
                                 fem_eigensolve, ingest_eigendata, torus_mesh)
 from hypsurf.errors import (FormatError, MeshPairingFailure,
                             OrthonormalityViolation, ResidualViolation)
-from hypsurf.fuchsian import (BOLZA_SIDE_LENGTH, FuchsianGroup, bolza_group,
-                              random_cover)
+from hypsurf.fuchsian import (BOLZA_SIDE_LENGTH, CoverSurface, FuchsianGroup,
+                              bolza_group, random_cover)
 from hypsurf.geometry import GroupElement
 
 
@@ -163,6 +164,79 @@ class TestAssembly:
             disc_surface_mesh(group, 0.1)
 
 
+def _oracle_eigenvalues(mesh, n_modes):
+    """The plain shift-invert solve of the whole cover, a few modes to spare."""
+    v0 = np.random.default_rng(1).standard_normal(mesh.stiffness.shape[0])
+    vals = spla.eigsh(mesh.stiffness, k=n_modes + 8, M=sp.diags(mesh.weights),
+                      sigma=-0.1, which="LM", v0=v0, return_eigenvectors=False)
+    return np.sort(vals)[:n_modes]
+
+
+class TestCharacterSolve:
+    H = 0.05
+
+    @pytest.fixture(scope="class")
+    def solves(self, bolza):
+        out = {}
+        for degree in (2, 4, 8):
+            mesh = disc_surface_mesh(random_cover(bolza, degree, seed=0), self.H)
+            out[degree] = (mesh, fem_eigensolve(mesh, 24 + 10 * degree))
+        return out
+
+    @pytest.mark.parametrize("degree", [2, 4, 8])
+    def test_deck_map_is_a_symmetry(self, solves, degree):
+        mesh, _ = solves[degree]
+        deck, K = mesh.deck, mesh.stiffness
+        assert not np.array_equal(deck, np.arange(len(deck)))
+        assert np.allclose(mesh.weights[deck], mesh.weights, rtol=1e-14, atol=0.0)
+        assert abs(K[deck][:, deck] - K).max() <= 1e-12 * abs(K).max()
+        power = deck
+        for _ in range(degree - 1):
+            assert np.all(power != np.arange(len(deck)))     # acts freely
+            power = deck[power]
+        assert np.array_equal(power, np.arange(len(deck)))   # order = degree
+
+    @pytest.mark.parametrize("degree", [2, 4, 8])
+    def test_matches_the_whole_cover_solve(self, solves, degree):
+        mesh, data = solves[degree]
+        want = _oracle_eigenvalues(mesh, data.n_modes)
+        assert np.all(np.abs(data.eigenvalues - want) <= 1e-10 * np.maximum(want, 1.0))
+
+    @pytest.mark.parametrize("degree", [2, 4, 8])
+    def test_modes_solve_the_cover(self, solves, degree):
+        mesh, data = solves[degree]
+        K, w = mesh.stiffness, mesh.weights
+        for nu, psi in zip(data.eigenvalues, data.eigenvectors.T):
+            assert np.linalg.norm(K @ psi - nu * w * psi) <= 1e-9 * np.linalg.norm(w * psi)
+        assert data.gram_deviation() <= 1e-8
+
+    @pytest.mark.parametrize("degree", [2, 4, 8])
+    def test_characters(self, solves, degree):
+        _, data = solves[degree]
+        assert data.characters[0] == 0                   # the constant mode
+        assert set(data.characters) <= set(range(degree // 2 + 1))
+        assert np.any(data.characters != 0)
+        # a complex character (2k != 0 mod degree) gives exactly paired modes
+        for k in set(data.characters):
+            nu = data.eigenvalues[data.characters == k]
+            if 2 * k % degree:
+                counts = np.unique(nu, return_counts=True)[1]
+                assert np.all(counts[:-1] % 2 == 0)
+
+    def test_non_cyclic_cover_takes_one_block(self, bolza):
+        cover = CoverSurface(bolza, 3, ((0, 1, 2), (0, 2, 1), (0, 2, 1), (1, 0, 2)))
+        mesh = disc_surface_mesh(cover, self.H)
+        assert np.array_equal(mesh.deck, np.arange(len(mesh.deck)))
+        data = fem_eigensolve(mesh, 40)
+        assert not np.any(data.characters)
+        want = _oracle_eigenvalues(mesh, 40)
+        assert np.all(np.abs(data.eigenvalues - want) <= 1e-10 * np.maximum(want, 1.0))
+
+    def test_base_surface_and_torus_have_no_deck(self, bolza):
+        for mesh in (disc_surface_mesh(bolza, 0.1), torus_mesh(0.1)):
+            assert np.array_equal(mesh.deck, np.arange(len(mesh.deck)))
+
+
 class TestEigenDataIO:
     def test_round_trip_bitwise(self, bolza_data, tmp_path):
         base = str(tmp_path / "bolza")
@@ -172,6 +246,23 @@ class TestEigenDataIO:
         assert np.array_equal(back.eigenvectors, bolza_data.eigenvectors)
         assert np.array_equal(back.weights, bolza_data.weights)
         assert np.array_equal(back.points, bolza_data.points)
+
+    def test_characters_round_trip(self, bolza, tmp_path):
+        data = fem_eigensolve(disc_surface_mesh(random_cover(bolza, 4, seed=0), 0.1), 12)
+        base = str(tmp_path / "cover")
+        export_eigendata(data, base)
+        assert np.array_equal(ingest_eigendata(base).characters, data.characters)
+
+    def test_file_without_characters(self, bolza_data, tmp_path):
+        base = str(tmp_path / "old")
+        export_eigendata(bolza_data, base)
+        with open(base + ".json") as f:
+            header = json.load(f)
+        del header["characters"]
+        with open(base + ".json", "w") as f:
+            json.dump(header, f)
+        assert np.array_equal(ingest_eigendata(base).characters,
+                              np.zeros(bolza_data.n_modes, dtype=int))
 
     def test_torus_file_accepted(self, tmp_path):
         data = fem_eigensolve(torus_mesh(0.05), 10)

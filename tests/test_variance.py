@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hypsurf.eigensolve import disc_surface_mesh, fem_eigensolve
 from hypsurf.errors import EmptyWindow, WindowNotResolved
-from hypsurf.fuchsian import bolza_group
+from hypsurf.fuchsian import bolza_group, random_cover
 from hypsurf.observables import multiplication_observable
 from hypsurf.quadrature import gauss_legendre
 from hypsurf.transforms import PlancherelWeight
@@ -88,6 +89,60 @@ class TestQuantumVariance:
                                PlancherelWeight.paper())
         assert rep.nevo_n_provenance == "assumed"
         assert rep.weight_convention == "paper_tanh_2pi"
+
+
+@pytest.fixture(scope="module")
+def cover_data(bolza):
+    return fem_eigensolve(disc_surface_mesh(random_cover(bolza, 4, seed=0), 0.05), 64)
+
+
+def _sign(data):
+    return mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, data)
+
+
+def _pair_in(data, window):
+    """Indices of an exactly degenerate pair inside the window."""
+    nu = data.eigenvalues
+    j = next(j for j in range(len(nu) - 1) if nu[j] == nu[j + 1]
+             and window.contains_nu(nu[j]))
+    return j, j + 1
+
+
+class TestDegenerateClusters:
+    WINDOW = SpectralWindow(1.0, 4.0)
+
+    def test_basis_rotation_leaves_variance(self, cover_data):
+        # a degenerate pair's basis is arbitrary; the variance must not see it
+        j, k = _pair_in(cover_data, self.WINDOW)
+        theta = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        vecs = cover_data.eigenvectors.copy()
+        vecs[:, [j, k]] = vecs[:, [j, k]] @ np.array([[c, s], [-s, c]])
+        rotated = replace(cover_data, eigenvectors=vecs)
+        a = _sign(cover_data)
+        want = quantum_variance(a, cover_data, self.WINDOW).variance
+        got = quantum_variance(a, rotated, self.WINDOW).variance
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_cluster_sum_is_the_frobenius_norm(self, cover_data):
+        j, k = _pair_in(cover_data, self.WINDOW)
+        a = _sign(cover_data)
+        rep = quantum_variance(a, cover_data, self.WINDOW)
+        psi = cover_data.eigenvectors[:, [j, k]]
+        block = psi.T @ ((a * cover_data.weights)[:, None] * psi)
+        frob = float(np.sum((block - rep.limit_terms[0] * np.eye(2)) ** 2))
+        pos = int(np.flatnonzero(self.WINDOW.contains_nu(cover_data.eigenvalues))
+                  .searchsorted(j))
+        assert rep.terms[pos] + rep.terms[pos + 1] == pytest.approx(frob, rel=1e-12)
+
+    def test_window_edge_splitting_a_cluster(self, cover_data):
+        j, k = _pair_in(cover_data, self.WINDOW)
+        nu = cover_data.eigenvalues.copy()
+        nu[k] = nu[j] * (1.0 + 1e-10)           # still one cluster
+        split = replace(cover_data, eigenvalues=nu)
+        with pytest.raises(WindowNotResolved):
+            quantum_variance(_sign(split), split,
+                             SpectralWindow(1.0, nu[j] * (1.0 + 5e-11)))
 
 
 class TestWeyl:
