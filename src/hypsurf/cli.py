@@ -167,11 +167,10 @@ def cmd_selberg(args) -> int:
     h1 = selberg_transform(k)
     h2 = fourier_of_abel(abel_sharp(t0))
     lams = np.linspace(0.25, 4.0, args.n_lams)
-    rows, worst = [], 0.0
-    for lam in lams:
-        a, b = float(h1(float(lam))), float(h2(float(lam)))
-        worst = max(worst, abs(a - b))
-        rows.append((float(lam), a, b, abs(a - b)))
+    a, b = h1(lams), h2(lams)
+    gaps = np.abs(a - b)
+    worst = float(np.max(gaps))
+    rows = list(zip(lams.tolist(), a.tolist(), b.tolist(), gaps.tolist()))
     ok = worst < 1e-6
     write_csv(args.out, "selberg", "lambda,selberg,fourier_abel,gap", rows)
     write_summary(args.out, "selberg", {
@@ -221,12 +220,11 @@ def cmd_prop33(args) -> int:
 
 def cmd_lemma_a1(args) -> int:
     lams = args.lams
-    rows = []
-    per_lam_max = {}
-    for lam in lams:
-        vals = [float(lemma_a1_check(lam, float(r))) for r in range(2, 21)]
-        per_lam_max[lam] = max(vals)
-        rows.extend((lam, float(r), v) for r, v in zip(range(2, 21), vals))
+    rs = np.arange(2.0, 21.0)
+    vals = lemma_a1_check(np.asarray(lams, dtype=float), rs)
+    per_lam_max = {lam: float(v) for lam, v in zip(lams, vals.max(axis=0))}
+    rows = [(lam, r, v) for lam, col in zip(lams, vals.T.tolist())
+            for r, v in zip(rs.tolist(), col)]
     ratio = max(per_lam_max.values()) / min(per_lam_max.values())
     ok = ratio < 10.0
     write_csv(args.out, "lemma_a1", "lambda,r,value", rows)

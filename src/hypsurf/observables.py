@@ -28,8 +28,8 @@ import numpy as np
 from .errors import StencilOutOfDomain
 from .fuchsian import (CoverSurface, DomainSampler, bs_statistic,
                        systole_upper_bound)
-from .geometry import (DiscPoint, GroupElement, _busemann_complex, _dist_complex,
-                       mobius_apply_complex)
+from .geometry import (DiscPoint, GroupElement, _busemann_array, _dist_complex,
+                       _mobius_array, mobius_apply_complex)
 from .quadrature import gauss_legendre
 from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
                          phi_eval)
@@ -37,9 +37,10 @@ from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
 TWO_PI = 2.0 * math.pi
 
 
-def plane_wave(lam: float, b: complex):
-    def pw(z: complex) -> complex:
-        return cmath.exp((0.5 + 1j * lam) * _busemann_complex(z, b))
+def plane_wave(lam: float, b):
+    """z -> e_{lam,b}(z) = exp((1/2 + i lam) <z, b>) on an array b of boundary points."""
+    def pw(z: complex) -> np.ndarray:
+        return np.exp((0.5 + 1j * lam) * _busemann_array(z, b))
     return pw
 
 
@@ -182,23 +183,23 @@ def _apply_finite_range(K: Callable, S: float, u: Callable, z: complex,
 
 @dataclass(frozen=True)
 class Symbol:
-    """Complete symbol a(z, lambda, b); b passed as a unit-modulus complex."""
+    """Complete symbol a(z, lambda, b) under the symbol contract of transforms
+    (b an array of boundary points, the result broadcasting to b)."""
 
-    eval: Callable[[complex, float, complex], complex]
+    eval: Callable[[complex, float, np.ndarray], np.ndarray]
     lambda_support: tuple = (0.0, math.inf)
     derived_from: Observable | None = None
 
-    def __call__(self, z: complex, lam: float, b: complex) -> complex:
+    def __call__(self, z: complex, lam: float, b) -> np.ndarray:
         return self.eval(z, lam, b)
 
 
-def complete_symbol(A: Observable, z: complex, lam: float, b: complex) -> complex:
-    """a(z,lam,b) = e^{-(1/2+i lam)<z,b>} (A e_{lam,b})(z)."""
+def complete_symbol(A: Observable, z: complex, lam: float, b):
+    """a(z,lam,b) = e^{-(1/2+i lam)<z,b>} (A e_{lam,b})(z), on an array b."""
     if A.variant == "multiplication":
         return complex(A.a(z))
-    pw = plane_wave(lam, b)
-    val = A.apply(pw, z)
-    return val * cmath.exp(-(0.5 + 1j * lam) * _busemann_complex(z, b))
+    val = A.apply(plane_wave(lam, b), z)
+    return val * np.exp(-(0.5 + 1j * lam) * _busemann_array(z, b))
 
 
 def symbol_of(A: Observable, lambda_support=(0.0, math.inf)) -> Symbol:
@@ -210,10 +211,10 @@ def symbol_of(A: Observable, lambda_support=(0.0, math.inf)) -> Symbol:
 # Angular decomposition at a point
 # ---------------------------------------------------------------------------
 
-def rotation_boundary_point(z: complex, theta: float) -> complex:
-    """The boundary point at rotation angle theta of the direction circle at z."""
+def rotation_boundary_point(z: complex, theta):
+    """The boundary points at rotation angles theta of the direction circle at z."""
     trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-    return mobius_apply_complex(trans, cmath.exp(1j * theta))
+    return _mobius_array(trans.alpha, trans.beta, np.exp(1j * np.asarray(theta)))
 
 
 @dataclass(frozen=True)
@@ -230,10 +231,10 @@ def angular_decompose(a: Symbol, z: complex, lam: float, n: int = 512) -> Angula
     which differs from the plain boundary measure unless z = 0.
     """
     thetas = TWO_PI * np.arange(n) / n
-    vals = np.array([a(z, lam, rotation_boundary_point(z, th)) for th in thetas])
+    vals = np.broadcast_to(a(z, lam, rotation_boundary_point(z, thetas)), thetas.shape)
     mean = complex(np.mean(vals))
 
-    def zero_mean(theta: float) -> complex:
+    def zero_mean(theta):
         return a(z, lam, rotation_boundary_point(z, theta)) - mean
 
     residual = abs(np.mean(vals - mean))
@@ -258,12 +259,13 @@ def theta_second_derivative_norm(a: Symbol, lam_window, surface, n_mc: int,
     lams = np.linspace(lam_window[0], lam_window[1], n_lam)
     worst = 0.0
     h = fd_step
+    steps = h * np.array([2.0, 1.0, 0.0, -1.0, -2.0])
     for lam in lams:
         acc = 0.0
         for z, th in pts:
-            f = lambda phi: a(z, float(lam), rotation_boundary_point(z, phi))
-            d2 = (-f(th + 2 * h) + 16 * f(th + h) - 30 * f(th)
-                  + 16 * f(th - h) - f(th - 2 * h)) / (12 * h * h)
+            f = np.broadcast_to(a(z, float(lam), rotation_boundary_point(z, th + steps)),
+                                steps.shape)
+            d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
             acc += abs(d2) ** 2
         worst = max(worst, acc / n_mc)
     return worst
@@ -417,25 +419,22 @@ def limit_term(A: Observable, lam: float, surface, n_mc: int = 2000,
         S = A.locality.S
         if A.radial_profile is not None:
             t, w = gauss_legendre(0.0, S, 400)
-            vals = np.array([float(phi_eval(lam, float(tt))) for tt in t])
+            vals = phi_eval(lam, t)
             total = TWO_PI * float(np.sum(A.radial_profile(t) * vals * np.sinh(t) * w))
             return LimitTerm(total, 0.0)
         sampler = DomainSampler(group)
         rng = np.random.default_rng(seed)
         vals = []
         t, wq = gauss_legendre(0.0, S, 32)
-        phi_tab = np.array([float(phi_eval(lam, float(tt))) for tt in t])
-        angs = TWO_PI * np.arange(48) / 48
+        # polar rings of 48 points at the 32 radii, weighted by the measure and phi
+        ring = np.multiply.outer(np.tanh(t / 2.0), np.exp(1j * TWO_PI * np.arange(48) / 48))
+        ring_w = (wq * np.sinh(t) * (TWO_PI / 48) * phi_eval(lam, t))[:, None]
         for _ in range(n_mc):
             z = sampler.sample(rng)
             trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-            acc = 0.0
-            for i, tt in enumerate(t):
-                ring = [mobius_apply_complex(trans, math.tanh(tt / 2.0)
-                                             * cmath.exp(1j * ang)) for ang in angs]
-                ksum = sum(complex(A.kernel(z, wpt)).real for wpt in ring)
-                acc += wq[i] * math.sinh(tt) * (TWO_PI / 48) * ksum * phi_tab[i]
-            vals.append(acc)
+            pts = _mobius_array(trans.alpha, trans.beta, ring)
+            kv = np.array([complex(A.kernel(z, wpt)).real for wpt in pts.ravel()])
+            vals.append(float(np.sum(ring_w * kv.reshape(pts.shape))))
         vals = np.array(vals)
         return LimitTerm(float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_mc)))
     raise ValueError("limit term needs an integrable kernel (multiplication or finite range)")
@@ -510,15 +509,10 @@ class ErrorBudget:
 def multiplier_tail_bound(rho: SpectralMultiplier, weight: PlancherelWeight,
                           r: float, lam_grid, t_max_extra: float = 60.0) -> float:
     """max over the lambda grid of int_r^inf |k_rho(t) phi_lam(t) sinh t| dt."""
-    kern = inverse_selberg(rho, weight)
     t, w = gauss_legendre(r, r + t_max_extra, 600)
-    scaled_k = np.abs(kern.scaled_eval(t))          # |k_rho| e^{t/2}
-    best = 0.0
-    for lam in np.atleast_1d(lam_grid):
-        phis = np.array([float(phi_eval(float(lam), float(tt))) for tt in t])
-        integrand = scaled_k * np.abs(phis) * np.exp(t / 2.0) * np.exp(-t) * np.sinh(t)
-        best = max(best, float(np.sum(integrand * w)))
-    return best
+    k = np.abs(inverse_selberg(rho, weight)(t))
+    phis = np.abs(phi_eval(np.atleast_1d(lam_grid), t))
+    return float(np.max((k * np.sinh(t) * w) @ phis))
 
 
 def error_ops_bounds(A: Observable, rho: SpectralMultiplier,

@@ -119,12 +119,14 @@ def _h_from_profile(t: float, lams: np.ndarray, g_fn, knots: Sequence[float],
 
     The last stretch is integrated in v = sqrt(cosh t - cosh u), which turns
     the square-root vanishing of ball-type profiles at u = t into a smooth
-    integrand.
+    integrand.  The order is rounded up to a multiple of 32, so that nearby t
+    share their Gauss-Legendre rules.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     split = t - min(1.0, t / 2.0)
     edges = [0.0] + sorted(k for k in knots if 0.0 < k < split) + [split]
     n_scale = max(n_u, int(10 * t) + 8 * int(np.max(lams) if lams.size else 1))
+    n_scale = -(-n_scale // 32) * 32
     rules = [gauss_legendre(lo, hi, n_scale) for lo, hi in zip(edges[:-1], edges[1:])
              if hi > lo]
     tail_edges = [split] + sorted(k for k in knots if split < k < t) + [t]
@@ -166,21 +168,23 @@ def h_smooth_reference(t: float, sigma: float, lam: float,
 # Lemma-A.1-type oscillatory integral and the smooth-sharp difference
 # ---------------------------------------------------------------------------
 
-def lemma_a1_check(lam, r: float) -> float | np.ndarray:
-    """e^{r/2} |int_0^r cos(lam u)/sqrt(cosh r - cosh u) du|; bounded in r."""
-    if r <= 1.0:
+def lemma_a1_check(lam, r) -> float | np.ndarray:
+    """e^{r/2} |int_0^r cos(lam u)/sqrt(cosh r - cosh u) du|; bounded in r.
+
+    On the (r, lambda) grid: shape(r) + shape(lam); scalars give a float.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 1.0):
         raise ValueError("r must exceed 1")
-    vals = math.exp(r / 2.0) * np.abs(_md_integral(np.atleast_1d(lam), r))
-    return vals if np.ndim(lam) else float(vals[0])
+    lam = np.asarray(lam, dtype=float)
+    vals = (np.exp(r / 2.0)[(...,) + (None,) * lam.ndim]
+            * np.abs(_md_integral(lam, r)))
+    return vals if vals.ndim else float(vals)
 
 
 def lemma_a1_constant(lam_grid, r_grid) -> float:
     """Empirical sup of lemma_a1_check over the given grids."""
-    best = 0.0
-    for r in r_grid:
-        best = max(best, float(np.max(lemma_a1_check(np.asarray(lam_grid, float),
-                                                     float(r)))))
-    return best
+    return float(np.max(lemma_a1_check(lam_grid, r_grid)))
 
 
 def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta,
@@ -201,7 +205,7 @@ def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta,
     if route in ("formula", "both"):
         spec = CutoffSpec(t, sigma, eta)
         rr, w = gauss_legendre(t - sigma, t, 64)
-        inner = np.vstack([_md_integral(lams, float(r)) for r in rr]).T
+        inner = _md_integral(lams, rr).T
         coef = (np.asarray(spec.chi(rr)) - 1.0) * np.sinh(rr) * w
         out_form = 2.0 * math.sqrt(2.0 / math.cosh(t)) * (inner @ coef)
     if route == "both":
@@ -237,17 +241,23 @@ def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray,
 def _time_average_sq(T: float, lam, n_t: int, h_rows: Callable):
     """(1/T) int_0^T h_t(lam)^2 dt, composite Gauss-Legendre in t with n_t
     points per unit length; h_rows(ts, lams) is the matrix of h_t(lams)."""
-    if T <= 0:
-        raise ParameterOutOfRange("T must be positive")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    n_panels = max(1, int(math.ceil(T)))
-    edges = np.linspace(0.0, T, n_panels + 1)
+    t, w = _time_nodes(T, n_t)
     acc = np.zeros(lams.shape)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t, w = gauss_legendre(lo, hi, n_t)
-        acc = acc + (h_rows(t, lams) ** 2 * w[:, None]).sum(axis=0)
+    for tp, wp in zip(t, w):
+        acc = acc + (h_rows(tp, lams) ** 2 * wp[:, None]).sum(axis=0)
     out = acc / T
     return out if np.ndim(lam) else float(out[0])
+
+
+def _time_nodes(T: float, n_t: int):
+    """Nodes and weights of n_t-point Gauss-Legendre rules on the ceil(T) equal
+    panels of [0, T], one row per panel."""
+    if T <= 0:
+        raise ParameterOutOfRange("T must be positive")
+    edges = np.linspace(0.0, T, max(1, int(math.ceil(T))) + 1)
+    rules = [gauss_legendre(lo, hi, n_t) for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.array([t for t, _ in rules]), np.array([w for _, w in rules])
 
 
 def avg_multiplier_H(T: float, sigma: float, lam, n_t: int = 8,
@@ -289,9 +299,13 @@ def prop33_certificate(interval, sigma: float, T_list, lam_spacing: float = 0.02
     n_lam = max(2, int(math.ceil((hi - lo) / lam_spacing)) + 1)
     lam_grid = np.linspace(lo, hi, n_lam)
     T_list = tuple(float(T) for T in T_list)
+    # h_{t,sigma} once per distinct time node: the unit panels of the T's overlap
+    ts = np.unique(np.concatenate([_time_nodes(T, n_t)[0] for T in T_list]))
+    h_all = h_smooth_on_grid(ts, sigma, lam_grid, eta)
     c_min, argmin = [], []
     for T in T_list:
-        H = avg_multiplier_H(T, sigma, lam_grid, n_t=n_t, eta=eta)
+        H = _time_average_sq(T, lam_grid, n_t,
+                             lambda t, lams: h_all[np.searchsorted(ts, t)])
         i = int(np.argmin(H))
         c_min.append(float(H[i]))
         argmin.append(float(lam_grid[i]))

@@ -22,9 +22,9 @@ forward/inverse pair exact.  Reports always state which convention was used.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -171,38 +171,48 @@ def spherical_phi(lam: float, t: float, tol: float = 1e-9) -> float:
 # Spherical function: Mehler-Dirichlet integral (fast, any t > 0)
 # ---------------------------------------------------------------------------
 
-def _md_integral(lams: np.ndarray, t: float, n: int = 160) -> np.ndarray:
-    """int_0^t cos(lam u) / sqrt(cosh t - cosh u) du on an array of lambdas, t > 0.
+def _md_integral(lams, t, n: int = 160) -> np.ndarray:
+    """int_0^t cos(lam u) / sqrt(cosh t - cosh u) du on the (t, lambda) grid, t >= 0.
 
     Plain panel up to t - min(1, t/2); the rest in v = sqrt(cosh t - cosh u),
-    which removes the integrable 1/sqrt singularity at u = t.
+    which removes the integrable 1/sqrt singularity at u = t.  Rows are
+    integrated one t at a time (each has its own nodes), so no
+    (t, lambda, node) array is built; rows t = 0 are 0, the integral over
+    [0, 0].  Returns shape(t) + shape(lams).
     """
     lams = np.asarray(lams, dtype=float)
-    split = t - min(1.0, t / 2.0)
-    u, w = gauss_legendre(0.0, split, max(n, int(6 * t)))
-    total = np.cos(np.multiply.outer(lams, u)) @ (w / np.sqrt(cosh_diff(t, u)))
-    u, v, w = sqrt_edge_rule(t, split, t, n)
-    return total + np.cos(np.multiply.outer(lams, u)) @ (w / v)
+    ts = np.asarray(t, dtype=float)
+    out = np.zeros(ts.shape + lams.shape)
+    for i in map(tuple, np.argwhere(ts)):
+        tt = float(ts[i])
+        split = tt - min(1.0, tt / 2.0)
+        u, w = gauss_legendre(0.0, split, max(n, int(6 * tt)))
+        total = np.cos(np.multiply.outer(lams, u)) @ (w / np.sqrt(cosh_diff(tt, u)))
+        u, v, w = sqrt_edge_rule(tt, split, tt, n)
+        out[i] = total + np.cos(np.multiply.outer(lams, u)) @ (w / v)
+    return out
 
 
-def _phi_md_grid(lams: np.ndarray, t: float, n: int = 160) -> np.ndarray:
-    """phi on an array of lambdas: (sqrt 2 / pi) times the Mehler-Dirichlet integral."""
-    lams = np.asarray(lams, dtype=float)
-    if t == 0.0:
-        return np.ones_like(lams)
-    return math.sqrt(2.0) / math.pi * _md_integral(lams, t, n)
+def _phi_md_grid(lams, t, n: int = 160) -> np.ndarray:
+    """phi on the (t, lambda) grid: (sqrt 2 / pi) times the Mehler-Dirichlet integral."""
+    ts = np.asarray(t, dtype=float)
+    out = _md_integral(lams, ts, n)
+    out *= math.sqrt(2.0) / math.pi
+    out[ts == 0.0] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Harish-Chandra c-function and the large-t series
 # ---------------------------------------------------------------------------
 
-def harish_chandra_c(lam: float) -> complex:
-    """c(lambda) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)), lam > 0."""
-    if lam <= 1e-8:
+def harish_chandra_c(lam):
+    """c(lambda) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)), lam > 0; lam may be an array."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 1e-8):
         raise ValueError("lambda too close to the Gamma(i lambda) pole")
-    return complex(np.exp(loggamma(1j * lam) - loggamma(0.5 + 1j * lam))
-                   / math.sqrt(math.pi))
+    c = np.exp(loggamma(1j * lam) - loggamma(0.5 + 1j * lam)) / math.sqrt(math.pi)
+    return c if c.ndim else complex(c)
 
 
 def c_inverse_square(lam: float) -> float:
@@ -210,23 +220,45 @@ def c_inverse_square(lam: float) -> float:
     return 1.0 / abs(harish_chandra_c(lam)) ** 2
 
 
-@lru_cache(maxsize=65536)
-def _gamma_coeff_tuple(lam: float, lmax: int):
-    g = [1.0 + 0j]
-    for n in range(1, lmax + 1):
-        s = sum(g[l] * (1j * lam - 0.5 - 2 * l) for l in range(n))
-        g.append(-s / (2 * n * (n - 1j * lam)))
-    return tuple(g)
-
-
-def series_coefficients(lam: float, lmax: int) -> np.ndarray:
-    """Coefficients Gamma_l(lambda) of the large-t expansion of phi_lambda.
+def series_coefficients(lam, lmax: int) -> np.ndarray:
+    """Coefficients Gamma_l(lambda), l = 0..lmax, of the large-t expansion of phi_lambda.
 
     Recursion, read off the radial eigenequation term by term:
         Gamma_0 = 1,
         2 n (n - i lam) Gamma_n = - sum_{l<n} Gamma_l (i lam - 1/2 - 2 l).
+    lam may be an array; the result has shape (lmax + 1,) + shape(lam).
     """
-    return np.array(_gamma_coeff_tuple(float(lam), int(lmax)))
+    lam = np.asarray(lam, dtype=float)
+    g = np.empty((lmax + 1,) + lam.shape, dtype=complex)
+    g[0] = 1.0
+    s = np.zeros(lam.shape, dtype=complex)
+    for n in range(1, lmax + 1):
+        s = s + g[n - 1] * (1j * lam - 0.5 - 2 * (n - 1))
+        g[n] = -s / (2 * n * (n - 1j * lam))
+    return g
+
+
+def _phi_series(lams, ts, l_max) -> np.ndarray:
+    """2 Re[c(lam) e^{(-1/2 + i lam) t} sum_{l <= l_max} Gamma_l(lam) e^{-2 l t}].
+
+    lams and ts are 1-d (lam > 1e-8); l_max is one int or one per t.
+    Returns the (t, lambda) grid.
+    """
+    l_max = np.asarray(l_max)
+    g = series_coefficients(lams, int(l_max.max(initial=0)))
+    ls = np.arange(g.shape[0])
+    decay = np.where(ls <= l_max[..., None], np.exp(-2.0 * np.multiply.outer(ts, ls)), 0.0)
+    # 2 Re[cs e^{(-1/2 + i lam) t}] with cs = sum_l c Gamma_l e^{-2 l t}, in cos
+    # and sin, in place on the (t, lam) grid
+    cg = harish_chandra_c(lams) * g
+    lt = np.multiply.outer(ts, lams)
+    out = np.cos(lt)
+    out *= decay @ np.ascontiguousarray(cg.real)
+    np.sin(lt, out=lt)
+    lt *= decay @ np.ascontiguousarray(cg.imag)
+    out -= lt
+    out *= 2.0 * np.exp(-0.5 * ts)[:, None]
+    return out
 
 
 def gamma_growth_bound(lam: float, lmax: int = 60):
@@ -243,50 +275,47 @@ def gamma_growth_bound(lam: float, lmax: int = 60):
 
 def spherical_phi_series(lam: float, t: float, l_max: int = 40,
                          tail_tol: float = 1e-8) -> float:
-    """phi_lambda(t) = 2 Re[c(lam) e^{(-1/2 + i lam) t} sum_l Gamma_l(lam) e^{-2 l t}]."""
+    """phi_lambda(t) from the large-t series truncated at l_max, with a tail guard."""
     if t < 0.5:
         raise ValueError("series route needs t >= 0.5")
-    g = series_coefficients(lam, l_max)
-    decay = np.exp(-2.0 * t * np.arange(l_max + 1))
-    c = harish_chandra_c(lam)
-    val = 2.0 * (c * np.exp((-0.5 + 1j * lam) * t) * np.sum(g * decay)).real
     d1, d2 = gamma_growth_bound(lam, min(l_max, 60))
-    tail = (2.0 * abs(c) * math.exp(-t / 2.0) * d1 * (1 + (l_max + 1) ** d2)
+    tail = (2.0 * abs(harish_chandra_c(lam)) * math.exp(-t / 2.0) * d1
+            * (1 + (l_max + 1) ** d2)
             * math.exp(-2.0 * (l_max + 1) * t) / (1.0 - math.exp(-2.0 * t)))
     if tail > tail_tol:
         raise SeriesDiverged(f"tail estimate {tail:.2e} exceeds {tail_tol} at l_max={l_max}")
-    return val
+    return float(_phi_series(np.array([lam]), np.array([t]), l_max)[0, 0])
 
 
-def phi_eval(lam, t: float):
-    """Fast spherical-function evaluation, vectorized in lambda.
+def phi_eval(lam, t):
+    """phi_lambda(t) on the grid of t and lambda, of shape shape(t) + shape(lam).
 
-    Dispatches to the large-t series (t >= 1) or the Mehler-Dirichlet
-    integral (t < 1); both agree with the boundary-circle definition.
+    Rows t < 1 come from the Mehler-Dirichlet integral, rows t >= 1 from the
+    large-t series truncated at l = max(6, int(40 / t) + 4); its c-function
+    pole at lambda = 0 sends lambda <= 1e-8 to the integral on every row.
+    Both routes agree with the boundary-circle definition.  Scalars in give
+    a float.
     """
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if t < 1.0:
-        out = _phi_md_grid(lams, t)
-    else:
-        lmax = max(6, int(40.0 / t) + 4)
-        cs = np.array([harish_chandra_c(float(x)) if x > 1e-8 else 0.0 for x in lams])
-        acc = np.zeros(lams.shape, dtype=complex)
-        for l in range(lmax + 1):
-            coeff = np.array([_gamma_coeff_tuple(float(x), lmax)[l] for x in lams])
-            acc += coeff * math.exp(-2.0 * l * t)
-        out = 2.0 * (cs * np.exp((-0.5 + 1j * lams) * t) * acc).real
-        if np.any(lams <= 1e-8):
-            out = np.where(lams <= 1e-8, _phi_md_grid(lams, t), out)
-    return out if np.ndim(lam) else float(out[0])
+    lams = np.asarray(lam, dtype=float)
+    ts = np.asarray(t, dtype=float)
+    lam1, t1 = lams.ravel(), ts.ravel()
+    far, series = t1 >= 1.0, lam1 > 1e-8
+    tf = t1[far]
+    # rows t >= 1 enter the integral as t = 0, which it skips; they are filled below
+    out = _phi_md_grid(lam1, np.where(far, 0.0, t1))
+    if not series.all():
+        out[np.ix_(far, ~series)] = _phi_md_grid(lam1[~series], tf)
+    out[np.ix_(far, series)] = _phi_series(lam1[series], tf,
+                                           np.maximum(6, (40.0 / tf).astype(int) + 4))
+    out = out.reshape(ts.shape + lams.shape)
+    return out if out.ndim else float(out)
 
 
 def phi_decay_constant(lam_grid, t_grid) -> float:
     """Fitted C with |phi_lambda(t)| <= C e^{-t/2} (1 + t) over the grids."""
-    best = 0.0
-    for t in t_grid:
-        ph = np.abs(phi_eval(np.asarray(lam_grid, dtype=float), float(t)))
-        best = max(best, float(np.max(ph * math.exp(t / 2.0) / (1.0 + t))))
-    return best
+    t = np.asarray(t_grid, dtype=float)
+    ph = np.abs(phi_eval(lam_grid, t))
+    return float(np.max(ph * (np.exp(t / 2.0) / (1.0 + t))[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +327,7 @@ def selberg_transform(k: RadialKernel, norm: float = TWO_PI,
     """S(k)(lambda) = norm * int_0^inf k(t) phi_lambda(t) sinh(t) dt.
 
     norm = 2*pi makes the triangle S = Fourier o Abel exact; norm = 1 gives
-    the bare spherical pairing.
+    the bare spherical pairing.  Evaluates on a whole lambda array at once.
     """
     upper = k.support_bound if math.isfinite(k.support_bound) else (t_max or 40.0)
     edges = [0.0] + sorted(b for b in k.breakpoints if 0.0 < b < upper) + [upper]
@@ -311,8 +340,7 @@ def selberg_transform(k: RadialKernel, norm: float = TWO_PI,
             for lo, hi in zip(edges[:-1], edges[1:]):
                 n = mult * max(64, int(16 * (hi - lo)))
                 t, w = gauss_legendre(lo, hi, n)
-                phis = np.vstack([_phi_md_grid(lams, float(tt)) for tt in t]).T
-                cur = cur + norm * (phis * (k(t) * np.sinh(t))) @ w
+                cur = cur + norm * (k(t) * np.sinh(t) * w) @ phi_eval(lams, t)
             if vals is not None and np.max(np.abs(cur - vals)) > 1e-7 * max(
                     1.0, float(np.max(np.abs(cur)))):
                 raise QuadratureNotConverged("Selberg transform did not stabilize")
@@ -322,72 +350,29 @@ def selberg_transform(k: RadialKernel, norm: float = TWO_PI,
     return SpectralMultiplier(lambda lam: h(lam) if np.ndim(lam) else float(h(lam)[0]))
 
 
-def _lambda_rule(support, n: int = 192):
-    lo, hi = support
-    if not math.isfinite(hi):
-        raise ValueError("inverse transform needs a compactly supported multiplier")
-    return gauss_legendre(lo, hi, n)
-
-
-class _InverseKernel(RadialKernel):
-    """Radial kernel with an extra exactly-scaled evaluator k(t) e^{t/2}."""
-
-    def __init__(self, eval_fn, scaled_fn):
-        object.__setattr__(self, "eval", eval_fn)
-        object.__setattr__(self, "support_bound", math.inf)
-        object.__setattr__(self, "smoothness_class", "schwartz-like")
-        object.__setattr__(self, "scaled_eval", scaled_fn)
-
-
 def inverse_selberg(rho: SpectralMultiplier, weight: PlancherelWeight,
-                    norm: float = 1.0, series_lmax: int = 24,
-                    n_lambda: int = 256) -> RadialKernel:
+                    norm: float = 1.0, n_lambda: int = 256) -> RadialKernel:
     """k_rho(t) = norm * int rho(lambda) phi_lambda(t) w(lambda) d lambda.
 
     With norm = 1 this is the radial kernel of the operator with multiplier
-    rho under the chosen weight convention.  For t >= 1 the spherical
-    function is replaced by its large-t series, which factors out e^{-t/2}
-    and keeps the oscillatory lambda-integral well conditioned out to t ~ 40+.
-    The returned kernel exposes `scaled_eval(t) = k(t) * e^{t/2}` for decay
-    diagnostics free of underflow.
+    rho under the chosen weight convention.  k_rho on an array of t is the
+    phi_eval grid at the n_lambda Gauss-Legendre nodes of rho's support
+    times the vector of rho w and the node weights.
     """
-    lam, lw = _lambda_rule(rho.support, n_lambda)
+    lo, hi = rho.support
+    if not math.isfinite(hi):
+        raise ValueError("inverse transform needs a compactly supported multiplier")
+    lam, lw = gauss_legendre(lo, hi, n_lambda)
     wvals = weight(lam) * rho(lam) * lw * norm
-    cs = np.array([harish_chandra_c(float(x)) for x in lam])
-    coeffs = [np.array([_gamma_coeff_tuple(float(x), series_lmax)[l] for x in lam])
-              for l in range(series_lmax + 1)]
-
-    def scaled(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        osc = np.exp(1j * np.multiply.outer(ts, lam))
-        acc = np.zeros(ts.shape, dtype=complex)
-        for l in range(series_lmax + 1):
-            acc += np.exp(-2.0 * l * ts) * (osc @ (cs * coeffs[l] * wvals))
-        return 2.0 * acc.real
-
-    def k(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty(ts.shape)
-        small = ts < 1.0
-        for i in np.nonzero(small)[0]:
-            ph = _phi_md_grid(lam, float(ts[i]))
-            out[i] = float(np.sum(ph * wvals))
-        if np.any(~small):
-            big = ~small
-            out[big] = scaled(ts[big]) * np.exp(-ts[big] / 2.0)
-        return out
-
-    return _InverseKernel(lambda t: k(t) if np.ndim(t) else float(k(np.array([t]))[0]),
-                          scaled)
+    return RadialKernel(lambda t: phi_eval(lam, t) @ wvals,
+                        smoothness_class="schwartz-like")
 
 
 def k_rho_scaled(rho: SpectralMultiplier, weight: PlancherelWeight, ts,
-                 norm: float = 1.0, series_lmax: int = 24,
-                 n_lambda: int = 256) -> np.ndarray:
-    """k_rho(t) * e^{t/2} on t >= 1 without underflow (decay diagnostics)."""
-    kern = inverse_selberg(rho, weight, norm=norm, series_lmax=series_lmax,
-                           n_lambda=n_lambda)
-    return kern.scaled_eval(np.asarray(ts, dtype=float))
+                 norm: float = 1.0, n_lambda: int = 256) -> np.ndarray:
+    """e^{t/2} k_rho(t) on an array of t (decay diagnostics)."""
+    ts = np.asarray(ts, dtype=float)
+    return np.exp(ts / 2.0) * inverse_selberg(rho, weight, norm=norm, n_lambda=n_lambda)(ts)
 
 
 def matched_norm(weight: PlancherelWeight, selberg_norm: float = TWO_PI) -> float:
@@ -515,6 +500,12 @@ def fourier_of_abel(g: AbelProfile) -> SpectralMultiplier:
 
 # ---------------------------------------------------------------------------
 # Helgason transform, symbol kernels, HS norm
+#
+# The symbol contract: a(z, lam, b) takes the chart point z and the frequency
+# lam as scalars and b as an array of unit-modulus boundary points, and
+# returns values that broadcast to b's shape (a scalar when a does not depend
+# on b).  A callable written for one b at a time is passed as
+# np.vectorize(f, otypes=[complex]).
 # ---------------------------------------------------------------------------
 
 def helgason_forward(u: Callable[[complex], complex], support_radius: float = 0.95,
@@ -541,33 +532,30 @@ def helgason_forward(u: Callable[[complex], complex], support_radius: float = 0.
     return transform
 
 
-def kernel_from_symbol(a: Callable[[complex, float, complex], complex],
+def kernel_from_symbol(a: Callable[[complex, float, np.ndarray], np.ndarray],
                        lambda_support: tuple, weight: PlancherelWeight,
                        n_lam: int = 96, n_ang: int = 256):
     """Kernel of Op(a):
 
     K(z, w) = (1/2pi) iint a(z, lam, b) e^{(1/2+i lam)<z,b>} e^{(1/2-i lam)<w,b>}
               w(lam) db dlam.
+
+    a follows the symbol contract, and each K(z, w) calls it once per lambda node.
     """
     lam, wl = gauss_legendre(lambda_support[0], lambda_support[1], n_lam)
-    theta = TWO_PI * np.arange(n_ang) / n_ang
-    b = np.exp(1j * theta)
-    wb = TWO_PI / n_ang
+    b = np.exp(1j * TWO_PI * np.arange(n_ang) / n_ang)
+    lam_w = wl * weight(lam) / n_ang          # db = 2 pi / n_ang, times 1 / 2 pi
 
     def K(z: complex, w: complex) -> complex:
-        bus_z = _busemann_array(z, b)
-        bus_w = _busemann_array(w, b)
-        acc = 0.0 + 0.0j
-        for i, l in enumerate(lam):
-            av = np.array([a(z, float(l), bb) for bb in b])
-            integrand = av * np.exp((0.5 + 1j * l) * bus_z + (0.5 - 1j * l) * bus_w)
-            acc += wl[i] * float(weight(float(l))) * np.sum(integrand) * wb
-        return complex(acc / TWO_PI)
+        av = np.array([np.broadcast_to(a(z, float(l), b), b.shape) for l in lam])
+        waves = np.exp(np.multiply.outer(0.5 + 1j * lam, _busemann_array(z, b))
+                       + np.multiply.outer(0.5 - 1j * lam, _busemann_array(w, b)))
+        return complex(lam_w @ np.sum(av * waves, axis=1))
 
     return K
 
 
-def hs_norm_disc(a: Callable[[complex, float, complex], complex],
+def hs_norm_disc(a: Callable[[complex, float, np.ndarray], np.ndarray],
                  z_support_radius: float, lambda_support: tuple,
                  weight: PlancherelWeight,
                  n_rad: int = 48, n_zang: int = 64, n_lam: int = 48,
@@ -576,26 +564,26 @@ def hs_norm_disc(a: Callable[[complex, float, complex], complex],
 
     ||Op(a)||_HS^2 = iiint |a(z, lam, b)|^2 e^{<z,b>} W(lam) dmu(z) dlam db,
     with W = weight.hs_weight, the weight that makes the identity exact for
-    kernels built by kernel_from_symbol under the same convention.
+    kernels built by kernel_from_symbol under the same convention.  a follows
+    the symbol contract (z and lam scalars, b the array of the n_bang boundary
+    nodes, a result that broadcasts to b): it is called once per (z, lam)
+    node, n_rad * n_zang * n_lam times in all.
     """
-    t_max = 2.0 * math.atanh(z_support_radius)
-    t, wt = gauss_legendre(0.0, t_max, n_rad)
-    phis = TWO_PI * np.arange(n_zang) / n_zang
+    t, wt = gauss_legendre(0.0, 2.0 * math.atanh(z_support_radius), n_rad)
+    e_ang = np.exp(1j * TWO_PI * np.arange(n_zang) / n_zang)
     lam, wl = gauss_legendre(lambda_support[0], lambda_support[1], n_lam)
-    theta = TWO_PI * np.arange(n_bang) / n_bang
-    b = np.exp(1j * theta)
-    hsw = np.asarray(weight.hs_weight(lam), dtype=float)
+    b = np.exp(1j * TWO_PI * np.arange(n_bang) / n_bang)
+    lam_w = wl * np.asarray(weight.hs_weight(lam), dtype=float)
     total = 0.0
-    for i, tt in enumerate(t):
-        r_e = math.tanh(tt / 2.0)
-        for ph in phis:
-            z = r_e * np.exp(1j * ph)
-            pz = np.exp(_busemann_array(z, b))
-            lam_acc = 0.0
-            for j, l in enumerate(lam):
-                av2 = np.abs(np.array([a(z, float(l), bb) for bb in b])) ** 2
-                lam_acc += wl[j] * hsw[j] * float(np.sum(av2 * pz)) * (TWO_PI / n_bang)
-            total += wt[i] * math.sinh(tt) * (TWO_PI / n_zang) * lam_acc
+    # math.tanh and math.sinh: numpy's vectorized forms differ in the last bit
+    for (tt, w_t), e in itertools.product(zip(t, wt), e_ang):
+        z = math.tanh(tt / 2.0) * e
+        pz = np.exp(_busemann_array(z, b))
+        lam_acc = 0.0
+        for l, w_l in zip(lam, lam_w):
+            av = np.broadcast_to(a(z, float(l), b), b.shape)
+            lam_acc += w_l * float(np.sum(np.abs(av) ** 2 * pz)) * (TWO_PI / n_bang)
+        total += w_t * math.sinh(tt) * (TWO_PI / n_zang) * lam_acc
     return total
 
 

@@ -91,7 +91,7 @@ class TestAngularDecomposition:
             u = mobius_apply_complex(trans.inverse(), b)
             return (1.0 + abs(z) ** 2) * cmath.cos(cmath.phase(u))
 
-        sym = O.Symbol(sym_eval)
+        sym = O.Symbol(np.vectorize(sym_eval, otypes=[complex]))
         parts = O.angular_decompose(sym, 0.25 - 0.35j, 1.0)
         assert abs(parts.mean) < 1e-10
         assert O.condition_a1_holds(sym, 0.25 - 0.35j, 1.0)
@@ -116,7 +116,7 @@ class TestThetaNorm:
             u = mobius_apply_complex(trans.inverse(), b)
             return cmath.cos(cmath.phase(u))
 
-        sym = O.Symbol(sym_eval)
+        sym = O.Symbol(np.vectorize(sym_eval, otypes=[complex]))
         val = O.theta_second_derivative_norm(sym, (1.0, 1.5), bolza, n_mc=300,
                                              seed=2, n_lam=2)
         assert val == pytest.approx(0.5, abs=0.06)
@@ -128,7 +128,7 @@ class TestThetaNorm:
                 trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
                 u = mobius_apply_complex(trans.inverse(), b)
                 return amp * cmath.cos(cmath.phase(u))
-            return O.Symbol(sym_eval)
+            return O.Symbol(np.vectorize(sym_eval, otypes=[complex]))
 
         v1 = O.theta_second_derivative_norm(mk(1.0), (1.0, 1.2), bolza, 60, 3, n_lam=2)
         v2 = O.theta_second_derivative_norm(mk(2.0), (1.0, 1.2), bolza, 60, 3, n_lam=2)

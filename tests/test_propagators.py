@@ -166,6 +166,15 @@ class TestCertificate:
         assert cert.upper_half_variation < 0.20
         assert cert.lemma_a1_const > 0
 
+    def test_shared_time_nodes_keep_each_floor(self):
+        # h is computed once per distinct time node across T_list; each floor
+        # must still be the min of its own avg_multiplier_H, bit for bit
+        lo, hi, sigma, T_list = 1.0, 1.5, 0.1, (3.0, 6.0, 4.5)
+        cert = prop33_certificate((lo, hi), sigma, T_list, lam_spacing=0.125)
+        lam_grid = np.linspace(lo, hi, 5)
+        for T, c in zip(T_list, cert.c_min):
+            assert c == float(np.min(avg_multiplier_H(T, sigma, lam_grid)))
+
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             prop33_certificate((1.5, 1.5), 0.1, (10.0,))

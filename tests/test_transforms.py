@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from hypsurf.errors import SeriesDiverged
+from hypsurf.quadrature import gauss_legendre
 from hypsurf.transforms import (
     PlancherelWeight,
     RadialKernel,
@@ -53,6 +55,24 @@ class TestSphericalPhi:
                 oracle = float(mp.re(mp.legenp(mp.mpc(-0.5, lam), 0, mp.cosh(t))))
                 assert spherical_phi(lam, t) == pytest.approx(oracle, abs=1e-9)
                 assert phi_eval(lam, t) == pytest.approx(oracle, abs=1e-9)
+
+    def test_phi_eval_grid(self):
+        # one (t, lambda) grid across both routes and the c-function pole
+        ts = np.array([0.0, 1e-3, 0.4, 0.999, 1.0, 1.7, 3.0, 9.0])
+        lams = np.array([0.0, 1e-9, 1e-8, 0.5, 1.3, 2.0, 4.0])
+        grid = phi_eval(lams, ts)
+        assert grid.shape == (ts.size, lams.size)
+        for i, t in enumerate(ts):
+            oracle = [float(mp.re(mp.legenp(mp.mpc(-0.5, lam), 0, mp.cosh(t))))
+                      for lam in lams]
+            assert np.max(np.abs(grid[i] - oracle)) <= 1e-9
+            # the same values from a row call and from scalar calls, up to the
+            # summation order of the matrix products (|phi| <= 1)
+            assert np.max(np.abs(phi_eval(lams, t) - grid[i])) <= 2e-15
+            for j, lam in enumerate(lams):
+                assert phi_eval(float(lam), float(t)) == pytest.approx(grid[i, j],
+                                                                       abs=2e-15)
+        assert phi_eval(lams.reshape(7, 1), ts[:2]).shape == (2, 7, 1)
 
     def test_md_grid_keeps_digits_at_small_t(self):
         # cosh t - cosh u cancels at small t unless it is formed stably
@@ -275,6 +295,69 @@ class TestSymbolKernels:
         for w in [0.1, 0.3 + 0.2j, 0.5j]:
             d = 2.0 * math.atanh(abs(w))
             assert K(0j, w).real == pytest.approx(float(k(d)), abs=1e-6)
+
+
+def _poisson(z, b):
+    return (1.0 - abs(z) ** 2) / abs(z - b) ** 2
+
+
+def _b_symbol(rho):
+    """A symbol that depends on b, written once for scalar and array b."""
+    def a(z, l, b):
+        return complex(rho(l)) * (1.0 + 0.4 * np.real(b) + 0.3j * np.imag(b * np.conj(z)))
+    return a
+
+
+class TestSymbolContract:
+    def test_hs_norm_matches_pointwise_loop(self):
+        weight = PlancherelWeight.paper()
+        a = _b_symbol(bump_multiplier(1.0, 2.0))
+        r0, n_rad, n_zang, n_lam, n_bang = 0.4, 3, 4, 5, 16
+        t, wt = gauss_legendre(0.0, 2.0 * math.atanh(r0), n_rad)
+        lam, wl = gauss_legendre(1.0, 2.0, n_lam)
+        ref = 0.0
+        for i, tt in enumerate(t):
+            for p in range(n_zang):
+                z = math.tanh(tt / 2.0) * cmath.exp(2j * math.pi * p / n_zang)
+                for j, l in enumerate(lam):
+                    for q in range(n_bang):
+                        b = cmath.exp(2j * math.pi * q / n_bang)
+                        ref += (wt[i] * math.sinh(tt) * (TWO_PI / n_zang)
+                                * wl[j] * float(weight.hs_weight(l))
+                                * abs(a(z, float(l), b)) ** 2 * _poisson(z, b)
+                                * (TWO_PI / n_bang))
+        got = hs_norm_disc(a, r0, (1.0, 2.0), weight, n_rad=n_rad, n_zang=n_zang,
+                           n_lam=n_lam, n_bang=n_bang)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    def test_kernel_matches_pointwise_loop(self):
+        weight = PlancherelWeight.harmonic()
+        a = _b_symbol(bump_multiplier(1.0, 2.0))
+        n_lam, n_ang = 6, 24
+        K = kernel_from_symbol(a, (1.0, 2.0), weight, n_lam=n_lam, n_ang=n_ang)
+        lam, wl = gauss_legendre(1.0, 2.0, n_lam)
+        for z, w in [(0.1 + 0.2j, -0.3 + 0.1j), (0.0j, 0.5j)]:
+            ref = 0.0
+            for j, l in enumerate(lam):
+                for q in range(n_ang):
+                    b = cmath.exp(2j * math.pi * q / n_ang)
+                    ref += (wl[j] * float(weight(l)) * (TWO_PI / n_ang) / TWO_PI
+                            * a(z, float(l), b)
+                            * _poisson(z, b) ** (0.5 + 1j * l)
+                            * _poisson(w, b) ** (0.5 - 1j * l))
+            assert abs(K(z, w) - ref) <= 1e-13 * abs(ref)
+
+    def test_hs_norm_calls_symbol_once_per_z_and_lambda(self):
+        calls = []
+
+        def a(z, l, b):
+            calls.append(np.shape(b))
+            return 1.0 + 0j
+
+        hs_norm_disc(a, 0.5, (1.0, 2.0), PlancherelWeight.paper(),
+                     n_rad=3, n_zang=5, n_lam=7, n_bang=32)
+        assert len(calls) == 3 * 5 * 7
+        assert set(calls) == {(32,)}
 
 
 class TestHsNorm:
