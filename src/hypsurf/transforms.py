@@ -171,32 +171,71 @@ def spherical_phi(lam: float, t: float, tol: float = 1e-9) -> float:
 # Spherical function: Mehler-Dirichlet integral (fast, any t > 0)
 # ---------------------------------------------------------------------------
 
-def _md_integral(lams, t, n: int = 160) -> np.ndarray:
-    """int_0^t cos(lam u) / sqrt(cosh t - cosh u) du on the (t, lambda) grid, t >= 0.
+# Size of one batched block, in array elements: (t, lambda) cells of a phi
+# grid, (cell, node) values of the Mehler-Dirichlet integral, or kernel nodes
+# of one abel_transform call.  It keeps the temporaries of a call near a MB
+# whatever the grid size.
+_BLOCK = 1 << 14
 
-    Plain panel up to t - min(1, t/2); the rest in v = sqrt(cosh t - cosh u),
-    which removes the integrable 1/sqrt singularity at u = t.  Rows are
-    integrated one t at a time (each has its own nodes), so no
-    (t, lambda, node) array is built; rows t = 0 are 0, the integral over
-    [0, 0].  Returns shape(t) + shape(lams).
+
+def _md_rows(lams, ts) -> np.ndarray:
+    """The Mehler-Dirichlet integral on the (t, lambda) grid of 1-d ts > 0 and lams.
+
+    Cells of one Gauss-Legendre order share their rows' nodes and are summed
+    in blocks of at most _BLOCK node values.
     """
-    lams = np.asarray(lams, dtype=float)
-    ts = np.asarray(t, dtype=float)
-    out = np.zeros(ts.shape + lams.shape)
-    for i in map(tuple, np.argwhere(ts)):
-        tt = float(ts[i])
-        split = tt - min(1.0, tt / 2.0)
-        u, w = gauss_legendre(0.0, split, max(n, int(6 * tt)))
-        total = np.cos(np.multiply.outer(lams, u)) @ (w / np.sqrt(cosh_diff(tt, u)))
-        u, v, w = sqrt_edge_rule(tt, split, tt, n)
-        out[i] = total + np.cos(np.multiply.outer(lams, u)) @ (w / v)
+    out = np.zeros((ts.size, lams.size))
+    split = ts - np.minimum(1.0, ts / 2.0)
+    edge = 32 * np.ceil((24.0 + np.multiply.outer(ts, np.abs(lams))) / 32.0).astype(int)
+    plain = np.maximum(edge, (6.0 * ts).astype(int)[:, None])
+    for orders, is_edge in ((plain, False), (edge, True)):
+        for n in np.unique(orders):
+            rows, cols = np.nonzero(orders == n)
+            rs, at = np.unique(rows, return_inverse=True)
+            if is_edge:
+                u, v, w = sqrt_edge_rule(ts[rs], split[rs], ts[rs], n)
+                wu = w / v
+            else:
+                u, w = gauss_legendre(0.0, split[rs, None], n)
+                wu = w / np.sqrt(cosh_diff(ts[rs, None], u))
+            step = max(1, _BLOCK // n)
+            for s in range(0, rows.size, step):
+                c = slice(s, s + step)
+                x = lams[cols[c], None] * u[at[c]]
+                np.cos(x, out=x)
+                out[rows[c], cols[c]] += np.einsum("ij,ij->i", x, wu[at[c]])
     return out
 
 
-def _phi_md_grid(lams, t, n: int = 160) -> np.ndarray:
+def _md_integral(lams, t) -> np.ndarray:
+    """int_0^t cos(lam u) / sqrt(cosh t - cosh u) du on the (t, lambda) grid, t >= 0.
+
+    Plain panel up to t - min(1, t/2); the rest in v = sqrt(cosh t - cosh u),
+    which removes the integrable 1/sqrt singularity at u = t.  Each cell has
+    its own Gauss-Legendre order n = 32 ceil((24 + |lam| t) / 32), enough for
+    the |lam| t / (2 pi) periods of cos(lam u); the plain panel takes at
+    least 6 t nodes, for the growth of the integrand towards u = t.  As the
+    order depends on the cell alone, a cell's value does not depend on the
+    grid around it.  Rows go to _md_rows in groups of about _BLOCK cells, so
+    memory stays bounded.  Rows t = 0 are 0, the integral over [0, 0].
+    Returns shape(t) + shape(lams).
+    """
+    lams = np.asarray(lams, dtype=float)
+    ts = np.asarray(t, dtype=float)
+    lam1, t1 = lams.ravel(), ts.ravel()
+    out = np.zeros((t1.size, lam1.size))
+    pos = np.flatnonzero(t1)
+    step = max(1, _BLOCK // max(1, lam1.size))
+    for s in range(0, pos.size, step):
+        rows = pos[s:s + step]
+        out[rows] = _md_rows(lam1, t1[rows])
+    return out.reshape(ts.shape + lams.shape)
+
+
+def _phi_md_grid(lams, t) -> np.ndarray:
     """phi on the (t, lambda) grid: (sqrt 2 / pi) times the Mehler-Dirichlet integral."""
     ts = np.asarray(t, dtype=float)
-    out = _md_integral(lams, ts, n)
+    out = _md_integral(lams, ts)
     out *= math.sqrt(2.0) / math.pi
     out[ts == 0.0] = 1.0
     return out
@@ -241,23 +280,25 @@ def series_coefficients(lam, lmax: int) -> np.ndarray:
 def _phi_series(lams, ts, l_max) -> np.ndarray:
     """2 Re[c(lam) e^{(-1/2 + i lam) t} sum_{l <= l_max} Gamma_l(lam) e^{-2 l t}].
 
-    lams and ts are 1-d (lam > 1e-8); l_max is one int or one per t.
-    Returns the (t, lambda) grid.
+    lams and ts are 1-d (lam > 1e-8); l_max is one int or one per t.  Each
+    row is summed to its own l_max: rows of one l_max go together, in
+    blocks of about _BLOCK cells.  Returns the (t, lambda) grid.
     """
-    l_max = np.asarray(l_max)
-    g = series_coefficients(lams, int(l_max.max(initial=0)))
-    ls = np.arange(g.shape[0])
-    decay = np.where(ls <= l_max[..., None], np.exp(-2.0 * np.multiply.outer(ts, ls)), 0.0)
-    # 2 Re[cs e^{(-1/2 + i lam) t}] with cs = sum_l c Gamma_l e^{-2 l t}, in cos
-    # and sin, in place on the (t, lam) grid
-    cg = harish_chandra_c(lams) * g
-    lt = np.multiply.outer(ts, lams)
-    out = np.cos(lt)
-    out *= decay @ np.ascontiguousarray(cg.real)
-    np.sin(lt, out=lt)
-    lt *= decay @ np.ascontiguousarray(cg.imag)
-    out -= lt
-    out *= 2.0 * np.exp(-0.5 * ts)[:, None]
+    l_max = np.broadcast_to(l_max, ts.shape)
+    cg = harish_chandra_c(lams) * series_coefficients(lams, int(l_max.max(initial=0)))
+    out = np.empty((ts.size, lams.size))
+    step = max(1, _BLOCK // max(1, lams.size))
+    for L in np.unique(l_max):
+        group = np.flatnonzero(l_max == L)
+        for s in range(0, group.size, step):
+            rows = group[s:s + step]
+            t = ts[rows]
+            decay = np.exp(-2.0 * np.multiply.outer(t, np.arange(L + 1)))
+            # 2 Re[cs e^{(-1/2 + i lam) t}] with cs = sum_l c Gamma_l e^{-2 l t}
+            lt = np.multiply.outer(t, lams)
+            val = np.cos(lt) * (decay @ cg.real[:L + 1])
+            val -= np.sin(lt) * (decay @ cg.imag[:L + 1])
+            out[rows] = val * (2.0 * np.exp(-0.5 * t))[:, None]
     return out
 
 
@@ -290,16 +331,19 @@ def spherical_phi_series(lam: float, t: float, l_max: int = 40,
 def phi_eval(lam, t):
     """phi_lambda(t) on the grid of t and lambda, of shape shape(t) + shape(lam).
 
-    Rows t < 1 come from the Mehler-Dirichlet integral, rows t >= 1 from the
-    large-t series truncated at l = max(6, int(40 / t) + 4); its c-function
-    pole at lambda = 0 sends lambda <= 1e-8 to the integral on every row.
-    Both routes agree with the boundary-circle definition.  Scalars in give
-    a float.
+    Rows t < 1 come from the Mehler-Dirichlet integral, each (t, lambda) cell
+    with its own Gauss-Legendre order 32 ceil((24 + |lambda| t) / 32), so a
+    cell has the same value in a scalar call as in any grid.  Rows t >= 1
+    come from the large-t series truncated at l = max(6, int(40 / t) + 4);
+    its two conjugate terms, of size |c(lambda)| ~ 1 / (pi lambda), cancel as
+    lambda -> 0, so lambda < 1e-2 goes to the integral on every row.  Both
+    routes agree with the boundary-circle definition.  Scalars in give a
+    float.
     """
     lams = np.asarray(lam, dtype=float)
     ts = np.asarray(t, dtype=float)
     lam1, t1 = lams.ravel(), ts.ravel()
-    far, series = t1 >= 1.0, lam1 > 1e-8
+    far, series = t1 >= 1.0, lam1 >= 1e-2
     tf = t1[far]
     # rows t >= 1 enter the integral as t = 0, which it skips; they are filled below
     out = _phi_md_grid(lam1, np.where(far, 0.0, t1))
@@ -357,15 +401,26 @@ def inverse_selberg(rho: SpectralMultiplier, weight: PlancherelWeight,
     With norm = 1 this is the radial kernel of the operator with multiplier
     rho under the chosen weight convention.  k_rho on an array of t is the
     phi_eval grid at the n_lambda Gauss-Legendre nodes of rho's support
-    times the vector of rho w and the node weights.
+    times the vector of rho w and the node weights, taken 16 _BLOCK grid
+    cells at a time: the whole grid is never held, and phi_eval's per-call
+    work (the series coefficients) stays small beside a chunk's.
     """
     lo, hi = rho.support
     if not math.isfinite(hi):
         raise ValueError("inverse transform needs a compactly supported multiplier")
     lam, lw = gauss_legendre(lo, hi, n_lambda)
     wvals = weight(lam) * rho(lam) * lw * norm
-    return RadialKernel(lambda t: phi_eval(lam, t) @ wvals,
-                        smoothness_class="schwartz-like")
+    step = max(1, 16 * _BLOCK // n_lambda)
+
+    def k(t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        vals = np.empty(flat.shape)
+        for s in range(0, flat.size, step):
+            vals[s:s + step] = phi_eval(lam, flat[s:s + step]) @ wvals
+        return vals.reshape(t.shape)
+
+    return RadialKernel(k, smoothness_class="schwartz-like")
 
 
 def k_rho_scaled(rho: SpectralMultiplier, weight: PlancherelWeight, ts,
@@ -396,39 +451,59 @@ def matched_norm(weight: PlancherelWeight, selberg_norm: float = TWO_PI) -> floa
 def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
     """g(u) = sqrt2 int_{|u|}^T k(r) sinh r / sqrt(cosh r - cosh u) dr.
 
-    The inverse square root is singular at r = |u|; on [|u|, |u|+1] the
-    variable v = sqrt(cosh r - cosh u) removes it (sqrt_edge_rule), and the
-    remainder is integrated in r directly.
+    The inverse square root is singular at r = |u|; on [|u|, mid], with
+    mid = min(|u| + 1, T), the variable v = sqrt(cosh r - cosh u) removes it
+    (sqrt_edge_rule, n nodes a panel), and [mid, T] is integrated in r
+    directly (max(n, int(16 * length)) nodes a panel).  Both stretches are
+    split at the kernel's knots.  The profile takes all its u at once: each
+    knot interval, clipped to every u's two stretches, gives one broadcast
+    rule, and the kernel sees the nodes of blocks of u, at most _BLOCK
+    nodes a call.  Empty panels are dropped; each u sums its panels in the
+    order of r.
     """
     if not math.isfinite(k.support_bound):
         raise ValueError("Abel transform implemented for compactly supported kernels")
     T = k.support_bound
+    cuts = [0.0] + sorted(b for b in k.breakpoints if 0.0 < b < T) + [T]
+    intervals = list(zip(cuts[:-1], cuts[1:]))
+    # a u has at most one panel per stretch and interval: bound its nodes
+    most = sum(n + max(n, int(16 * (hi - lo))) for lo, hi in intervals)
+    per_block = max(1, _BLOCK // most)
 
-    knots = sorted(b for b in k.breakpoints if 0.0 < b < T)
+    def panel_sums(u):
+        """Per-panel sums of k(r) sinh r / sqrt(cosh r - cosh u) w, and their u."""
+        mid = np.minimum(u + 1.0, T)
+        panels = []          # (owner, nodes, sqrt(cosh r - cosh u), weights)
+        for lo, hi in intervals:
+            a, b = np.clip(lo, u, mid), np.clip(hi, u, mid)
+            take = np.flatnonzero(b > a)
+            if take.size:
+                r, v, w = sqrt_edge_rule(u[take], a[take], b[take], n)
+                panels.append((take, r, v, w))
+            a = np.maximum(lo, mid)
+            take = np.flatnonzero(hi > a)
+            n_tail = np.maximum(n, (16 * (hi - a[take])).astype(int))
+            for m in np.unique(n_tail):
+                sel = take[n_tail == m]
+                r, w = gauss_legendre(a[sel, None], hi, m)
+                panels.append((sel, r, np.sqrt(cosh_diff(r, u[sel, None])), w))
+        kr = k(np.concatenate([p[1].ravel() for p in panels]))
+        sums, start = [], 0
+        for _, r, d, w in panels:
+            kv = kr[start:start + r.size].reshape(r.shape)
+            start += r.size
+            sums.append(np.sum(kv * np.sinh(r) / d * w, axis=-1))
+        return np.concatenate([p[0] for p in panels]), np.concatenate(sums)
 
     def g(us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
+        us = np.abs(np.atleast_1d(np.asarray(us, dtype=float)))
         out = np.zeros(us.shape)
-        for i, u in enumerate(np.abs(us)):
-            if u >= T:
-                continue
-            mid = min(u + 1.0, T)
-            acc = 0.0
-            # singular stretch in v, split at kernel knots so each panel is smooth
-            edges = [u] + [b for b in knots if u < b < mid] + [mid]
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                if hi <= lo:
-                    continue
-                r, v, w = sqrt_edge_rule(u, lo, hi, n)
-                acc += float(np.sum(k(r) * np.sinh(r) / v * w))
-            if mid < T:
-                r_edges = [mid] + [b for b in knots if mid < b < T] + [T]
-                for lo, hi in zip(r_edges[:-1], r_edges[1:]):
-                    n_tail = max(n, int(16 * (hi - lo)))
-                    r2, w2 = gauss_legendre(lo, hi, n_tail)
-                    acc += float(np.sum(k(r2) * np.sinh(r2)
-                                        / np.sqrt(cosh_diff(r2, u)) * w2))
-            out[i] = math.sqrt(2.0) * acc
+        live = np.flatnonzero(us < T)
+        for s in range(0, live.size, per_block):
+            idx = live[s:s + per_block]
+            owner, sums = panel_sums(us[idx])
+            # bincount adds each u's panel sums in the order they were made
+            out[idx] = math.sqrt(2.0) * np.bincount(owner, weights=sums, minlength=idx.size)
         return out
 
     return AbelProfile(lambda u: g(u) if np.ndim(u) else float(g(np.array([u]))[0]),

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from hypsurf.errors import SeriesDiverged
-from hypsurf.quadrature import gauss_legendre
+from hypsurf.quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule
 from hypsurf.transforms import (
     PlancherelWeight,
     RadialKernel,
@@ -82,6 +82,27 @@ class TestSphericalPhi:
                       for lam in lams]
             assert np.max(np.abs(_phi_md_grid(lams, t) - oracle)) <= 1e-13
 
+    def test_md_grid_at_large_lambda_t(self):
+        # cos(lam u) has lam t / (2 pi) periods on [0, t]: the rule must grow with them
+        for t, lam in [(0.99, 64.0), (3.0, 32.0), (10.0, 32.0), (20.0, 32.0)]:
+            oracle = float(mp.re(mp.legenp(mp.mpc(-0.5, lam), 0, mp.cosh(t), type=3)))
+            assert abs(float(_phi_md_grid(np.array([lam]), t)[0]) - oracle) <= 1e-13
+
+    def test_small_lambda_on_far_rows(self):
+        # the series' conjugate terms, of size 1 / (pi lambda), cancel as lambda -> 0
+        for lam in [1e-7, 1e-5, 1e-3]:
+            for t in [1.0, 3.0, 9.0]:
+                oracle = float(mp.re(mp.legenp(mp.mpc(-0.5, lam), 0, mp.cosh(t), type=3)))
+                assert abs(phi_eval(lam, t) - oracle) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.9, 2.5])
+    def test_cells_do_not_depend_on_the_grid(self, t):
+        # the three lambdas take different Mehler-Dirichlet orders at t = 0.9
+        lams = np.array([0.5, 4.0, 40.0])
+        row = phi_eval(lams, t)
+        for lam, val in zip(lams, row):
+            assert abs(phi_eval(float(lam), t) - val) <= 2e-15
+
     def test_series_matches_integral(self):
         for lam in [0.5, 1.0, 2.0, 3.0]:
             for t in [1.0, 2.0, 5.0, 10.0]:
@@ -144,6 +165,38 @@ class TestTriangle:
                       u0, t0, points=[u0], limit=200)
         oracle = math.sqrt(2.0 / math.cosh(t0)) * val
         assert abel_sharp(t0)(u0) == pytest.approx(oracle, abs=1e-8)
+
+    def test_abel_profile_matches_per_u_loop(self):
+        # the per-u loop below is the reference algorithm: the singular stretch
+        # [u, min(u + 1, T)] in v, the rest in r, both split at the kernel's knot
+        t0, sigma, n = 2.0, 0.3, 200
+        k = RadialKernel(lambda r: np.cosh(t0) ** -0.5 * smoothstep_eta((r - t0) / sigma),
+                         support_bound=t0, breakpoints=(t0 - sigma,))
+        knots = [t0 - sigma]
+
+        def g_loop(u):
+            if u >= t0:
+                return 0.0
+            mid, acc = min(u + 1.0, t0), 0.0
+            edges = [u] + [b for b in knots if u < b < mid] + [mid]
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                if hi > lo:
+                    r, v, w = sqrt_edge_rule(u, lo, hi, n)
+                    acc += float(np.sum(k(r) * np.sinh(r) / v * w))
+            edges = [mid] + [b for b in knots if mid < b < t0] + [t0]
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                if hi > lo:
+                    r, w = gauss_legendre(lo, hi, max(n, int(16 * (hi - lo))))
+                    acc += float(np.sum(k(r) * np.sinh(r) / np.sqrt(cosh_diff(r, u)) * w))
+            return math.sqrt(2.0) * acc
+
+        # 64 spread points take the profile through several blocks of u
+        us = np.concatenate([[0.0, 0.5, t0 - sigma - 1e-9, t0 - sigma + 1e-9,
+                              t0 - 1e-12, t0, t0 + 1.0], np.linspace(0.0, t0, 64)])
+        got = abel_transform(k, n=n)(us)
+        want = np.array([g_loop(u) for u in us])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        assert got[0] > 0.0 and got[5] == got[6] == 0.0
 
     def test_vanishes_outside_support(self):
         g = abel_sharp(2.0)
