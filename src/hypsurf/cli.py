@@ -307,9 +307,9 @@ def _tower_surface(base, degree, seed):
     return base if degree == 1 else random_cover(base, degree, seed)
 
 
-def _mesh_counters(mesh) -> dict:
+def _mesh_counters(mesh, data) -> dict:
     return {"mesh_nodes": len(mesh.points), "triangles": mesh.triangles,
-            "stiffness_nnz": int(mesh.stiffness.nnz)}
+            "stiffness_nnz": int(mesh.stiffness.nnz), "factor_nnz": data.factor_nnz}
 
 
 def cmd_variance(args) -> int:
@@ -371,7 +371,7 @@ def cmd_tower(args) -> int:
                           "uncertainty": rep.uncertainty,
                           "weyl_ratio": wr.ratio,
                           "min_new_eigenvalue": float(new.min()) if len(new) else None,
-                          **_mesh_counters(mesh)})
+                          **_mesh_counters(mesh, data)})
     trend_ok = all(
         summaries[i + 1]["variance"] <= summaries[i]["variance"]
         + 2.0 * (summaries[i]["spread_stderr"] + summaries[i + 1]["spread_stderr"])
@@ -406,7 +406,7 @@ def cmd_fem(args) -> int:
     write_summary(args.out, "fem", {
         "config": {**_base_config(args), "surface": args.surface, "h": args.h,
                    "modes": args.modes, "degree": args.degree},
-        "n_mesh": len(data.points), **_mesh_counters(mesh),
+        "n_mesh": len(data.points), **_mesh_counters(mesh, data),
         "eigenvalues": list(data.eigenvalues),
         "max_residual": float(np.max(data.residuals)),
         "gram_deviation": data.gram_deviation(), "passed": True})

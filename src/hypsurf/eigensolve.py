@@ -19,9 +19,15 @@ right triangles with opposite edges identified; its stiffness is exactly the
 (4/h^2)(sin^2 pi m h + sin^2 pi n h) tests the assembly that builds the
 octagon and its covers.
 
-K is exactly symmetric and its rows sum to zero up to rounding.  Eigenpairs
-come from shift-invert Lanczos (ARPACK) on K psi = nu M psi, started from a
-fixed vector so that runs are reproducible.
+K is exactly symmetric and its rows sum to zero up to rounding.  M is
+diagonal (the weights W), so K psi = nu M psi is solved in the standard form
+K~ y = nu y with K~ = W^-1/2 K W^-1/2 and psi = W^-1/2 y: shift-invert
+Lanczos (ARPACK mode 3, no M-products) around _SHIFT, below the spectrum,
+started from a fixed vector so that runs are reproducible.  K~ - _SHIFT I is
+positive definite, so SuperLU factorizes it once without pivoting, in its
+symmetric mode (minimum degree on A^T + A, diagonal pivots): about half the
+fill of a column-pivoted LU.  Every solve, plain or one character block,
+goes through this one path.
 
 Covers are solved one character of the deck group at a time.  The mesh
 records `deck`, the unknown holding the same node one sheet up
@@ -71,6 +77,10 @@ from .geometry import _mobius_array
 _CLEARANCE = 0.5    # grid nodes stay this many h away from every side node
 _MATCH_TOL = 1e-9   # a side node's pairing image lands this close to a side node
 _PAD = 6            # eigenpairs asked of each character block beyond its share
+# shift of the one factorization per block.  K is positive semidefinite, so
+# K~ - _SHIFT I is positive definite: its LU needs no pivoting for stability
+# and can keep the symmetric fill-reducing order on the diagonal.
+_SHIFT = -0.1
 
 
 @dataclass(frozen=True)
@@ -250,6 +260,7 @@ class EigenData:
     volume: float
     h: float
     characters: np.ndarray      # deck character k of each mode, 0 off covers
+    factor_nnz: int = 0         # L + U entries of the solve's factors; 0 if read from files
 
     @property
     def n_modes(self) -> int:
@@ -270,37 +281,49 @@ class EigenData:
         return self
 
 
-def _smallest_pairs(K, weights: np.ndarray, count: int, sigma: float):
-    """The count eigenpairs of K psi = nu diag(weights) psi nearest sigma, ascending."""
+def _smallest_pairs(K, weights: np.ndarray, count: int):
+    """The count lowest eigenpairs of K psi = nu diag(weights) psi, ascending,
+    and the L + U entries of the one factorization the solve made."""
+    n = K.shape[0]
+    s = 1.0 / np.sqrt(weights)
+    coo = K.tocoo()
+    # s_i s_j is formed first, so the scaled matrix is exactly symmetric
+    # (Hermitian) whenever K is
+    A = sp.csc_matrix((coo.data * (s[coo.row] * s[coo.col]), (coo.row, coo.col)),
+                      shape=K.shape)
+    lu = spla.splu(A - _SHIFT * sp.eye(n, format="csc"),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    op = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
     # a fixed start makes runs reproducible; not a constant vector, which is
     # the null eigenvector and would end the Lanczos iteration
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals, vecs = spla.eigsh(K, k=count, M=sp.diags(weights), sigma=sigma,
-                                which="LM", v0=v0)
+        vals, vecs = spla.eigsh(A, k=count, sigma=_SHIFT, which="LM", v0=v0, OPinv=op)
     except spla.ArpackNoConvergence as exc:
         raise SolverNotConverged(str(exc)) from exc
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], s[:, None] * vecs[:, order], int(lu.L.nnz + lu.U.nnz)
 
 
-def _character_pairs(K, weights: np.ndarray, count: int, sigma: float):
-    """Eigenpairs of one character block, M-orthonormal.  A complex block is
-    solved by ARPACK's non-Hermitian driver, whose Ritz vectors are neither
-    M-normalized nor orthogonal inside clusters: a Rayleigh-Ritz step on
+def _character_pairs(K, weights: np.ndarray, count: int):
+    """Eigenpairs of one character block, M-orthonormal, and the factor's
+    fill.  A complex block is solved by ARPACK's non-Hermitian iteration, whose
+    Ritz vectors are not orthogonal inside clusters: a Rayleigh-Ritz step on
     their span makes them so."""
     from scipy.linalg import eigh
-    vals, vecs = _smallest_pairs(K, weights, count, sigma)
+    vals, vecs, fill = _smallest_pairs(K, weights, count)
     if np.iscomplexobj(K):
         gram = vecs.conj().T @ (weights[:, None] * vecs)
         vals, coef = eigh(vecs.conj().T @ (K @ vecs), gram)
         vecs = vecs @ coef
-    return vals, vecs
+    return vals, vecs, fill
 
 
-def _character_solve(mesh: SurfaceMesh, n_modes: int, sigma: float):
+def _character_solve(mesh: SurfaceMesh, n_modes: int):
     """The n_modes lowest eigenpairs of a cover, one deck character at a time
-    (see the module docstring); returns values, cover modes and characters."""
+    (see the module docstring); returns values, cover modes, characters and
+    the fill of every factorization made, re-solves included."""
     n = len(mesh.deck)
     walk = _deck_walk(mesh.deck)
     d = len(walk)
@@ -313,7 +336,7 @@ def _character_solve(mesh: SurfaceMesh, n_modes: int, sigma: float):
     ks = range(d // 2 + 1)
     mult = {k: 1 if 2 * k % d == 0 else 2 for k in ks}   # a complex pair is 2 modes
     count = dict.fromkeys(ks, -(-n_modes // d) + _PAD)
-    pairs = {}
+    pairs, fill = {}, 0
     while True:
         for k in ks:
             if k in pairs and len(pairs[k][0]) == count[k]:
@@ -323,7 +346,8 @@ def _character_solve(mesh: SurfaceMesh, n_modes: int, sigma: float):
             phase = np.exp(2j * np.pi * (k * offset[rows.col] % d) / d)
             Kk = sp.csr_matrix((rows.data * (phase.real if mult[k] == 1 else phase),
                                 (rows.row, orbit[rows.col])), shape=(len(reps),) * 2)
-            pairs[k] = _character_pairs(0.5 * (Kk + Kk.conj().T), w, count[k], sigma)
+            vals, vecs, f = _character_pairs(0.5 * (Kk + Kk.conj().T), w, count[k])
+            pairs[k], fill = (vals, vecs), fill + f
         nu = np.concatenate([np.repeat(pairs[k][0], mult[k]) for k in ks])
         cut = np.sort(nu)[n_modes - 1]
         short = [k for k in ks if pairs[k][0][-1] < cut]
@@ -334,28 +358,27 @@ def _character_solve(mesh: SurfaceMesh, n_modes: int, sigma: float):
     char = np.concatenate([np.full(len(pairs[k][0]) * mult[k], k) for k in ks])
     part = np.concatenate([np.arange(len(pairs[k][0]) * mult[k]) for k in ks])
     order = np.argsort(nu, kind="stable")[:n_modes]
-    vecs = np.empty((n, n_modes))
+    vecs = np.empty((n, n_modes), order="F")      # columns contiguous
     for k in ks:
         sel = np.flatnonzero(char[order] == k)
         j = part[order[sel]]        # pair j // mult, real part unless j % mult
         f = (np.exp(2j * np.pi * (k * offset % d) / d)[:, None]
              * pairs[k][1][:, j // mult[k]][orbit])
         vecs[:, sel] = math.sqrt(mult[k] / d) * np.where(j % mult[k], f.imag, f.real)
-    return nu[order], vecs, char[order]
+    return nu[order], vecs, char[order], fill
 
 
-def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8,
-                   sigma: float = -0.1) -> EigenData:
+def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8) -> EigenData:
     """Eigenpairs of K psi = nu M psi on the mesh, by shift-invert Lanczos on
     each character block of the deck group (one block, K, off covers)."""
     n = mesh.stiffness.shape[0]
     if n_modes >= n - 1:
         raise ParameterOutOfRange("n_modes must be far below the mesh size")
     if np.array_equal(mesh.deck, np.arange(n)):
-        vals, vecs = _smallest_pairs(mesh.stiffness, mesh.weights, n_modes, sigma)
+        vals, vecs, fill = _smallest_pairs(mesh.stiffness, mesh.weights, n_modes)
         chars = np.zeros(n_modes, dtype=int)
     else:
-        vals, vecs, chars = _character_solve(mesh, n_modes, sigma)
+        vals, vecs, chars, fill = _character_solve(mesh, n_modes)
     res = []
     for j in range(n_modes):
         r = mesh.stiffness @ vecs[:, j] - vals[j] * (mesh.weights * vecs[:, j])
@@ -365,7 +388,8 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8,
     return EigenData(mesh.label, mesh.points, mesh.sheets, mesh.weights,
                      vals, vecs, res, ortho_tol,
                      residual_tol=max(1e-6, 10.0 * float(res.max())),
-                     volume=mesh.volume, h=mesh.h, characters=chars).validate()
+                     volume=mesh.volume, h=mesh.h, characters=chars,
+                     factor_nnz=fill).validate()
 
 
 # ---------------------------------------------------------------------------

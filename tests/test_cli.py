@@ -1,6 +1,10 @@
 import json
+import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from hypsurf.cli import main
@@ -64,6 +68,8 @@ class TestBasicRuns:
         assert abs(d["eigenvalues"][0]) < 1e-10
         # 20 x 20 nodes, two triangles per cell, 5-point stencil
         assert (d["mesh_nodes"], d["triangles"], d["stiffness_nnz"]) == (400, 800, 2000)
+        # L and U hold at least the pattern of K, and L its unit diagonal
+        assert d["factor_nnz"] >= d["stiffness_nnz"] + d["mesh_nodes"]
         assert os.path.exists(os.path.join(out, "torusdata.json"))
 
 
@@ -160,6 +166,28 @@ class TestContracts:
         rows = read(out, "tower")["per_degree"]
         assert rows[0]["min_new_eigenvalue"] is None        # the base has no deck
         assert 0.0 < rows[1]["min_new_eigenvalue"] < 10.0
+        # degree 2 factorizes two blocks with the base's pattern, or more on re-solves
+        assert rows[1]["factor_nnz"] >= 2 * rows[0]["factor_nnz"] > 0
+
+    def test_torus_eigensolve_reproducible_across_processes(self, tmp_path):
+        # 21 modes cut into the 8-fold level 197.17: the degenerate solve whose
+        # last digits once changed from process to process
+        out = str(tmp_path)
+        argv = [sys.executable, "-m", "hypsurf.cli", "fem", "--out", out,
+                "--surface", "torus", "--h", "0.01", "--modes", "21"]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = []
+        for _ in range(2):
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            runs.append(read_bytes(out, "fem"))
+        assert runs[0] == runs[1]
+        # the 5-point Laplacian on the 100 x 100 lattice: (4/h^2)(sin^2 pi m h + sin^2 pi n h)
+        s = np.sin(math.pi * np.arange(100) / 100) ** 2
+        exact = np.sort(4e4 * (s[:, None] + s[None, :]).ravel())[:21]
+        got = np.array(json.loads(runs[0])["eigenvalues"])
+        assert np.all(np.abs(got - exact) <= 1e-8 * np.maximum(exact, 1.0))
 
     @pytest.mark.parametrize("argv", [["variance", "--window", "0.1:4"],
                                       ["fem", "--h", "0.5"]])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh
 
-from hypsurf.eigensolve import (disc_surface_mesh, export_eigendata,
+from hypsurf.eigensolve import (_character_pairs, disc_surface_mesh, export_eigendata,
                                 fem_eigensolve, ingest_eigendata, torus_mesh)
 from hypsurf.errors import (FormatError, MeshPairingFailure,
                             OrthonormalityViolation, ResidualViolation)
@@ -235,6 +236,42 @@ class TestCharacterSolve:
     def test_base_surface_and_torus_have_no_deck(self, bolza):
         for mesh in (disc_surface_mesh(bolza, 0.1), torus_mesh(0.1)):
             assert np.array_equal(mesh.deck, np.arange(len(mesh.deck)))
+
+
+class TestDenseOracle:
+    """Dense LAPACK eigenproblems: no ARPACK and no sparse LU."""
+
+    def test_plain_solve(self, bolza, bolza_data):
+        mesh = disc_surface_mesh(bolza, 0.05)
+        assert mesh.stiffness.shape[0] == 630
+        want = eigh(mesh.stiffness.toarray(), np.diag(mesh.weights),
+                    eigvals_only=True)[:16]
+        got = bolza_data.eigenvalues
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
+
+    def test_complex_character_block(self, bolza):
+        # character k = 1 of the degree-4 cover: K_1 = P^H K P, M_1 = P^H W P
+        # with P[deck^t(r_a), a] = exp(2 pi i t / 4) / 2 for orbit representatives r_a
+        d, k = 4, 1
+        mesh = disc_surface_mesh(random_cover(bolza, d, seed=0), 0.05)
+        walk = [np.arange(len(mesh.deck))]
+        for _ in range(d - 1):
+            walk.append(mesh.deck[walk[-1]])
+        walk = np.array(walk)
+        reps = np.flatnonzero(walk.min(axis=0) == walk[0])
+        P = np.zeros((len(mesh.deck), len(reps)), dtype=complex)
+        P[walk[:, reps], np.arange(len(reps))] = (
+            np.exp(2j * np.pi * k * np.arange(d) / d)[:, None] / math.sqrt(d))
+        Kk = P.conj().T @ (mesh.stiffness @ P)
+        Kk = 0.5 * (Kk + Kk.conj().T)
+        w = np.real(np.diag(P.conj().T @ (mesh.weights[:, None] * P)))
+        assert np.allclose(w, mesh.weights[reps], rtol=1e-14, atol=0.0)
+        want = eigh(Kk, np.diag(w), eigvals_only=True)[:12]
+        vals, vecs, fill = _character_pairs(sp.csr_matrix(Kk), w, 12)
+        assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(want, 1.0))
+        gram = vecs.conj().T @ (w[:, None] * vecs)
+        assert np.abs(gram - np.eye(12)).max() <= 1e-8
+        assert fill >= np.count_nonzero(Kk) + len(reps)
 
 
 class TestEigenDataIO:
