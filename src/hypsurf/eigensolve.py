@@ -64,6 +64,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -266,9 +267,14 @@ class EigenData:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    def gram_deviation(self) -> float:
+    @cached_property
+    def _gram_deviation(self) -> float:
         G = self.eigenvectors.T @ (self.weights[:, None] * self.eigenvectors)
         return float(np.max(np.abs(G - np.eye(self.n_modes))))
+
+    def gram_deviation(self) -> float:
+        """max |Psi^T W Psi - I|; the n_modes^2 Gram is formed once per instance."""
+        return self._gram_deviation
 
     def validate(self):
         if np.any(np.diff(self.eigenvalues) < -1e-12):

@@ -28,20 +28,13 @@ import numpy as np
 from .errors import StencilOutOfDomain
 from .fuchsian import (CoverSurface, DomainSampler, bs_statistic,
                        systole_upper_bound)
-from .geometry import (DiscPoint, GroupElement, _busemann_array, _dist_complex,
+from .geometry import (DiscPoint, GroupElement, _dist_complex,
                        _mobius_array, mobius_apply_complex)
 from .quadrature import gauss_legendre
 from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
                          phi_eval)
 
 TWO_PI = 2.0 * math.pi
-
-
-def plane_wave(lam: float, b):
-    """z -> e_{lam,b}(z) = exp((1/2 + i lam) <z, b>) on an array b of boundary points."""
-    def pw(z: complex) -> np.ndarray:
-        return np.exp((0.5 + 1j * lam) * _busemann_array(z, b))
-    return pw
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +187,39 @@ class Symbol:
         return self.eval(z, lam, b)
 
 
+def _busemann_difference(z: complex, b):
+    """w -> <w, b> - <z, b> on an array b, without cancellation for w near z.
+
+    The difference is log1p((1-|w|^2)/(1-|z|^2) - 1) - log1p(|w-b|^2/|z-b|^2 - 1),
+    with each small ratio formed from |p|^2 - |q|^2 = Re((p - q) conj(p + q)).
+    """
+    b = np.asarray(b)
+    inside = 1.0 - abs(z) ** 2
+    to_b = np.abs(z - b) ** 2
+
+    def diff(w: complex) -> np.ndarray:
+        d, s = w - z, w + z
+        return (np.log1p(-(d * s.conjugate()).real / inside)
+                - np.log1p((d * (s - 2.0 * b).conjugate()).real / to_b))
+    return diff
+
+
 def complete_symbol(A: Observable, z: complex, lam: float, b):
-    """a(z,lam,b) = e^{-(1/2+i lam)<z,b>} (A e_{lam,b})(z), on an array b."""
+    """a(z,lam,b) = e^{-(1/2+i lam)<z,b>} (A e_{lam,b})(z), on an array b.
+
+    A acts on the relative wave w -> exp((1/2 + i lam)(<w, b> - <z, b>)),
+    which equals 1 at z, so the factor e^{-(1/2+i lam)<z,b>} is never formed.
+    A differential A acts on the wave minus 1 (expm1), whose differences keep
+    their digits, and its order-0 coefficient adds the 1 back.
+    """
     if A.variant == "multiplication":
         return complex(A.a(z))
-    val = A.apply(plane_wave(lam, b), z)
-    return val * np.exp(-(0.5 + 1j * lam) * _busemann_array(z, b))
+    c, diff = 0.5 + 1j * lam, _busemann_difference(z, b)
+    if A.variant != "differential":
+        return A.apply(lambda w: np.exp(c * diff(w)), z)
+    c0 = A.coefficients.get((0, 0), 0.0)
+    return (A.apply(lambda w: np.expm1(c * diff(w)), z)
+            + (c0(z) if callable(c0) else c0))
 
 
 def symbol_of(A: Observable, lambda_support=(0.0, math.inf)) -> Symbol:

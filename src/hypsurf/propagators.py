@@ -2,15 +2,22 @@
 
 The sharp propagator at time t has radial kernel (cosh t)^{-1/2} 1_{r <= t};
 the smooth one replaces the indicator with chi_{t,sigma}(r) = eta((r-t)/sigma)
-for a decreasing eta equal to 1 on (-inf, -1] and 0 on [0, inf).  Their
-multipliers h_t^sharp, h_{t,sigma} are computed through the Abel profile
+for a decreasing eta equal to 1 on (-inf, -1] and 0 on [0, inf).
 
-    g(u) = sqrt(2/cosh t) * int_{|u|}^t chi(r) sinh r / sqrt(cosh r - cosh u) dr,
-    h(lambda) = 2 int_0^t cos(lambda u) g(u) du,
+The smooth multiplier h_{t,sigma} comes by the Selberg route
 
-with the inner integral evaluated in the variable v = sqrt(cosh r - cosh u)
-(which removes the square-root singularity exactly) and the chi == 1 stretch
-integrated in closed form.  The time-averaged multiplier
+    h_{t,sigma}(lambda) = 2 pi (cosh t)^{-1/2} [S_lambda(t - sigma)
+                          + int_{t-sigma}^t chi(r) phi_lambda(r) sinh r dr],
+    S_lambda(x) = int_0^x phi_lambda(r) sinh r dr,
+
+with S summed over the fixed unit panels [j, j + 1], so every time node
+shares the same running integral.  The sharp multiplier h_t^sharp comes by
+the Abel route, from its closed-form profile
+
+    g(u) = 2 sqrt(2 (cosh t - cosh u) / cosh t),
+    h(lambda) = 2 int_0^t cos(lambda u) g(u) du.
+
+The time-averaged multiplier
 
     H_T(lambda) = (1/T) int_0^T h_{t,sigma}(lambda)^2 dt
 
@@ -23,16 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
 from .quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule
-from .transforms import (RadialKernel, _md_integral, abel_sharp, abel_smooth,
-                         fourier_of_abel)
-
-SQRT2 = math.sqrt(2.0)
+from .transforms import (TWO_PI, RadialKernel, _md_integral, abel_sharp, abel_smooth,
+                         fourier_of_abel, phi_eval)
 
 
 def default_eta(x):
@@ -97,25 +102,8 @@ def smooth_propagator(t: float, sigma: float, eta: Callable = default_eta) -> Pr
 # Multipliers h_t^sharp and h_{t,sigma}
 # ---------------------------------------------------------------------------
 
-def _g_smooth_grid(t: float, sigma: float, eta: Callable, us: np.ndarray,
-                   n_v: int = 48) -> np.ndarray:
-    """Abel profile of the smooth kernel on an array of u >= 0.
-
-    In v = sqrt(cosh r - cosh u) the integrand is 2 chi(r) dv: the chi == 1
-    plateau up to t - sigma gives 2 v exactly, the ramp after it is a
-    sqrt_edge_rule panel per u.
-    """
-    us = np.asarray(us, dtype=float)
-    plateau = np.sqrt(np.maximum(cosh_diff(t - sigma, us), 0.0))
-    r, v, w = sqrt_edge_rule(us, np.clip(us, t - sigma, t), t, n_v)
-    ramp = (eta((r - t) / sigma) * np.sinh(r) / v * w).sum(axis=-1)
-    out = SQRT2 / math.sqrt(math.cosh(t)) * (2.0 * plateau + ramp)
-    return np.where(us >= t, 0.0, out)
-
-
-def _h_from_profile(t: float, lams: np.ndarray, g_fn, knots: Sequence[float],
-                    n_u: int = 96) -> np.ndarray:
-    """h(lam) = 2 int_0^t cos(lam u) g(u) du, panels split at profile knots.
+def _h_from_profile(t: float, lams: np.ndarray, g_fn, n_u: int = 96) -> np.ndarray:
+    """h(lam) = 2 int_0^t cos(lam u) g(u) du for a profile g smooth on [0, t).
 
     The last stretch is integrated in v = sqrt(cosh t - cosh u), which turns
     the square-root vanishing of ball-type profiles at u = t into a smooth
@@ -124,17 +112,11 @@ def _h_from_profile(t: float, lams: np.ndarray, g_fn, knots: Sequence[float],
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     split = t - min(1.0, t / 2.0)
-    edges = [0.0] + sorted(k for k in knots if 0.0 < k < split) + [split]
     n_scale = max(n_u, int(10 * t) + 8 * int(np.max(lams) if lams.size else 1))
     n_scale = -(-n_scale // 32) * 32
-    rules = [gauss_legendre(lo, hi, n_scale) for lo, hi in zip(edges[:-1], edges[1:])
-             if hi > lo]
-    tail_edges = [split] + sorted(k for k in knots if split < k < t) + [t]
-    for lo, hi in zip(tail_edges[:-1], tail_edges[1:]):
-        u, _, w = sqrt_edge_rule(t, lo, hi, n_scale)
-        rules.append((u, w))
-    u = np.concatenate([x for x, _ in rules])
-    w = np.concatenate([w for _, w in rules])
+    u0, w0 = gauss_legendre(0.0, split, n_scale)
+    u1, _, w1 = sqrt_edge_rule(t, split, t, n_scale)
+    u, w = np.concatenate([u0, u1]), np.concatenate([w0, w1])
     return np.cos(np.multiply.outer(lams, u)) @ (2.0 * g_fn(u) * w)
 
 
@@ -142,15 +124,14 @@ def h_sharp(t: float, lam) -> float | np.ndarray:
     """Multiplier of the sharp propagator, via the closed-form Abel profile."""
     if t <= 0:
         raise ParameterOutOfRange("t must be positive")
-    vals = _h_from_profile(t, lam, abel_sharp(t), ())
+    vals = _h_from_profile(t, lam, abel_sharp(t))
     return vals if np.ndim(lam) else float(vals[0])
 
 
 def h_smooth(t: float, sigma: float, lam, eta: Callable = default_eta) -> float | np.ndarray:
-    """Multiplier of the smooth propagator (Abel route)."""
+    """Multiplier of the smooth propagator (Selberg route): one row of h_smooth_on_grid."""
     CutoffSpec(t, sigma, eta)
-    vals = _h_from_profile(t, lam, lambda u: _g_smooth_grid(t, sigma, eta, u),
-                           (t - sigma,))
+    vals = h_smooth_on_grid(np.array([t]), sigma, np.atleast_1d(lam), eta)[0]
     return vals if np.ndim(lam) else float(vals[0])
 
 
@@ -191,7 +172,8 @@ def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta,
             route: str = "both", cross_tol: float = 1e-7):
     """delta h = h_{t,sigma} - h_t^sharp.
 
-    route 'subtraction': plain difference of the two multipliers.
+    route 'subtraction': plain difference of the two multipliers, h_{t,sigma}
+        by the Selberg route minus h_t^sharp by the Abel route.
     route 'formula': the double-integral form
         2 sqrt(2/cosh t) int_{t-sigma}^t (chi(r) - 1) sinh r I(r, lam) dr.
     route 'both' (default) computes the two and checks they agree.
@@ -224,30 +206,50 @@ def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta,
 
 def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray,
                      eta: Callable = default_eta) -> np.ndarray:
-    """Matrix h_{t,sigma}(lam) for all (t in ts) x (lam in lam_grid)."""
+    """Matrix h_{t,sigma}(lam) for all (t in ts) x (lam in lam_grid), by the Selberg route.
+
+    The running integral S_lam(x) = int_0^x phi_lam(r) sinh r dr is the
+    prefix sum of the integrals over the fixed unit panels [j, j + 1], each
+    from one phi_eval call on n = 32 ceil((24 + max |lam|) / 32) Gauss-Legendre
+    nodes and computed once per call.  A row adds the partial panel
+    [floor(t - sigma), t - sigma] (n nodes) and the ramp [t - sigma, t]
+    (48 nodes, weighted by chi) in one phi_eval call of its own: the series
+    behind phi_eval is not bit-identical across call shapes, and this way a
+    row depends only on t, sigma, eta and the lambda grid, never on the other
+    rows.  Rows t <= sigma are 0.
+    """
     lam_grid = np.asarray(lam_grid, dtype=float)
-    rows = []
-    for t in np.asarray(ts, dtype=float):
-        if t <= sigma:
-            rows.append(np.zeros(lam_grid.shape))
-        else:
-            rows.append(_h_from_profile(float(t), lam_grid,
-                                        lambda u, tt=float(t): _g_smooth_grid(
-                                            tt, sigma, eta, u),
-                                        (float(t) - sigma,)))
-    return np.vstack(rows)
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros(ts.shape + lam_grid.shape)
+    live = np.flatnonzero(ts > sigma)
+    if not live.size:
+        return out
+    n = 32 * math.ceil((24.0 + float(np.max(np.abs(lam_grid)))) / 32.0)
+    x = ts - sigma
+    whole = np.floor(x).astype(int)
+    # S[j] = S_lam(j): prefix sums over the unit panels, independent of ts
+    S = np.zeros((int(whole[live].max()) + 1,) + lam_grid.shape)
+    for j in range(1, S.shape[0]):
+        r, w = gauss_legendre(j - 1.0, float(j), n)
+        S[j] = (np.sinh(r) * w) @ phi_eval(lam_grid, r)
+    np.cumsum(S, axis=0, out=S)
+    for i in live:
+        t, j = float(ts[i]), int(whole[i])
+        r0, w0 = gauss_legendre(float(j), float(x[i]), n)
+        r1, w1 = gauss_legendre(float(x[i]), t, 48)
+        r = np.concatenate([r0, r1])
+        w = np.concatenate([w0, eta((r1 - t) / sigma) * w1]) * np.sinh(r)
+        out[i] = TWO_PI / math.sqrt(math.cosh(t)) * (S[j] + w @ phi_eval(lam_grid, r))
+    return out
 
 
-def _time_average_sq(T: float, lam, n_t: int, h_rows: Callable):
-    """(1/T) int_0^T h_t(lam)^2 dt, composite Gauss-Legendre in t with n_t
-    points per unit length; h_rows(ts, lams) is the matrix of h_t(lams)."""
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    t, w = _time_nodes(T, n_t)
-    acc = np.zeros(lams.shape)
-    for tp, wp in zip(t, w):
-        acc = acc + (h_rows(tp, lams) ** 2 * wp[:, None]).sum(axis=0)
-    out = acc / T
-    return out if np.ndim(lam) else float(out[0])
+def _time_average_sq(T: float, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(1/T) int_0^T h_t(lam)^2 dt from the rows h[p, i] = h_{t_pi}(lam) at the
+    nodes of _time_nodes(T, n_t) and their weights w[p, i]."""
+    acc = np.zeros(h.shape[2:])
+    for hp, wp in zip(h, w):
+        acc = acc + (hp ** 2 * wp[:, None]).sum(axis=0)
+    return acc / T
 
 
 def _time_nodes(T: float, n_t: int):
@@ -263,14 +265,20 @@ def _time_nodes(T: float, n_t: int):
 def avg_multiplier_H(T: float, sigma: float, lam, n_t: int = 8,
                      eta: Callable = default_eta):
     """H_T(lambda) = (1/T) int_0^T h_{t,sigma}(lambda)^2 dt."""
-    return _time_average_sq(T, lam, n_t,
-                            lambda ts, lams: h_smooth_on_grid(ts, sigma, lams, eta))
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    t, w = _time_nodes(T, n_t)
+    h = h_smooth_on_grid(t.ravel(), sigma, lams, eta).reshape(t.shape + lams.shape)
+    out = _time_average_sq(T, w, h)
+    return out if np.ndim(lam) else float(out[0])
 
 
 def avg_multiplier_H_sharp(T: float, lam, n_t: int = 8):
     """Sharp-kernel analogue (1/T) int h_t^sharp(lam)^2 dt."""
-    return _time_average_sq(T, lam, n_t, lambda ts, lams: np.vstack(
-        [h_sharp(float(t), lams) for t in ts]))
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    t, w = _time_nodes(T, n_t)
+    h = np.array([[h_sharp(float(tt), lams) for tt in tp] for tp in t])
+    out = _time_average_sq(T, w, h)
+    return out if np.ndim(lam) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -304,8 +312,8 @@ def prop33_certificate(interval, sigma: float, T_list, lam_spacing: float = 0.02
     h_all = h_smooth_on_grid(ts, sigma, lam_grid, eta)
     c_min, argmin = [], []
     for T in T_list:
-        H = _time_average_sq(T, lam_grid, n_t,
-                             lambda t, lams: h_all[np.searchsorted(ts, t)])
+        t, w = _time_nodes(T, n_t)
+        H = _time_average_sq(T, w, h_all[np.searchsorted(ts, t)])
         i = int(np.argmin(H))
         c_min.append(float(H[i]))
         argmin.append(float(lam_grid[i]))

@@ -454,12 +454,13 @@ def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
     The inverse square root is singular at r = |u|; on [|u|, mid], with
     mid = min(|u| + 1, T), the variable v = sqrt(cosh r - cosh u) removes it
     (sqrt_edge_rule, n nodes a panel), and [mid, T] is integrated in r
-    directly (max(n, int(16 * length)) nodes a panel).  Both stretches are
-    split at the kernel's knots.  The profile takes all its u at once: each
-    knot interval, clipped to every u's two stretches, gives one broadcast
-    rule, and the kernel sees the nodes of blocks of u, at most _BLOCK
-    nodes a call.  Empty panels are dropped; each u sums its panels in the
-    order of r.
+    directly (max(n, 32 ceil(16 length / 32)) nodes a panel, rounded up to a
+    multiple of 32 so that the u share a few Gauss-Legendre rules).  Both
+    stretches are split at the kernel's knots.  The profile takes all its u
+    at once: each knot interval, clipped to every u's two stretches, gives
+    one broadcast rule, and the kernel sees the nodes of blocks of u, at most
+    _BLOCK nodes a call.  Empty panels are dropped; each u sums its panels
+    in the order of r.
     """
     if not math.isfinite(k.support_bound):
         raise ValueError("Abel transform implemented for compactly supported kernels")
@@ -467,7 +468,7 @@ def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
     cuts = [0.0] + sorted(b for b in k.breakpoints if 0.0 < b < T) + [T]
     intervals = list(zip(cuts[:-1], cuts[1:]))
     # a u has at most one panel per stretch and interval: bound its nodes
-    most = sum(n + max(n, int(16 * (hi - lo))) for lo, hi in intervals)
+    most = sum(n + max(n, 32 * math.ceil(16 * (hi - lo) / 32)) for lo, hi in intervals)
     per_block = max(1, _BLOCK // most)
 
     def panel_sums(u):
@@ -482,7 +483,7 @@ def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
                 panels.append((take, r, v, w))
             a = np.maximum(lo, mid)
             take = np.flatnonzero(hi > a)
-            n_tail = np.maximum(n, (16 * (hi - a[take])).astype(int))
+            n_tail = np.maximum(n, 32 * np.ceil(16 * (hi - a[take]) / 32).astype(int))
             for m in np.unique(n_tail):
                 sel = take[n_tail == m]
                 r, w = gauss_legendre(a[sel, None], hi, m)

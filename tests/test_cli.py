@@ -55,6 +55,13 @@ class TestBasicRuns:
         assert main(["symbol", "--out", out]) == 0
         assert read(out, "symbol")["max_laplacian_symbol_gap"] < 1e-5
 
+    def test_symbol_gap_below_rounding_floor_of_plain_wave(self, tmp_path):
+        # the stencil acts on expm1 of the relative wave, so last-bit noise of
+        # the wave is not amplified by 1 / h^2; the plain wave sat near 8e-6
+        out = str(tmp_path)
+        assert main(["symbol", "--out", out]) == 0
+        assert read(out, "symbol")["max_laplacian_symbol_gap"] < 1e-7
+
     def test_beta_norm(self, tmp_path):
         out = str(tmp_path)
         assert main(["beta-norm", "--out", out]) == 0

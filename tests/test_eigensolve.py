@@ -249,9 +249,10 @@ class TestDenseOracle:
         got = bolza_data.eigenvalues
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1.0))
 
-    def test_complex_character_block(self, bolza):
-        # character k = 1 of the degree-4 cover: K_1 = P^H K P, M_1 = P^H W P
-        # with P[deck^t(r_a), a] = exp(2 pi i t / 4) / 2 for orbit representatives r_a
+    @staticmethod
+    def _k1_block(bolza):
+        """Character k = 1 of the degree-4 cover: K_1 = P^H K P, M_1 = P^H W P with
+        P[deck^t(r_a), a] = exp(2 pi i t / 4) / 2 for orbit representatives r_a."""
         d, k = 4, 1
         mesh = disc_surface_mesh(random_cover(bolza, d, seed=0), 0.05)
         walk = [np.arange(len(mesh.deck))]
@@ -266,12 +267,28 @@ class TestDenseOracle:
         Kk = 0.5 * (Kk + Kk.conj().T)
         w = np.real(np.diag(P.conj().T @ (mesh.weights[:, None] * P)))
         assert np.allclose(w, mesh.weights[reps], rtol=1e-14, atol=0.0)
+        return Kk, w, reps
+
+    def test_complex_character_block(self, bolza):
+        Kk, w, reps = self._k1_block(bolza)
         want = eigh(Kk, np.diag(w), eigvals_only=True)[:12]
         vals, vecs, fill = _character_pairs(sp.csr_matrix(Kk), w, 12)
         assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(want, 1.0))
         gram = vecs.conj().T @ (w[:, None] * vecs)
         assert np.abs(gram - np.eye(12)).max() <= 1e-8
         assert fill >= np.count_nonzero(Kk) + len(reps)
+
+    def test_complex_block_with_exact_double_eigenvalues(self, bolza):
+        # K_1 (+) K_1 with weights w (+) w: every eigenvalue is exactly double,
+        # the degenerate clusters an M-orthonormal basis must resolve
+        Kk, w, _ = self._k1_block(bolza)
+        K2 = sp.block_diag([sp.csr_matrix(Kk)] * 2, format="csr")
+        w2 = np.concatenate([w, w])
+        want = eigh(K2.toarray(), np.diag(w2), eigvals_only=True)[:12]
+        vals, vecs, _ = _character_pairs(K2, w2, 12)
+        assert np.abs(vals - want).max() <= 1e-10
+        gram = vecs.conj().T @ (w2[:, None] * vecs)
+        assert np.abs(gram - np.eye(12)).max() <= 1e-10
 
 
 class TestEigenDataIO:

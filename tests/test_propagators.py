@@ -13,6 +13,7 @@ from hypsurf.propagators import (
     h_sharp,
     h_sharp_reference,
     h_smooth,
+    h_smooth_on_grid,
     h_smooth_reference,
     lemma_a1_check,
     lemma_a1_constant,
@@ -83,6 +84,33 @@ class TestMultipliers:
     def test_small_t_mass_vanishes(self):
         assert abs(h_sharp(0.05, 1.0)) < 0.02
         assert abs(h_smooth(0.05, 0.02, 1.0)) < 0.02
+
+
+class TestSelbergRoute:
+    def test_far_row_against_mpmath(self):
+        # 2 pi (cosh t)^{-1/2} int_0^t chi(r) phi_lam(r) sinh r dr at 30 digits:
+        # phi_lam(r) = mp.legenp(-1/2 + i lam, 0, cosh r), the integral by
+        # mp.quad with breakpoints at the integers and at t - sigma, mp.dps = 30
+        assert h_smooth(39.9, 0.1, 1.9) == pytest.approx(-0.494127526458754527588,
+                                                         abs=1e-12)
+
+    def test_row_independent_of_other_time_nodes(self):
+        # panel edges are the fixed unit panels, never the grid's own t - sigma
+        lam = np.linspace(0.87, 1.94, 9)
+        ts = np.array([0.35, 2.5, 7.25, 39.9])
+        grid = h_smooth_on_grid(ts, 0.1, lam)
+        wider = h_smooth_on_grid(np.concatenate([ts, [1.05, 12.3, 44.0]]), 0.1, lam)
+        for i, t in enumerate(ts):
+            assert np.array_equal(grid[i], h_smooth(float(t), 0.1, lam))
+            assert np.array_equal(grid[i], wider[i])
+
+    @pytest.mark.parametrize("t", [0.15, 0.95, 1.05])
+    def test_rows_across_r_equals_one(self, t):
+        # the partial panel and the ramp straddle the switch of phi_eval at r = 1
+        lam = np.array([0.5, 1.0, 1.9, 3.0])
+        ref = [h_smooth_reference(t, 0.1, float(x)) for x in lam]
+        assert np.allclose(h_smooth_on_grid(np.array([t]), 0.1, lam)[0], ref,
+                           rtol=0.0, atol=1e-9)
 
 
 class TestDeltaH:
