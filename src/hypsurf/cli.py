@@ -262,7 +262,8 @@ def cmd_bs_stat(args) -> int:
         "config": {**_base_config(args), "R": args.R, "degree": args.degree,
                    "samples": args.samples},
         "value": res.value, "stderr": res.stderr, "n_hits": res.n_hits,
-        "passed": True})
+        "orbit_elements_explored": res.orbit_elements_explored,
+        "orbit_levels": res.orbit_levels, "passed": True})
     return 0
 
 
@@ -281,6 +282,8 @@ def cmd_hs_check(args) -> int:
         "rhs_bound": rep.rhs_bound, "rhs_first_term": rep.rhs_first_term,
         "rhs_second_term": rep.rhs_second_term,
         "injrad_fraction": rep.injrad_fraction,
+        "orbit_elements_explored": rep.orbit_elements_explored,
+        "orbit_levels": rep.orbit_levels,
         "systole_bound": rep.systole_bound, "passed": rep.passed})
     return 0 if rep.passed else 1
 

@@ -24,6 +24,24 @@ and trivial presets) expand g while d(c, g c) <= R + max generator
 displacement + 1; for a cyclic group the displacement grows along the
 powers of the generator, so this loses nothing.
 
+Shared injectivity-radius search.  injrad_below_points decides InjRad < R at
+every point of a sample from one search at radius 2R.  Each level's new
+elements are tested at every point still open: a point closes when one of
+them moves it by less than 2R (on covers, with a sheet map fixing the
+point's sheet), and an element is expanded when the prune of some open
+point keeps it.  The answers are those of one search per point:
+- A level carries each element's whole sheet map, which does not depend on
+  the word that reached the element: the sheet action is a homomorphism.
+- The prune is a function of the element, and every element an open point's
+  own search expands is expanded.  By induction on the level, the point's
+  own complete search tree lies in the shared one, each element reached no
+  later; an element first reached by another word can differ only in its
+  last bits.
+- A witness is decided by its displacement, not by being reached, so the
+  extra elements of the shared tree cannot make false hits: a witness among
+  them is one the point's own complete search finds too.
+word_cap stops the shared search after that many levels.
+
 Injectivity radius at z is half the smallest displacement d(z, gamma z) over
 nontrivial gamma.  Covers are described by one permutation of the sheets per
 generator; the built-in random covers use cyclic shifts (a random weight in
@@ -273,7 +291,7 @@ class _Level:
     alpha: np.ndarray
     beta: np.ndarray
     words: np.ndarray           # (count, depth) symmetrized generator indices
-    sheets: np.ndarray | None   # image of the query sheet along each word (covers)
+    maps: np.ndarray | None     # (count, degree) sheet map of each element (covers)
     expand: np.ndarray | None = None
 
 
@@ -323,16 +341,19 @@ def _displacements(alpha: np.ndarray, beta: np.ndarray, c: complex) -> np.ndarra
     return _dist_array(c, _mobius_array(alpha, beta, c))
 
 
+_BLOCK = 16384   # cells of one (points x elements) block of the shared injrad search
+
+
 def _word_levels(group: FuchsianGroup, max_levels: int | None = None,
-                 element_cap: int = 1_000_000, perms: np.ndarray | None = None,
-                 sheet: int = 0):
+                 element_cap: int = 1_000_000, perms: np.ndarray | None = None):
     """Level-synchronous breadth-first search over reduced words.
 
     Yields one _Level per word length, starting at 1; the consumer sets its
     `expand` mask before the search goes on.  The search ends when nothing is
     expanded or after max_levels levels.  perms, a (2n, degree) table of the
     symmetrized generators' sheet permutations, makes each level carry the
-    image of `sheet` along its words, _compose_perms(cover, word)[sheet].
+    sheet map of its elements, _compose_perms(cover, word) of the word that
+    reached each one.
     """
     gens = group.symmetrized()
     n_sym = len(gens)
@@ -341,7 +362,7 @@ def _word_levels(group: FuchsianGroup, max_levels: int | None = None,
     inverse = (np.arange(n_sym) + n_sym // 2) % n_sym
     alpha, beta = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
     words = np.zeros((1, 0), dtype=np.int64)
-    sheets = np.full(1, sheet) if perms is not None else None
+    maps = np.arange(perms.shape[1])[None, :] if perms is not None else None
     seen = set(_canon_keys(alpha, beta))
     explored = 1
     depth = 0
@@ -364,28 +385,42 @@ def _word_levels(group: FuchsianGroup, max_levels: int | None = None,
         fresh = np.array(fresh, dtype=np.intp)
         parent, gen = parent[fresh], gen[fresh]
         level = _Level(a[fresh], b[fresh], np.column_stack([words[parent], gen]),
-                       perms[gen, sheets[parent]] if perms is not None else None)
+                       perms[gen[:, None], maps[parent]] if perms is not None else None)
         yield level
         keep = level.expand
         alpha, beta, words = level.alpha[keep], level.beta[keep], level.words[keep]
-        sheets = level.sheets[keep] if perms is not None else None
+        maps = level.maps[keep] if perms is not None else None
 
 
-def _expand_test(group: FuchsianGroup, c: complex, radius: float) -> Callable:
-    """The prune of a search for every gamma with d(c, gamma c) <= radius.
+def _prune_bounds(group: FuchsianGroup, centres, radius: float) -> np.ndarray:
+    """Per centre c, the bound of the prune of a search for every gamma with
+    d(c, gamma c) <= radius; see _expand_mask, and the module docstring for
+    why the tile prune is sound.
+    """
+    faces = _face_points(group) if group.dirichlet_radius is not None else None
+    bounds = []
+    for c in map(complex, centres):
+        if faces is None:
+            bounds.append(radius + group.max_generator_displacement(c) + 1.0)
+            continue
+        margin = group.dirichlet_radius
+        if not _in_dirichlet_domain(c, faces):
+            margin += 2.0 * math.atanh(abs(c))
+        bounds.append(math.sinh((radius + margin + 1e-9) / 2.0) ** 2 * (1.0 - abs(c) ** 2))
+    return np.array(bounds)
 
-    Returns (level, displacements) -> mask of the elements to expand; see
-    the module docstring for why the tile prune is sound.
+
+def _expand_mask(group: FuchsianGroup, c, bound, alpha, beta, disp) -> np.ndarray:
+    """The elements (alpha, beta) with displacements disp at c that the prune
+    of _prune_bounds expands; c and bound broadcast against the elements.
+
+    Tile prune: d(c, g 0) within the bound, as sinh^2(d(c, g 0) / 2) =
+    |c conj(alpha) - beta|^2 / (1 - |c|^2).  Displacement prune: d(c, g c)
+    within it.
     """
     if group.dirichlet_radius is not None:
-        margin = group.dirichlet_radius
-        if not _in_dirichlet_domain(c, _face_points(group)):
-            margin += 2.0 * math.atanh(abs(c))
-        # sinh^2(d(c, g 0) / 2) = |c conj(alpha) - beta|^2 / (1 - |c|^2)
-        bound = math.sinh((radius + margin + 1e-9) / 2.0) ** 2 * (1.0 - abs(c) ** 2)
-        return lambda level, disp: np.abs(c * np.conj(level.alpha) - level.beta) ** 2 <= bound
-    limit = radius + group.max_generator_displacement(c) + 1.0
-    return lambda level, disp: disp <= limit
+        return np.abs(c * np.conj(alpha) - beta) ** 2 <= bound
+    return disp <= bound
 
 
 def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
@@ -408,10 +443,10 @@ def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
         return OrbitBall(center, R, elements)
     if word_cap is not None and word_cap < 1:
         raise ParameterOutOfRange("word_cap must be >= 1")
-    expand = _expand_test(group, c, R)
+    bound = _prune_bounds(group, [c], R)[0]
     for level in _word_levels(group, word_cap, element_cap):
         disp = _displacements(level.alpha, level.beta, c)
-        level.expand = expand(level, disp)
+        level.expand = _expand_mask(group, c, bound, level.alpha, level.beta, disp)
         for i in np.flatnonzero(disp <= R):
             g = _element(level.alpha[i], level.beta[i])
             elements.append(OrbitElement(g, _displacement(g, c), tuple(level.words[i].tolist())))
@@ -429,33 +464,71 @@ def injectivity_radius_at(group: FuchsianGroup, z: DiscPoint, search_R: float,
     return orbit_enumerate(group, z, search_R, **kw).injectivity_radius()
 
 
-def injrad_below(surface, z: DiscPoint, R: float, sheet: int = 0,
-                 word_cap: int | None = None, element_cap: int = 1_000_000) -> bool:
-    """Decide InjRad(z[, sheet]) < R, i.e. some nontrivial deck motion < 2R.
+@dataclass(frozen=True)
+class InjradQuery:
+    below: np.ndarray          # (points,) bool: InjRad < R at each point
+    elements_explored: int     # by the one shared search, identity excluded
+    levels: int                # levels that search generated
 
-    The search of orbit_enumerate at radius 2R, stopped at the first level
-    holding a witness; on covers the witness's permutation must fix the
-    sheet.
+
+def injrad_below_points(surface, zs, R: float, sheets=None,
+                        word_cap: int | None = None,
+                        element_cap: int = 1_000_000) -> InjradQuery:
+    """Decide InjRad(z[, sheet]) < R at every chart point z of zs at once.
+
+    True where some nontrivial deck motion moves the point by less than 2R;
+    on covers the witness's sheet map must fix the point's sheet (sheets,
+    default 0).  One search serves every point: at each level the
+    displacements of the new elements are taken at every open point, a point
+    with a witness closes, and an element is expanded if the prune of the
+    search at radius 2R (orbit_enumerate's) keeps it for some open point.
+    The search ends when no point is open or nothing is expanded.  Open
+    points go in blocks whose (points x elements) arrays hold at most _BLOCK
+    cells (or one point's row).
     """
     cover = surface if isinstance(surface, CoverSurface) else None
     group = cover.base if cover is not None else surface
-    if group.n_generators == 0:
-        return False
-    c = z.z
+    zs = np.asarray(zs, dtype=complex)
+    below = np.zeros(len(zs), dtype=bool)
+    if group.n_generators == 0 or not len(zs):
+        return InjradQuery(below, 0, 0)
     target = 2.0 * R
-    expand = _expand_test(group, c, target)
+    bounds = _prune_bounds(group, zs, target)
     perms = None
     if cover is not None:
         perms = np.array([cover.perm_array(gi) for gi in range(2 * group.n_generators)])
-    for level in _word_levels(group, word_cap, element_cap, perms, sheet):
-        disp = _displacements(level.alpha, level.beta, c)
-        witness = (disp > 1e-12) & (disp < target)
-        if cover is not None:
-            witness &= level.sheets == sheet
-        if witness.any():
-            return True
-        level.expand = expand(level, disp)
-    return False
+        sheets = np.zeros(len(zs), dtype=int) if sheets is None else np.asarray(sheets)
+    open_points = np.arange(len(zs))
+    explored = levels = 0
+    for level in _word_levels(group, word_cap, element_cap, perms):
+        explored += len(level.alpha)
+        levels += 1
+        expand = np.zeros(len(level.alpha), dtype=bool)
+        rows = max(1, _BLOCK // max(len(level.alpha), 1))
+        for start in range(0, len(open_points), rows):
+            idx = open_points[start:start + rows]
+            c = zs[idx, None]
+            disp = _dist_array(c, _mobius_array(level.alpha, level.beta, c))
+            witness = (disp > 1e-12) & (disp < target)
+            if cover is not None:
+                witness &= level.maps[:, sheets[idx]].T == sheets[idx, None]
+            hit = witness.any(axis=1)
+            below[idx[hit]] = True
+            stay = ~hit
+            expand |= _expand_mask(group, c[stay], bounds[idx[stay], None],
+                                   level.alpha, level.beta, disp[stay]).any(axis=0)
+        open_points = open_points[~below[open_points]]
+        if not len(open_points):
+            break
+        level.expand = expand
+    return InjradQuery(below, explored, levels)
+
+
+def injrad_below(surface, z: DiscPoint, R: float, sheet: int = 0,
+                 word_cap: int | None = None, element_cap: int = 1_000_000) -> bool:
+    """Decide InjRad(z[, sheet]) < R: the one-point call of injrad_below_points."""
+    return bool(injrad_below_points(surface, [z.z], R, [sheet], word_cap,
+                                    element_cap).below[0])
 
 
 def systole_upper_bound(group: FuchsianGroup, word_len: int = 8):
@@ -593,29 +666,44 @@ def random_cover(base: FuchsianGroup, degree: int, seed: int,
 # ---------------------------------------------------------------------------
 
 class DomainSampler:
-    """Uniform (hyperbolic-area) sampler of the Dirichlet domain at 0.
+    """Uniform (hyperbolic-area) sampler of the Dirichlet domain at 0 within
+    the hyperbolic disc of a given radius (default: the Dirichlet
+    circumradius, which holds the whole domain).
 
-    Rejection from the hyperbolic disc of the Dirichlet circumradius;
-    membership test: no face point of the domain is closer than 0 itself.
+    Rejection from that disc; membership test: no face point of the domain
+    is closer than 0 itself.  `proposals` counts the draws made so far, so
+    2 pi (cosh radius - 1) times the accepted share estimates the sampled
+    area.
     """
 
-    def __init__(self, group: FuchsianGroup):
-        if group.dirichlet_radius is None or group.covolume_hint is None:
-            raise ValueError("sampler needs a cocompact group with known radius")
+    def __init__(self, group: FuchsianGroup, radius: float | None = None):
+        if radius is None:
+            radius = group.dirichlet_radius
+        if radius is None:
+            raise ValueError("sampler needs a radius or a group with a Dirichlet radius")
         self.group = group
-        self.radius = group.dirichlet_radius
+        self.radius = radius
         self.faces = _face_points(group)
+        self.proposals = 0
 
     def contains(self, z: complex, tol: float = 1e-12) -> bool:
         return _in_dirichlet_domain(z, self.faces, tol)
 
-    def sample(self, rng: np.random.Generator) -> complex:
+    def sample(self, rng: np.random.Generator, max_proposals: int | None = None) -> complex:
+        """One point: draws r, then the angle, then tests membership.
+
+        Raises BudgetExceeded once `proposals` passes max_proposals.
+        """
         cosh_R = math.cosh(self.radius)
         while True:
             r_h = math.acosh(1.0 + rng.random() * (cosh_R - 1.0))
             phi = rng.uniform(0.0, 2.0 * math.pi)
             z = math.tanh(r_h / 2.0) * cmath.exp(1j * phi)
-            if self.contains(z):
+            self.proposals += 1
+            inside = self.contains(z)
+            if max_proposals is not None and self.proposals > max_proposals:
+                raise BudgetExceeded("sampler acceptance rate too low")
+            if inside:
                 return z
 
 
@@ -625,10 +713,16 @@ class BsStatResult:
     stderr: float
     n_samples: int
     n_hits: int
+    orbit_elements_explored: int   # by the one injrad search of all samples
+    orbit_levels: int
 
 
 def bs_statistic(surface, R: float, n_samples: int, seed: int) -> BsStatResult:
-    """Monte Carlo estimate of Vol{InjRad < R} / Vol over the surface."""
+    """Monte Carlo estimate of Vol{InjRad < R} / Vol over the surface.
+
+    Draws every point (and on covers its sheet) first, then answers all
+    injectivity-radius queries from one search.
+    """
     if R > 25:
         raise ParameterOutOfRange("R > 25 not supported")
     if n_samples < 1:
@@ -637,15 +731,17 @@ def bs_statistic(surface, R: float, n_samples: int, seed: int) -> BsStatResult:
     degree = surface.degree if isinstance(surface, CoverSurface) else 1
     sampler = DomainSampler(base)
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_samples):
-        z = sampler.sample(rng)
-        sheet = int(rng.integers(degree)) if degree > 1 else 0
-        if injrad_below(surface, DiscPoint(z.real, z.imag), R, sheet=sheet):
-            hits += 1
+    zs = np.empty(n_samples, dtype=complex)
+    sheets = np.zeros(n_samples, dtype=int)
+    for i in range(n_samples):
+        zs[i] = sampler.sample(rng)
+        if degree > 1:
+            sheets[i] = rng.integers(degree)
+    query = injrad_below_points(surface, zs, R, sheets)
+    hits = int(query.below.sum())
     p = hits / n_samples
     return BsStatResult(p, math.sqrt(max(p * (1.0 - p), 1e-12) / n_samples),
-                        n_samples, hits)
+                        n_samples, hits, query.elements_explored, query.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +796,8 @@ class HsCheckReport:
     systole_bound: float
     window_radius: float
     passed: bool
+    orbit_elements_explored: int   # by the one injrad search of all samples
+    orbit_levels: int
 
 
 def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
@@ -724,21 +822,10 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
             raise ValueError("window_radius required for non-cocompact groups")
         window_radius = base_radius
     rng = np.random.default_rng(seed)
-
-    faces = _face_points(group)
-    cosh_R = math.cosh(window_radius)
-    proposal_vol = 2.0 * math.pi * (cosh_R - 1.0)
-    samples = []
-    n_prop = 0
-    while len(samples) < 2 * n_mc:
-        r_h = math.acosh(1.0 + rng.random() * (cosh_R - 1.0))
-        z = math.tanh(r_h / 2.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        n_prop += 1
-        if _in_dirichlet_domain(z, faces):
-            samples.append(z)
-        if n_prop > 400 * n_mc:
-            raise BudgetExceeded("window acceptance rate too low")
-    window_vol = proposal_vol * len(samples) / n_prop
+    sampler = DomainSampler(group, window_radius)
+    samples = [sampler.sample(rng, 400 * n_mc) for _ in range(2 * n_mc)]
+    proposal_vol = 2.0 * math.pi * (math.cosh(window_radius) - 1.0)
+    window_vol = proposal_vol * len(samples) / sampler.proposals
     zs, ws = samples[:n_mc], samples[n_mc:]
 
     def kcall(z, w):
@@ -757,8 +844,8 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
                                                       * np.sinh(t) * wq))
     if systole is None:
         systole, _ = systole_upper_bound(group)
-    frac_hits = sum(injrad_below(group, DiscPoint(z.real, z.imag), r) for z in zs)
-    frac = frac_hits / len(zs)
+    query = injrad_below_points(group, zs, r)
+    frac = int(query.below.sum()) / len(zs)
     t_s = np.linspace(0.0, upper, 2048)
     sup_k2 = float(np.max((kernel(t_s) * np.asarray(chi(t_s / r))) ** 2))
     second = math.exp(2.0 * r) / systole * (frac * window_vol) * sup_k2
@@ -766,4 +853,4 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
     rel_err = lhs_err / lhs if lhs > 0 else 0.0
     passed = lhs <= rhs * (1.0 + 3.0 * rel_err) + 1e-12
     return HsCheckReport(lhs, lhs_err, rhs, first, second, frac, systole,
-                         window_radius, passed)
+                         window_radius, passed, query.elements_explored, query.levels)

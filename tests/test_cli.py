@@ -48,7 +48,10 @@ class TestBasicRuns:
         assert read(out, "orbit")["count"] == 9
         assert main(["bs-stat", "--out", out, "--R", "1.0",
                      "--samples", "40"]) == 0
-        assert read(out, "bs_stat")["value"] == 0.0
+        d = read(out, "bs_stat")
+        assert d["value"] == 0.0
+        # below half the systole no sample closes early: the search runs on
+        assert d["orbit_levels"] > 1 and d["orbit_elements_explored"] > 8
 
     def test_symbol(self, tmp_path):
         out = str(tmp_path)

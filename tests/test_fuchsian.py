@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypsurf.fuchsian as F
-from hypsurf.errors import NonTransitive, ParameterOutOfRange, RelationViolation
+from hypsurf.errors import (BudgetExceeded, NonTransitive, ParameterOutOfRange,
+                            RelationViolation)
 from hypsurf.geometry import DiscPoint, GroupElement, mobius_apply_complex
 from hypsurf.transforms import RadialKernel
 
@@ -253,6 +254,16 @@ class TestBsStatistic:
         res = F.bs_statistic(bolza, 25.0, 40, seed=3)
         assert res.value == 1.0
 
+    @pytest.mark.parametrize("degree, R, n, seed, hits", [
+        (4, 1.7, 300, 0, 195), (4, 2.2, 200, 5, 200), (8, 2.0, 200, 1, 121),
+        (1, 1.2, 200, 2, 0)])
+    def test_frozen_hit_counts(self, bolza, degree, R, n, seed, hits):
+        # the hit counts that one search per sample point gave (cover seed 0)
+        surface = bolza if degree == 1 else F.random_cover(bolza, degree, seed=0)
+        res = F.bs_statistic(surface, R, n, seed=seed)
+        assert res.n_hits == hits
+        assert res.orbit_levels >= 1 and res.orbit_elements_explored >= 8
+
     def test_cover_trend(self, bolza):
         # fixed R: larger covers have no larger small-injectivity mass
         R = 1.7
@@ -351,6 +362,20 @@ class TestHsBound:
         assert rep.window_radius == 2.5
 
 
+class TestDomainSampler:
+    def test_window_radius_and_budget(self):
+        group = F.cyclic_group(1.0)
+        with pytest.raises(ValueError):
+            F.DomainSampler(group)
+        sampler = F.DomainSampler(group, 2.5)
+        rng = np.random.default_rng(0)
+        zs = [sampler.sample(rng) for _ in range(50)]
+        assert all(sampler.contains(z) and 2.0 * math.atanh(abs(z)) <= 2.5 for z in zs)
+        assert sampler.proposals > 50
+        with pytest.raises(BudgetExceeded):
+            sampler.sample(rng, max_proposals=sampler.proposals)
+
+
 class TestCovers:
     def test_degree_one_is_base(self, bolza):
         cov = F.random_cover(bolza, 1, seed=0)
@@ -394,26 +419,50 @@ class TestCovers:
                     assert below_base
 
     def test_injrad_below_matches_full_ball(self, bolza):
-        # early exit and carried sheet images against the whole ball of radius
-        # 2R filtered by the composed permutation of each word
-        cov = F.random_cover(bolza, 4, seed=0)
-        sampler = F.DomainSampler(bolza)
+        # the shared search of a whole sample (every sheet at once on the
+        # cover) and the one-point call against the whole ball of radius 2R,
+        # filtered by the composed permutation of each word; the last points
+        # lie far outside D (tile prune with its d(0, c) margin) or off the
+        # axis of the cyclic group (displacement prune)
         rng = np.random.default_rng(21)
-        R = 1.7
-        agree = hits = 0
-        for k in range(50):
-            z = sampler.sample(rng)
-            zp = DiscPoint(z.real, z.imag)
-            sheet = k % 4
-            ball = F.orbit_enumerate(bolza, zp, 2.0 * R)
-            expect = any(1e-12 < e.displacement < 2.0 * R
-                         and F._compose_perms(cov, e.word)[sheet] == sheet
-                         for e in ball.nontrivial())
-            got = F.injrad_below(cov, zp, R, sheet=sheet)
-            agree += got == expect
-            hits += got
-        assert agree == 50
-        assert 0 < hits < 50
+        sampler = F.DomainSampler(bolza)
+        cover = F.random_cover(bolza, 4, seed=0)
+        cyclic = F.cyclic_group(1.0)
+        inner = {"cover": [sampler.sample(rng) for _ in range(30)],
+                 "cyclic": list(0.6 * np.sqrt(rng.random(30))
+                                * np.exp(2j * math.pi * rng.random(30)))}
+        rho = F.BOLZA_VERTEX_RADIUS * rng.uniform(1.3, 1.5, 24)
+        outer = {"cover": list(np.tanh(rho / 2.0) * np.exp(2j * math.pi * rng.random(24))),
+                 "cyclic": list(0.8 * np.exp(2j * math.pi * rng.random(8)))}
+        for case, surface, group, degree, R in [("cover", cover, bolza, 4, 1.7),
+                                                ("cyclic", cyclic, cyclic, 1, 0.9)]:
+            zs = inner[case] + outer[case]
+            expect = []
+            for z in zs:
+                ball = F.orbit_enumerate(group, DiscPoint(z.real, z.imag), 2.0 * R)
+                for sheet in range(degree):
+                    expect.append(any(
+                        1e-12 < e.displacement < 2.0 * R
+                        and (degree == 1 or F._compose_perms(surface, e.word)[sheet] == sheet)
+                        for e in ball.nontrivial()))
+            points = np.repeat(zs, degree)
+            sheets = np.tile(np.arange(degree), len(zs))
+            assert F.injrad_below_points(surface, points, R, sheets).below.tolist() == expect
+            one = [F.injrad_below(surface, DiscPoint(z.real, z.imag), R, sheet=int(s))
+                   for z, s in zip(points, sheets)]
+            assert one == expect
+            assert 0 < sum(expect) < len(expect)
+
+    def test_injrad_below_returns_bool(self, bolza):
+        z = DiscPoint(0.1, 0.2)
+        assert type(F.injrad_below(bolza, z, 1.7)) is bool
+        assert type(F.injrad_below(F.random_cover(bolza, 4, seed=0), z, 1.0, sheet=2)) is bool
+
+    def test_shared_search_budget_guard(self, bolza):
+        # below half the systole no point closes, so the search runs on
+        zs = 0.3 * np.exp(2j * math.pi * np.arange(10) / 10)
+        with pytest.raises(BudgetExceeded):
+            F.injrad_below_points(bolza, zs, 1.2, element_cap=50)
 
     def test_json_round_trip(self, bolza):
         cov = F.random_cover(bolza, 5, seed=13)
