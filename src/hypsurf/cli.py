@@ -255,9 +255,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_bs_stat(args) -> int:
-    base = bolza_group()
-    surface = base if args.degree == 1 else random_cover(base, args.degree, args.seed)
-    res = bs_statistic(surface, args.R, args.samples, args.seed)
+    res = bs_statistic(_surface(args, args.degree), args.R, args.samples, args.seed)
     write_summary(args.out, "bs_stat", {
         "config": {**_base_config(args), "R": args.R, "degree": args.degree,
                    "samples": args.samples},
@@ -306,43 +304,54 @@ def cmd_symbol(args) -> int:
     return 0 if ok else 1
 
 
-def _tower_surface(base, degree, seed):
-    return base if degree == 1 else random_cover(base, degree, seed)
-
-
 def _mesh_counters(mesh, data) -> dict:
     return {"mesh_nodes": len(mesh.points), "triangles": mesh.triangles,
             "stiffness_nnz": int(mesh.stiffness.nnz), "factor_nnz": data.factor_nnz}
 
 
-def cmd_variance(args) -> int:
+def _sign_re(z) -> float:
+    """The sign of Re z: the multiplication observable of the variance runs."""
+    return 1.0 if z.real > 0 else -1.0
+
+
+def _surface(args, degree: int):
+    """The Bolza surface (degree 1) or its cyclic cover drawn from args.seed."""
     base = bolza_group()
+    return base if degree == 1 else random_cover(base, degree, args.seed)
+
+
+def _solve(args, degree: int, modes: int):
+    """Mesh the degree-`degree` surface at args.h and solve for `modes` modes."""
+    mesh = disc_surface_mesh(_surface(args, degree), args.h)
+    return mesh, fem_eigensolve(mesh, modes)
+
+
+def _variance_row(data, window: SpectralWindow):
+    """Windowed variance of the mean-zero sign observable, and its summary row."""
+    rep = quantum_variance(mean_zero_density(_sign_re, data), data, window)
+    return rep, {"count": rep.count, "variance": rep.variance,
+                 "spread_stderr": float(np.std(rep.terms) / math.sqrt(rep.count)),
+                 "uncertainty": rep.uncertainty}
+
+
+def cmd_variance(args) -> int:
     window = SpectralWindow(*args.window)
-    surface = _tower_surface(base, args.degree, args.seed)
-    data = fem_eigensolve(disc_surface_mesh(surface, args.h), args.modes)
-    a_vals = mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, data)
-    rep = quantum_variance(a_vals, data, window,
-                           weight_from_name(args.weight), seed=args.seed)
-    spread = float(np.std(rep.terms) / math.sqrt(rep.count))
+    _, data = _solve(args, args.degree, args.modes)
+    rep, row = _variance_row(data, window)
     write_csv(args.out, "variance", "nu,matrix_element,limit,term",
               [(float(n), float(m), float(l), float(t)) for n, m, l, t in
                zip(rep.eigenvalues, rep.matrix_elements, rep.limit_terms, rep.terms)])
     write_summary(args.out, "variance", {
         "config": {**_base_config(args), "degree": args.degree, "h": args.h,
                    "modes": args.modes, "window": args.window,
-                   "observable": "sign_re_mean_zero",
-                   "nevo_n": rep.nevo_n, "nevo_n_provenance": rep.nevo_n_provenance},
-        "count": rep.count, "variance": rep.variance,
-        "uncertainty": rep.uncertainty, "spread_stderr": spread,
-        "passed": True})
+                   "observable": "sign_re_mean_zero"},
+        **row, "passed": True})
     return 0
 
 
 def cmd_weyl(args) -> int:
-    base = bolza_group()
     window = SpectralWindow(*args.window)
-    surface = _tower_surface(base, args.degree, args.seed)
-    data = fem_eigensolve(disc_surface_mesh(surface, args.h), args.modes)
+    _, data = _solve(args, args.degree, args.modes)
     rep = weyl_ratio(data, window)
     ok = 0.5 <= rep.ratio <= 2.0
     write_summary(args.out, "weyl", {
@@ -355,24 +364,16 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_tower(args) -> int:
-    base = bolza_group()
     window = SpectralWindow(*args.window)
     degrees = args.degrees
     rows, summaries = [], []
     for deg in degrees:
-        mesh = disc_surface_mesh(_tower_surface(base, deg, args.seed), args.h)
-        data = fem_eigensolve(mesh, args.modes_base + 10 * deg)
-        a_vals = mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, data)
-        rep = quantum_variance(a_vals, data, window,
-                               weight_from_name(args.weight), seed=args.seed)
-        spread = float(np.std(rep.terms) / math.sqrt(rep.count))
+        mesh, data = _solve(args, deg, args.modes_base + 10 * deg)
+        _, row = _variance_row(data, window)
         wr = weyl_ratio(data, window)
         new = data.eigenvalues[data.characters != 0]
-        rows.append((deg, rep.count, rep.variance, spread, wr.ratio))
-        summaries.append({"degree": deg, "count": rep.count,
-                          "variance": rep.variance, "spread_stderr": spread,
-                          "uncertainty": rep.uncertainty,
-                          "weyl_ratio": wr.ratio,
+        rows.append((deg, row["count"], row["variance"], row["spread_stderr"], wr.ratio))
+        summaries.append({"degree": deg, **row, "weyl_ratio": wr.ratio,
                           "min_new_eigenvalue": float(new.min()) if len(new) else None,
                           **_mesh_counters(mesh, data)})
     trend_ok = all(
@@ -397,10 +398,9 @@ def cmd_tower(args) -> int:
 def cmd_fem(args) -> int:
     if args.surface == "torus":
         mesh = torus_mesh(args.h)
+        data = fem_eigensolve(mesh, args.modes)
     else:
-        base = bolza_group()
-        mesh = disc_surface_mesh(_tower_surface(base, args.degree, args.seed), args.h)
-    data = fem_eigensolve(mesh, args.modes)
+        mesh, data = _solve(args, args.degree, args.modes)
     if args.export:
         export_eigendata(data, os.path.join(args.out, args.export))
     write_csv(args.out, "fem_eigs", "index,eigenvalue,residual",
@@ -417,19 +417,18 @@ def cmd_fem(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    base = bolza_group()
-    surface = _tower_surface(base, args.degree, args.seed)
-    window = SpectralWindow(*args.window)
-    A = multiplication_observable(lambda z: 1.0 if z.real > 0 else -1.0, 1.0)
-    budget = variance_pipeline_bounds(A, surface, T=args.T, r=args.r, s=args.s,
-                                      window=window,
+    A = multiplication_observable(_sign_re, 1.0)
+    budget = variance_pipeline_bounds(A, _surface(args, args.degree), T=args.T,
+                                      r=args.r, s=args.s,
+                                      window=SpectralWindow(*args.window),
                                       weight=weight_from_name(args.weight),
                                       sigma=args.sigma, nevo_n=args.nevo_n,
                                       n_mc=args.samples, seed=args.seed)
     write_summary(args.out, "pipeline", {
         "config": {**_base_config(args), "T": args.T, "r": args.r, "s": args.s,
                    "window": args.window, "sigma": args.sigma,
-                   "degree": args.degree, "nevo_n": args.nevo_n,
+                   "degree": args.degree, "samples": args.samples,
+                   "nevo_n": args.nevo_n,
                    "nevo_n_provenance": budget.nevo_n_provenance,
                    "suppressed_constants": budget.note},
         "terms": {"averaging": budget.term_averaging,

@@ -259,10 +259,6 @@ def _dist_array(z, w):
     return 2.0 * np.arcsinh(np.sqrt(num / den))
 
 
-def dist_to_origin(z: complex) -> float:
-    return 2.0 * math.atanh(abs(z))
-
-
 def point_at_distance(t: float, angle: float = 0.0) -> DiscPoint:
     """The disc point at hyperbolic distance t from 0 in direction angle."""
     r = math.tanh(t / 2.0)

@@ -26,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import StencilOutOfDomain
-from .fuchsian import (CoverSurface, DomainSampler, bs_statistic,
-                       systole_upper_bound)
+from .fuchsian import CoverSurface, DomainSampler
 from .geometry import (DiscPoint, GroupElement, _dist_complex,
                        _mobius_array, mobius_apply_complex)
 from .quadrature import gauss_legendre
@@ -461,70 +460,8 @@ def limit_term(A: Observable, lam: float, surface, n_mc: int = 2000,
 
 
 # ---------------------------------------------------------------------------
-# Error-operator budgets (spectral cutoff and truncation)
+# Spectral-cutoff tail
 # ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
-# JSON-declared observable presets
-# ---------------------------------------------------------------------------
-
-def _preset_density(name: str, params: dict):
-    if name == "sign_re":
-        return lambda z: 1.0 if z.real > 0 else -1.0
-    if name == "cos_re":
-        k = float(params.get("k", 3.0))
-        return lambda z: math.cos(k * z.real)
-    if name == "indicator_half":
-        return lambda z: 1.0 if z.imag > 0 else 0.0
-    raise ValueError(f"unknown multiplication preset {name!r}")
-
-
-def observable_from_json(text: str) -> Observable:
-    """Build a preset observable from a JSON declaration.
-
-    Schema: {"variant": ..., "parameters": {...},
-             "declared_constants": {"C": ..., "S": ..., "k": ...}}.
-    Multiplication presets: sign_re, cos_re(k), indicator_half.
-    finite_range preset: radial_bump with range S.
-    differential preset: laplacian.
-    """
-    import json as _json
-    d = _json.loads(text)
-    variant = d["variant"]
-    params = d.get("parameters", {})
-    consts = d.get("declared_constants", {})
-    if variant == "multiplication":
-        f = _preset_density(params.get("preset", "sign_re"), params)
-        return multiplication_observable(f, float(consts.get("C", 1.0)))
-    if variant == "finite_range":
-        if params.get("preset", "radial_bump") != "radial_bump":
-            raise ValueError("unknown finite-range preset")
-        S = float(params.get("S", 0.8))
-
-        def psi(t):
-            t = np.asarray(t, dtype=float)
-            x = t / S
-            out = np.zeros_like(t)
-            inside = x < 1.0
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
-            return out
-
-        C = consts.get("C")
-        return radial_kernel_observable(psi, S, float(C) if C is not None else None)
-    if variant == "differential":
-        if params.get("preset", "laplacian") != "laplacian":
-            raise ValueError("unknown differential preset")
-        return laplacian_observable()
-    raise ValueError(f"unknown observable variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    E_bound: float
-    R_hs_bound: float
-    injrad_fraction: float
-    systole_bound: float
-
 
 def multiplier_tail_bound(rho: SpectralMultiplier, weight: PlancherelWeight,
                           r: float, lam_grid, t_max_extra: float = 60.0) -> float:
@@ -533,39 +470,3 @@ def multiplier_tail_bound(rho: SpectralMultiplier, weight: PlancherelWeight,
     k = np.abs(inverse_selberg(rho, weight)(t))
     phis = np.abs(phi_eval(np.atleast_1d(lam_grid), t))
     return float(np.max((k * np.sinh(t) * w) @ phis))
-
-
-def error_ops_bounds(A: Observable, rho: SpectralMultiplier,
-                     weight: PlancherelWeight, r: float, surface,
-                     lam_grid=None, sup_kernel: float | None = None,
-                     n_mc: int = 300, seed: int = 0,
-                     chi_prime_sup: float = 1.5) -> ErrorBudget:
-    """Computable budget for the two approximation errors at truncation r.
-
-    E_bound: the spectral-multiplier tail int_r^inf |k_rho phi sinh|.
-    R_hs_bound: (D/r)^2 ||chi'||^2 e^{2D} (int |rho|^2 w) sup|K_A|^2
-                * (Vol + e^{r+D}/systole * Vol{InjRad < r + D}).
-    """
-    group = surface.base if isinstance(surface, CoverSurface) else surface
-    vol = (surface.volume() if isinstance(surface, CoverSurface)
-           else group.volume())
-    lam_grid = lam_grid if lam_grid is not None else np.linspace(
-        max(rho.support[0], 0.3), rho.support[1], 9)
-    e_bound = multiplier_tail_bound(rho, weight, r, lam_grid)
-    D = max(A.locality.S, 1e-9)
-    if sup_kernel is None:
-        if A.radial_profile is not None:
-            ts = np.linspace(0.0, D, 512)
-            sup_kernel = float(np.max(np.abs(A.radial_profile(ts))))
-        elif A.variant == "multiplication":
-            sup_kernel = A.locality.C
-        else:
-            raise ValueError("sup_kernel required for this observable")
-    lam, wl = gauss_legendre(rho.support[0], rho.support[1], 200)
-    rho_l2 = float(np.sum(rho(lam) ** 2 * weight(lam) * wl))
-    stat = bs_statistic(surface, r + D, n_mc, seed)
-    systole, _ = systole_upper_bound(group)
-    r_hs = ((D / r) ** 2 * chi_prime_sup ** 2 * math.exp(2.0 * D) * rho_l2
-            * sup_kernel ** 2
-            * (vol + math.exp(r + D) / systole * stat.value * vol))
-    return ErrorBudget(e_bound, r_hs, stat.value, systole)

@@ -71,25 +71,6 @@ def sqrt_edge_rule(c, a, b, n: int):
     return 2.0 * np.arcsinh(s), v, w
 
 
-def gl_integrate(f, a: float, b: float, n0: int = 32, tol: float = 1e-10,
-                 max_doublings: int = 8):
-    """Integrate a vectorized callable on [a, b], doubling nodes until stable."""
-    if b <= a:
-        return 0.0
-    x, w = gauss_legendre(a, b, n0)
-    prev = float(np.sum(f(x) * w))
-    n = n0
-    for _ in range(max_doublings):
-        n *= 2
-        x, w = gauss_legendre(a, b, n)
-        cur = float(np.sum(f(x) * w))
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"GL on [{a}, {b}] did not stabilize below {tol} at {n} nodes")
-
-
 def trapezoid_periodic(f, n0: int = 64, tol: float = 1e-9,
                        max_nodes: int = 1 << 21, period: float = 2.0 * np.pi):
     """Integrate f over one period, doubling nodes until the change is < tol.

@@ -8,10 +8,11 @@ arbitrary, so the cluster's matrix elements are the eigenvalues of the
 compressed observable Psi^T diag(a w) Psi: their squared deviations sum to
 the basis-free |Psi^T diag(a w) Psi - limit|_F^2.  A window edge that splits
 a cluster raises WindowNotResolved.
-Matrix elements are mesh quadratures against EigenData; the limit term for
-multiplication observables is the weighted mesh mean of the density (the
-spherical function at distance zero is 1), and for radial finite-range
-kernels the spherical pairing of their profile.
+The observable is a multiplication density given by its values at the mesh
+nodes; matrix elements are mesh quadratures against EigenData, and the limit
+term is the weighted mesh mean of the density (the spherical function at
+distance zero is 1).  Limit terms of other observables come from
+observables.limit_term, which the pipeline budget uses.
 
 The pipeline-budget report evaluates, term by term, the right-hand side of
 the windowed variance inequality (averaging gain 1/T, wraparound terms
@@ -95,34 +96,13 @@ class SpectralWindow:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    surface_id: str
-    window: SpectralWindow
     count: int
     eigenvalues: np.ndarray
     matrix_elements: np.ndarray
     limit_terms: np.ndarray
     terms: np.ndarray               # squared deviations per mode
     variance: float
-    uncertainty: float              # propagated from residuals + MC errors
-    weight_convention: str
-    nevo_n: float
-    nevo_n_provenance: str
-    seed: int
-
-
-def _density_values(A_or_values, data: EigenData) -> np.ndarray:
-    if isinstance(A_or_values, np.ndarray):
-        if A_or_values.shape != data.points.shape:
-            raise ValueError("density array must match the mesh")
-        return A_or_values.astype(float)
-    if isinstance(A_or_values, Observable):
-        if A_or_values.variant != "multiplication":
-            raise ValueError("mesh variance supports multiplication observables"
-                             " (pass mesh values or use limit_term for kernels)")
-        f = A_or_values.a
-    else:
-        f = A_or_values
-    return np.array([float(f(z)) for z in data.points])
+    uncertainty: float              # propagated from the eigenpair residuals
 
 
 def mesh_mean(values: np.ndarray, data: EigenData) -> float:
@@ -135,14 +115,14 @@ def mean_zero_density(f, data: EigenData) -> np.ndarray:
     return vals - mesh_mean(vals, data)
 
 
-def quantum_variance(A_or_values, data: EigenData, window: SpectralWindow,
-                     weight: PlancherelWeight | None = None,
-                     seed: int = 0) -> VarianceReport:
+def quantum_variance(values: np.ndarray, data: EigenData,
+                     window: SpectralWindow) -> VarianceReport:
     """Windowed variance of a multiplication observable over eigendata.
 
-    A_or_values: Observable (multiplication), bare callable on chart points,
-    or a mesh-value array (Gamma-invariance is the caller's contract; bounded
-    measurable densities are fine).
+    values: the density at the mesh nodes, an array of the shape of
+    data.points (Gamma-invariance is the caller's contract; bounded
+    measurable densities are fine).  mean_zero_density builds it from a
+    callable on chart points.
     """
     nu = data.eigenvalues
     inside = window.contains_nu(nu)
@@ -153,7 +133,9 @@ def quantum_variance(A_or_values, data: EigenData, window: SpectralWindow,
         np.diff(nu) > _DEGENERATE_REL * np.maximum(1.0, nu[:-1]))])
     if np.isin(cluster[~inside], cluster[inside]).any():
         raise WindowNotResolved("a window edge splits a degenerate eigenvalue cluster")
-    a_vals = _density_values(A_or_values, data)
+    a_vals = np.asarray(values, dtype=float)
+    if a_vals.shape != data.points.shape:
+        raise ValueError("density array must match the mesh")
     sup_a = float(np.max(np.abs(a_vals)))
     limit = mesh_mean(a_vals, data)
     me, terms, unc = [], [], []
@@ -173,11 +155,9 @@ def quantum_variance(A_or_values, data: EigenData, window: SpectralWindow,
     me = np.array(me)
     terms = np.array(terms)
     variance = float(np.mean(terms))
-    return VarianceReport(
-        data.surface_id, window, len(idx), data.eigenvalues[idx], me,
-        np.full(len(idx), limit), terms, variance,
-        float(np.mean(unc)), weight.variant if weight else "n/a",
-        nevo_n=2.0, nevo_n_provenance="assumed", seed=seed)
+    return VarianceReport(len(idx), data.eigenvalues[idx], me,
+                          np.full(len(idx), limit), terms, variance,
+                          float(np.mean(unc)))
 
 
 # ---------------------------------------------------------------------------

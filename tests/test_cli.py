@@ -179,6 +179,26 @@ class TestContracts:
         # degree 2 factorizes two blocks with the base's pattern, or more on re-solves
         assert rows[1]["factor_nnz"] >= 2 * rows[0]["factor_nnz"] > 0
 
+    def test_variance_and_weyl_match_the_tower_row(self, tmp_path):
+        # variance, weyl and each tower degree share one mesh-solve-variance
+        # path; the degree-2 row of tower solves 24 + 10 * 2 = 44 modes
+        out = str(tmp_path)
+        assert main(["tower", "--out", out, "--degrees", "1,2", "--h", "0.05"]) == 0
+        row = read(out, "tower")["per_degree"][1]
+        same = ["--out", out, "--degree", "2", "--modes", "44", "--h", "0.05"]
+        assert main(["variance"] + same) == 0
+        var = read(out, "variance")
+        assert var["count"] == row["count"] == 5
+        for key in ("variance", "spread_stderr", "uncertainty"):
+            assert var[key] == row[key]
+        assert main(["weyl"] + same) == 0
+        assert read(out, "weyl")["ratio"] == row["weyl_ratio"]
+
+    def test_pipeline_config_records_samples(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["pipeline", "--out", out, "--samples", "20"]) == 0
+        assert read(out, "pipeline")["config"]["samples"] == 20
+
     def test_torus_eigensolve_reproducible_across_processes(self, tmp_path):
         # 21 modes cut into the 8-fold level 197.17: the degenerate solve whose
         # last digits once changed from process to process

@@ -227,42 +227,13 @@ class TestLimitTerm:
             O.limit_term(O.laplacian_observable(), 1.0, bolza)
 
 
-class TestJsonPresets:
-    def test_multiplication_preset(self):
-        A = O.observable_from_json(
-            '{"variant": "multiplication", "parameters": {"preset": "cos_re",'
-            ' "k": 2.0}, "declared_constants": {"C": 1.0, "S": 0.0, "k": 0}}')
-        assert A.variant == "multiplication"
-        assert A.a(0.5 + 0j) == pytest.approx(math.cos(1.0))
-        assert A.locality.C == 1.0
-
-    def test_finite_range_preset(self):
-        A = O.observable_from_json(
-            '{"variant": "finite_range", "parameters": {"preset": "radial_bump",'
-            ' "S": 0.6}}')
-        assert A.locality.S == 0.6
-        assert A.radial_profile is not None
-
-    def test_differential_preset(self):
-        A = O.observable_from_json('{"variant": "differential"}')
-        s = O.complete_symbol(A, 0.1 + 0.1j, 1.0, 1j)
-        assert abs(s - 1.25) < 1e-5
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            O.observable_from_json('{"variant": "quantization"}')
-
-
-class TestErrorBudget:
-    def test_zero_multiplier(self, bolza):
+class TestMultiplierTail:
+    def test_zero_multiplier(self):
         rho = bump_multiplier(1.0, 2.0, amplitude=0.0)
-        A = O.radial_kernel_observable(radial_bump(0.8), 0.8)
-        b = O.error_ops_bounds(A, rho, PlancherelWeight.paper(), r=3.0,
-                               surface=bolza, n_mc=30, seed=1)
-        assert b.E_bound == pytest.approx(0.0, abs=1e-15)
-        assert b.R_hs_bound == pytest.approx(0.0, abs=1e-15)
+        e = O.multiplier_tail_bound(rho, PlancherelWeight.paper(), 3.0, [1.2, 1.5])
+        assert e == 0.0
 
-    def test_tail_decay_rate(self, bolza):
+    def test_tail_decay_rate(self):
         rho = bump_multiplier(1.0, 2.0)
         w = PlancherelWeight.paper()
         lam_grid = [1.2, 1.5]
@@ -271,13 +242,3 @@ class TestErrorBudget:
         ratio = e1 / e2
         predicted = ((1.0 + 8.0) / (1.0 + 4.0)) ** 2
         assert ratio > predicted / 4.0   # at least quadratic-ish decay
-
-    def test_r_hs_budget_shrinks(self, bolza):
-        rho = bump_multiplier(1.0, 2.0)
-        A = O.radial_kernel_observable(radial_bump(0.8), 0.8)
-        w = PlancherelWeight.paper()
-        b1 = O.error_ops_bounds(A, rho, w, r=3.0, surface=bolza, n_mc=30, seed=5)
-        b2 = O.error_ops_bounds(A, rho, w, r=6.0, surface=bolza, n_mc=30, seed=5)
-        # with the same InjRad statistics the (D/r)^2 prefactor drives it down
-        assert b2.E_bound < b1.E_bound
-        assert b2.R_hs_bound < b1.R_hs_bound * (math.exp(3.0) + 1)  # sanity scale

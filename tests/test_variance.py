@@ -83,13 +83,6 @@ class TestQuantumVariance:
             quantum_variance(np.ones_like(bolza_data.weights), bolza_data,
                              SpectralWindow(0.26, 0.27))
 
-    def test_metadata_provenance(self, bolza_data):
-        w = SpectralWindow(1.0, 4.0)
-        rep = quantum_variance(np.ones_like(bolza_data.weights), bolza_data, w,
-                               PlancherelWeight.paper())
-        assert rep.nevo_n_provenance == "assumed"
-        assert rep.weight_convention == "paper_tanh_2pi"
-
 
 @pytest.fixture(scope="module")
 def cover_data(bolza):
