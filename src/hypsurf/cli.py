@@ -261,7 +261,8 @@ def cmd_bs_stat(args) -> int:
                    "samples": args.samples},
         "value": res.value, "stderr": res.stderr, "n_hits": res.n_hits,
         "orbit_elements_explored": res.orbit_elements_explored,
-        "orbit_levels": res.orbit_levels, "passed": True})
+        "orbit_levels": res.orbit_levels,
+        "sampler_proposals": res.sampler_proposals, "passed": True})
     return 0
 
 
@@ -282,6 +283,7 @@ def cmd_hs_check(args) -> int:
         "injrad_fraction": rep.injrad_fraction,
         "orbit_elements_explored": rep.orbit_elements_explored,
         "orbit_levels": rep.orbit_levels,
+        "sampler_proposals": rep.sampler_proposals,
         "systole_bound": rep.systole_bound, "passed": rep.passed})
     return 0 if rep.passed else 1
 

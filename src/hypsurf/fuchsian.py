@@ -25,11 +25,12 @@ displacement + 1; for a cyclic group the displacement grows along the
 powers of the generator, so this loses nothing.
 
 Shared injectivity-radius search.  injrad_below_points decides InjRad < R at
-every point of a sample from one search at radius 2R.  Each level's new
-elements are tested at every point still open: a point closes when one of
-them moves it by less than 2R (on covers, with a sheet map fixing the
-point's sheet), and an element is expanded when the prune of some open
-point keeps it.  The answers are those of one search per point:
+every point of a sample, on every sheet, from one search at radius 2R.
+Each level's new elements are tested at every point still open: an element
+that moves the point by less than 2R is a witness for the sheets its sheet
+map fixes, a point closes once every sheet has a witness, and an element is
+expanded when the prune of some open point keeps it.  The answers are those
+of one search per point and sheet:
 - A level carries each element's whole sheet map, which does not depend on
   the word that reached the element: the sheet action is a homomorphism.
 - The prune is a function of the element, and every element an open point's
@@ -61,7 +62,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -108,14 +109,6 @@ class FuchsianGroup:
     def symmetrized(self) -> list:
         """Generators followed by their inverses (index i + n = inverse of i)."""
         return list(self.generators) + [g.inverse() for g in self.generators]
-
-    def word_element(self, word: Sequence[int]) -> GroupElement:
-        """Evaluate a word of symmetrized-generator indices."""
-        gens = self.symmetrized()
-        out = GroupElement.identity()
-        for i in word:
-            out = out @ gens[i]
-        return out
 
     def relation_element(self) -> GroupElement:
         out = GroupElement.identity()
@@ -466,38 +459,38 @@ def injectivity_radius_at(group: FuchsianGroup, z: DiscPoint, search_R: float,
 
 @dataclass(frozen=True)
 class InjradQuery:
-    below: np.ndarray          # (points,) bool: InjRad < R at each point
+    below: np.ndarray          # (points, degree) bool: InjRad < R at point i on sheet s
     elements_explored: int     # by the one shared search, identity excluded
     levels: int                # levels that search generated
 
 
-def injrad_below_points(surface, zs, R: float, sheets=None,
-                        word_cap: int | None = None,
+def injrad_below_points(surface, zs, R: float, word_cap: int | None = None,
                         element_cap: int = 1_000_000) -> InjradQuery:
-    """Decide InjRad(z[, sheet]) < R at every chart point z of zs at once.
+    """Decide InjRad < R at every chart point z of zs, on every sheet, at once.
 
-    True where some nontrivial deck motion moves the point by less than 2R;
-    on covers the witness's sheet map must fix the point's sheet (sheets,
-    default 0).  One search serves every point: at each level the
-    displacements of the new elements are taken at every open point, a point
-    with a witness closes, and an element is expanded if the prune of the
-    search at radius 2R (orbit_enumerate's) keeps it for some open point.
-    The search ends when no point is open or nothing is expanded.  Open
-    points go in blocks whose (points x elements) arrays hold at most _BLOCK
-    cells (or one point's row).
+    Entry [i, s] is True where some nontrivial deck motion moves zs[i] by
+    less than 2R with a sheet map that fixes sheet s (the base group has one
+    sheet, fixed by every element).  One search serves every point: at each
+    level the displacements of the new elements are taken at every open
+    point, each witness marks the sheets where its sheet map equals
+    arange(degree), a point closes once every sheet is marked, and an element
+    is expanded if the prune of the search at radius 2R (orbit_enumerate's)
+    keeps it for some open point.  The search ends when no point is open or
+    nothing is expanded.  Open points go in blocks whose (points x elements)
+    arrays hold at most _BLOCK cells (or one point's row).
     """
     cover = surface if isinstance(surface, CoverSurface) else None
     group = cover.base if cover is not None else surface
+    sheets = np.arange(cover.degree if cover is not None else 1)
     zs = np.asarray(zs, dtype=complex)
-    below = np.zeros(len(zs), dtype=bool)
+    below = np.zeros((len(zs), len(sheets)), dtype=bool)
     if group.n_generators == 0 or not len(zs):
         return InjradQuery(below, 0, 0)
+    perms = np.zeros((2 * group.n_generators, len(sheets)), dtype=int)
+    if cover is not None:
+        perms[:] = [cover.perm_array(gi) for gi in range(len(perms))]
     target = 2.0 * R
     bounds = _prune_bounds(group, zs, target)
-    perms = None
-    if cover is not None:
-        perms = np.array([cover.perm_array(gi) for gi in range(2 * group.n_generators)])
-        sheets = np.zeros(len(zs), dtype=int) if sheets is None else np.asarray(sheets)
     open_points = np.arange(len(zs))
     explored = levels = 0
     for level in _word_levels(group, word_cap, element_cap, perms):
@@ -510,14 +503,12 @@ def injrad_below_points(surface, zs, R: float, sheets=None,
             c = zs[idx, None]
             disp = _dist_array(c, _mobius_array(level.alpha, level.beta, c))
             witness = (disp > 1e-12) & (disp < target)
-            if cover is not None:
-                witness &= level.maps[:, sheets[idx]].T == sheets[idx, None]
-            hit = witness.any(axis=1)
-            below[idx[hit]] = True
-            stay = ~hit
+            cols = np.flatnonzero(witness.any(axis=0))   # only witnesses meet the sheets
+            below[idx] |= witness[:, cols] @ (level.maps[cols] == sheets)
+            stay = ~below[idx].all(axis=1)
             expand |= _expand_mask(group, c[stay], bounds[idx[stay], None],
                                    level.alpha, level.beta, disp[stay]).any(axis=0)
-        open_points = open_points[~below[open_points]]
+        open_points = open_points[~below[open_points].all(axis=1)]
         if not len(open_points):
             break
         level.expand = expand
@@ -527,8 +518,8 @@ def injrad_below_points(surface, zs, R: float, sheets=None,
 def injrad_below(surface, z: DiscPoint, R: float, sheet: int = 0,
                  word_cap: int | None = None, element_cap: int = 1_000_000) -> bool:
     """Decide InjRad(z[, sheet]) < R: the one-point call of injrad_below_points."""
-    return bool(injrad_below_points(surface, [z.z], R, [sheet], word_cap,
-                                    element_cap).below[0])
+    return bool(injrad_below_points(surface, [z.z], R, word_cap,
+                                    element_cap).below[0, sheet])
 
 
 def systole_upper_bound(group: FuchsianGroup, word_len: int = 8):
@@ -671,9 +662,12 @@ class DomainSampler:
     circumradius, which holds the whole domain).
 
     Rejection from that disc; membership test: no face point of the domain
-    is closer than 0 itself.  `proposals` counts the draws made so far, so
-    2 pi (cosh radius - 1) times the accepted share estimates the sampled
-    area.
+    is closer than 0 itself.  Each proposal takes two consecutive doubles of
+    the generator, u for the radius and v for the angle, so the stream of
+    proposals does not depend on how they are batched.  `proposals` counts
+    the proposals up to and including each call's last accepted one, summed
+    over calls, so 2 pi (cosh radius - 1) times the accepted share estimates
+    the sampled area.
     """
 
     def __init__(self, group: FuchsianGroup, radius: float | None = None):
@@ -689,22 +683,27 @@ class DomainSampler:
     def contains(self, z: complex, tol: float = 1e-12) -> bool:
         return _in_dirichlet_domain(z, self.faces, tol)
 
-    def sample(self, rng: np.random.Generator, max_proposals: int | None = None) -> complex:
-        """One point: draws r, then the angle, then tests membership.
+    def sample(self, rng: np.random.Generator, n: int,
+               max_proposals: int | None = None) -> np.ndarray:
+        """n points: proposals are drawn in batches of 3 times the count
+        still needed plus 64, each batch tested by one membership call, and
+        the first n accepted are kept.
 
-        Raises BudgetExceeded once `proposals` passes max_proposals.
+        Raises BudgetExceeded when `proposals` would pass max_proposals
+        before the n-th acceptance.
         """
         cosh_R = math.cosh(self.radius)
-        while True:
-            r_h = math.acosh(1.0 + rng.random() * (cosh_R - 1.0))
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            z = math.tanh(r_h / 2.0) * cmath.exp(1j * phi)
-            self.proposals += 1
-            inside = self.contains(z)
+        out = np.empty(0, dtype=complex)
+        while len(out) < n:
+            need = n - len(out)
+            u, v = rng.random((3 * need + 64, 2)).T
+            z = np.tanh(np.arccosh(1.0 + u * (cosh_R - 1.0)) / 2.0) * np.exp(2j * math.pi * v)
+            accepted = np.flatnonzero(_in_dirichlet_domain(z[:, None], self.faces))[:need]
+            self.proposals += int(accepted[-1]) + 1 if len(accepted) == need else len(z)
             if max_proposals is not None and self.proposals > max_proposals:
                 raise BudgetExceeded("sampler acceptance rate too low")
-            if inside:
-                return z
+            out = np.concatenate([out, z[accepted]])
+        return out
 
 
 @dataclass(frozen=True)
@@ -712,36 +711,34 @@ class BsStatResult:
     value: float
     stderr: float
     n_samples: int
-    n_hits: int
+    n_hits: int                    # (point, sheet) pairs with InjRad < R
     orbit_elements_explored: int   # by the one injrad search of all samples
     orbit_levels: int
+    sampler_proposals: int
 
 
 def bs_statistic(surface, R: float, n_samples: int, seed: int) -> BsStatResult:
     """Monte Carlo estimate of Vol{InjRad < R} / Vol over the surface.
 
-    Draws every point (and on covers its sheet) first, then answers all
-    injectivity-radius queries from one search.
+    Draws every point of D first and answers all injectivity-radius queries,
+    on every sheet, from one search.  Each point contributes the share of
+    its sheets below R, the exact mean over the sheet (Rao-Blackwell), so
+    only the point is Monte Carlo: the value is the mean share and its
+    stderr that of the shares.
     """
     if R > 25:
         raise ParameterOutOfRange("R > 25 not supported")
     if n_samples < 1:
         raise ParameterOutOfRange("n_samples must be >= 1")
     base = surface.base if isinstance(surface, CoverSurface) else surface
-    degree = surface.degree if isinstance(surface, CoverSurface) else 1
     sampler = DomainSampler(base)
-    rng = np.random.default_rng(seed)
-    zs = np.empty(n_samples, dtype=complex)
-    sheets = np.zeros(n_samples, dtype=int)
-    for i in range(n_samples):
-        zs[i] = sampler.sample(rng)
-        if degree > 1:
-            sheets[i] = rng.integers(degree)
-    query = injrad_below_points(surface, zs, R, sheets)
-    hits = int(query.below.sum())
-    p = hits / n_samples
-    return BsStatResult(p, math.sqrt(max(p * (1.0 - p), 1e-12) / n_samples),
-                        n_samples, hits, query.elements_explored, query.levels)
+    zs = sampler.sample(np.random.default_rng(seed), n_samples)
+    query = injrad_below_points(surface, zs, R)
+    share = query.below.mean(axis=1)
+    return BsStatResult(float(share.mean()),
+                        math.sqrt(max(float(share.var()), 1e-12) / n_samples),
+                        n_samples, int(query.below.sum()), query.elements_explored,
+                        query.levels, sampler.proposals)
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +795,7 @@ class HsCheckReport:
     passed: bool
     orbit_elements_explored: int   # by the one injrad search of all samples
     orbit_levels: int
+    sampler_proposals: int
 
 
 def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
@@ -821,9 +819,8 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
         if base_radius is None:
             raise ValueError("window_radius required for non-cocompact groups")
         window_radius = base_radius
-    rng = np.random.default_rng(seed)
     sampler = DomainSampler(group, window_radius)
-    samples = [sampler.sample(rng, 400 * n_mc) for _ in range(2 * n_mc)]
+    samples = sampler.sample(np.random.default_rng(seed), 2 * n_mc, 400 * n_mc)
     proposal_vol = 2.0 * math.pi * (math.cosh(window_radius) - 1.0)
     window_vol = proposal_vol * len(samples) / sampler.proposals
     zs, ws = samples[:n_mc], samples[n_mc:]
@@ -845,7 +842,7 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
     if systole is None:
         systole, _ = systole_upper_bound(group)
     query = injrad_below_points(group, zs, r)
-    frac = int(query.below.sum()) / len(zs)
+    frac = int(query.below.sum()) / len(zs)   # the base group has one sheet
     t_s = np.linspace(0.0, upper, 2048)
     sup_k2 = float(np.max((kernel(t_s) * np.asarray(chi(t_s / r))) ** 2))
     second = math.exp(2.0 * r) / systole * (frac * window_vol) * sup_k2
@@ -853,4 +850,5 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
     rel_err = lhs_err / lhs if lhs > 0 else 0.0
     passed = lhs <= rhs * (1.0 + 3.0 * rel_err) + 1e-12
     return HsCheckReport(lhs, lhs_err, rhs, first, second, frac, systole,
-                         window_radius, passed, query.elements_explored, query.levels)
+                         window_radius, passed, query.elements_explored, query.levels,
+                         sampler.proposals)

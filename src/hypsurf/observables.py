@@ -272,9 +272,9 @@ def theta_second_derivative_norm(a: Symbol, lam_window, surface, n_mc: int,
     of the second rotation-angle derivative of the symbol over the sphere
     bundle; Monte Carlo over (fundamental domain) x (angle)."""
     group = surface.base if isinstance(surface, CoverSurface) else surface
-    sampler = DomainSampler(group)
     rng = np.random.default_rng(seed)
-    pts = [(sampler.sample(rng), rng.uniform(0.0, TWO_PI)) for _ in range(n_mc)]
+    zs = DomainSampler(group).sample(rng, n_mc)
+    pts = list(zip(zs, rng.uniform(0.0, TWO_PI, n_mc)))
     lams = np.linspace(lam_window[0], lam_window[1], n_lam)
     worst = 0.0
     h = fd_step
@@ -429,9 +429,8 @@ def limit_term(A: Observable, lam: float, surface, n_mc: int = 2000,
     """
     group = surface.base if isinstance(surface, CoverSurface) else surface
     if A.variant == "multiplication":
-        sampler = DomainSampler(group)
-        rng = np.random.default_rng(seed)
-        vals = np.array([A.a(sampler.sample(rng)) for _ in range(n_mc)])
+        zs = DomainSampler(group).sample(np.random.default_rng(seed), n_mc)
+        vals = np.array([A.a(z) for z in zs])
         return LimitTerm(float(np.mean(vals)),
                          float(np.std(vals) / math.sqrt(n_mc)))
     if A.variant == "finite_range":
@@ -441,15 +440,13 @@ def limit_term(A: Observable, lam: float, surface, n_mc: int = 2000,
             vals = phi_eval(lam, t)
             total = TWO_PI * float(np.sum(A.radial_profile(t) * vals * np.sinh(t) * w))
             return LimitTerm(total, 0.0)
-        sampler = DomainSampler(group)
-        rng = np.random.default_rng(seed)
+        zs = DomainSampler(group).sample(np.random.default_rng(seed), n_mc)
         vals = []
         t, wq = gauss_legendre(0.0, S, 32)
         # polar rings of 48 points at the 32 radii, weighted by the measure and phi
         ring = np.multiply.outer(np.tanh(t / 2.0), np.exp(1j * TWO_PI * np.arange(48) / 48))
         ring_w = (wq * np.sinh(t) * (TWO_PI / 48) * phi_eval(lam, t))[:, None]
-        for _ in range(n_mc):
-            z = sampler.sample(rng)
+        for z in zs:
             trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
             pts = _mobius_array(trans.alpha, trans.beta, ring)
             kv = np.array([complex(A.kernel(z, wpt)).real for wpt in pts.ravel()])

@@ -94,13 +94,18 @@ class TestContracts:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_deterministic_summaries(self, tmp_path):
+    @pytest.mark.parametrize("argv, name", [
+        (["geometry-check", "--samples", "200"], "geometry_check"),
+        (["bs-stat", "--degree", "4"], "bs_stat"),
+        (["hs-check", "--samples", "100"], "hs_check")],
+        ids=["geometry-check", "bs-stat", "hs-check"])
+    def test_deterministic_summaries(self, tmp_path, argv, name):
         out = str(tmp_path)
-        args = ["geometry-check", "--out", out, "--samples", "200", "--seed", "7"]
+        args = argv + ["--out", out, "--seed", "7"]
         assert main(args) == 0
-        first = read_bytes(out, "geometry_check")
+        first = read_bytes(out, name)
         assert main(args) == 0
-        assert read_bytes(out, "geometry_check") == first
+        assert read_bytes(out, name) == first
 
     def test_deterministic_eigensolve(self, tmp_path):
         out = str(tmp_path)

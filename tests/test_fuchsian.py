@@ -1,3 +1,5 @@
+import cmath
+import copy
 import math
 from collections import Counter
 
@@ -84,6 +86,18 @@ def exhaustive_word_ball(group, R, max_len):
         if len(A) == 0:
             break
     return count_in_ball
+
+
+def brute_below(surface, group, z, R):
+    """Oracle: InjRad < R at z on each sheet, from the whole ball of radius 2R
+    at z and the composed sheet permutation of each witness's word."""
+    degree = surface.degree if isinstance(surface, F.CoverSurface) else 1
+    below = np.zeros(degree, dtype=bool)
+    for e in F.orbit_enumerate(group, DiscPoint(z.real, z.imag), 2.0 * R).nontrivial():
+        if 1e-12 < e.displacement < 2.0 * R:
+            perm = F._compose_perms(surface, e.word) if degree > 1 else np.zeros(1)
+            below |= perm == np.arange(degree)
+    return below
 
 
 def element_key(g):
@@ -255,14 +269,18 @@ class TestBsStatistic:
         assert res.value == 1.0
 
     @pytest.mark.parametrize("degree, R, n, seed, hits", [
-        (4, 1.7, 300, 0, 195), (4, 2.2, 200, 5, 200), (8, 2.0, 200, 1, 121),
+        (4, 1.7, 300, 0, 728), (4, 2.2, 200, 5, 800), (8, 2.0, 200, 1, 1032),
         (1, 1.2, 200, 2, 0)])
     def test_frozen_hit_counts(self, bolza, degree, R, n, seed, hits):
-        # the hit counts that one search per sample point gave (cover seed 0)
+        # (point, sheet) pairs below R (cover seed 0), re-derived from the same
+        # drawn points by one full ball per point, then pinned
         surface = bolza if degree == 1 else F.random_cover(bolza, degree, seed=0)
         res = F.bs_statistic(surface, R, n, seed=seed)
-        assert res.n_hits == hits
+        zs = F.DomainSampler(bolza).sample(np.random.default_rng(seed), n)
+        expect = sum(int(brute_below(surface, bolza, z, R).sum()) for z in zs)
+        assert res.n_hits == expect == hits
         assert res.orbit_levels >= 1 and res.orbit_elements_explored >= 8
+        assert res.sampler_proposals > n
 
     def test_cover_trend(self, bolza):
         # fixed R: larger covers have no larger small-injectivity mass
@@ -304,8 +322,8 @@ class TestPeriodization:
         per = F.periodize_truncated(K, bolza, r, ball=ball)
         rng = np.random.default_rng(4)
         sampler = F.DomainSampler(bolza)
-        for _ in range(20):
-            z, w = sampler.sample(rng), sampler.sample(rng)
+        pts = sampler.sample(rng, 40)
+        for z, w in zip(pts[:20], pts[20:]):
             direct = 0.0
             for e in ball.elements:
                 gw = mobius_apply_complex(e.g, w)
@@ -369,11 +387,50 @@ class TestDomainSampler:
             F.DomainSampler(group)
         sampler = F.DomainSampler(group, 2.5)
         rng = np.random.default_rng(0)
-        zs = [sampler.sample(rng) for _ in range(50)]
+        zs = sampler.sample(rng, 50)
+        assert len(zs) == 50
         assert all(sampler.contains(z) and 2.0 * math.atanh(abs(z)) <= 2.5 for z in zs)
         assert sampler.proposals > 50
+        # the budget counts the proposals of every call
         with pytest.raises(BudgetExceeded):
-            sampler.sample(rng, max_proposals=sampler.proposals)
+            sampler.sample(rng, 1, max_proposals=sampler.proposals)
+        with pytest.raises(BudgetExceeded):
+            F.DomainSampler(group, 2.5).sample(rng, 50, max_proposals=50)
+
+    @pytest.mark.parametrize("group, radius", [(F.bolza_group(), None),
+                                               (F.cyclic_group(1.0), 6.0)])
+    @pytest.mark.parametrize("n", [1, 37, 500])
+    def test_proposals_replay(self, group, radius, n):
+        # proposal k is the k-th pair of doubles (radius, angle): one at a
+        # time from a copy of the generator, the n-th accepted is proposal
+        # number `proposals`, and the accepted points are the sample (the
+        # cyclic window accepts too few for one batch at n = 500)
+        rng = np.random.default_rng(3)
+        replay = copy.deepcopy(rng)
+        sampler = F.DomainSampler(group, radius)
+        zs = sampler.sample(rng, n)
+        faces = F._face_points(group)
+        cosh_R = math.cosh(sampler.radius)
+        accepted, count = [], 0
+        while len(accepted) < n:
+            u, v = replay.random(2)
+            z = (math.tanh(math.acosh(1.0 + u * (cosh_R - 1.0)) / 2.0)
+                 * cmath.exp(2j * math.pi * v))
+            count += 1
+            if F._in_dirichlet_domain(z, faces):
+                accepted.append(z)
+        assert sampler.proposals == count
+        assert np.max(np.abs(zs - np.array(accepted))) < 1e-14
+
+    def test_area_estimate(self, bolza):
+        # 2 pi (cosh R_D - 1) n / proposals estimates the area 4 pi of D
+        sampler = F.DomainSampler(bolza)
+        n = 4000
+        sampler.sample(np.random.default_rng(11), n)
+        disc = 2.0 * math.pi * (math.cosh(bolza.dirichlet_radius) - 1.0)
+        p = n / sampler.proposals
+        stderr = disc * math.sqrt(p * (1.0 - p) / sampler.proposals)
+        assert abs(disc * p - 4.0 * math.pi) <= 4.0 * stderr
 
 
 class TestCovers:
@@ -407,8 +464,7 @@ class TestCovers:
         cov = F.random_cover(bolza, 4, seed=9)
         rng = np.random.default_rng(8)
         sampler = F.DomainSampler(bolza)
-        for _ in range(12):
-            z = sampler.sample(rng)
+        for z in sampler.sample(rng, 12):
             zp = DiscPoint(z.real, z.imag)
             for R in [1.6, 1.8, 2.2]:
                 below_base = F.injrad_below(bolza, zp, R)
@@ -419,39 +475,41 @@ class TestCovers:
                     assert below_base
 
     def test_injrad_below_matches_full_ball(self, bolza):
-        # the shared search of a whole sample (every sheet at once on the
-        # cover) and the one-point call against the whole ball of radius 2R,
-        # filtered by the composed permutation of each word; the last points
-        # lie far outside D (tile prune with its d(0, c) margin) or off the
-        # axis of the cyclic group (displacement prune)
+        # the shared search of a whole sample (every sheet at once) and the
+        # one-point call against the whole ball of radius 2R, filtered sheet
+        # by sheet by the composed permutation of each word; the covers are
+        # the degree-4 cyclic one and a degree-3 one that is not cyclic; the
+        # last points lie far outside D (tile prune with its d(0, c) margin)
+        # or off the axis of the cyclic group (displacement prune)
         rng = np.random.default_rng(21)
         sampler = F.DomainSampler(bolza)
-        cover = F.random_cover(bolza, 4, seed=0)
+        s, t = (1, 0, 2), (0, 2, 1)
+        cyclic4 = F.random_cover(bolza, 4, seed=0)
+        mixed3 = F.CoverSurface(bolza, 3, (s, s, t, t))
         cyclic = F.cyclic_group(1.0)
-        inner = {"cover": [sampler.sample(rng) for _ in range(30)],
-                 "cyclic": list(0.6 * np.sqrt(rng.random(30))
-                                * np.exp(2j * math.pi * rng.random(30)))}
         rho = F.BOLZA_VERTEX_RADIUS * rng.uniform(1.3, 1.5, 24)
-        outer = {"cover": list(np.tanh(rho / 2.0) * np.exp(2j * math.pi * rng.random(24))),
-                 "cyclic": list(0.8 * np.exp(2j * math.pi * rng.random(8)))}
-        for case, surface, group, degree, R in [("cover", cover, bolza, 4, 1.7),
-                                                ("cyclic", cyclic, cyclic, 1, 0.9)]:
-            zs = inner[case] + outer[case]
-            expect = []
-            for z in zs:
-                ball = F.orbit_enumerate(group, DiscPoint(z.real, z.imag), 2.0 * R)
-                for sheet in range(degree):
-                    expect.append(any(
-                        1e-12 < e.displacement < 2.0 * R
-                        and (degree == 1 or F._compose_perms(surface, e.word)[sheet] == sheet)
-                        for e in ball.nontrivial()))
-            points = np.repeat(zs, degree)
-            sheets = np.tile(np.arange(degree), len(zs))
-            assert F.injrad_below_points(surface, points, R, sheets).below.tolist() == expect
-            one = [F.injrad_below(surface, DiscPoint(z.real, z.imag), R, sheet=int(s))
-                   for z, s in zip(points, sheets)]
-            assert one == expect
-            assert 0 < sum(expect) < len(expect)
+        in_bolza = list(sampler.sample(rng, 30)) + list(
+            np.tanh(rho / 2.0) * np.exp(2j * math.pi * rng.random(24)))
+        in_cyclic = list(0.6 * np.sqrt(rng.random(30)) * np.exp(2j * math.pi * rng.random(30))) \
+            + list(0.8 * np.exp(2j * math.pi * rng.random(8)))
+        shares = {}
+        for case, surface, group, zs, R in [("cyclic4", cyclic4, bolza, in_bolza, 1.7),
+                                            ("mixed3", mixed3, bolza, in_bolza, 1.7),
+                                            ("cyclic", cyclic, cyclic, in_cyclic, 0.9)]:
+            expect = np.array([brute_below(surface, group, z, R) for z in zs])
+            below = F.injrad_below_points(surface, zs, R).below
+            assert below.shape == expect.shape
+            assert np.array_equal(below, expect)
+            # the one-point call, each sheet in turn
+            sheets = np.arange(len(zs)) % expect.shape[1]
+            one = [F.injrad_below(surface, DiscPoint(z.real, z.imag), R, sheet=int(k))
+                   for z, k in zip(zs, sheets)]
+            assert one == expect[np.arange(len(zs)), sheets].tolist()
+            assert 0 < expect.sum() < expect.size
+            shares[case] = expect.mean(axis=1)
+        # a cyclic cover's sheet maps are shifts: one fixed sheet fixes all
+        assert set(shares["cyclic4"]) <= {0.0, 1.0}
+        assert np.any((shares["mixed3"] > 0.0) & (shares["mixed3"] < 1.0))
 
     def test_injrad_below_returns_bool(self, bolza):
         z = DiscPoint(0.1, 0.2)
