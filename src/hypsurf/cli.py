@@ -22,8 +22,7 @@ from . import __version__
 from .errors import HypsurfError
 from .eigensolve import disc_surface_mesh, export_eigendata, fem_eigensolve, torus_mesh
 from .fuchsian import (bolza_group, bs_statistic, cyclic_group, hs_bound_check,
-                       injectivity_radius_at, orbit_enumerate, random_cover,
-                       systole_upper_bound)
+                       orbit_enumerate, random_cover, systole_upper_bound)
 from .geometry import (AnkCoords, BoundaryPoint, DiscPoint, GroupElement,
                        ank_compose, ank_decompose, boundary_angle_derivative,
                        busemann, hyp_distance, mobius_apply, poisson_weight)
@@ -239,18 +238,16 @@ def cmd_orbit(args) -> int:
     group = bolza_group() if args.group == "bolza" else cyclic_group(args.length)
     ball = orbit_enumerate(group, DiscPoint(0, 0), args.R)
     # the injectivity radius is searched within radius max(R, 1)
-    inj = (ball.injectivity_radius() if args.R >= 1.0
-           else injectivity_radius_at(group, DiscPoint(0, 0), 1.0))
-    sys_bound, wl = systole_upper_bound(group, args.word_len)
+    inj = (ball if args.R >= 1.0
+           else orbit_enumerate(group, DiscPoint(0, 0), 1.0)).injectivity_radius()
     write_csv(args.out, "orbit", "displacement,word_length",
-              [(e.displacement, len(e.word)) for e in ball.elements])
+              zip(ball.displacement.tolist(), map(len, ball.words)))
     write_summary(args.out, "orbit", {
         "config": {**_base_config(args), "group": args.group, "R": args.R,
-                   "length": args.length, "word_len": args.word_len},
+                   "length": args.length},
         "count": len(ball), "injectivity_radius": inj.value,
         "inj_is_lower_bound": inj.is_lower_bound,
-        "systole_upper_bound": sys_bound, "systole_word_len": wl,
-        "passed": True})
+        "systole_upper_bound": systole_upper_bound(group), "passed": True})
     return 0
 
 
@@ -269,11 +266,8 @@ def cmd_bs_stat(args) -> int:
 def cmd_hs_check(args) -> int:
     group = bolza_group() if args.group == "bolza" else cyclic_group(args.length)
     kern = RadialKernel(lambda t: np.exp(-t * t), support_bound=8.0)
-    kw = {}
-    if args.group != "bolza":
-        kw = {"systole": args.length, "window_radius": 2.5}
-    rep = hs_bound_check(kern, group, r=args.r, n_mc=args.samples,
-                         seed=args.seed, **kw)
+    rep = hs_bound_check(kern, group, r=args.r, n_mc=args.samples, seed=args.seed,
+                         window_radius=None if args.group == "bolza" else 2.5)
     write_summary(args.out, "hs_check", {
         "config": {**_base_config(args), "group": args.group, "r": args.r,
                    "samples": args.samples, "length": args.length},
@@ -541,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", choices=["bolza", "cyclic"], default="bolza")
     sp.add_argument("--R", type=float, default=3.1)
     sp.add_argument("--length", type=float, default=1.0)
-    sp.add_argument("--word-len", type=int, default=8, dest="word_len")
     sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("bs-stat", help="small-injectivity-radius volume fraction")

@@ -1,12 +1,12 @@
 """Finitely generated Fuchsian groups and their desk-scale statistics.
 
-Orbit balls, injectivity-radius queries and the systole bound share one
-breadth-first search over reduced words (no generator next to its own
-inverse).  The search is level-synchronous: all children of a level come
-from one numpy product, are normalized and sign-fixed as GroupElement does,
-and are deduplicated against every element seen so far in first-found order
-(parent order, then generator order).  Each caller prunes which elements
-the search expands.
+Orbit balls and injectivity-radius queries share one breadth-first search
+over reduced words (no generator next to its own inverse).  The search is
+level-synchronous: all children of a level come from one numpy product, are
+sign-fixed as GroupElement does, and are deduplicated against every element
+seen so far in first-found order (parent order, then generator order).  Each
+caller prunes which elements the search expands.  The systole bound and the
+periodization read complete orbit balls.
 
 Tile prune.  When a group declares a Dirichlet radius R_D, its symmetrized
 generators pair the sides of the Dirichlet domain D at 0 (see
@@ -18,11 +18,10 @@ and each of them has d(c, g 0) <= R + R_D.  A search that expands g while
 d(c, g 0) <= R + R_D + 1e-9 therefore reaches every such gamma.  For c
 outside D the same argument runs on B(c, R + d(0, c)), which holds 0 and
 every such gamma 0, so the margin grows by d(0, c).  The search runs until
-its frontier is empty, and that is what makes the ball complete: no cap on
-the word length is needed.  Groups without a Dirichlet radius (the cyclic
-and trivial presets) expand g while d(c, g c) <= R + max generator
-displacement + 1; for a cyclic group the displacement grows along the
-powers of the generator, so this loses nothing.
+its frontier is empty, and that is what makes the ball complete.  Groups
+without a Dirichlet radius (the cyclic and trivial presets) expand g while
+d(c, g c) <= R + max generator displacement + 1; for a cyclic group the
+displacement grows along the powers of the generator, so this loses nothing.
 
 Shared injectivity-radius search.  injrad_below_points decides InjRad < R at
 every point of a sample, on every sheet, from one search at radius 2R.
@@ -41,7 +40,17 @@ of one search per point and sheet:
 - A witness is decided by its displacement, not by being reached, so the
   extra elements of the shared tree cannot make false hits: a witness among
   them is one the point's own complete search finds too.
-word_cap stops the shared search after that many levels.
+
+Systole.  A hyperbolic gamma of translation length l whose axis lies at
+distance delta from 0 moves 0 by sinh(d(0, gamma 0) / 2) = cosh(delta)
+sinh(l / 2) (Buser, Geometry and Spectra of Compact Riemann Surfaces,
+1992).  Every closed geodesic has a lift whose axis meets D, where delta <=
+R_D.  With l0 the least translation length among the generators, the
+complete ball B(0, rho), sinh(rho / 2) = cosh(R_D) sinh(l0 / 2), therefore
+holds such a lift of every closed geodesic no longer than l0, and its least
+translation length is the systole.  Without a Dirichlet radius, rho is the
+largest generator displacement at 0: the ball holds the generators, and the
+value is an upper bound.
 
 Injectivity radius at z is half the smallest displacement d(z, gamma z) over
 nontrivial gamma.  Covers are described by one permutation of the sheets per
@@ -62,7 +71,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,7 +79,7 @@ from .errors import (BudgetExceeded, NonTransitive, ParameterOutOfRange,
 from .geometry import (DiscPoint, GroupElement, _dist_array, _dist_complex,
                        _mobius_array, mobius_apply_complex)
 from .quadrature import gauss_legendre
-from .transforms import RadialKernel  # noqa: F401  (re-exported for hs_bound_check callers)
+from .transforms import RadialKernel
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +131,7 @@ class FuchsianGroup:
         return [(abs(s) - 1) + (0 if s > 0 else n) for s in self.relation]
 
     def max_generator_displacement(self, center: complex = 0j) -> float:
-        return max(_displacement(g, center) for g in self.symmetrized())
+        return float(np.max(_displacements(*_generator_arrays(self), center)))
 
     def volume(self) -> float:
         if self.covolume_hint is None:
@@ -151,8 +159,11 @@ class FuchsianGroup:
                              d.get("dirichlet_radius"))
 
 
-def _displacement(g: GroupElement, center: complex) -> float:
-    return _dist_complex(center, mobius_apply_complex(g, center))
+def _generator_arrays(group: FuchsianGroup):
+    """alpha and beta of the symmetrized generators, as two arrays."""
+    gens = group.symmetrized()
+    return (np.array([g.alpha for g in gens], dtype=complex),
+            np.array([g.beta for g in gens], dtype=complex))
 
 
 def _face_points(group: FuchsianGroup) -> np.ndarray:
@@ -243,23 +254,24 @@ class InjRadResult:
 
 
 @dataclass(frozen=True)
-class OrbitElement:
-    g: GroupElement
-    displacement: float
-    word: tuple
-
-
-@dataclass(frozen=True)
 class OrbitBall:
+    """Every gamma with d(center, gamma center) <= radius, identity first.
+
+    Arrays over the elements, sorted by displacement (ties within 1e-9 in
+    first-found order, so shorter words first): alpha and beta of each
+    element, its displacement d(center, gamma center), and in words the
+    first word (symmetrized generator indices) that reached it.
+    """
+
     center: DiscPoint
     radius: float
-    elements: list  # OrbitElement, identity included, sorted by displacement
+    alpha: np.ndarray
+    beta: np.ndarray
+    displacement: np.ndarray
+    words: tuple
 
     def __len__(self):
-        return len(self.elements)
-
-    def nontrivial(self):
-        return [e for e in self.elements if e.word]
+        return len(self.alpha)
 
     def injectivity_radius(self) -> InjRadResult:
         """Half the minimal displacement of the centre within the ball.
@@ -267,10 +279,10 @@ class OrbitBall:
         If no nontrivial element moves the centre, radius / 2 is returned
         flagged as a lower bound.
         """
-        moving = [e.displacement for e in self.nontrivial() if e.displacement > 1e-12]
-        if not moving:
+        moving = self.displacement[self.displacement > 1e-12]
+        if not len(moving):
             return InjRadResult(self.radius / 2.0, True)
-        return InjRadResult(min(moving) / 2.0, False)
+        return InjRadResult(float(moving.min()) / 2.0, False)
 
 
 @dataclass
@@ -288,39 +300,16 @@ class _Level:
     expand: np.ndarray | None = None
 
 
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Complex product by the schoolbook formula, rounded as Python's complex
-    type rounds it (numpy's complex multiply may fuse a multiply-add)."""
-    out = np.empty(len(x), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
 def _compose(a1, b1, a2, b2):
-    """Products of the elements (a1, b1) and (a2, b2), rounded bit for bit as
-    GroupElement.compose and GroupElement's normalization round them."""
-    alpha = _cmul(a1, a2) + _cmul(b1, np.conj(b2))
-    beta = _cmul(a1, b2) + _cmul(b1, np.conj(a2))
-    # abs(z) ** 2 of Python is hypot, then the C pow (not always x * x)
-    det = (np.float_power(np.hypot(alpha.real, alpha.imag), 2.0)
-           - np.float_power(np.hypot(beta.real, beta.imag), 2.0))
-    s = 1.0 / np.sqrt(det)
-    alpha, beta = alpha * s, beta * s
+    """Products of the elements (a1, b1) and (a2, b2), sign-fixed as
+    GroupElement fixes them, so that the dedup key sees one of +-g."""
+    alpha = a1 * a2 + b1 * np.conj(b2)
+    beta = a1 * b2 + b1 * np.conj(a2)
     comps = np.stack([alpha.real, alpha.imag, beta.real, beta.imag])
     # the first component above 1e-14 is made positive (|alpha| >= 1, so one is)
     lead = comps[np.argmax(np.abs(comps) > 1e-14, axis=0), np.arange(len(alpha))]
     flip = lead < 0.0
     return np.where(flip, -alpha, alpha), np.where(flip, -beta, beta)
-
-
-def _element(alpha: complex, beta: complex) -> GroupElement:
-    """The GroupElement of a pair _compose made: its constructor would
-    normalize the pair a second time, which can move the last bit."""
-    g = object.__new__(GroupElement)
-    object.__setattr__(g, "alpha", complex(alpha))
-    object.__setattr__(g, "beta", complex(beta))
-    return g
 
 
 def _canon_keys(alpha: np.ndarray, beta: np.ndarray) -> list:
@@ -334,24 +323,21 @@ def _displacements(alpha: np.ndarray, beta: np.ndarray, c: complex) -> np.ndarra
     return _dist_array(c, _mobius_array(alpha, beta, c))
 
 
-_BLOCK = 16384   # cells of one (points x elements) block of the shared injrad search
+_BLOCK = 16384   # cells of one (points x elements) block of an array pass
 
 
-def _word_levels(group: FuchsianGroup, max_levels: int | None = None,
-                 element_cap: int = 1_000_000, perms: np.ndarray | None = None):
+def _word_levels(group: FuchsianGroup, element_cap: int = 1_000_000,
+                 perms: np.ndarray | None = None):
     """Level-synchronous breadth-first search over reduced words.
 
     Yields one _Level per word length, starting at 1; the consumer sets its
     `expand` mask before the search goes on.  The search ends when nothing is
-    expanded or after max_levels levels.  perms, a (2n, degree) table of the
-    symmetrized generators' sheet permutations, makes each level carry the
-    sheet map of its elements, _compose_perms(cover, word) of the word that
-    reached each one.
+    expanded.  perms, a (2n, degree) table of the symmetrized generators'
+    sheet permutations, makes each level carry the sheet map of its
+    elements, _compose_perms(cover, word) of the word that reached each one.
     """
-    gens = group.symmetrized()
-    n_sym = len(gens)
-    gen_alpha = np.array([g.alpha for g in gens], dtype=complex)
-    gen_beta = np.array([g.beta for g in gens], dtype=complex)
+    gen_alpha, gen_beta = _generator_arrays(group)
+    n_sym = len(gen_alpha)
     inverse = (np.arange(n_sym) + n_sym // 2) % n_sym
     alpha, beta = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
     words = np.zeros((1, 0), dtype=np.int64)
@@ -359,7 +345,7 @@ def _word_levels(group: FuchsianGroup, max_levels: int | None = None,
     seen = set(_canon_keys(alpha, beta))
     explored = 1
     depth = 0
-    while len(alpha) and (max_levels is None or depth < max_levels):
+    while len(alpha):
         depth += 1
         parent = np.repeat(np.arange(len(alpha)), n_sym)
         gen = np.tile(np.arange(n_sym), len(alpha))
@@ -417,44 +403,38 @@ def _expand_mask(group: FuchsianGroup, c, bound, alpha, beta, disp) -> np.ndarra
 
 
 def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
-                    word_cap: int | None = None,
                     element_cap: int = 1_000_000) -> OrbitBall:
     """All gamma with d(center, gamma center) <= R, as an OrbitBall.
 
     Breadth-first search over reduced words with the tile prune (groups
     with a Dirichlet radius) or the displacement prune (the others), run
     until the frontier is empty, which makes the ball complete; see the
-    module docstring.  word_cap optionally stops the search after that many
-    levels, which can only lose elements.  Each element carries the first
-    word that reached it; ties in displacement keep first-found order.
+    module docstring.  Each element carries the first word that reached it;
+    displacements that tie within 1e-9 keep first-found order.
     """
     if R > 25:
         raise ParameterOutOfRange("R > 25 would enumerate exponentially many elements")
     c = center.z
-    elements = [OrbitElement(GroupElement.identity(), 0.0, ())]
-    if group.n_generators == 0:
-        return OrbitBall(center, R, elements)
-    if word_cap is not None and word_cap < 1:
-        raise ParameterOutOfRange("word_cap must be >= 1")
-    bound = _prune_bounds(group, [c], R)[0]
-    for level in _word_levels(group, word_cap, element_cap):
-        disp = _displacements(level.alpha, level.beta, c)
-        level.expand = _expand_mask(group, c, bound, level.alpha, level.beta, disp)
-        for i in np.flatnonzero(disp <= R):
-            g = _element(level.alpha[i], level.beta[i])
-            elements.append(OrbitElement(g, _displacement(g, c), tuple(level.words[i].tolist())))
-    elements.sort(key=lambda e: e.displacement)
-    return OrbitBall(center, R, elements)
-
-
-def injectivity_radius_at(group: FuchsianGroup, z: DiscPoint, search_R: float,
-                          **kw) -> InjRadResult:
-    """Half the minimal displacement of z, restricted to the ball search_R.
-
-    If no nontrivial element moves z by <= search_R the value search_R / 2
-    is returned flagged as a lower bound.
-    """
-    return orbit_enumerate(group, z, search_R, **kw).injectivity_radius()
+    alpha, beta = [np.ones(1, dtype=complex)], [np.zeros(1, dtype=complex)]
+    disp, words = [np.zeros(1)], [()]
+    if group.n_generators:
+        bound = _prune_bounds(group, [c], R)[0]
+        for level in _word_levels(group, element_cap):
+            d = _displacements(level.alpha, level.beta, c)
+            level.expand = _expand_mask(group, c, bound, level.alpha, level.beta, d)
+            kept = d <= R
+            alpha.append(level.alpha[kept])
+            beta.append(level.beta[kept])
+            disp.append(d[kept])
+            words.extend(map(tuple, level.words[kept].tolist()))
+    disp = np.concatenate(disp)
+    order = np.argsort(disp, kind="stable")
+    # displacements within 1e-9 of their neighbour are one tie, kept in
+    # first-found order whatever their last bits
+    tie = np.cumsum(np.diff(disp[order], prepend=0.0) > 1e-9)
+    order = order[np.lexsort((order, tie))]
+    return OrbitBall(center, R, np.concatenate(alpha)[order], np.concatenate(beta)[order],
+                     disp[order], tuple(words[i] for i in order))
 
 
 @dataclass(frozen=True)
@@ -464,7 +444,7 @@ class InjradQuery:
     levels: int                # levels that search generated
 
 
-def injrad_below_points(surface, zs, R: float, word_cap: int | None = None,
+def injrad_below_points(surface, zs, R: float,
                         element_cap: int = 1_000_000) -> InjradQuery:
     """Decide InjRad < R at every chart point z of zs, on every sheet, at once.
 
@@ -493,7 +473,7 @@ def injrad_below_points(surface, zs, R: float, word_cap: int | None = None,
     bounds = _prune_bounds(group, zs, target)
     open_points = np.arange(len(zs))
     explored = levels = 0
-    for level in _word_levels(group, word_cap, element_cap, perms):
+    for level in _word_levels(group, element_cap, perms):
         explored += len(level.alpha)
         levels += 1
         expand = np.zeros(len(level.alpha), dtype=bool)
@@ -501,7 +481,7 @@ def injrad_below_points(surface, zs, R: float, word_cap: int | None = None,
         for start in range(0, len(open_points), rows):
             idx = open_points[start:start + rows]
             c = zs[idx, None]
-            disp = _dist_array(c, _mobius_array(level.alpha, level.beta, c))
+            disp = _displacements(level.alpha, level.beta, c)
             witness = (disp > 1e-12) & (disp < target)
             cols = np.flatnonzero(witness.any(axis=0))   # only witnesses meet the sheets
             below[idx] |= witness[:, cols] @ (level.maps[cols] == sheets)
@@ -516,41 +496,35 @@ def injrad_below_points(surface, zs, R: float, word_cap: int | None = None,
 
 
 def injrad_below(surface, z: DiscPoint, R: float, sheet: int = 0,
-                 word_cap: int | None = None, element_cap: int = 1_000_000) -> bool:
+                 element_cap: int = 1_000_000) -> bool:
     """Decide InjRad(z[, sheet]) < R: the one-point call of injrad_below_points."""
-    return bool(injrad_below_points(surface, [z.z], R, word_cap,
-                                    element_cap).below[0, sheet])
+    return bool(injrad_below_points(surface, [z.z], R, element_cap).below[0, sheet])
 
 
-def systole_upper_bound(group: FuchsianGroup, word_len: int = 8):
-    """Minimal translation length over reduced words up to word_len.
+def systole_upper_bound(group: FuchsianGroup) -> float:
+    """Least translation length 2 arccosh |Re alpha| over the complete orbit
+    ball B(0, rho); rho and why it suffices are in the module docstring.
 
-    An upper bound for the systole; the word length used is reported.  The
-    search expands an element while d(0, g 0) <= best + 2 R_D + 2 (R_D = 3
-    without a Dirichlet radius), best being the bound found so far.  Long
-    words carry round-off in their traces, so the value comes from the first
-    trace found (the shortest word) within 1e-9 relative of the minimum.
+    Exact for groups with a Dirichlet radius, an upper bound for the others,
+    and inf for a group without hyperbolic elements in the ball.  Long words
+    carry round-off in their traces, so the value comes from the first
+    element in displacement order whose trace is within 1e-9 relative of the
+    least one.
     """
     if group.n_generators == 0:
-        return math.inf, word_len
-    margin = 2.0 * (group.dirichlet_radius or 3.0) + 2.0
-    min_trace = math.inf
-    traces = []
-    for level in _word_levels(group, word_len):
-        trace = np.abs(2.0 * level.alpha.real)
-        trace = np.where(trace > 2.0 + 1e-12, trace, np.inf)
-        traces.append(trace)
-        # the bound as it stood when each element was found
-        running = np.minimum.accumulate(np.append(min_trace, trace))[1:]
-        if len(running):
-            min_trace = float(running[-1])
-        best = 2.0 * np.arccosh(running / 2.0)
-        level.expand = _displacements(level.alpha, level.beta, 0j) <= best + margin
-    if not math.isfinite(min_trace):
-        return math.inf, word_len
-    traces = np.concatenate(traces)
-    first = float(traces[np.argmax(traces <= min_trace * (1.0 + 1e-9))])
-    return 2.0 * math.acosh(first / 2.0), word_len
+        return math.inf
+    if group.dirichlet_radius is None:
+        rho = group.max_generator_displacement()
+    else:
+        cosh_half = min(abs(g.alpha.real) for g in group.generators)   # cosh(l0 / 2)
+        rho = 2.0 * math.asinh(math.cosh(group.dirichlet_radius)
+                               * math.sqrt(cosh_half ** 2 - 1.0))
+    half_trace = np.abs(orbit_enumerate(group, DiscPoint(0, 0), rho + 1e-9).alpha.real)
+    half_trace = half_trace[half_trace > 1.0 + 1e-12]   # the hyperbolic elements
+    if not len(half_trace):
+        return math.inf
+    first = half_trace[np.argmax(half_trace <= half_trace.min() * (1.0 + 1e-9))]
+    return 2.0 * math.acosh(float(first))
 
 
 # ---------------------------------------------------------------------------
@@ -751,33 +725,31 @@ def smoothstep_cutoff(x):
     return 1.0 - (3.0 * x * x - 2.0 * x ** 3)
 
 
-def periodize_truncated(kernel: Callable[[complex, complex], float],
-                        group: FuchsianGroup, r: float,
-                        chi: Callable = smoothstep_cutoff,
-                        ball: OrbitBall | None = None):
-    """K^{Gamma,r}(z, w) = sum_gamma K(z, gamma w) chi(d(z, gamma w) / r).
+def periodize_truncated(kernel: RadialKernel, group: FuchsianGroup, r: float):
+    """K^{Gamma,r}(z, w) = sum_gamma k(d) chi(d / r), d = d(z, gamma w), with
+    chi = smoothstep_cutoff, as a function of two point arrays zs and ws (one
+    value per pair zs[i], ws[i]).
 
-    The gamma-sum runs over a precomputed orbit ball of radius
-    r + 2 * dirichlet_radius (all elements that can contribute for z, w in
-    the fundamental domain).
+    The gamma-sum runs over the complete orbit ball of radius
+    r + 2 * dirichlet_radius + 0.2 (every element that can contribute for z,
+    w in the fundamental domain), in (pairs x elements) blocks of at most
+    _BLOCK cells.
     """
-    if ball is None:
-        margin = 2.0 * (group.dirichlet_radius or 1.0) + 0.2
-        ball = orbit_enumerate(group, DiscPoint(0, 0), r + margin)
-    mats = [e.g for e in ball.elements]
-    alpha = np.array([g.alpha for g in mats])
-    beta = np.array([g.beta for g in mats])
+    margin = 2.0 * (group.dirichlet_radius or 1.0) + 0.2
+    ball = orbit_enumerate(group, DiscPoint(0, 0), r + margin)
 
-    def periodized(z: complex, w: complex) -> float:
-        # array pass picks the candidates; the scalar test and sum run on them
-        near = _dist_array(z, _mobius_array(alpha, beta, w)) <= r + 1e-9
-        total = 0.0
-        for i in np.flatnonzero(near):
-            gw = mobius_apply_complex(mats[i], w)
-            d = _dist_complex(z, gw)
-            if d <= r:
-                total += kernel(z, gw) * float(chi(d / r))
-        return total
+    def periodized(zs, ws) -> np.ndarray:
+        zs, ws = np.asarray(zs, dtype=complex), np.asarray(ws, dtype=complex)
+        out = np.empty(len(zs))
+        rows = max(1, _BLOCK // len(ball))
+        for start in range(0, len(zs), rows):
+            block = slice(start, start + rows)
+            d = _dist_array(zs[block, None],
+                            _mobius_array(ball.alpha, ball.beta, ws[block, None]))
+            near = d <= r
+            out[block] = np.where(near, kernel(np.where(near, d, 0.0))
+                                  * smoothstep_cutoff(d / r), 0.0).sum(axis=1)
+        return out
 
     return periodized
 
@@ -799,8 +771,7 @@ class HsCheckReport:
 
 
 def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
-                   n_mc: int, seed: int, systole: float | None = None,
-                   chi: Callable = smoothstep_cutoff,
+                   n_mc: int, seed: int,
                    window_radius: float | None = None) -> HsCheckReport:
     """Monte Carlo check of the truncated-periodization HS inequality.
 
@@ -808,7 +779,8 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
     rhs  = int_D int_disc |K chi(d/r)|^2
            + e^{2r}/systole * Vol{InjRad < r} * sup |K chi|^2.
 
-    The kernel must be radial; pass = lhs <= rhs * (1 + 3 * relative MC
+    The kernel must be radial and chi is smoothstep_cutoff; the systole is
+    systole_upper_bound(group).  pass = lhs <= rhs * (1 + 3 * relative MC
     error).  For groups with an infinite fundamental domain a finite
     sampling window (domain intersected with the hyperbolic ball of radius
     window_radius) replaces D; the unfolding argument applies verbatim on
@@ -825,26 +797,21 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
     window_vol = proposal_vol * len(samples) / sampler.proposals
     zs, ws = samples[:n_mc], samples[n_mc:]
 
-    def kcall(z, w):
-        return float(kernel(_dist_complex(z, w)))
-
-    periodized = periodize_truncated(kcall, group, r)
-    vals = np.array([periodized(z, w) ** 2 for z, w in zip(zs, ws)])
+    vals = periodize_truncated(kernel, group, r)(zs, ws) ** 2
     lhs = window_vol ** 2 * float(np.mean(vals))
     lhs_err = window_vol ** 2 * float(np.std(vals) / math.sqrt(len(vals)))
 
     # first rhs term: the radial kernel unfolds exactly
     upper = min(kernel.support_bound, r)
     t, wq = gauss_legendre(0.0, upper, 400)
-    chiv = np.asarray(chi(t / r), dtype=float)
+    chiv = smoothstep_cutoff(t / r)
     first = window_vol * 2.0 * math.pi * float(np.sum((kernel(t) * chiv) ** 2
                                                       * np.sinh(t) * wq))
-    if systole is None:
-        systole, _ = systole_upper_bound(group)
+    systole = systole_upper_bound(group)
     query = injrad_below_points(group, zs, r)
     frac = int(query.below.sum()) / len(zs)   # the base group has one sheet
     t_s = np.linspace(0.0, upper, 2048)
-    sup_k2 = float(np.max((kernel(t_s) * np.asarray(chi(t_s / r))) ** 2))
+    sup_k2 = float(np.max((kernel(t_s) * smoothstep_cutoff(t_s / r)) ** 2))
     second = math.exp(2.0 * r) / systole * (frac * window_vol) * sup_k2
     rhs = first + second
     rel_err = lhs_err / lhs if lhs > 0 else 0.0

@@ -236,9 +236,9 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     """Numeric evaluation of every term of the windowed variance inequality.
 
     Measured inputs: the theta-derivative norm of the symbol, sandwich-kernel
-    sup bounds, injectivity-radius statistics, the systole word bound, and
-    spectral tails of the cutoff multiplier.  Radii beyond the enumeration
-    guard use the trivial volume-fraction bound 1 (flagged).
+    sup bounds, injectivity-radius statistics, the systole from a complete
+    orbit ball, and spectral tails of the cutoff multiplier.  Radii beyond
+    the enumeration guard use the trivial volume-fraction bound 1 (flagged).
     """
     weight = weight or PlancherelWeight.paper()
     group = surface.base if isinstance(surface, CoverSurface) else surface
@@ -247,7 +247,7 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     rho = plateau_multiplier(window.lam_lo, window.lam_hi,
                              margin=0.1 * (window.lam_hi - window.lam_lo))
     lam_grid = np.linspace(*window.lam_interval_wide, 9)
-    systole, _ = systole_upper_bound(group)
+    systole = systole_upper_bound(group)
 
     # (i) averaging gain
     theta_sq = theta_second_derivative_norm(symbol_of(A), window.lam_interval_wide,

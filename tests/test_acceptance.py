@@ -218,7 +218,7 @@ def test_criterion_8_fuchsian_oracles():
     ok = True
     # cyclic injectivity radius, exact
     for L in (0.5, 1.0, 2.0):
-        inj = F.injectivity_radius_at(F.cyclic_group(L), DiscPoint(0, 0), 2.5 * L)
+        inj = F.orbit_enumerate(F.cyclic_group(L), DiscPoint(0, 0), 2.5 * L).injectivity_radius()
         ok &= abs(inj.value - L / 2.0) < 1e-9
     # Bolza orbit ball vs exhaustive word oracle
     bolza = F.bolza_group()
@@ -233,16 +233,17 @@ def test_criterion_8_fuchsian_oracles():
                 1.0 - (t / 1.5) ** 2, 1e-300)), 0.0), support_bound=1.5),
     }
     cases = 0
-    for gname, group, kw in (
-            ("bolza", bolza, {}),
-            ("cyclic1", F.cyclic_group(1.0), {"systole": 1.0, "window_radius": 2.5}),
-            ("cyclic2", F.cyclic_group(2.0), {"systole": 2.0, "window_radius": 2.5})):
+    for gname, group, window, length in (
+            ("bolza", bolza, None, F.BOLZA_SIDE_LENGTH),
+            ("cyclic1", F.cyclic_group(1.0), 2.5, 1.0),
+            ("cyclic2", F.cyclic_group(2.0), 2.5, 2.0)):
         for kname, kern in kernels.items():
             for r in (1.3, 2.0):
                 cases += 1
                 rep = F.hs_bound_check(kern, group, r=r, n_mc=250,
-                                       seed=1000 + cases, **kw)
+                                       seed=1000 + cases, window_radius=window)
                 ok &= rep.passed
+                ok &= abs(rep.systole_bound - length) <= 1e-12 * length
     elapsed = time.time() - start
     ok &= cases == 12 and elapsed < 300.0
     report(8, ok, f"cyclic inj exact, Bolza ball({len(ball)}) == word oracle"

@@ -20,6 +20,15 @@ def read_bytes(out_dir, name):
         return f.read()
 
 
+def read_all_bytes(out_dir):
+    """Every file of an output directory, by name."""
+    out = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as f:
+            out[name] = f.read()
+    return out
+
+
 class TestBasicRuns:
     def test_toy1d(self, tmp_path):
         out = str(tmp_path)
@@ -97,15 +106,18 @@ class TestContracts:
     @pytest.mark.parametrize("argv, name", [
         (["geometry-check", "--samples", "200"], "geometry_check"),
         (["bs-stat", "--degree", "4"], "bs_stat"),
-        (["hs-check", "--samples", "100"], "hs_check")],
-        ids=["geometry-check", "bs-stat", "hs-check"])
+        (["hs-check", "--samples", "100"], "hs_check"),
+        (["orbit", "--R", "8"], "orbit")],
+        ids=["geometry-check", "bs-stat", "hs-check", "orbit"])
     def test_deterministic_summaries(self, tmp_path, argv, name):
+        # the summary and every other file the run writes (orbit's CSV)
         out = str(tmp_path)
         args = argv + ["--out", out, "--seed", "7"]
         assert main(args) == 0
-        first = read_bytes(out, name)
+        first = read_all_bytes(out)
+        assert name + ".json" in first
         assert main(args) == 0
-        assert read_bytes(out, name) == first
+        assert read_all_bytes(out) == first
 
     def test_deterministic_eigensolve(self, tmp_path):
         out = str(tmp_path)
@@ -153,14 +165,16 @@ class TestContracts:
         assert main(["--config", str(cfg), "fem", "--out", out]) == 0
         assert read(out, "fem")["config"]["h"] == 0.05
 
+    # word_len names the removed orbit --word-len: a stale config must fail
     @pytest.mark.parametrize("overrides", [{"no_such_key": 1}, {"h": "abc"},
-                                           {"surface": "sphere"}])
+                                           {"surface": "sphere"}, {"word_len": 8}])
     def test_bad_config_exits_2(self, tmp_path, overrides):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(overrides))
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "fem", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        for subcommand in ("fem", "orbit"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", str(cfg), subcommand, "--out", str(tmp_path)])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [["toy1d", "--window", "abc"],
                                       ["tower", "--degrees", "1,x"],

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import hypsurf.fuchsian as F
 from hypsurf.errors import (BudgetExceeded, NonTransitive, ParameterOutOfRange,
                             RelationViolation)
-from hypsurf.geometry import DiscPoint, GroupElement, mobius_apply_complex
+from hypsurf.geometry import (DiscPoint, GroupElement, _dist_array, _mobius_array,
+                              mobius_apply_complex)
 from hypsurf.transforms import RadialKernel
 
 
@@ -93,16 +94,21 @@ def brute_below(surface, group, z, R):
     at z and the composed sheet permutation of each witness's word."""
     degree = surface.degree if isinstance(surface, F.CoverSurface) else 1
     below = np.zeros(degree, dtype=bool)
-    for e in F.orbit_enumerate(group, DiscPoint(z.real, z.imag), 2.0 * R).nontrivial():
-        if 1e-12 < e.displacement < 2.0 * R:
-            perm = F._compose_perms(surface, e.word) if degree > 1 else np.zeros(1)
+    ball = F.orbit_enumerate(group, DiscPoint(z.real, z.imag), 2.0 * R)
+    for disp, word in zip(ball.displacement, ball.words):
+        if 1e-12 < disp < 2.0 * R:
+            perm = F._compose_perms(surface, word) if degree > 1 else np.zeros(1)
             below |= perm == np.arange(degree)
     return below
 
 
-def element_key(g):
-    return (round(g.alpha.real, 7), round(g.alpha.imag, 7),
-            round(g.beta.real, 7), round(g.beta.imag, 7))
+def element_keys(alpha, beta):
+    return set(zip(np.round(alpha.real, 7), np.round(alpha.imag, 7),
+                   np.round(beta.real, 7), np.round(beta.imag, 7)))
+
+
+def dist(z, w):
+    return 2 * math.asinh(abs(z - w) / math.sqrt((1 - abs(z) ** 2) * (1 - abs(w) ** 2)))
 
 
 @pytest.fixture(scope="module")
@@ -131,14 +137,13 @@ class TestOrbit:
     def test_trivial_group(self):
         ball = F.orbit_enumerate(F.trivial_group(), DiscPoint(0, 0), 5.0)
         assert len(ball) == 1
-        assert ball.elements[0].g.is_identity
+        assert (ball.alpha[0], ball.beta[0], ball.words) == (1, 0, ((),))
 
     def test_cyclic_count(self):
         # center on axis, R = 2.5 L: exactly a^k for |k| <= 2
         ball = F.orbit_enumerate(F.cyclic_group(1.0), DiscPoint(0, 0), 2.5)
         assert len(ball) == 5
-        disps = sorted(round(e.displacement, 9) for e in ball.elements)
-        assert disps == [0.0, 1.0, 1.0, 2.0, 2.0]
+        assert np.round(ball.displacement, 9).tolist() == [0.0, 1.0, 1.0, 2.0, 2.0]
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.4, 2.0), st.floats(0.5, 6.0))
@@ -154,21 +159,10 @@ class TestOrbit:
         oracle = exhaustive_word_ball(bolza, 3.1, 8)
         assert len(ball) == oracle == 9
 
-    def test_bolza_completeness_plus_two(self, bolza):
-        b1 = F.orbit_enumerate(bolza, DiscPoint(0, 0), 3.0, word_cap=6)
-        b2 = F.orbit_enumerate(bolza, DiscPoint(0, 0), 3.0, word_cap=8)
-        assert len(b1) == len(b2)
-
-    def test_off_center_completeness(self, bolza):
-        z = DiscPoint(0.3, 0.2)
-        b1 = F.orbit_enumerate(bolza, z, 4.5, word_cap=7)
-        b2 = F.orbit_enumerate(bolza, z, 4.5, word_cap=9)
-        assert len(b1) == len(b2)
-
     def test_bolza_ball_r8_frozen(self, bolza):
         ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), 8.0)
         assert len(ball) == 793
-        lengths = Counter(len(e.word) for e in ball.elements)
+        lengths = Counter(len(w) for w in ball.words)
         assert lengths == {0: 1, 1: 8, 2: 56, 3: 224, 4: 264, 5: 176, 6: 48, 7: 16}
 
     # inside the octagon, inside near a vertex, outside beyond a vertex
@@ -178,16 +172,11 @@ class TestOrbit:
         # d(0, g 0) <= d(0, c) + d(c, g c) + d(g c, g 0) bounds the ball at 0
         R = 4.0
         big = F.orbit_enumerate(bolza, DiscPoint(0, 0), R + 2.0 * 2.0 * math.atanh(abs(c)))
-        expect = {element_key(e.g) for e in big.elements if F._displacement(e.g, c) <= R}
+        near = F._displacements(big.alpha, big.beta, complex(c)) <= R
+        expect = element_keys(big.alpha[near], big.beta[near])
         ball = F.orbit_enumerate(bolza, DiscPoint.from_complex(complex(c)), R)
         assert len(ball) == len(expect)
-        assert {element_key(e.g) for e in ball.elements} == expect
-
-    def test_word_cap_is_only_a_limit(self, bolza):
-        free = F.orbit_enumerate(bolza, DiscPoint(0.1, 0.05), 6.0)
-        capped = F.orbit_enumerate(bolza, DiscPoint(0.1, 0.05), 6.0, word_cap=40)
-        assert [(e.word, e.displacement) for e in free.elements] == \
-            [(e.word, e.displacement) for e in capped.elements]
+        assert element_keys(ball.alpha, ball.beta) == expect
 
     def test_budget_guard(self, bolza):
         with pytest.raises(F.BudgetExceeded):
@@ -196,8 +185,6 @@ class TestOrbit:
     def test_radius_guard(self, bolza):
         with pytest.raises(ValueError):
             F.orbit_enumerate(bolza, DiscPoint(0, 0), 26.0)
-        with pytest.raises(ParameterOutOfRange):
-            F.orbit_enumerate(bolza, DiscPoint(0, 0), 3.0, word_cap=0)
         with pytest.raises(ParameterOutOfRange):
             F.bs_statistic(bolza, 1.0, 0, seed=0)
 
@@ -209,7 +196,8 @@ class TestDirichletDomain:
         # membership against the face points only == against every orbit point
         # of 0 that can be closer than 0 to a point of the disc of this radius
         ball = F.orbit_enumerate(group, DiscPoint(0, 0), 2.0 * radius + 0.2)
-        orbit0 = np.array([mobius_apply_complex(e.g, 0j) for e in ball.nontrivial()])
+        assert ball.words[0] == ()
+        orbit0 = _mobius_array(ball.alpha[1:], ball.beta[1:], 0j)
         faces = F._face_points(group)
         assert len(orbit0) > len(faces)
         rng = np.random.default_rng(17)
@@ -223,7 +211,7 @@ class TestDirichletDomain:
 class TestInjectivityRadius:
     @pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
     def test_cyclic_on_axis(self, L):
-        inj = F.injectivity_radius_at(F.cyclic_group(L), DiscPoint(0, 0), 2.5 * L)
+        inj = F.orbit_enumerate(F.cyclic_group(L), DiscPoint(0, 0), 2.5 * L).injectivity_radius()
         assert not inj.is_lower_bound
         assert inj.value == pytest.approx(L / 2.0, abs=1e-9)
 
@@ -233,7 +221,7 @@ class TestInjectivityRadius:
         prev = 0.0
         for rho in [0.0, 0.3, 0.6, 1.0, 1.5]:
             z = DiscPoint(0.0, math.tanh(rho / 2.0))  # distance rho from the axis
-            inj = F.injectivity_radius_at(group, z, 8.0)
+            inj = F.orbit_enumerate(group, z, 8.0).injectivity_radius()
             expect = math.acosh(math.cosh(L) * math.cosh(rho) ** 2
                                 - math.sinh(rho) ** 2) / 2.0
             assert inj.value == pytest.approx(expect, abs=1e-9)
@@ -241,22 +229,31 @@ class TestInjectivityRadius:
             prev = inj.value
 
     def test_lower_bound_flag(self):
-        inj = F.injectivity_radius_at(F.cyclic_group(2.0), DiscPoint(0, 0), 1.0)
+        inj = F.orbit_enumerate(F.cyclic_group(2.0), DiscPoint(0, 0), 1.0).injectivity_radius()
         assert inj.is_lower_bound
         assert inj.value == 0.5
 
     def test_bolza_origin_is_half_systole(self, bolza):
-        inj = F.injectivity_radius_at(bolza, DiscPoint(0, 0), 4.0)
-        sys8, _ = F.systole_upper_bound(bolza, 8)
-        assert inj.value == pytest.approx(sys8 / 2.0, abs=1e-9)
-        assert sys8 == pytest.approx(2 * math.acosh(1 + math.sqrt(2)), abs=1e-9)
+        inj = F.orbit_enumerate(bolza, DiscPoint(0, 0), 4.0).injectivity_radius()
+        systole = F.systole_upper_bound(bolza)
+        assert inj.value == pytest.approx(systole / 2.0, abs=1e-9)
+        assert systole == pytest.approx(2 * math.acosh(1 + math.sqrt(2)), abs=1e-9)
 
-    def test_systole_bound_stable_in_word_length(self, bolza):
-        # round-off in long words must not pull the bound below the systole
-        values = {F.systole_upper_bound(bolza, n)[0] for n in range(1, 10)}
-        assert len(values) == 1
+    def test_bolza_systole_is_exact(self, bolza):
+        systole = F.systole_upper_bound(bolza)
         exact = 2 * mp.acosh(1 + mp.sqrt(2))
-        assert abs(values.pop() - exact) / exact <= 1e-15
+        assert abs(systole - exact) / exact <= 1e-15
+        # the least translation length over a larger complete ball than the
+        # one of sinh(rho / 2) = cosh(R_D) sinh(l0 / 2)
+        rho = 2 * math.asinh(math.cosh(bolza.dirichlet_radius)
+                             * math.sinh(F.BOLZA_SIDE_LENGTH / 2))
+        half_trace = np.abs(F.orbit_enumerate(bolza, DiscPoint(0, 0), rho + 1.5).alpha.real)
+        least = 2 * math.acosh(float(np.min(half_trace[half_trace > 1 + 1e-12])))
+        assert systole == pytest.approx(least, rel=1e-12)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
+    def test_cyclic_systole(self, L):
+        assert F.systole_upper_bound(F.cyclic_group(L)) == pytest.approx(L, rel=1e-12)
 
 
 class TestBsStatistic:
@@ -296,63 +293,60 @@ class TestBsStatistic:
 
 class TestPeriodization:
     def test_trivial_group(self):
-        K = lambda z, w: 1.0
-        per = F.periodize_truncated(K, F.trivial_group(), 2.0)
+        kern = RadialKernel(lambda t: np.ones_like(t))
+        per = F.periodize_truncated(kern, F.trivial_group(), 2.0)
         # chi(d/r) at distance d
         z, w = 0.2 + 0j, 0.5 + 0j
         d = 2 * math.atanh(0.3 / (1 - 0.1))
-        assert per(z, w) == pytest.approx(float(F.smoothstep_cutoff(d / 2.0)))
+        assert per([z], [w])[0] == pytest.approx(float(F.smoothstep_cutoff(d / 2.0)))
 
     def test_single_term_regime(self, bolza):
         # r below half the systole: at most the identity contributes
-        K = lambda z, w: math.exp(-abs(z - w) ** 2)
+        kern = RadialKernel(lambda t: np.exp(-t * t))
         r = 1.2
-        per = F.periodize_truncated(K, bolza, r)
+        per = F.periodize_truncated(kern, bolza, r)
         z, w = 0.1 + 0.05j, 0.2 - 0.1j
-        d = 2 * math.asinh(abs(z - w) / math.sqrt((1 - abs(z) ** 2) * (1 - abs(w) ** 2)))
-        assert per(z, w) == pytest.approx(K(z, w) * float(F.smoothstep_cutoff(d / r)))
+        d = dist(z, w)
+        assert per([z], [w])[0] == pytest.approx(math.exp(-d * d)
+                                                 * float(F.smoothstep_cutoff(d / r)))
 
     def test_bolza_matches_scalar_sum_over_ball(self, bolza):
-        # the array pre-selection of candidates drops no contributing element
-        def K(z, w):
-            return math.exp(-abs(z - w) ** 2)
-
+        # a scalar sum over a ball larger than periodize_truncated's own: its
+        # ball drops no contributing element, and the blocked pass no term.
+        # The distances come from the same array formula: chi(d / r) near
+        # d = r turns a last-bit change of d into about 1e-13 of the sum.
+        kern = RadialKernel(lambda t: np.exp(-t * t))
         r = 2.0
-        ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), r + 2 * bolza.dirichlet_radius + 0.2)
-        per = F.periodize_truncated(K, bolza, r, ball=ball)
+        ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), r + 2 * bolza.dirichlet_radius + 1.0)
+        per = F.periodize_truncated(kern, bolza, r)
         rng = np.random.default_rng(4)
         sampler = F.DomainSampler(bolza)
         pts = sampler.sample(rng, 40)
-        for z, w in zip(pts[:20], pts[20:]):
+        values = per(pts[:20], pts[20:])
+        for z, w, value in zip(pts[:20], pts[20:], values):
             direct = 0.0
-            for e in ball.elements:
-                gw = mobius_apply_complex(e.g, w)
-                d = 2 * math.asinh(abs(z - gw) / math.sqrt((1 - abs(z) ** 2) * (1 - abs(gw) ** 2)))
+            for d in _dist_array(z, _mobius_array(ball.alpha, ball.beta, w)).tolist():
                 if d <= r:
-                    direct += K(z, gw) * float(F.smoothstep_cutoff(d / r))
-            assert per(z, w) == pytest.approx(direct, rel=1e-14, abs=1e-300)
+                    direct += math.exp(-d * d) * float(F.smoothstep_cutoff(d / r))
+            assert value == pytest.approx(direct, rel=1e-14, abs=1e-300)
 
     def test_cyclic_matches_direct_sum(self):
         L = 1.0
         group = F.cyclic_group(L)
         gen = group.generators[0]
-
-        def K(z, w):
-            return math.exp(-3.0 * abs(z - w) ** 2)
-
+        kern = RadialKernel(lambda t: np.exp(-3.0 * t * t))
         r = 3.5
-        per = F.periodize_truncated(K, group, r, F.smoothstep_cutoff)
+        per = F.periodize_truncated(kern, group, r)
         z, w = 0.15 + 0.1j, -0.2 + 0.05j
         direct = 0.0
         for k in range(-10, 11):
             gk = GroupElement.identity()
             for _ in range(abs(k)):
                 gk = gk @ (gen if k > 0 else gen.inverse())
-            gw = mobius_apply_complex(gk, w)
-            d = 2 * math.asinh(abs(z - gw) / math.sqrt((1 - abs(z) ** 2) * (1 - abs(gw) ** 2)))
+            d = dist(z, mobius_apply_complex(gk, w))
             if d <= r:
-                direct += K(z, gw) * float(F.smoothstep_cutoff(d / r))
-        assert per(z, w) == pytest.approx(direct, abs=1e-12)
+                direct += math.exp(-3.0 * d * d) * float(F.smoothstep_cutoff(d / r))
+        assert per([z], [w])[0] == pytest.approx(direct, abs=1e-12)
 
 
 class TestHsBound:
@@ -374,10 +368,10 @@ class TestHsBound:
     def test_cyclic_windowed(self):
         group = F.cyclic_group(1.0)
         kern = RadialKernel(lambda t: np.exp(-t * t), support_bound=6.0)
-        rep = F.hs_bound_check(kern, group, r=2.0, n_mc=300, seed=5,
-                               systole=1.0, window_radius=2.5)
+        rep = F.hs_bound_check(kern, group, r=2.0, n_mc=300, seed=5, window_radius=2.5)
         assert rep.passed
         assert rep.window_radius == 2.5
+        assert rep.systole_bound == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDomainSampler:
