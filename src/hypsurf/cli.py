@@ -305,9 +305,9 @@ def _mesh_counters(mesh, data) -> dict:
             "stiffness_nnz": int(mesh.stiffness.nnz), "factor_nnz": data.factor_nnz}
 
 
-def _sign_re(z) -> float:
+def _sign_re(z) -> np.ndarray:
     """The sign of Re z: the multiplication observable of the variance runs."""
-    return 1.0 if z.real > 0 else -1.0
+    return np.where(np.real(z) > 0, 1.0, -1.0)
 
 
 def _surface(args, degree: int):

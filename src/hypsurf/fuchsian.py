@@ -131,7 +131,8 @@ class FuchsianGroup:
         return [(abs(s) - 1) + (0 if s > 0 else n) for s in self.relation]
 
     def max_generator_displacement(self, center: complex = 0j) -> float:
-        return float(np.max(_displacements(*_generator_arrays(self), center)))
+        """max d(c, g c) over the generators g; 0 for the trivial group."""
+        return float(np.max(_displacements(*_generator_arrays(self), center), initial=0.0))
 
     def volume(self) -> float:
         if self.covolume_hint is None:
@@ -730,12 +731,15 @@ def periodize_truncated(kernel: RadialKernel, group: FuchsianGroup, r: float):
     chi = smoothstep_cutoff, as a function of two point arrays zs and ws (one
     value per pair zs[i], ws[i]).
 
-    The gamma-sum runs over the complete orbit ball of radius
-    r + 2 * dirichlet_radius + 0.2 (every element that can contribute for z,
-    w in the fundamental domain), in (pairs x elements) blocks of at most
-    _BLOCK cells.
+    The gamma-sum runs over the complete orbit ball of radius r + 2 m + 0.2
+    (every element that can contribute for z, w in the fundamental domain),
+    in (pairs x elements) blocks of at most _BLOCK cells.  m is the
+    Dirichlet radius, or for a group without one the largest generator
+    displacement: a cyclic group of length L has its tile gamma^k D at
+    distance (|k| - 1) L from D.
     """
-    margin = 2.0 * (group.dirichlet_radius or 1.0) + 0.2
+    m = group.dirichlet_radius
+    margin = 2.0 * (group.max_generator_displacement() if m is None else m) + 0.2
     ball = orbit_enumerate(group, DiscPoint(0, 0), r + margin)
 
     def periodized(zs, ws) -> np.ndarray:

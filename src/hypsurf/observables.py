@@ -1,5 +1,13 @@
 """Observables (multiplication, finite-range, differential) and their symbols.
 
+Observables act on arrays of points.  The density a(zs), the kernel
+K(z, ws) and the differential coefficients take arrays of chart points and
+broadcast.  A.apply(u, z) takes a u that maps an array of points to values,
+with the point axes leading and any trailing axes riding along (the
+boundary points of a plane wave, say), and a point or an array of points z.
+Finite-range operators integrate over B(z, S) on one polar Gauss rule,
+_ball_rule, which the propagator sandwich and the limit term read too.
+
 The complete symbol of an operator A is read off its action on the plane
 waves e_{lam,b}(z) = exp((1/2 + i lam) <z, b>):
 
@@ -18,7 +26,6 @@ against measured ratios on a panel of test functions.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,8 +34,8 @@ import numpy as np
 
 from .errors import StencilOutOfDomain
 from .fuchsian import CoverSurface, DomainSampler
-from .geometry import (DiscPoint, GroupElement, _dist_complex,
-                       _mobius_array, mobius_apply_complex)
+from .geometry import DiscPoint, GroupElement, _dist_array, _mobius_array
+from .propagators import CutoffSpec, default_eta, smooth_propagator
 from .quadrature import gauss_legendre
 from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
                          phi_eval)
@@ -53,31 +60,57 @@ class LocalityConstants:
 class Observable:
     variant: str                    # 'multiplication' | 'finite_range' | 'differential'
     locality: LocalityConstants
-    a: Callable = None              # multiplication density a(z)
-    kernel: Callable = None         # finite-range K(z, w)
-    radial_profile: Callable = None # optional psi(t) when the kernel is radial
-    coefficients: dict = None       # differential: (i, j) -> coeff(z), i + j <= 2
+    a: Callable = None              # multiplication density a(zs)
+    kernel: Callable = None         # finite-range K(z, ws)
+    radial_profile: Callable = None # psi(t) when the kernel is radial
+    coefficients: dict = None       # differential: (i, j) -> coeff(zs), i + j <= 2
 
-    def apply(self, u: Callable[[complex], complex], z: complex) -> complex:
+    def apply(self, u: Callable[[np.ndarray], np.ndarray], z):
+        """(A u)(z) at a point or an array of points z, of the shape of u(z)."""
+        z = np.asarray(z, dtype=complex)
         if self.variant == "multiplication":
-            return self.a(z) * u(z)
+            vals = u(z)
+            return _lead(self.a(z), vals) * vals
         if self.variant == "differential":
             return _apply_differential(self.coefficients, u, z)
         if self.variant == "finite_range":
-            return _apply_finite_range(self.kernel, self.locality.S, u, z)
+            pts, _, w = _ball_rule(z, self.locality.S, 48, 96)
+            vals = u(pts)
+            kw = self.kernel(z[..., None], pts) * w
+            return np.sum(_lead(kw, vals) * vals, axis=z.ndim)
         raise ValueError(self.variant)
 
 
-def multiplication_observable(a: Callable[[complex], float],
+def _lead(x, like):
+    """x, given over the point axes, with unit axes appended to broadcast
+    against `like`, whose trailing axes ride along."""
+    x = np.asarray(x)
+    return x.reshape(x.shape + (1,) * (np.ndim(like) - x.ndim))
+
+
+def _ball_rule(z, radius: float, n_rad: int, n_ang: int):
+    """Polar Gauss rule on B(z, radius) for a point or an array of points z.
+
+    Returns the nodes, of shape shape(z) + (n_rad * n_ang,), their distances t
+    to z and their weights w_t * sinh t * 2 pi / n_ang.  The Mobius map
+    (alpha, beta) = (1, z) carries 0 to z.
+    """
+    t, wt = gauss_legendre(0.0, radius, n_rad)
+    ring = np.exp(1j * TWO_PI * np.arange(n_ang) / n_ang)
+    nodes = np.multiply.outer(np.tanh(t / 2.0), ring).ravel()
+    pts = _mobius_array(1.0, np.asarray(z, dtype=complex)[..., None], nodes)
+    return pts, np.repeat(t, n_ang), np.repeat(wt * np.sinh(t) * (TWO_PI / n_ang), n_ang)
+
+
+def multiplication_observable(a: Callable[[np.ndarray], np.ndarray],
                               sup_bound: float) -> Observable:
     return Observable("multiplication", LocalityConstants(sup_bound, 0.0, 0),
                       a=a)
 
 
-def finite_range_observable(K: Callable[[complex, complex], complex], S: float,
-                            C: float, radial_profile: Callable = None) -> Observable:
-    return Observable("finite_range", LocalityConstants(C, S, 0), kernel=K,
-                      radial_profile=radial_profile)
+def finite_range_observable(K: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                            S: float, C: float) -> Observable:
+    return Observable("finite_range", LocalityConstants(C, S, 0), kernel=K)
 
 
 def radial_kernel_observable(psi: Callable, S: float, C: float | None = None) -> Observable:
@@ -86,87 +119,68 @@ def radial_kernel_observable(psi: Callable, S: float, C: float | None = None) ->
         # |Au(x)| <= ||u||_C0 * int |psi| dmu over the ball
         t, w = gauss_legendre(0.0, S, 256)
         C = TWO_PI * float(np.sum(np.abs(psi(t)) * np.sinh(t) * w))
-
-    def K(z, w):
-        return psi(_dist_complex(z, w))
-
-    return Observable("finite_range", LocalityConstants(C, S, 0), kernel=K,
-                      radial_profile=psi)
+    return Observable("finite_range", LocalityConstants(C, S, 0),
+                      kernel=lambda z, w: psi(_dist_array(z, w)), radial_profile=psi)
 
 
-def differential_observable(coefficients: dict, C: float, S: float = 0.0) -> Observable:
+def differential_observable(coefficients: dict, C: float) -> Observable:
     k = max(i + j for (i, j) in coefficients)
     if k > 2:
         raise ValueError("differential order must be <= 2")
-    return Observable("differential", LocalityConstants(C, S, k),
+    return Observable("differential", LocalityConstants(C, 0.0, k),
                       coefficients=dict(coefficients))
 
 
 def laplacian_observable() -> Observable:
     """Minus the hyperbolic Laplacian: -((1-|z|^2)^2/4) (d_xx + d_yy)."""
-    conf = lambda z: -(1.0 - abs(z) ** 2) ** 2 / 4.0
+    conf = lambda z: -(1.0 - np.abs(z) ** 2) ** 2 / 4.0
     return differential_observable({(2, 0): conf, (0, 2): conf}, C=1.0)
 
 
-def _fd_step(z: complex) -> float:
-    h = 1e-5 * (1.0 - abs(z) ** 2)
-    if abs(z) > 1.0 - 1e-6:
-        raise StencilOutOfDomain(f"|z| = {abs(z)} too close to the boundary")
-    return h
+def _fd_step(z: np.ndarray) -> np.ndarray:
+    r = np.abs(z)
+    if np.any(r > 1.0 - 1e-6):
+        raise StencilOutOfDomain(f"|z| = {np.max(r)} too close to the boundary")
+    return 1e-5 * (1.0 - r ** 2)
 
 
-# Centred differences on the chart: (i, j) -> (terms, denominator); the
-# derivative d_x^i d_y^j u(z) is sum(weight * u(z + step * h)) / denominator(h),
+# Centred differences on the chart: (i, j) -> (weights, steps, denominator);
+# the derivative d_x^i d_y^j u(z) is sum(weight * u(z + step * h)) / denominator(h),
 # summed in the order listed.
 _CENTRED = {
-    (0, 0): (((1, 0),), lambda h: 1),
-    (1, 0): (((1, 1), (-1, -1)), lambda h: 2 * h),
-    (0, 1): (((1, 1j), (-1, -1j)), lambda h: 2 * h),
-    (2, 0): (((1, 1), (-2.0, 0), (1, -1)), lambda h: h * h),
-    (0, 2): (((1, 1j), (-2.0, 0), (1, -1j)), lambda h: h * h),
-    (1, 1): (((1, 1 + 1j), (-1, 1 - 1j), (-1, -1 + 1j), (1, -1 - 1j)),
+    (0, 0): ((1,), (0,), lambda h: 1),
+    (1, 0): ((1, -1), (1, -1), lambda h: 2 * h),
+    (0, 1): ((1, -1), (1j, -1j), lambda h: 2 * h),
+    (2, 0): ((1, -2.0, 1), (1, 0, -1), lambda h: h * h),
+    (0, 2): ((1, -2.0, 1), (1j, 0, -1j), lambda h: h * h),
+    (1, 1): ((1, -1, -1, 1), (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j),
              lambda h: 4 * h * h),
 }
 
 
-def _centred_diff(u: Callable, z: complex, h: float, order: tuple):
+def _centred_diff(u: Callable, z: np.ndarray, h, order: tuple):
+    """d_x^i d_y^j u at the points z, from one call of u on every offset."""
     if order not in _CENTRED:
         raise ValueError(f"unsupported derivative {order}")
-    terms, denominator = _CENTRED[order]
-    acc = 0
-    for weight, step in terms:
-        acc += weight * u(z + step * h)
-    return acc / denominator(h)
+    weights, steps, denominator = _CENTRED[order]
+    vals = u(z[..., None] + np.multiply.outer(h, steps))
+    acc = sum(weight * v for weight, v in zip(weights, np.moveaxis(vals, z.ndim, 0)))
+    return acc / _lead(denominator(h), acc)
 
 
-def _ck_sum(u: Callable, z: complex, h: float, k: int) -> float:
-    """Sum of |chart derivatives| of u at z of every order up to k."""
+def _ck_sum(u: Callable, z: np.ndarray, h, k: int):
+    """Sum of |chart derivatives| of u at the points z of every order up to k."""
     return sum(abs(_centred_diff(u, z, h, order)) for order in _CENTRED
                if sum(order) <= k)
 
 
-def _apply_differential(coeffs: dict, u: Callable, z: complex) -> complex:
+def _apply_differential(coeffs: dict, u: Callable, z: np.ndarray):
     h = _fd_step(z)
-    out = 0.0 + 0.0j
+    out = 0j
     for order, c in coeffs.items():
-        cv = c(z) if callable(c) else c
-        if cv == 0:
-            continue
-        out += cv * _centred_diff(u, z, h, order)
+        d = _centred_diff(u, z, h, order)
+        out = out + _lead(c(z) if callable(c) else c, d) * d
     return out
-
-
-def _apply_finite_range(K: Callable, S: float, u: Callable, z: complex,
-                        n_rad: int = 48, n_ang: int = 96) -> complex:
-    t, wt = gauss_legendre(0.0, S, n_rad)
-    trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-    total = 0.0 + 0.0j
-    for i, tt in enumerate(t):
-        r_e = math.tanh(tt / 2.0)
-        for ang in TWO_PI * np.arange(n_ang) / n_ang:
-            w = mobius_apply_complex(trans, r_e * cmath.exp(1j * ang))
-            total += wt[i] * math.sinh(tt) * (TWO_PI / n_ang) * K(z, w) * u(w)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +201,8 @@ class Symbol:
 
 
 def _busemann_difference(z: complex, b):
-    """w -> <w, b> - <z, b> on an array b, without cancellation for w near z.
+    """w -> <w, b> - <z, b>, without cancellation for w near z, on an array of
+    points w (its axes first) and an array b (its axes trailing).
 
     The difference is log1p((1-|w|^2)/(1-|z|^2) - 1) - log1p(|w-b|^2/|z-b|^2 - 1),
     with each small ratio formed from |p|^2 - |q|^2 = Re((p - q) conj(p + q)).
@@ -196,7 +211,8 @@ def _busemann_difference(z: complex, b):
     inside = 1.0 - abs(z) ** 2
     to_b = np.abs(z - b) ** 2
 
-    def diff(w: complex) -> np.ndarray:
+    def diff(w) -> np.ndarray:
+        w = np.reshape(w, np.shape(w) + (1,) * b.ndim)
         d, s = w - z, w + z
         return (np.log1p(-(d * s.conjugate()).real / inside)
                 - np.log1p((d * (s - 2.0 * b).conjugate()).real / to_b))
@@ -294,78 +310,25 @@ def theta_second_derivative_norm(a: Symbol, lam_window, surface, n_mc: int,
 # Propagator sandwich P_t A P_t
 # ---------------------------------------------------------------------------
 
-def _smooth_chi(t: float, sigma: float, r, eta):
-    return eta((np.asarray(r, dtype=float) - t) / sigma)
-
-
 def smooth_sandwich_kernel(A: Observable, t: float, sigma: float, z: complex,
-                           w: complex, eta=None, n_rad: int = 48,
+                           w: complex, eta=default_eta, n_rad: int = 48,
                            n_ang: int = 96) -> complex:
-    """Kernel of P_t A P_t at (z, w); exactly 0 beyond distance 2t + S."""
-    from .propagators import default_eta
-    eta = eta or default_eta
-    S = A.locality.S
-    if _dist_complex(z, w) > 2.0 * t + S:
+    """Kernel of P_t A P_t at (z, w); exactly 0 beyond distance 2t + S.
+
+    One formula for every variant: int_{B(z,t)} k_t(d(z,u)) (A k_t(d(., w)))(u) du,
+    with k_t the kernel of smooth_propagator(t, sigma, eta), on the polar
+    rule of B(z, t).  A finite-range A applies its own 48 x 96 rule at every
+    node, so it holds n_rad * n_ang * 4608 points at once.
+    """
+    if _dist_array(z, w) > 2.0 * t + A.locality.S:
         return 0.0 + 0.0j
-    c_t = math.cosh(t) ** -0.5
-
-    def k_t(r):
-        return c_t * _smooth_chi(t, sigma, r, eta)
-
-    trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-    tq, wq = gauss_legendre(0.0, t, n_rad)
-    total = 0.0 + 0.0j
-    if A.variant == "multiplication":
-        for i, tt in enumerate(tq):
-            r_e = math.tanh(tt / 2.0)
-            for ang in TWO_PI * np.arange(n_ang) / n_ang:
-                u = mobius_apply_complex(trans, r_e * cmath.exp(1j * ang))
-                duw = _dist_complex(u, w)
-                if duw >= t:
-                    continue
-                total += (wq[i] * math.sinh(tt) * (TWO_PI / n_ang)
-                          * float(k_t(tt)) * A.a(u) * float(k_t(duw)))
-        return total
-    if A.variant == "differential":
-        cutoff = lambda v: complex(k_t(_dist_complex(v, w)))
-        for i, tt in enumerate(tq):
-            r_e = math.tanh(tt / 2.0)
-            for ang in TWO_PI * np.arange(n_ang) / n_ang:
-                u = mobius_apply_complex(trans, r_e * cmath.exp(1j * ang))
-                if _dist_complex(u, w) > t + 2e-2:
-                    continue
-                total += (wq[i] * math.sinh(tt) * (TWO_PI / n_ang)
-                          * float(k_t(tt)) * A.apply(cutoff, u))
-        return total
-    if A.variant == "finite_range":
-        # double ball integral; coarse nodes, desk-scale use only
-        n2r, n2a = max(12, n_rad // 3), max(24, n_ang // 3)
-        t2, w2 = gauss_legendre(0.0, t, n2r)
-        for i, tt in enumerate(tq):
-            r_e = math.tanh(tt / 2.0)
-            for ang in TWO_PI * np.arange(n_ang) / n_ang:
-                u = mobius_apply_complex(trans, r_e * cmath.exp(1j * ang))
-                if _dist_complex(u, w) > t + S:
-                    continue
-                trans_u = GroupElement.translation_to(DiscPoint(u.real, u.imag))
-                inner = 0.0 + 0.0j
-                for i2, ss in enumerate(t2):
-                    if ss > S:
-                        break
-                    r2 = math.tanh(ss / 2.0)
-                    for ang2 in TWO_PI * np.arange(n2a) / n2a:
-                        v = mobius_apply_complex(trans_u, r2 * cmath.exp(1j * ang2))
-                        dvw = _dist_complex(v, w)
-                        if dvw >= t:
-                            continue
-                        inner += (w2[i2] * math.sinh(ss) * (TWO_PI / n2a)
-                                  * A.kernel(u, v) * float(k_t(dvw)))
-                total += wq[i] * math.sinh(tt) * (TWO_PI / n_ang) * float(k_t(tt)) * inner
-        return total
-    raise ValueError(A.variant)
+    k_t = smooth_propagator(t, sigma, eta).kernel
+    us, d, wq = _ball_rule(z, t, n_rad, n_ang)
+    inner = A.apply(lambda v: k_t(_dist_array(v, w)), us)
+    return complex(np.sum(wq * k_t(d) * inner))
 
 
-def sandwich_sup_bound(A: Observable, t: float, sigma: float, eta=None,
+def sandwich_sup_bound(A: Observable, t: float, sigma: float, eta=default_eta,
                        n_grid: int = 160) -> float:
     """Computable version of the pointwise sandwich-kernel bound:
 
@@ -374,37 +337,27 @@ def sandwich_sup_bound(A: Observable, t: float, sigma: float, eta=None,
     with the C^k factor measured on a finite-difference grid (same stencils
     as the operator) and the L1 norm integrated exactly.
     """
-    from .propagators import default_eta
-    eta = eta or default_eta
     c_t = math.cosh(t) ** -0.5
-    k = A.locality.k
-
-    def f(v: complex) -> float:
-        return c_t * float(_smooth_chi(t, sigma, _dist_complex(v, 0j), eta))
-
+    chi = CutoffSpec(t, sigma, eta).chi
     # radial symmetry: put w at the origin, scan v along a ray and measure
     # chart derivatives up to order k by centered differences
-    worst = 0.0
-    for tt in np.linspace(0.0, t + 0.05, n_grid):
-        v = math.tanh(tt / 2.0) + 0.0j
-        worst = max(worst, _ck_sum(f, v, 1e-5 * (1.0 - abs(v) ** 2), k))
+    v = np.tanh(np.linspace(0.0, t + 0.05, n_grid) / 2.0) + 0.0j
+    worst = float(np.max(_ck_sum(lambda p: c_t * chi(_dist_array(p, 0j)), v,
+                                 1e-5 * (1.0 - np.abs(v) ** 2), A.locality.k)))
     r, wq = gauss_legendre(0.0, t, 256)
-    l1 = TWO_PI * c_t * float(np.sum(np.asarray(_smooth_chi(t, sigma, r, eta))
-                                     * np.sinh(r) * wq))
+    l1 = TWO_PI * c_t * float(np.sum(chi(r) * np.sinh(r) * wq))
     return A.locality.C * worst * l1
 
 
 def locality_ratio(A: Observable, u: Callable, z: complex, n_ball: int = 7) -> float:
-    """Measured |Au(z)| / ||u||_{C^k(B(z, S))} on a finite-difference grid."""
+    """Measured |Au(z)| / ||u||_{C^k(B(z, S))} on a finite-difference grid
+    of n_ball radii from 0 to S and 8 angles."""
     val = abs(A.apply(u, z))
     S_eff = max(A.locality.S, 0.05)
-    k = A.locality.k
-    trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-    norm = 0.0
-    for tt in np.linspace(0.0, S_eff, n_ball):
-        for ang in TWO_PI * np.arange(8) / 8:
-            v = mobius_apply_complex(trans, math.tanh(tt / 2.0) * cmath.exp(1j * ang))
-            norm = max(norm, _ck_sum(u, v, 1e-4 * (1.0 - abs(v) ** 2), k))
+    rays = np.multiply.outer(np.tanh(np.linspace(0.0, S_eff, n_ball) / 2.0),
+                             np.exp(1j * TWO_PI * np.arange(8) / 8))
+    v = _mobius_array(1.0, z, rays)
+    norm = float(np.max(_ck_sum(u, v, 1e-4 * (1.0 - np.abs(v) ** 2), A.locality.k)))
     return val / norm if norm > 0 else 0.0
 
 
@@ -427,33 +380,21 @@ def limit_term(A: Observable, lam: float, surface, n_mc: int = 2000,
     the spherical pairing 2 pi int psi phi sinh; general finite-range kernels
     are integrated by Monte Carlo over the fundamental domain.
     """
+    if A.variant == "finite_range" and A.radial_profile is not None:
+        t, w = gauss_legendre(0.0, A.locality.S, 400)
+        vals = phi_eval(lam, t)
+        total = TWO_PI * float(np.sum(A.radial_profile(t) * vals * np.sinh(t) * w))
+        return LimitTerm(total, 0.0)
+    if A.variant not in ("multiplication", "finite_range"):
+        raise ValueError("limit term needs an integrable kernel (multiplication or finite range)")
     group = surface.base if isinstance(surface, CoverSurface) else surface
+    zs = DomainSampler(group).sample(np.random.default_rng(seed), n_mc)
     if A.variant == "multiplication":
-        zs = DomainSampler(group).sample(np.random.default_rng(seed), n_mc)
-        vals = np.array([A.a(z) for z in zs])
-        return LimitTerm(float(np.mean(vals)),
-                         float(np.std(vals) / math.sqrt(n_mc)))
-    if A.variant == "finite_range":
-        S = A.locality.S
-        if A.radial_profile is not None:
-            t, w = gauss_legendre(0.0, S, 400)
-            vals = phi_eval(lam, t)
-            total = TWO_PI * float(np.sum(A.radial_profile(t) * vals * np.sinh(t) * w))
-            return LimitTerm(total, 0.0)
-        zs = DomainSampler(group).sample(np.random.default_rng(seed), n_mc)
-        vals = []
-        t, wq = gauss_legendre(0.0, S, 32)
-        # polar rings of 48 points at the 32 radii, weighted by the measure and phi
-        ring = np.multiply.outer(np.tanh(t / 2.0), np.exp(1j * TWO_PI * np.arange(48) / 48))
-        ring_w = (wq * np.sinh(t) * (TWO_PI / 48) * phi_eval(lam, t))[:, None]
-        for z in zs:
-            trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-            pts = _mobius_array(trans.alpha, trans.beta, ring)
-            kv = np.array([complex(A.kernel(z, wpt)).real for wpt in pts.ravel()])
-            vals.append(float(np.sum(ring_w * kv.reshape(pts.shape))))
-        vals = np.array(vals)
-        return LimitTerm(float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_mc)))
-    raise ValueError("limit term needs an integrable kernel (multiplication or finite range)")
+        vals = A.a(zs)
+    else:
+        pts, t, w = _ball_rule(zs, A.locality.S, 32, 48)
+        vals = np.real(A.kernel(zs[:, None], pts)) @ (w * phi_eval(lam, t))
+    return LimitTerm(float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_mc)))
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,12 @@ def mesh_mean(values: np.ndarray, data: EigenData) -> float:
 
 
 def mean_zero_density(f, data: EigenData) -> np.ndarray:
-    """Mesh values of f with the weighted mean subtracted exactly."""
-    vals = np.array([float(f(z)) for z in data.points])
+    """Mesh values of f with the weighted mean subtracted exactly.
+
+    f maps the array of mesh points to the array of its values there, and is
+    called once, on every point.
+    """
+    vals = np.asarray(f(data.points), dtype=float)
     return vals - mesh_mean(vals, data)
 
 

@@ -348,6 +348,24 @@ class TestPeriodization:
                 direct += math.exp(-3.0 * d * d) * float(F.smoothstep_cutoff(d / r))
         assert per([z], [w])[0] == pytest.approx(direct, abs=1e-12)
 
+    def test_long_cyclic_group_keeps_the_neighbouring_tile(self):
+        # L = 4: z and w = -z lie 3.8 apart, beyond r, but the generator moves
+        # w to 0.2 from z, so the orbit ball must reach the displacement L
+        group = F.cyclic_group(4.0)
+        gen = group.generators[0]
+        kern = RadialKernel(lambda t: np.exp(-t * t))
+        r = 1.0
+        z = math.tanh(0.95) + 0j
+        w = -z
+        direct = 0.0
+        for g in (GroupElement.identity(), gen, gen.inverse()):
+            d = dist(z, mobius_apply_complex(g, w))
+            if d <= r:
+                direct += math.exp(-d * d) * float(F.smoothstep_cutoff(d / r))
+        assert direct == pytest.approx(math.exp(-0.04) * float(F.smoothstep_cutoff(0.2)))
+        per = F.periodize_truncated(kern, group, r)
+        assert per([z], [w])[0] == pytest.approx(direct, abs=1e-12)
+
 
 class TestHsBound:
     def test_no_wraparound_case(self, bolza):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 import hypsurf.observables as O
 from hypsurf.errors import StencilOutOfDomain
 from hypsurf.fuchsian import bolza_group
-from hypsurf.geometry import _dist_complex
+from hypsurf.geometry import _dist_array
 from hypsurf.transforms import PlancherelWeight, bump_multiplier
 
 
@@ -28,9 +28,27 @@ def radial_bump(S):
     return psi
 
 
+class TestArrayContract:
+    @pytest.mark.parametrize("A", [
+        O.multiplication_observable(lambda z: np.cos(3 * np.real(z)), 1.0),
+        O.laplacian_observable(),
+        O.radial_kernel_observable(radial_bump(0.5), 0.5),
+    ], ids=["multiplication", "laplacian", "radial_kernel"])
+    def test_array_apply_matches_pointwise(self, A):
+        # u carries a trailing axis of two values per point
+        def u(w):
+            return np.cos(np.multiply.outer(np.real(w) + 2.0 * np.abs(w) ** 2,
+                                            [1.0, 2.5]))
+        zs = np.array([[0.1 + 0.2j, -0.3j, 0.0j], [0.45 - 0.1j, -0.2 + 0.05j, 0.6j]])
+        got = A.apply(u, zs)
+        assert got.shape == zs.shape + (2,)
+        each = np.array([A.apply(u, z) for z in zs.ravel()]).reshape(got.shape)
+        np.testing.assert_allclose(got, each, rtol=1e-12)
+
+
 class TestCompleteSymbol:
     def test_multiplication_factors_out(self):
-        a = lambda z: math.sin(z.real) + 2.0
+        a = lambda z: np.sin(np.real(z)) + 2.0
         A = O.multiplication_observable(a, sup_bound=3.0)
         for z in [0.1 + 0.2j, -0.4j]:
             for lam in [0.5, 2.0]:
@@ -142,21 +160,25 @@ class TestSandwich:
         z, w = -0.55 + 0j, 0.55 + 0j   # distance ~ 2.5 > 2 t
         assert O.smooth_sandwich_kernel(A, t, 0.1, z, w) == 0.0
 
-    def test_radial_symmetry_for_unit_multiplication(self):
+    @pytest.mark.parametrize("A, n_rad, n_ang", [
+        (O.multiplication_observable(lambda z: 1.0, 1.0), 160, 320),
+        (O.radial_kernel_observable(radial_bump(0.4), 0.4), 24, 48),
+    ], ids=["unit_multiplication", "radial_kernel"])
+    def test_radial_symmetry(self, A, n_rad, n_ang):
+        # an isometry-invariant operator has an isometry-invariant sandwich
         from hypsurf.geometry import GroupElement, mobius_apply_complex
-        A = O.multiplication_observable(lambda z: 1.0, 1.0)
         t, sigma = 0.8, 0.15
         z1, w1 = 0.0 + 0j, 0.15 + 0j
         g = GroupElement.translation(0.8, 0.5) @ GroupElement.rotation(2.1)
         z2 = mobius_apply_complex(g, z1)
         w2 = mobius_apply_complex(g, w1)
-        k1 = O.smooth_sandwich_kernel(A, t, sigma, z1, w1, n_rad=160, n_ang=320)
-        k2 = O.smooth_sandwich_kernel(A, t, sigma, z2, w2, n_rad=160, n_ang=320)
+        k1 = O.smooth_sandwich_kernel(A, t, sigma, z1, w1, n_rad=n_rad, n_ang=n_ang)
+        k2 = O.smooth_sandwich_kernel(A, t, sigma, z2, w2, n_rad=n_rad, n_ang=n_ang)
         assert abs(k1 - k2) < 1e-6 * max(1.0, abs(k1))
 
     def test_sup_bound_dominates_measured(self):
         t, sigma = 0.9, 0.2
-        for A in [O.multiplication_observable(lambda z: math.cos(3 * z.real), 1.0),
+        for A in [O.multiplication_observable(lambda z: np.cos(3 * np.real(z)), 1.0),
                   O.laplacian_observable()]:
             bound = O.sandwich_sup_bound(A, t, sigma)
             measured = 0.0
@@ -171,13 +193,13 @@ class TestLocality:
     def test_panel_ratios_below_declared(self):
         panel = []
         for i in range(1, 5):
-            panel.append(lambda z, i=i: math.sin(i * z.real) * math.cos(i * z.imag))
-            panel.append(lambda z, i=i: (z.real ** i + z.imag ** i))
-            panel.append(lambda z, i=i: math.exp(-i * abs(z) ** 2))
-            panel.append(lambda z, i=i: math.cos(i * (z.real + 0.5 * z.imag)))
-            panel.append(lambda z, i=i: 1.0 / (1.0 + i * abs(z) ** 2))
+            panel.append(lambda z, i=i: np.sin(i * np.real(z)) * np.cos(i * np.imag(z)))
+            panel.append(lambda z, i=i: (np.real(z) ** i + np.imag(z) ** i))
+            panel.append(lambda z, i=i: np.exp(-i * np.abs(z) ** 2))
+            panel.append(lambda z, i=i: np.cos(i * (np.real(z) + 0.5 * np.imag(z))))
+            panel.append(lambda z, i=i: 1.0 / (1.0 + i * np.abs(z) ** 2))
         assert len(panel) == 20
-        mult = O.multiplication_observable(lambda z: 0.5 * math.sin(z.real), 0.5)
+        mult = O.multiplication_observable(lambda z: 0.5 * np.sin(np.real(z)), 0.5)
         lap = O.laplacian_observable()
         for u in panel:
             for z in [0.1 + 0.1j, -0.3 + 0.2j]:
@@ -215,7 +237,7 @@ class TestLimitTerm:
         psi = radial_bump(S)
         A_rad = O.radial_kernel_observable(psi, S)
         A_gen = O.finite_range_observable(
-            lambda z, w: complex(psi(np.array([_dist_complex(z, w)]))[0]), S,
+            lambda z, w: psi(_dist_array(z, w)), S,
             A_rad.locality.C)
         lam = 1.0
         lt_r = O.limit_term(A_rad, lam, bolza)

@@ -60,22 +60,34 @@ class TestQuantumVariance:
         # for exactly mean-zero density the limit term is 0 and the variance
         # is the mean of |<psi, a psi>|^2
         w = SpectralWindow(1.0, 4.0)
-        vals = mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, bolza_data)
+        vals = mean_zero_density(lambda z: np.where(np.real(z) > 0, 1.0, -1.0), bolza_data)
         rep = quantum_variance(vals, bolza_data, w)
         assert float(rep.limit_terms[0]) == pytest.approx(0.0, abs=1e-14)
         direct = np.mean(rep.matrix_elements ** 2)
         assert rep.variance == pytest.approx(float(direct), rel=1e-12)
 
+    def test_mean_zero_density_is_one_call_on_every_point(self, bolza_data):
+        calls = []
+
+        def f(zs):
+            calls.append(np.array(zs))
+            return np.real(zs)
+
+        vals = mean_zero_density(f, bolza_data)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], bolza_data.points)
+        assert abs(float(np.sum(vals * bolza_data.weights))) < 1e-12
+
     def test_nonnegative(self, bolza_data):
         w = SpectralWindow(1.0, 8.0)
-        vals = mean_zero_density(lambda z: math.sin(2 * z.real), bolza_data)
+        vals = mean_zero_density(lambda z: np.sin(2 * np.real(z)), bolza_data)
         rep = quantum_variance(vals, bolza_data, w)
         assert rep.variance >= 0.0
         assert rep.count == int(np.sum(w.contains_nu(bolza_data.eigenvalues)))
 
     def test_window_holds_the_lambda1_triple(self, bolza_data):
         # [1, 4] holds lambda_1 = 3.8389 (multiplicity 3) and nothing else
-        vals = mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, bolza_data)
+        vals = mean_zero_density(lambda z: np.where(np.real(z) > 0, 1.0, -1.0), bolza_data)
         assert quantum_variance(vals, bolza_data, SpectralWindow(1.0, 4.0)).count == 3
 
     def test_empty_window(self, bolza_data):
@@ -90,7 +102,7 @@ def cover_data(bolza):
 
 
 def _sign(data):
-    return mean_zero_density(lambda z: 1.0 if z.real > 0 else -1.0, data)
+    return mean_zero_density(lambda z: np.where(np.real(z) > 0, 1.0, -1.0), data)
 
 
 def _pair_in(data, window):
@@ -163,7 +175,7 @@ class TestWeyl:
 
 @pytest.fixture(scope="module")
 def budget_args(bolza):
-    A = multiplication_observable(lambda z: 1.0 if z.real > 0 else -1.0, 1.0)
+    A = multiplication_observable(lambda z: np.where(np.real(z) > 0, 1.0, -1.0), 1.0)
     w = SpectralWindow(1.0, 4.0)
     return A, bolza, w
 
