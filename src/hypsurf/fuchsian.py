@@ -68,7 +68,6 @@ the octagon area 4 pi are enforced as construction invariants.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -138,26 +137,6 @@ class FuchsianGroup:
         if self.covolume_hint is None:
             raise ValueError(f"group {self.label!r} has no covolume")
         return self.covolume_hint
-
-    def to_json(self) -> str:
-        gens = [[[g.alpha.real, g.alpha.imag], [g.beta.real, g.beta.imag],
-                 [g.beta.conjugate().real, g.beta.conjugate().imag],
-                 [g.alpha.conjugate().real, g.alpha.conjugate().imag]]
-                for g in self.generators]
-        return json.dumps({"label": self.label, "generators": gens,
-                           "relation": list(self.relation),
-                           "covolume": self.covolume_hint,
-                           "dirichlet_radius": self.dirichlet_radius},
-                          sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "FuchsianGroup":
-        d = json.loads(text)
-        gens = tuple(GroupElement(complex(*m[0]), complex(*m[1]))
-                     for m in d["generators"])
-        return FuchsianGroup(gens, d.get("label", ""), d.get("covolume"),
-                             tuple(d.get("relation", ())),
-                             d.get("dirichlet_radius"))
 
 
 def _generator_arrays(group: FuchsianGroup):
@@ -377,17 +356,13 @@ def _prune_bounds(group: FuchsianGroup, centres, radius: float) -> np.ndarray:
     d(c, gamma c) <= radius; see _expand_mask, and the module docstring for
     why the tile prune is sound.
     """
-    faces = _face_points(group) if group.dirichlet_radius is not None else None
-    bounds = []
-    for c in map(complex, centres):
-        if faces is None:
-            bounds.append(radius + group.max_generator_displacement(c) + 1.0)
-            continue
-        margin = group.dirichlet_radius
-        if not _in_dirichlet_domain(c, faces):
-            margin += 2.0 * math.atanh(abs(c))
-        bounds.append(math.sinh((radius + margin + 1e-9) / 2.0) ** 2 * (1.0 - abs(c) ** 2))
-    return np.array(bounds)
+    zs = np.asarray(centres, dtype=complex)
+    if group.dirichlet_radius is None:
+        disp = _displacements(*_generator_arrays(group), zs[:, None])
+        return radius + disp.max(axis=1, initial=0.0) + 1.0
+    outside = ~_in_dirichlet_domain(zs[:, None], _face_points(group))
+    margin = group.dirichlet_radius + np.where(outside, 2.0 * np.arctanh(np.abs(zs)), 0.0)
+    return np.sinh((radius + margin + 1e-9) / 2.0) ** 2 * (1.0 - np.abs(zs) ** 2)
 
 
 def _expand_mask(group: FuchsianGroup, c, bound, alpha, beta, disp) -> np.ndarray:
@@ -581,22 +556,6 @@ class CoverSurface:
 
     def volume(self) -> float:
         return self.degree * self.base.volume()
-
-    def to_json(self) -> str:
-        d = json.loads(self.base.to_json())
-        d.update({"degree": self.degree,
-                  "permutations": [list(p) for p in self.permutations],
-                  "seed": self.seed})
-        return json.dumps(d, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CoverSurface":
-        d = json.loads(text)
-        base = FuchsianGroup.from_json(json.dumps(
-            {k: d[k] for k in ("label", "generators", "relation", "covolume",
-                               "dirichlet_radius")}))
-        return CoverSurface(base, d["degree"],
-                            tuple(tuple(p) for p in d["permutations"]), d["seed"])
 
 
 def _compose_perms(cover: CoverSurface, word) -> np.ndarray:

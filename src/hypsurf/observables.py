@@ -42,6 +42,11 @@ from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
 
 TWO_PI = 2.0 * math.pi
 
+# Ball-rule nodes a finite-range apply holds at once: its points go in blocks
+# of _BALL_NODES / (48 * 96), at least one, so memory stays near a few tens
+# of MB however many points one call asks for.
+_BALL_NODES = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # Observables
@@ -74,10 +79,17 @@ class Observable:
         if self.variant == "differential":
             return _apply_differential(self.coefficients, u, z)
         if self.variant == "finite_range":
-            pts, _, w = _ball_rule(z, self.locality.S, 48, 96)
-            vals = u(pts)
-            kw = self.kernel(z[..., None], pts) * w
-            return np.sum(_lead(kw, vals) * vals, axis=z.ndim)
+            flat = z.reshape(-1)
+            step = max(1, _BALL_NODES // (48 * 96))
+            parts = []
+            for s in range(0, flat.size, step):
+                zb = flat[s:s + step]
+                pts, _, w = _ball_rule(zb, self.locality.S, 48, 96)
+                vals = u(pts)
+                kw = self.kernel(zb[:, None], pts) * w
+                parts.append(np.sum(_lead(kw, vals) * vals, axis=1))
+            out = np.concatenate(parts)
+            return out.reshape(z.shape + out.shape[1:])[()]
         raise ValueError(self.variant)
 
 
@@ -318,7 +330,7 @@ def smooth_sandwich_kernel(A: Observable, t: float, sigma: float, z: complex,
     One formula for every variant: int_{B(z,t)} k_t(d(z,u)) (A k_t(d(., w)))(u) du,
     with k_t the kernel of smooth_propagator(t, sigma, eta), on the polar
     rule of B(z, t).  A finite-range A applies its own 48 x 96 rule at every
-    node, so it holds n_rad * n_ang * 4608 points at once.
+    node, in blocks of _BALL_NODES rule points.
     """
     if _dist_array(z, w) > 2.0 * t + A.locality.S:
         return 0.0 + 0.0j

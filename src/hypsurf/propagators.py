@@ -11,8 +11,10 @@ The smooth multiplier h_{t,sigma} comes by the Selberg route
     S_lambda(x) = int_0^x phi_lambda(r) sinh r dr,
 
 with S summed over the fixed unit panels [j, j + 1], so every time node
-shares the same running integral.  The sharp multiplier h_t^sharp comes by
-the Abel route, from its closed-form profile
+shares the same running integral.  The panels and the rows go to phi_eval
+in batches; phi_eval gives a row the same bits in any call, so a row does
+not depend on the other time nodes.  The sharp multiplier h_t^sharp comes
+by the Abel route, from its closed-form profile
 
     g(u) = 2 sqrt(2 (cosh t - cosh u) / cosh t),
     h(lambda) = 2 int_0^t cos(lambda u) g(u) du.
@@ -36,8 +38,8 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
 from .quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule
-from .transforms import (TWO_PI, RadialKernel, _md_integral, abel_sharp, abel_smooth,
-                         fourier_of_abel, phi_eval)
+from .transforms import (_BLOCK, TWO_PI, RadialKernel, _md_integral, abel_sharp,
+                         abel_smooth, fourier_of_abel, phi_eval)
 
 
 def default_eta(x):
@@ -209,13 +211,14 @@ def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray,
     """Matrix h_{t,sigma}(lam) for all (t in ts) x (lam in lam_grid), by the Selberg route.
 
     The running integral S_lam(x) = int_0^x phi_lam(r) sinh r dr is the
-    prefix sum of the integrals over the fixed unit panels [j, j + 1], each
-    from one phi_eval call on n = 32 ceil((24 + max |lam|) / 32) Gauss-Legendre
-    nodes and computed once per call.  A row adds the partial panel
+    prefix sum of the integrals over the fixed unit panels [j, j + 1], all
+    from one phi_eval call on n = 32 ceil((24 + max |lam|) / 32)
+    Gauss-Legendre nodes a panel.  A row adds the partial panel
     [floor(t - sigma), t - sigma] (n nodes) and the ramp [t - sigma, t]
-    (48 nodes, weighted by chi) in one phi_eval call of its own: the series
-    behind phi_eval is not bit-identical across call shapes, and this way a
-    row depends only on t, sigma, eta and the lambda grid, never on the other
+    (48 nodes, weighted by chi); the rows go to phi_eval in blocks of at
+    most 4 _BLOCK (t, lambda) cells.  phi_eval gives a row the same bits in
+    any call, and each row is contracted with its own weights, so a row
+    depends only on t, sigma, eta and the lambda grid, never on the other
     rows.  Rows t <= sigma are 0.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
@@ -228,18 +231,22 @@ def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray,
     x = ts - sigma
     whole = np.floor(x).astype(int)
     # S[j] = S_lam(j): prefix sums over the unit panels, independent of ts
-    S = np.zeros((int(whole[live].max()) + 1,) + lam_grid.shape)
-    for j in range(1, S.shape[0]):
-        r, w = gauss_legendre(j - 1.0, float(j), n)
-        S[j] = (np.sinh(r) * w) @ phi_eval(lam_grid, r)
+    j = np.arange(whole[live].max(), dtype=float)[:, None]
+    r, w = gauss_legendre(j, j + 1.0, n)
+    S = np.zeros((j.size + 1,) + lam_grid.shape)
+    S[1:] = np.matmul((np.sinh(r) * w)[:, None, :], phi_eval(lam_grid, r))[:, 0]
     np.cumsum(S, axis=0, out=S)
-    for i in live:
-        t, j = float(ts[i]), int(whole[i])
-        r0, w0 = gauss_legendre(float(j), float(x[i]), n)
-        r1, w1 = gauss_legendre(float(x[i]), t, 48)
-        r = np.concatenate([r0, r1])
-        w = np.concatenate([w0, eta((r1 - t) / sigma) * w1]) * np.sinh(r)
-        out[i] = TWO_PI / math.sqrt(math.cosh(t)) * (S[j] + w @ phi_eval(lam_grid, r))
+    step = max(1, 4 * _BLOCK // ((n + 48) * lam_grid.size))
+    for s in range(0, live.size, step):
+        i = live[s:s + step]
+        t, xi = ts[i, None], x[i, None]
+        r0, w0 = gauss_legendre(whole[i, None], xi, n)
+        r1, w1 = gauss_legendre(xi, t, 48)
+        r = np.concatenate([r0, r1], axis=1)
+        w = np.concatenate([w0, eta((r1 - t) / sigma) * w1], axis=1) * np.sinh(r)
+        out[i] = (TWO_PI / np.sqrt(np.cosh(t))
+                  * (S[whole[i]]
+                     + np.matmul(w[:, None, :], phi_eval(lam_grid, r))[:, 0]))
     return out
 
 

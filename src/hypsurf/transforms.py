@@ -282,22 +282,27 @@ def _phi_series(lams, ts, l_max) -> np.ndarray:
 
     lams and ts are 1-d (lam > 1e-8); l_max is one int or one per t.  Each
     row is summed to its own l_max: rows of one l_max go together, in
-    blocks of about _BLOCK cells.  Returns the (t, lambda) grid.
+    blocks of min(64, _BLOCK / len(lams)) rows.  The last block of a group
+    is padded with zero rows, so every matrix product of a call has the same
+    shape: BLAS rounds a row the same way whatever other rows the call
+    holds, and a row is bit-identical in every call on the same lambdas.
+    Returns the (t, lambda) grid.
     """
     l_max = np.broadcast_to(l_max, ts.shape)
     cg = harish_chandra_c(lams) * series_coefficients(lams, int(l_max.max(initial=0)))
     out = np.empty((ts.size, lams.size))
-    step = max(1, _BLOCK // max(1, lams.size))
+    step = max(1, min(64, _BLOCK // max(1, lams.size)))
     for L in np.unique(l_max):
         group = np.flatnonzero(l_max == L)
         for s in range(0, group.size, step):
             rows = group[s:s + step]
             t = ts[rows]
-            decay = np.exp(-2.0 * np.multiply.outer(t, np.arange(L + 1)))
+            decay = np.zeros((step, L + 1))
+            decay[:rows.size] = np.exp(-2.0 * np.multiply.outer(t, np.arange(L + 1)))
             # 2 Re[cs e^{(-1/2 + i lam) t}] with cs = sum_l c Gamma_l e^{-2 l t}
             lt = np.multiply.outer(t, lams)
-            val = np.cos(lt) * (decay @ cg.real[:L + 1])
-            val -= np.sin(lt) * (decay @ cg.imag[:L + 1])
+            val = np.cos(lt) * (decay @ cg.real[:L + 1])[:rows.size]
+            val -= np.sin(lt) * (decay @ cg.imag[:L + 1])[:rows.size]
             out[rows] = val * (2.0 * np.exp(-0.5 * t))[:, None]
     return out
 
@@ -336,7 +341,9 @@ def phi_eval(lam, t):
     cell has the same value in a scalar call as in any grid.  Rows t >= 1
     come from the large-t series truncated at l = max(6, int(40 / t) + 4);
     its two conjugate terms, of size |c(lambda)| ~ 1 / (pi lambda), cancel as
-    lambda -> 0, so lambda < 1e-2 goes to the integral on every row.  Both
+    lambda -> 0, so lambda < 1e-2 goes to the integral on every row.  Its
+    matrix products all have one shape per lambda grid, so every row of a
+    grid is bit-identical to a one-row call on the same lambdas.  Both
     routes agree with the boundary-circle definition.  Scalars in give a
     float.
     """

@@ -126,12 +126,6 @@ class TestPresets:
         for g in bolza.generators:
             assert abs(abs(g.alpha) ** 2 - abs(g.beta) ** 2 - 1) < 1e-10
 
-    def test_json_round_trip(self, bolza):
-        g2 = F.FuchsianGroup.from_json(bolza.to_json())
-        for a, b in zip(bolza.generators, g2.generators):
-            assert a.almost_equal(b, 1e-15)
-        assert g2.relation == bolza.relation
-
 
 class TestOrbit:
     def test_trivial_group(self):
@@ -528,14 +522,24 @@ class TestCovers:
         assert type(F.injrad_below(bolza, z, 1.7)) is bool
         assert type(F.injrad_below(F.random_cover(bolza, 4, seed=0), z, 1.0, sheet=2)) is bool
 
+    @pytest.mark.parametrize("group", [F.bolza_group(), F.cyclic_group(4.0)],
+                             ids=["bolza", "cyclic4"])
+    def test_prune_bounds_match_per_centre_formula(self, group):
+        # points inside and outside the Dirichlet domain of the Bolza group
+        zs = np.array([0.0, 0.3 + 0.1j, -0.5j, 0.8 + 0.1j, -0.9 + 0.2j])
+        got = F._prune_bounds(group, zs, 3.4)
+        for c, b in zip(zs, got):
+            if group.dirichlet_radius is None:
+                ref = 3.4 + group.max_generator_displacement(c) + 1.0
+            else:
+                margin = group.dirichlet_radius
+                if not F._in_dirichlet_domain(c, F._face_points(group)):
+                    margin += 2.0 * math.atanh(abs(c))
+                ref = math.sinh((3.4 + margin + 1e-9) / 2.0) ** 2 * (1.0 - abs(c) ** 2)
+            assert b == pytest.approx(ref, rel=1e-14)
+
     def test_shared_search_budget_guard(self, bolza):
         # below half the systole no point closes, so the search runs on
         zs = 0.3 * np.exp(2j * math.pi * np.arange(10) / 10)
         with pytest.raises(BudgetExceeded):
             F.injrad_below_points(bolza, zs, 1.2, element_cap=50)
-
-    def test_json_round_trip(self, bolza):
-        cov = F.random_cover(bolza, 5, seed=13)
-        c2 = F.CoverSurface.from_json(cov.to_json())
-        assert c2.permutations == cov.permutations
-        assert c2.degree == cov.degree

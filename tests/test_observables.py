@@ -45,6 +45,17 @@ class TestArrayContract:
         each = np.array([A.apply(u, z) for z in zs.ravel()]).reshape(got.shape)
         np.testing.assert_allclose(got, each, rtol=1e-12)
 
+    def test_finite_range_apply_in_blocks(self, monkeypatch):
+        # points go to the ball rule in blocks; one point a block changes no bit
+        A = O.radial_kernel_observable(radial_bump(0.5), 0.5)
+
+        def u(w):
+            return np.cos(np.multiply.outer(np.real(w) - np.imag(w) ** 2, [1.0, 3.0, 0.5]))
+        zs = np.array([[0.1 + 0.2j, -0.3j, 0.0j], [0.45 - 0.1j, -0.2 + 0.05j, 0.6j]])
+        whole = A.apply(u, zs)
+        monkeypatch.setattr(O, "_BALL_NODES", 1)
+        assert np.array_equal(A.apply(u, zs), whole)
+
 
 class TestCompleteSymbol:
     def test_multiplication_factors_out(self):

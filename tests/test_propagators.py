@@ -21,6 +21,7 @@ from hypsurf.propagators import (
     sharp_propagator,
     smooth_propagator,
 )
+from hypsurf.propagators import _time_nodes
 from hypsurf.quadrature import gauss_legendre
 from hypsurf.transforms import _phi_md_grid
 
@@ -103,6 +104,17 @@ class TestSelbergRoute:
         for i, t in enumerate(ts):
             assert np.array_equal(grid[i], h_smooth(float(t), 0.1, lam))
             assert np.array_equal(grid[i], wider[i])
+
+    def test_rows_of_prop33_grid_equal_one_row_calls(self):
+        # the 320 time nodes of a default prop33 go to phi_eval in blocks
+        lo, hi = 0.8660254037844386, 1.9364916731037085
+        lam = np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.02)) + 1)
+        ts = np.unique(np.concatenate([_time_nodes(T, 8)[0] for T in (10.0, 20.0, 40.0)]))
+        assert ts.size == 320
+        grid = h_smooth_on_grid(ts, 0.1, lam)
+        assert not grid[ts <= 0.1].any()
+        for i in np.flatnonzero(ts > 0.1):
+            assert np.array_equal(grid[i], h_smooth(float(ts[i]), 0.1, lam))
 
     @pytest.mark.parametrize("t", [0.15, 0.95, 1.05])
     def test_rows_across_r_equals_one(self, t):

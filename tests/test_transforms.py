@@ -66,13 +66,23 @@ class TestSphericalPhi:
             oracle = [float(mp.re(mp.legenp(mp.mpc(-0.5, lam), 0, mp.cosh(t))))
                       for lam in lams]
             assert np.max(np.abs(grid[i] - oracle)) <= 1e-9
-            # the same values from a row call and from scalar calls, up to the
-            # summation order of the matrix products (|phi| <= 1)
-            assert np.max(np.abs(phi_eval(lams, t) - grid[i])) <= 2e-15
+            # a row call gives the row bit for bit; scalar calls agree up to
+            # the summation order of the matrix products (|phi| <= 1)
+            assert np.array_equal(phi_eval(lams, t), grid[i])
             for j, lam in enumerate(lams):
                 assert phi_eval(float(lam), float(t)) == pytest.approx(grid[i, j],
                                                                        abs=2e-15)
         assert phi_eval(lams.reshape(7, 1), ts[:2]).shape == (2, 7, 1)
+
+    def test_row_independent_of_other_rows(self):
+        # matrix products of one shape per lambda grid: BLAS rounds a row the
+        # same way whatever other rows share the call
+        rng = np.random.default_rng(0)
+        ts = np.concatenate([rng.uniform(0.0, 1.0, 200), rng.uniform(1.0, 40.0, 800)])
+        lams = np.linspace(0.05, 3.0, 55)
+        grid = phi_eval(lams, ts)
+        for i in range(ts.size):
+            assert np.array_equal(grid[i], phi_eval(lams, ts[i:i + 1])[0])
 
     def test_md_grid_keeps_digits_at_small_t(self):
         # cosh t - cosh u cancels at small t unless it is formed stably
