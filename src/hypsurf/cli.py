@@ -245,7 +245,8 @@ def cmd_orbit(args) -> int:
     write_summary(args.out, "orbit", {
         "config": {**_base_config(args), "group": args.group, "R": args.R,
                    "length": args.length},
-        "count": len(ball), "injectivity_radius": inj.value,
+        "count": len(ball), "orbit_elements_explored": ball.elements_explored,
+        "orbit_levels": ball.levels, "injectivity_radius": inj.value,
         "inj_is_lower_bound": inj.is_lower_bound,
         "systole_upper_bound": systole_upper_bound(group), "passed": True})
     return 0

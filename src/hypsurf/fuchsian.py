@@ -2,11 +2,29 @@
 
 Orbit balls and injectivity-radius queries share one breadth-first search
 over reduced words (no generator next to its own inverse).  The search is
-level-synchronous: all children of a level come from one numpy product, are
-sign-fixed as GroupElement does, and are deduplicated against every element
-seen so far in first-found order (parent order, then generator order).  Each
-caller prunes which elements the search expands.  The systole bound and the
-periodization read complete orbit balls.
+level-synchronous: all children of a level come from one numpy product, in
+first-found order (parent order, then generator order).  Each caller prunes
+which elements the search expands.  The systole bound and the periodization
+read complete orbit balls.
+
+Exact elements.  A group with a relation carries exact coordinates of its
+generators (FuchsianGroup.exact_coords), and the search identifies its
+elements exactly.  For the octagon group every element is 8 integers:
+alpha = a and beta = lambda b with a, b in Z[zeta], zeta = e^{i pi / 4},
+zeta^4 = -1, and lambda^2 = 2 + 2 sqrt 2 = 2 + 2 zeta - 2 zeta^3.  A product
+(a, lambda b)(a', lambda b') is (a a' + lambda^2 b conj(b'), lambda (a b' +
+b conj(a'))), so right multiplication by a generator is an 8 x 8 integer
+matrix, and a level's children are one int64 product with the matrices of
+all generators side by side.  The projective sign makes the first nonzero
+integer positive, and alpha and beta for the geometry are evaluated from the
+integers.  The dedup keeps the first element of every set of equal ones: a
+64-bit hash of the 8 integers only orders the rows (a stable argsort within
+the level, searchsorted against the sorted hashes of the elements seen), and
+rows are equal only when their integers are, so rows whose hashes collide
+are told apart.  The search raises before a coefficient could overflow an
+int64 product.  A free group (the cyclic and trivial presets) composes
+floats with no dedup at all: its distinct reduced words are distinct
+elements.
 
 Tile prune.  When a group declares a Dirichlet radius R_D, its symmetrized
 generators pair the sides of the Dirichlet domain D at 0 (see
@@ -35,8 +53,8 @@ of one search per point and sheet:
 - The prune is a function of the element, and every element an open point's
   own search expands is expanded.  By induction on the level, the point's
   own complete search tree lies in the shared one, each element reached no
-  later; an element first reached by another word can differ only in its
-  last bits.
+  later; an element first reached by another word is the same element,
+  because equality is exact.
 - A witness is decided by its displacement, not by being reached, so the
   extra elements of the shared tree cannot make false hits: a witness among
   them is one the point's own complete search finds too.
@@ -61,8 +79,9 @@ every generator has zero net exponent in it.
 The built-in cocompact preset is the genus-2 surface of the regular
 hyperbolic octagon with vertex angle pi/4 and opposite-side pairings:
 four translations of length 2 arccosh(1 + sqrt 2) along the rays at angles
-k pi/4.  Its defining relation g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 = id and
-the octagon area 4 pi are enforced as construction invariants.
+k pi/4.  Its defining relation g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 = id,
+checked on the exact coordinates, and the octagon area 4 pi are enforced as
+construction invariants.
 """
 
 from __future__ import annotations
@@ -96,6 +115,13 @@ class FuchsianGroup:
     generators are the face pairings of D, i.e. D is bounded exactly by the
     bisectors between 0 and the images of 0 under them.  Domain membership,
     the domain sampler and the tile prune of the orbit search rely on it.
+    exact_coords: per generator the 8 integers of (a, b), alpha = a and
+    beta = lambda b with a, b in Z[zeta] (coefficients of 1, zeta, zeta^2,
+    zeta^3; zeta = e^{i pi / 4}, lambda = sqrt(2 + 2 sqrt 2)); see the
+    module docstring.  A group with a relation must carry them, because the
+    orbit search identifies its elements on them.  Construction checks that
+    they evaluate to the generators within a relative 1e-15 and that the
+    relation multiplies out to the exact identity.
     """
 
     generators: tuple
@@ -103,11 +129,27 @@ class FuchsianGroup:
     covolume_hint: float | None = None
     relation: tuple = ()
     dirichlet_radius: float | None = None
+    exact_coords: tuple | None = None
 
     def __post_init__(self):
         for g in self.generators:
             if not isinstance(g, GroupElement):
                 raise TypeError("generators must be GroupElements")
+        if self.exact_coords is None:
+            if self.relation:
+                raise ValueError(f"group {self.label!r} has a relation but no exact coordinates")
+            return
+        exact = np.asarray(self.exact_coords, dtype=np.int64)
+        if exact.shape != (self.n_generators, 8):
+            raise ValueError("exact_coords needs 8 integers per generator")
+        floats = np.array([(g.alpha, g.beta) for g in self.generators]).reshape(-1, 2)
+        if np.any(np.abs(np.column_stack(_exact_floats(exact)) - floats) > 1e-15 * np.abs(floats)):
+            raise RelationViolation("exact coordinates do not evaluate to the generators")
+        step, rel = _right_multiplication(self), _IDENTITY
+        for gi in self.relation_word():
+            rel = rel @ step[:, 8 * gi:8 * gi + 8]
+        if not (np.array_equal(rel, _IDENTITY) or np.array_equal(rel, -_IDENTITY)):
+            raise RelationViolation(f"relation of {self.label!r} is not the identity")
 
     @property
     def n_generators(self) -> int:
@@ -146,6 +188,61 @@ def _generator_arrays(group: FuchsianGroup):
             np.array([g.beta for g in gens], dtype=complex))
 
 
+# Z[zeta], zeta = e^{i pi / 4}: rows of 4 integer coefficients of 1, zeta,
+# zeta^2, zeta^3, with zeta^4 = -1 and conj(zeta^j) = -zeta^(4 - j)
+_LAMBDA2 = np.array([2, 2, 0, -2], dtype=np.int64)    # lambda^2 = 2 + 2 sqrt 2
+_LAMBDA = math.sqrt(2.0 + 2.0 * math.sqrt(2.0))
+_SQRT_HALF = math.sqrt(0.5)
+_IDENTITY = np.eye(1, 8, dtype=np.int64)[0]
+_COEFF_LIMIT = 2 ** 40    # far below where an int64 product of the search overflows
+# odd multipliers of the 64-bit row hash of _SeenRows
+_HASH_MULT = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                       0xD6E8FEB86659FD93, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53,
+                       0x94D049BB133111EB, 0xBF58476D1CE4E5B9], dtype=np.uint64)
+_ZETA_SHIFT = (np.arange(4) - np.arange(4)[:, None]) % 4
+_ZETA_SIGN = np.where(np.arange(4) >= np.arange(4)[:, None], 1, -1)
+
+
+def _zeta_times(x: np.ndarray) -> np.ndarray:
+    """Matrices of y -> y x on coefficient rows, for rows x of shape (..., 4):
+    row j of each is zeta^j x."""
+    return x[..., _ZETA_SHIFT] * _ZETA_SIGN
+
+
+def _zeta_conj(x: np.ndarray) -> np.ndarray:
+    return x[..., [0, 3, 2, 1]] * [1, -1, -1, -1]
+
+
+def _right_multiplication(group: FuchsianGroup) -> np.ndarray:
+    """(8, 8 * 2n) integer matrix: for the coordinate row e of an element,
+    e @ M[:, 8 i:8 i + 8] is the row of e times symmetrized generator i.
+
+    (a, b) times (ga, gb) is (a ga + lambda^2 b conj(gb), a gb + b conj(ga));
+    the inverse of (ga, gb) is (conj(ga), -gb).
+    """
+    c = np.asarray(group.exact_coords, dtype=np.int64)
+    ga = np.concatenate([c[:, :4], _zeta_conj(c[:, :4])])
+    gb = np.concatenate([c[:, 4:], -c[:, 4:]])
+    m = np.empty((len(ga), 8, 8), dtype=np.int64)
+    m[:, :4, :4] = _zeta_times(ga)
+    m[:, :4, 4:] = _zeta_times(gb)
+    m[:, 4:, :4] = _zeta_times(_LAMBDA2 @ _zeta_times(_zeta_conj(gb)))
+    m[:, 4:, 4:] = _zeta_times(_zeta_conj(ga))
+    return m.transpose(1, 0, 2).reshape(8, -1)
+
+
+def _exact_floats(coords: np.ndarray):
+    """alpha and beta of the elements with coordinate rows coords."""
+    c = coords.astype(float)
+    alpha = np.empty(len(c), dtype=complex)
+    beta = np.empty(len(c), dtype=complex)
+    alpha.real = c[:, 0] + (c[:, 1] - c[:, 3]) * _SQRT_HALF
+    alpha.imag = c[:, 2] + (c[:, 1] + c[:, 3]) * _SQRT_HALF
+    beta.real = _LAMBDA * (c[:, 4] + (c[:, 5] - c[:, 7]) * _SQRT_HALF)
+    beta.imag = _LAMBDA * (c[:, 6] + (c[:, 5] + c[:, 7]) * _SQRT_HALF)
+    return alpha, beta
+
+
 def _face_points(group: FuchsianGroup) -> np.ndarray:
     """Images of 0 under the symmetrized generators: for a group with a
     Dirichlet radius, the centres of the tiles across the sides of D."""
@@ -177,15 +274,17 @@ BOLZA_VERTEX_RADIUS = math.acosh(3.0 + 2.0 * math.sqrt(2.0))
 
 
 def bolza_group() -> FuchsianGroup:
-    """Genus-2 octagon group; relation and 4*pi area are checked invariants."""
+    """Genus-2 octagon group; relation and 4*pi area are checked invariants.
+
+    Generator k is alpha = cosh(l / 2) = 1 + sqrt 2 = 1 + zeta - zeta^3 and
+    beta = e^{i k pi / 4} sinh(l / 2) = lambda zeta^k.
+    """
     ell = BOLZA_SIDE_LENGTH
     gens = tuple(GroupElement.translation(k * math.pi / 4.0, ell) for k in range(4))
+    exact = tuple((1, 1, 0, -1) + tuple(int(j == k) for j in range(4)) for k in range(4))
     group = FuchsianGroup(gens, label="bolza", covolume_hint=4.0 * math.pi,
                           relation=(1, -2, 3, -4, -1, 2, -3, 4),
-                          dirichlet_radius=BOLZA_VERTEX_RADIUS)
-    rel = group.relation_element()
-    if not rel.almost_equal(GroupElement.identity(), 1e-8):
-        raise RelationViolation("octagon side-pairing relation failed")
+                          dirichlet_radius=BOLZA_VERTEX_RADIUS, exact_coords=exact)
     area = octagon_area()
     if abs(area - 4.0 * math.pi) > 1e-6:
         raise RelationViolation(f"octagon area {area} != 4 pi")
@@ -241,6 +340,8 @@ class OrbitBall:
     first-found order, so shorter words first): alpha and beta of each
     element, its displacement d(center, gamma center), and in words the
     first word (symmetrized generator indices) that reached it.
+    elements_explored and levels count the search that built the ball, the
+    identity excluded.
     """
 
     center: DiscPoint
@@ -249,6 +350,8 @@ class OrbitBall:
     beta: np.ndarray
     displacement: np.ndarray
     words: tuple
+    elements_explored: int
+    levels: int
 
     def __len__(self):
         return len(self.alpha)
@@ -270,7 +373,7 @@ class _Level:
     """The fresh elements of one search level, in first-found order.
 
     The consumer sets `expand` to the mask of elements whose children the
-    search visits next; the others stay in the seen-set all the same.
+    search visits next; the others stay among the seen elements all the same.
     """
 
     alpha: np.ndarray
@@ -278,24 +381,6 @@ class _Level:
     words: np.ndarray           # (count, depth) symmetrized generator indices
     maps: np.ndarray | None     # (count, degree) sheet map of each element (covers)
     expand: np.ndarray | None = None
-
-
-def _compose(a1, b1, a2, b2):
-    """Products of the elements (a1, b1) and (a2, b2), sign-fixed as
-    GroupElement fixes them, so that the dedup key sees one of +-g."""
-    alpha = a1 * a2 + b1 * np.conj(b2)
-    beta = a1 * b2 + b1 * np.conj(a2)
-    comps = np.stack([alpha.real, alpha.imag, beta.real, beta.imag])
-    # the first component above 1e-14 is made positive (|alpha| >= 1, so one is)
-    lead = comps[np.argmax(np.abs(comps) > 1e-14, axis=0), np.arange(len(alpha))]
-    flip = lead < 0.0
-    return np.where(flip, -alpha, alpha), np.where(flip, -beta, beta)
-
-
-def _canon_keys(alpha: np.ndarray, beta: np.ndarray) -> list:
-    """Identity of group elements: the four matrix entries to 7 decimals."""
-    k = np.rint(np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=1) * 1e7)
-    return list(map(tuple, k.astype(np.int64).tolist()))
 
 
 def _displacements(alpha: np.ndarray, beta: np.ndarray, c: complex) -> np.ndarray:
@@ -306,48 +391,105 @@ def _displacements(alpha: np.ndarray, beta: np.ndarray, c: complex) -> np.ndarra
 _BLOCK = 16384   # cells of one (points x elements) block of an array pass
 
 
+class _SeenRows:
+    """The exact coordinate rows a search has seen.
+
+    rows[:count] holds them, in a buffer that doubles when full; hash holds
+    their hashes sorted, and at[i] is the row of hash[i].  The hash only
+    orders the rows: two rows are equal when their integers are, and every
+    row with an equal hash is compared, so collisions are told apart.
+    """
+
+    def __init__(self):
+        self.rows, self.count = np.empty((64, 8), dtype=np.int64), 0
+        self.hash, self.at = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp)
+
+    def add(self, coords: np.ndarray) -> np.ndarray:
+        """Index of the rows of coords that equal no earlier row and no seen
+        row, in row order; those rows are added to the seen ones."""
+        hashes = coords.view(np.uint64) @ _HASH_MULT      # wraps mod 2^64
+        order = np.argsort(hashes, kind="stable")
+        h, c = hashes[order], coords[order]
+        pos = np.arange(len(h))
+        run_start = np.maximum.accumulate(np.where(np.r_[True, h[1:] != h[:-1]], pos, 0))
+        dup = np.zeros(len(h), dtype=bool)
+        # within a run of equal hashes the rows stay in row order
+        for j in range(1, int(np.max(pos - run_start, initial=0)) + 1):
+            p = pos[pos - run_start >= j]
+            dup[p] |= (c[p] == c[p - j]).all(axis=1)
+        lo = np.searchsorted(self.hash, h, "left")
+        span = np.searchsorted(self.hash, h, "right") - lo
+        for j in range(int(np.max(span, initial=0))):
+            p = np.flatnonzero(span > j)
+            dup[p] |= (self.rows[self.at[lo[p] + j]] == c[p]).all(axis=1)
+        new = ~dup
+        end = self.count + int(new.sum())
+        if end > len(self.rows):
+            grown = np.empty((max(end, 2 * len(self.rows)), 8), dtype=np.int64)
+            grown[:self.count] = self.rows[:self.count]
+            self.rows = grown
+        self.rows[self.count:end] = c[new]
+        self.hash = np.insert(self.hash, lo[new], h[new])
+        self.at = np.insert(self.at, lo[new], np.arange(self.count, end))
+        self.count = end
+        return np.sort(order[new])
+
+
 def _word_levels(group: FuchsianGroup, element_cap: int = 1_000_000,
                  perms: np.ndarray | None = None):
     """Level-synchronous breadth-first search over reduced words.
 
     Yields one _Level per word length, starting at 1; the consumer sets its
     `expand` mask before the search goes on.  The search ends when nothing is
-    expanded.  perms, a (2n, degree) table of the symmetrized generators'
-    sheet permutations, makes each level carry the sheet map of its
-    elements, _compose_perms(cover, word) of the word that reached each one.
+    expanded.  Elements are exact coordinate rows for a group with
+    exact_coords, deduplicated by _SeenRows, and (alpha, beta) rows for a
+    free group, which has no duplicates (module docstring).  perms, a (2n,
+    degree) table of the symmetrized generators' sheet permutations, makes
+    each level carry the sheet map of its elements, _compose_perms(cover,
+    word) of the word that reached each one.
     """
-    gen_alpha, gen_beta = _generator_arrays(group)
-    n_sym = len(gen_alpha)
+    n_sym = 2 * group.n_generators
     inverse = (np.arange(n_sym) + n_sym // 2) % n_sym
-    alpha, beta = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
+    exact = group.exact_coords is not None
+    if exact:
+        step = _right_multiplication(group)
+        elems = _IDENTITY[None, :]
+        seen = _SeenRows()
+        seen.add(elems)
+    else:
+        gen_alpha, gen_beta = _generator_arrays(group)
+        elems = np.array([[1.0 + 0j, 0j]])
     words = np.zeros((1, 0), dtype=np.int64)
     maps = np.arange(perms.shape[1])[None, :] if perms is not None else None
-    seen = set(_canon_keys(alpha, beta))
     explored = 1
-    depth = 0
-    while len(alpha):
-        depth += 1
-        parent = np.repeat(np.arange(len(alpha)), n_sym)
-        gen = np.tile(np.arange(n_sym), len(alpha))
-        if depth > 1:  # reduced: no generator right after its inverse
+    while len(elems):
+        parent = np.repeat(np.arange(len(elems)), n_sym)
+        gen = np.tile(np.arange(n_sym), len(elems))
+        if words.shape[1]:  # reduced: no generator right after its inverse
             ok = gen != inverse[words[parent, -1]]
             parent, gen = parent[ok], gen[ok]
-        a, b = _compose(alpha[parent], beta[parent], gen_alpha[gen], gen_beta[gen])
-        fresh = []
-        for i, key in enumerate(_canon_keys(a, b)):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        explored += len(fresh)
+        if exact:
+            # a child's coefficients are at most 9 times its parent's largest
+            if max(elems.max(), -elems.min()) >= _COEFF_LIMIT:
+                raise BudgetExceeded(f"exact coordinates reached {_COEFF_LIMIT}")
+            kids = (elems @ step).reshape(len(elems), n_sym, 8)[parent, gen]
+            kids *= np.sign(kids[np.arange(len(kids)), np.argmax(kids != 0, axis=1)])[:, None]
+            fresh = seen.add(kids)
+            kids, parent, gen = kids[fresh], parent[fresh], gen[fresh]
+            alpha, beta = _exact_floats(kids)
+        else:
+            a, b = elems[parent, 0], elems[parent, 1]
+            alpha = a * gen_alpha[gen] + b * np.conj(gen_beta[gen])
+            beta = a * gen_beta[gen] + b * np.conj(gen_alpha[gen])
+            kids = np.column_stack([alpha, beta])
+        explored += len(kids)
         if explored > element_cap:
             raise BudgetExceeded(f"orbit search passed {element_cap} elements")
-        fresh = np.array(fresh, dtype=np.intp)
-        parent, gen = parent[fresh], gen[fresh]
-        level = _Level(a[fresh], b[fresh], np.column_stack([words[parent], gen]),
+        level = _Level(alpha, beta, np.column_stack([words[parent], gen]),
                        perms[gen[:, None], maps[parent]] if perms is not None else None)
         yield level
         keep = level.expand
-        alpha, beta, words = level.alpha[keep], level.beta[keep], level.words[keep]
+        elems, words = kids[keep], level.words[keep]
         maps = level.maps[keep] if perms is not None else None
 
 
@@ -393,9 +535,12 @@ def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
     c = center.z
     alpha, beta = [np.ones(1, dtype=complex)], [np.zeros(1, dtype=complex)]
     disp, words = [np.zeros(1)], [()]
+    explored = levels = 0
     if group.n_generators:
         bound = _prune_bounds(group, [c], R)[0]
         for level in _word_levels(group, element_cap):
+            explored += len(level.alpha)
+            levels += 1
             d = _displacements(level.alpha, level.beta, c)
             level.expand = _expand_mask(group, c, bound, level.alpha, level.beta, d)
             kept = d <= R
@@ -410,7 +555,7 @@ def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
     tie = np.cumsum(np.diff(disp[order], prepend=0.0) > 1e-9)
     order = order[np.lexsort((order, tie))]
     return OrbitBall(center, R, np.concatenate(alpha)[order], np.concatenate(beta)[order],
-                     disp[order], tuple(words[i] for i in order))
+                     disp[order], tuple(words[i] for i in order), explored, levels)
 
 
 @dataclass(frozen=True)
@@ -482,10 +627,11 @@ def systole_upper_bound(group: FuchsianGroup) -> float:
     ball B(0, rho); rho and why it suffices are in the module docstring.
 
     Exact for groups with a Dirichlet radius, an upper bound for the others,
-    and inf for a group without hyperbolic elements in the ball.  Long words
-    carry round-off in their traces, so the value comes from the first
-    element in displacement order whose trace is within 1e-9 relative of the
-    least one.
+    and inf for a group without hyperbolic elements in the ball.  A free
+    group's long words carry round-off in their traces (a group with exact
+    coordinates has each trace to its last bit), so the value comes from the
+    first element in displacement order whose trace is within 1e-9 relative
+    of the least one.
     """
     if group.n_generators == 0:
         return math.inf
@@ -519,7 +665,6 @@ class CoverSurface:
     base: FuchsianGroup
     degree: int
     permutations: tuple  # tuple of degree-length tuples, one per generator
-    seed: int = 0
 
     def __post_init__(self):
         if self.degree < 1:
@@ -582,7 +727,7 @@ def random_cover(base: FuchsianGroup, degree: int, seed: int,
         if degree == 1 or math.gcd(degree, *[int(w) for w in weights]) == 1:
             perms = tuple(tuple((i + int(w)) % degree for i in range(degree))
                           for w in weights)
-            return CoverSurface(base, degree, perms, seed)
+            return CoverSurface(base, degree, perms)
     raise NonTransitive(f"no transitive cover of degree {degree} in {max_draws} draws")
 
 

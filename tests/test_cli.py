@@ -62,6 +62,13 @@ class TestBasicRuns:
         # below half the systole no sample closes early: the search runs on
         assert d["orbit_levels"] > 1 and d["orbit_elements_explored"] > 8
 
+    def test_orbit_search_counters_frozen(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["orbit", "--out", out, "--R", "8"]) == 0
+        d = read(out, "orbit")
+        assert d["count"] == 793
+        assert (d["orbit_elements_explored"], d["orbit_levels"]) == (58208, 10)
+
     def test_symbol(self, tmp_path):
         out = str(tmp_path)
         assert main(["symbol", "--out", out]) == 0

@@ -102,6 +102,45 @@ def brute_below(surface, group, z, R):
     return below
 
 
+def zeta_mul(x, y):
+    """Product in Z[zeta], zeta = e^{i pi / 4}, on coefficients of 1, zeta,
+    zeta^2, zeta^3: polynomial product reduced by zeta^4 = -1."""
+    out = [0, 0, 0, 0]
+    for i in range(4):
+        for j in range(4):
+            out[(i + j) % 4] += (1 if i + j < 4 else -1) * x[i] * y[j]
+    return out
+
+
+def zeta_conj(x):
+    # conj(zeta^j) = zeta^(8 - j) = -zeta^(4 - j)
+    return [x[0], -x[3], -x[2], -x[1]]
+
+
+LAMBDA2 = [2, 2, 0, -2]   # lambda^2 = 2 + 2 sqrt 2 = 2 + 2 zeta - 2 zeta^3
+
+
+def exact_mul(g, h):
+    """(a, lambda b)(a', lambda b') = (a a' + lambda^2 b conj(b'),
+    lambda (a b' + b conj(a'))) on 8-integer rows (a, b)."""
+    a, b, a2, b2 = list(g[:4]), list(g[4:]), list(h[:4]), list(h[4:])
+    alpha = [u + v for u, v in zip(zeta_mul(a, a2), zeta_mul(LAMBDA2, zeta_mul(b, zeta_conj(b2))))]
+    beta = [u + v for u, v in zip(zeta_mul(a, b2), zeta_mul(b, zeta_conj(a2)))]
+    return alpha + beta
+
+
+def exact_det(g):
+    """a conj(a) - lambda^2 b conj(b): [1, 0, 0, 0] for an element of SU(1,1)."""
+    a, b = list(g[:4]), list(g[4:])
+    return [u - v for u, v in zip(zeta_mul(a, zeta_conj(a)),
+                                  zeta_mul(LAMBDA2, zeta_mul(b, zeta_conj(b))))]
+
+
+def exact_symmetrized(group):
+    gens = [list(c) for c in group.exact_coords]
+    return gens + [zeta_conj(c[:4]) + [-v for v in c[4:]] for c in gens]
+
+
 def element_keys(alpha, beta):
     return set(zip(np.round(alpha.real, 7), np.round(alpha.imag, 7),
                    np.round(beta.real, 7), np.round(beta.imag, 7)))
@@ -125,6 +164,70 @@ class TestPresets:
     def test_generators_valid(self, bolza):
         for g in bolza.generators:
             assert abs(abs(g.alpha) ** 2 - abs(g.beta) ** 2 - 1) < 1e-10
+
+    def test_relation_is_the_exact_identity(self, bolza):
+        sym = exact_symmetrized(bolza)
+        assert all(exact_det(c) == [1, 0, 0, 0] for c in sym)
+        rel = [1, 0, 0, 0, 0, 0, 0, 0]
+        for gi in bolza.relation_word():
+            rel = exact_mul(rel, sym[gi])
+        assert rel in ([1, 0, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0, 0])
+
+    def test_relation_needs_exact_coordinates(self, bolza):
+        with pytest.raises(ValueError):
+            F.FuchsianGroup(bolza.generators, "bolza", relation=bolza.relation,
+                            dirichlet_radius=bolza.dirichlet_radius)
+        swapped = (bolza.exact_coords[1],) + bolza.exact_coords[1:]
+        with pytest.raises(RelationViolation):
+            F.FuchsianGroup(bolza.generators, "bolza", relation=bolza.relation,
+                            exact_coords=swapped)
+        with pytest.raises(RelationViolation):   # g0 g1 g0^-1 g1^-1 is not the identity
+            F.FuchsianGroup(bolza.generators, "bolza", relation=(1, 2, -1, -2),
+                            exact_coords=bolza.exact_coords)
+
+
+class TestExactEngine:
+    def test_exact_words_match_float_chain(self, bolza):
+        # 200 random reduced words of length <= 10: the engine's integer
+        # product equals the test's own Z[zeta] product up to sign and has
+        # determinant 1, and its floats equal the GroupElement chain up to
+        # sign.  GroupElement renormalizes each product by its computed
+        # determinant, which loses about |alpha|^2 eps of the scale, so the
+        # floats are compared as (alpha, beta) / |alpha|.
+        rng = np.random.default_rng(8)
+        sym, gens = exact_symmetrized(bolza), bolza.symmetrized()
+        step = F._right_multiplication(bolza)
+        for _ in range(200):
+            word = []
+            for _ in range(int(rng.integers(1, 11))):
+                choices = [g for g in range(8) if not word or g != (word[-1] + 4) % 8]
+                word.append(int(rng.choice(choices)))
+            row, own, chain = F._IDENTITY, [1, 0, 0, 0, 0, 0, 0, 0], GroupElement.identity()
+            for gi in word:
+                row = row @ step[:, 8 * gi:8 * gi + 8]
+                own = exact_mul(own, sym[gi])
+                chain = chain @ gens[gi]
+            assert row.tolist() in (own, [-v for v in own])
+            assert exact_det(own) == [1, 0, 0, 0]
+            alpha, beta = F._exact_floats(row[None, :])
+            exact = np.array([alpha[0], beta[0]]) / abs(alpha[0])
+            floats = np.array([chain.alpha, chain.beta]) / abs(chain.alpha)
+            assert min(np.abs(exact - floats).max(), np.abs(exact + floats).max()) <= 1e-9
+
+    def test_hash_collisions_are_resolved_on_the_integers(self, bolza, monkeypatch):
+        ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), 5.0)
+        monkeypatch.setattr(F, "_HASH_MULT", np.zeros(8, dtype=np.uint64))
+        colliding = F.orbit_enumerate(bolza, DiscPoint(0, 0), 5.0)
+        assert colliding.words == ball.words
+        for name in ("alpha", "beta", "displacement"):
+            assert np.array_equal(getattr(colliding, name), getattr(ball, name))
+        assert (colliding.elements_explored, colliding.levels) == (ball.elements_explored,
+                                                                    ball.levels)
+
+    def test_overflow_guard(self, bolza, monkeypatch):
+        monkeypatch.setattr(F, "_COEFF_LIMIT", 8)
+        with pytest.raises(BudgetExceeded):
+            F.orbit_enumerate(bolza, DiscPoint(0, 0), 5.0)
 
 
 class TestOrbit:
@@ -237,6 +340,8 @@ class TestInjectivityRadius:
         systole = F.systole_upper_bound(bolza)
         exact = 2 * mp.acosh(1 + mp.sqrt(2))
         assert abs(systole - exact) / exact <= 1e-15
+        # exact traces: the closed form to the last bit
+        assert systole == 2 * math.acosh(1 + math.sqrt(2))
         # the least translation length over a larger complete ball than the
         # one of sinh(rho / 2) = cosh(R_D) sinh(l0 / 2)
         rho = 2 * math.asinh(math.cosh(bolza.dirichlet_radius)
