@@ -44,19 +44,23 @@ twisted Laplacian on N = n / d unknowns
     M_k = diag(weights[r_a]),
 
 real when 2k = 0 mod d and complex Hermitian otherwise; character d - k is
-its conjugate and adds nothing new, so k runs over 0..d // 2.  An eigenpair
-(nu, psi) of block k lifts to f(u) = chi_k(sigma(u)) psi(orbit(u)) / sqrt(d);
-a real block gives the real mode f, a complex block the two modes
-sqrt(2) Re f and sqrt(2) Im f, both with eigenvalue nu.  Complex blocks go
-through ARPACK's non-Hermitian driver, so their Ritz vectors are made
-M_k-orthonormal by a Rayleigh-Ritz step on the returned span.
+its conjugate and adds nothing new, so k runs over 0..d // 2.  Complex
+blocks go through ARPACK's non-Hermitian driver, so their Ritz vectors are
+made M_k-orthonormal by a Rayleigh-Ritz step on the returned span.
+Completeness: each block is asked for ceil(n_modes / d) + _PAD pairs, and a
+block whose top eigenvalue lies below the n_modes-th of the union is solved
+again with twice the count; once none is short, every eigenvalue below that
+value has been found and the union, sorted stably, is the cover spectrum.
+At d = 1 the one block is K itself and the solve is the plain one.
 
-Completeness: each block is asked for ceil(n_modes / d) + _PAD pairs; any
-block whose largest returned eigenvalue lies below the n_modes-th value of
-the union is solved again with twice the count.  Once no block is short,
-every eigenvalue below that value has been found, and the union sorted
-(stably) is the cover spectrum.  Residuals are taken against the full
-cover K.  At d = 1 the one block is K itself and the solve is the plain one.
+The eigendata stay in the blocks.  An eigenpair (nu, psi) of block k lifts
+to f(u) = chi_k(sigma(u)) psi(orbit(u)) / sqrt(d): the real mode f of a real
+block, the modes sqrt(2) Re f and sqrt(2) Im f of a complex one.  For each
+character the lift is an isometry onto the cover's problem, so residuals
+|K_k psi - nu M_k psi| / |M_k psi| and Gram matrices are formed on the
+blocks; validation also lifts the lowest mode of each character and checks
+it against the full cover K.  Every mode is lifted only on request
+(EigenData.eigenvectors: exports and tests).
 """
 
 from __future__ import annotations
@@ -149,16 +153,19 @@ def _deck_map(lab: np.ndarray, n_lab: int) -> np.ndarray:
 
 
 def _deck_walk(deck: np.ndarray) -> np.ndarray | None:
-    """walk[t, u] = deck^t(u) for t below the order of deck, or None when an
-    orbit is shorter than the order (the action is not free)."""
+    """walk[t, a] = deck^t(r_a) for the least node r_a of each orbit and t
+    below the order of deck, or None when an orbit is shorter than the order
+    (the action is not free)."""
     identity = np.arange(len(deck))
-    walk, power = [identity], deck
+    least, power, order = identity, deck, 1
     while not np.array_equal(power, identity):
         if np.any(power == identity):
             return None
-        walk.append(power)
-        power = deck[power]
-    return np.stack(walk)
+        least, power, order = np.minimum(least, power), deck[power], order + 1
+    walk = [np.flatnonzero(least == identity)]
+    for _ in range(order - 1):
+        walk.append(deck[walk[-1]])
+    return np.array(walk)
 
 
 def _side_nodes(faces: np.ndarray, h: float):
@@ -249,47 +256,94 @@ def torus_mesh(h: float) -> SurfaceMesh:
 
 @dataclass(frozen=True)
 class EigenData:
+    """Eigenpairs in the deck-character blocks they were solved in: mode j is
+    the lift of blocks[:, j] with character characters[j] (its imaginary part
+    if imaginary[j]), and walk[t, a] = deck^t(r_a).  Off cyclic covers and
+    for files d = 1: walk is one row and the blocks are the modes."""
     surface_id: str
     points: np.ndarray
     sheets: np.ndarray
     weights: np.ndarray
     eigenvalues: np.ndarray     # ascending
-    eigenvectors: np.ndarray    # (n_mesh, n_modes), M-orthonormal
-    residuals: np.ndarray
+    blocks: np.ndarray          # (N, n_modes): block vector psi of each mode
+    walk: np.ndarray            # int, (d, N)
+    characters: np.ndarray      # deck character k of each mode, 0 off covers
+    imaginary: np.ndarray       # bool: the mode is the imaginary part of its lift
+    residuals: np.ndarray       # block residuals
     ortho_tol: float
     residual_tol: float
     volume: float
     h: float
-    characters: np.ndarray      # deck character k of each mode, 0 off covers
     factor_nnz: int = 0         # L + U entries of the solve's factors; 0 if read from files
+    character_blocks: int = 0   # blocks solved, re-solves included; 0 if read from files
+    stiffness: sp.csr_matrix | None = None   # the cover's K, for validate's lifted sample
 
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    @cached_property
-    def _gram_deviation(self) -> float:
-        G = self.eigenvectors.T @ (self.weights[:, None] * self.eigenvectors)
-        return float(np.max(np.abs(G - np.eye(self.n_modes))))
+    def lift(self, modes: np.ndarray) -> np.ndarray:
+        """These modes on the mesh, (n_mesh, len(modes)): sqrt(mult / d) Re or
+        Im chi_k(t) psi(a) at node walk[t, a], mult = 2 for a complex character."""
+        d = len(self.walk)
+        vecs = np.empty((self.walk.size, len(modes)), order="F")      # columns contiguous
+        for k in np.unique(self.characters[modes]):
+            sel = np.flatnonzero(self.characters[modes] == k)
+            f = (np.exp(2j * np.pi * (k * np.arange(d) % d) / d)[:, None, None]
+                 * self.blocks[:, modes[sel]])
+            part = np.where(self.imaginary[modes[sel]], f.imag, f.real)
+            vecs[self.walk[:, :, None], sel] = math.sqrt((1 if 2 * k % d == 0 else 2) / d) * part
+        return vecs
 
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Every mode on the mesh, (n_mesh, n_modes), lifted on first use."""
+        return self.lift(np.arange(self.n_modes))
+
+    @cached_property
     def gram_deviation(self) -> float:
-        """max |Psi^T W Psi - I|; the n_modes^2 Gram is formed once per instance."""
-        return self._gram_deviation
+        """max |Psi^T W Psi - I| over the blocks, formed once per instance."""
+        # characters are orthogonal by construction; within one the lifted Gram
+        # is Re(Phi^H W_k Phi), phi = psi for a real part, -i psi for an imaginary
+        d, w, dev = len(self.walk), self.weights[self.walk[0]], 0.0
+        for k in np.unique(self.characters % d):
+            sel = np.flatnonzero(self.characters % d == k)
+            phi = self.blocks[:, sel]
+            if self.imaginary[sel].any():
+                phi = phi * np.where(self.imaginary[sel], -1j, 1.0)
+            G = (phi.conj().T @ (w[:, None] * phi)).real
+            dev = max(dev, float(np.max(np.abs(G - np.eye(len(sel))))))
+        return dev
+
+    @property
+    def validated_lifts(self) -> int:
+        """Modes validate lifts onto the cover: the lowest of each character."""
+        return 0 if self.stiffness is None else len(np.unique(self.characters))
 
     def validate(self):
         if np.any(np.diff(self.eigenvalues) < -1e-12):
             raise FormatError("eigenvalues not ascending")
-        dev = self.gram_deviation()
-        if dev > self.ortho_tol:
-            raise OrthonormalityViolation(f"Gram deviation {dev:.2e} > {self.ortho_tol}")
+        if self.gram_deviation > self.ortho_tol:
+            raise OrthonormalityViolation(
+                f"Gram deviation {self.gram_deviation:.2e} > {self.ortho_tol}")
         if np.any(self.residuals > self.residual_tol):
             raise ResidualViolation("stored residual exceeds its declared bound")
+        sample = np.unique(self.characters, return_index=True)[1]
+        for j in sample if self.stiffness is not None else ():
+            f = self.lift(np.array([j]))[:, 0]
+            res = (np.linalg.norm(self.stiffness @ f - self.eigenvalues[j] * (self.weights * f))
+                   / np.linalg.norm(self.weights * f))
+            if res > self.residual_tol:
+                raise ResidualViolation(f"lifted mode {j} misses the cover by {res:.2e}")
         return self
 
 
 def _smallest_pairs(K, weights: np.ndarray, count: int):
-    """The count lowest eigenpairs of K psi = nu diag(weights) psi, ascending,
-    and the L + U entries of the one factorization the solve made."""
+    """The count lowest eigenpairs of K psi = nu diag(weights) psi, ascending
+    and M-orthonormal, and the L + U entries of the one factorization made.
+    A complex K goes through ARPACK's non-Hermitian iteration, whose Ritz
+    vectors are not orthogonal inside clusters: a Rayleigh-Ritz step on
+    their span makes them so."""
     n = K.shape[0]
     s = 1.0 / np.sqrt(weights)
     coo = K.tocoo()
@@ -309,93 +363,58 @@ def _smallest_pairs(K, weights: np.ndarray, count: int):
     except spla.ArpackNoConvergence as exc:
         raise SolverNotConverged(str(exc)) from exc
     order = np.argsort(vals)
-    return vals[order], s[:, None] * vecs[:, order], int(lu.L.nnz + lu.U.nnz)
-
-
-def _character_pairs(K, weights: np.ndarray, count: int):
-    """Eigenpairs of one character block, M-orthonormal, and the factor's
-    fill.  A complex block is solved by ARPACK's non-Hermitian iteration, whose
-    Ritz vectors are not orthogonal inside clusters: a Rayleigh-Ritz step on
-    their span makes them so."""
-    from scipy.linalg import eigh
-    vals, vecs, fill = _smallest_pairs(K, weights, count)
+    vals, vecs = vals[order], s[:, None] * vecs[:, order]
     if np.iscomplexobj(K):
-        gram = vecs.conj().T @ (weights[:, None] * vecs)
-        vals, coef = eigh(vecs.conj().T @ (K @ vecs), gram)
+        from scipy.linalg import eigh
+        vals, coef = eigh(vecs.conj().T @ (K @ vecs), vecs.conj().T @ (weights[:, None] * vecs))
         vecs = vecs @ coef
-    return vals, vecs, fill
+    return vals, vecs, int(lu.L.nnz + lu.U.nnz)
 
 
-def _character_solve(mesh: SurfaceMesh, n_modes: int):
-    """The n_modes lowest eigenpairs of a cover, one deck character at a time
-    (see the module docstring); returns values, cover modes, characters and
-    the fill of every factorization made, re-solves included."""
-    n = len(mesh.deck)
+def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8) -> EigenData:
+    """The n_modes lowest eigenpairs of K psi = nu M psi on the mesh, by
+    shift-invert Lanczos on each character block of the deck group (one
+    block, K, off covers), kept in the blocks (see the module docstring)."""
     walk = _deck_walk(mesh.deck)
     d = len(walk)
-    reps = np.flatnonzero(walk.min(axis=0) == walk[0])    # least of each orbit
-    orbit, offset = np.empty(n, dtype=int), np.empty(n, dtype=int)
-    orbit[walk[:, reps]] = np.arange(len(reps))
-    offset[walk[:, reps]] = np.arange(d)[:, None]
-    rows = mesh.stiffness[reps].tocoo()
-    w = mesh.weights[reps]
+    orbit, offset = np.empty(walk.size, dtype=int), np.empty(walk.size, dtype=int)
+    orbit[walk], offset[walk] = np.arange(walk.shape[1]), np.arange(d)[:, None]
+    rows = mesh.stiffness[walk[0]].tocoo()
+    w, size = mesh.weights[walk[0]], walk.shape[1]
     ks = range(d // 2 + 1)
     mult = {k: 1 if 2 * k % d == 0 else 2 for k in ks}   # a complex pair is 2 modes
-    count = dict.fromkeys(ks, -(-n_modes // d) + _PAD)
-    pairs, fill = {}, 0
+    # at d = 1 the one block holds the whole spectrum and needs no pad
+    count = dict.fromkeys(ks, -(-n_modes // d) + (_PAD if d > 1 else 0))
+    pairs, fill, solved = {}, 0, 0
     while True:
         for k in ks:
-            if k in pairs and len(pairs[k][0]) == count[k]:
+            if k in pairs and len(pairs[k][1]) == count[k]:
                 continue
-            if count[k] > len(reps) - 2:
+            if count[k] > size - 2:
                 raise ParameterOutOfRange("n_modes must be far below the mesh size")
             phase = np.exp(2j * np.pi * (k * offset[rows.col] % d) / d)
             Kk = sp.csr_matrix((rows.data * (phase.real if mult[k] == 1 else phase),
-                                (rows.row, orbit[rows.col])), shape=(len(reps),) * 2)
-            vals, vecs, f = _character_pairs(0.5 * (Kk + Kk.conj().T), w, count[k])
-            pairs[k], fill = (vals, vecs), fill + f
-        nu = np.concatenate([np.repeat(pairs[k][0], mult[k]) for k in ks])
-        cut = np.sort(nu)[n_modes - 1]
-        short = [k for k in ks if pairs[k][0][-1] < cut]
+                                (rows.row, orbit[rows.col])), shape=(size, size))
+            Kk = 0.5 * (Kk + Kk.conj().T)
+            vals, vecs, f = _smallest_pairs(Kk, w, count[k])
+            pairs[k], fill, solved = (Kk, vals, vecs), fill + f, solved + 1
+        nu = np.concatenate([np.repeat(pairs[k][1], mult[k]) for k in ks])
+        short = [k for k in ks if pairs[k][1][-1] < np.sort(nu)[n_modes - 1]]
         if not short:
             break
         for k in short:
             count[k] *= 2
-    char = np.concatenate([np.full(len(pairs[k][0]) * mult[k], k) for k in ks])
-    part = np.concatenate([np.arange(len(pairs[k][0]) * mult[k]) for k in ks])
-    order = np.argsort(nu, kind="stable")[:n_modes]
-    vecs = np.empty((n, n_modes), order="F")      # columns contiguous
-    for k in ks:
-        sel = np.flatnonzero(char[order] == k)
-        j = part[order[sel]]        # pair j // mult, real part unless j % mult
-        f = (np.exp(2j * np.pi * (k * offset % d) / d)[:, None]
-             * pairs[k][1][:, j // mult[k]][orbit])
-        vecs[:, sel] = math.sqrt(mult[k] / d) * np.where(j % mult[k], f.imag, f.real)
-    return nu[order], vecs, char[order], fill
-
-
-def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8) -> EigenData:
-    """Eigenpairs of K psi = nu M psi on the mesh, by shift-invert Lanczos on
-    each character block of the deck group (one block, K, off covers)."""
-    n = mesh.stiffness.shape[0]
-    if n_modes >= n - 1:
-        raise ParameterOutOfRange("n_modes must be far below the mesh size")
-    if np.array_equal(mesh.deck, np.arange(n)):
-        vals, vecs, fill = _smallest_pairs(mesh.stiffness, mesh.weights, n_modes)
-        chars = np.zeros(n_modes, dtype=int)
-    else:
-        vals, vecs, chars, fill = _character_solve(mesh, n_modes)
-    res = []
-    for j in range(n_modes):
-        r = mesh.stiffness @ vecs[:, j] - vals[j] * (mesh.weights * vecs[:, j])
-        res.append(float(np.linalg.norm(r) / max(np.linalg.norm(
-            mesh.weights * vecs[:, j]), 1e-300)))
-    res = np.array(res)
-    return EigenData(mesh.label, mesh.points, mesh.sheets, mesh.weights,
-                     vals, vecs, res, ortho_tol,
+    # the modes in the order of nu: pair p of block k, its imaginary part if i
+    kpi = np.array([(k, p, i) for k in ks for p in range(len(pairs[k][1]))
+                    for i in range(mult[k])])[np.argsort(nu, kind="stable")[:n_modes]]
+    blocks = np.column_stack([pairs[k][2][:, p] for k, p, _ in kpi])
+    res = np.array([np.linalg.norm(pairs[k][0] @ v - pairs[k][1][p] * (w * v))
+                    / max(np.linalg.norm(w * v), 1e-300) for (k, p, _), v in zip(kpi, blocks.T)])
+    return EigenData(mesh.label, mesh.points, mesh.sheets, mesh.weights, np.sort(nu)[:n_modes],
+                     blocks, walk, kpi[:, 0], kpi[:, 2] == 1, res, ortho_tol,
                      residual_tol=max(1e-6, 10.0 * float(res.max())),
-                     volume=mesh.volume, h=mesh.h, characters=chars,
-                     factor_nnz=fill).validate()
+                     volume=mesh.volume, h=mesh.h, factor_nnz=fill,
+                     character_blocks=solved, stiffness=mesh.stiffness).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +426,11 @@ _FMT = "%.17g"
 
 def export_eigendata(data: EigenData, basename: str):
     """Write {basename}.json / _mesh.csv / _eigs.csv / _modes.csv."""
-    header = {
-        "surface_id": data.surface_id,
-        "n_mesh": int(len(data.points)),
-        "n_modes": int(data.n_modes),
-        "ortho_tol": data.ortho_tol,
-        "residual_tol": data.residual_tol,
-        "residuals": [float(_FMT % r) for r in data.residuals],
-        "volume": data.volume,
-        "h": data.h,
-        "characters": [int(k) for k in data.characters],
-    }
+    header = {"surface_id": data.surface_id, "n_mesh": int(len(data.points)),
+              "n_modes": int(data.n_modes), "ortho_tol": data.ortho_tol,
+              "residual_tol": data.residual_tol, "volume": data.volume, "h": data.h,
+              "residuals": [float(_FMT % r) for r in data.residuals],
+              "characters": [int(k) for k in data.characters]}
     with open(basename + ".json", "w") as f:
         json.dump(header, f, sort_keys=True, indent=1)
     with open(basename + "_mesh.csv", "w") as f:
@@ -459,12 +472,11 @@ def ingest_eigendata(basename: str, ortho_tol: float | None = None) -> EigenData
     characters = np.asarray(header.get("characters", [0] * header["n_modes"]), dtype=int)
     if characters.shape != (header["n_modes"],):
         raise FormatError("characters do not match the header")
-    data = EigenData(header["surface_id"],
-                     mesh_rows[:, 0] + 1j * mesh_rows[:, 1],
+    return EigenData(header["surface_id"], mesh_rows[:, 0] + 1j * mesh_rows[:, 1],
                      mesh_rows[:, 2].astype(int), mesh_rows[:, 3],
-                     eigs, modes.T, np.asarray(header["residuals"], dtype=float),
+                     eigs, modes.T, np.arange(header["n_mesh"])[None, :], characters,
+                     np.zeros(header["n_modes"], dtype=bool),
+                     np.asarray(header["residuals"], dtype=float),
                      ortho_tol if ortho_tol is not None else header["ortho_tol"],
                      header.get("residual_tol", math.inf),
-                     header.get("volume", float("nan")), header.get("h", float("nan")),
-                     characters)
-    return data.validate()
+                     header.get("volume", float("nan")), header.get("h", float("nan"))).validate()

@@ -98,7 +98,10 @@ class GroupElement:
 
     The matrix is [[alpha, beta], [conj(beta), conj(alpha)]].  Construction
     renormalizes the determinant to 1 and fixes the projective sign so that
-    equal isometries compare equal componentwise.
+    equal isometries compare equal componentwise.  A product of normalized
+    elements has determinant 1 already (it is multiplicative) and gets only
+    the sign fix: the float determinant |alpha|^2 - |beta|^2 cancels
+    catastrophically once |alpha| is large.
     """
 
     alpha: complex
@@ -113,11 +116,20 @@ class GroupElement:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
+    @staticmethod
+    def _unit(alpha: complex, beta: complex) -> "GroupElement":
+        """The element of a determinant-1 pair: the sign fix only."""
+        g = object.__new__(GroupElement)
+        a, b = _canonical_sign(alpha, beta)
+        object.__setattr__(g, "alpha", a)
+        object.__setattr__(g, "beta", b)
+        return g
+
     # -- group structure -------------------------------------------------
     def compose(self, other: "GroupElement") -> "GroupElement":
         a1, b1, a2, b2 = self.alpha, self.beta, other.alpha, other.beta
-        return GroupElement(a1 * a2 + b1 * b2.conjugate(),
-                            a1 * b2 + b1 * a2.conjugate())
+        return GroupElement._unit(a1 * a2 + b1 * b2.conjugate(),
+                                  a1 * b2 + b1 * a2.conjugate())
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return self.compose(other)

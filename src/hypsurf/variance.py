@@ -5,14 +5,16 @@ The variance of an observable A over a spectral window J is the mean of
 Inside a degenerate cluster (eigenvalues equal to _DEGENERATE_REL relative,
 as the conjugate characters of a cyclic cover give) the eigenbasis is
 arbitrary, so the cluster's matrix elements are the eigenvalues of the
-compressed observable Psi^T diag(a w) Psi: their squared deviations sum to
-the basis-free |Psi^T diag(a w) Psi - limit|_F^2.  A window edge that splits
-a cluster raises WindowNotResolved.
+compressed observable Psi^H diag(a w) Psi: their squared deviations sum to
+the basis-free |Psi^H diag(a w) Psi - limit|_F^2.  A window edge that splits
+a cluster, or a mode count that splits a complex pair in the window, raises
+WindowNotResolved.
 The observable is a multiplication density given by its values at the mesh
-nodes; matrix elements are mesh quadratures against EigenData, and the limit
-term is the weighted mesh mean of the density (the spherical function at
-distance zero is 1).  Limit terms of other observables come from
-observables.limit_term, which the pipeline budget uses.
+nodes; matrix elements are mesh quadratures against the character blocks of
+EigenData (see quantum_variance), and the limit term is the weighted mesh
+mean of the density (the spherical function at distance zero is 1).  Limit
+terms of other observables come from observables.limit_term, which the
+pipeline budget uses.
 
 The pipeline-budget report evaluates, term by term, the right-hand side of
 the windowed variance inequality (averaging gain 1/T, wraparound terms
@@ -73,10 +75,6 @@ class SpectralWindow:
         return math.sqrt(self.nu_hi - 0.25)
 
     @property
-    def lam_interval(self):
-        return (self.lam_lo, self.lam_hi)
-
-    @property
     def lam_interval_wide(self):
         width = self.lam_hi - self.lam_lo
         lo = max(self.lam_lo - self.margin * width, 0.05)
@@ -85,9 +83,6 @@ class SpectralWindow:
     def contains_nu(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
         return (nu >= self.nu_lo) & (nu <= self.nu_hi)
-
-    def lam_of_nu(self, nu):
-        return np.sqrt(np.maximum(np.asarray(nu, dtype=float) - 0.25, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +121,12 @@ def quantum_variance(values: np.ndarray, data: EigenData,
     values: the density at the mesh nodes, an array of the shape of
     data.points (Gamma-invariance is the caller's contract; bounded
     measurable densities are fine).  mean_zero_density builds it from a
-    callable on chart points.
+    callable on chart points.  No mode is lifted: a cluster's compressed
+    observable is formed in the complex character basis (psi with character
+    k; the imaginary part of a complex pair as conj(psi) with -k, spanning
+    the same plane), with entries sum_a w_a conj(psi_i(a)) psi_j(a)
+    ahat_a(k_j - k_i), ahat_a the DFT of the density along the deck orbit of
+    r_a.  A deck-invariant density has only its zero frequency.
     """
     nu = data.eigenvalues
     inside = window.contains_nu(nu)
@@ -142,25 +142,27 @@ def quantum_variance(values: np.ndarray, data: EigenData,
         raise ValueError("density array must match the mesh")
     sup_a = float(np.max(np.abs(a_vals)))
     limit = mesh_mean(a_vals, data)
+    d = len(data.walk)
+    ahat = np.fft.ifft(a_vals[data.walk], axis=0)
+    w = data.weights[data.walk[0]]
     me, terms, unc = [], [], []
     for c in np.unique(cluster[idx]):
         members = np.flatnonzero(cluster == c)
-        psi = data.eigenvectors[:, members]
-        if len(members) == 1:
-            vals = [float(np.sum(a_vals * psi[:, 0] * psi[:, 0] * data.weights))]
-        else:
-            vals = np.linalg.eigvalsh(psi.T @ ((a_vals * data.weights)[:, None] * psi))
+        imag, k = data.imaginary[members], data.characters[members]
+        if 2 * np.sum(imag) != np.count_nonzero(2 * k % d):
+            raise WindowNotResolved("the mode count splits a complex pair in the window")
+        psi = np.where(imag, data.blocks[:, members].conj(), data.blocks[:, members])
+        k = np.where(imag, -k, k)
+        vals = np.linalg.eigvalsh(np.einsum("ai,aj,ija->ij", w[:, None] * psi.conj(), psi,
+                                            ahat[(k - k[:, None]) % d]))
         eps = float(np.max(data.residuals[members])) * sup_a
-        for val in vals:
-            dev = float(val) - limit
-            me.append(float(val))
-            terms.append(dev * dev)
-            unc.append((2.0 * abs(dev) + eps) * eps)
-    me = np.array(me)
+        dev = vals - limit
+        me.extend(vals)
+        terms.extend(dev * dev)
+        unc.extend((2.0 * np.abs(dev) + eps) * eps)
     terms = np.array(terms)
-    variance = float(np.mean(terms))
-    return VarianceReport(len(idx), data.eigenvalues[idx], me,
-                          np.full(len(idx), limit), terms, variance,
+    return VarianceReport(len(idx), data.eigenvalues[idx], np.array(me),
+                          np.full(len(idx), limit), terms, float(np.mean(terms)),
                           float(np.mean(unc)))
 
 
@@ -277,32 +279,25 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
                  * math.exp(2.0 * (r + S_T)) / systole * bs_wrap)
 
     # H_T on the wide window and the mean multiplier m = beta * M
-    H = avg_multiplier_H(T, sigma, lam_grid)
-    if A.variant == "multiplication":
-        lt = limit_term(A, float(np.mean(lam_grid)), surface,
-                        n_mc=min(4 * n_mc, 2000), seed=seed)
-        m_amp = abs(lt.value)
-    else:
-        m_amp = abs(limit_term(A, float(np.mean(lam_grid)), surface,
-                               n_mc=min(n_mc, 200), seed=seed).value)
+    H = np.interp(lam_q, lam_grid, avg_multiplier_H(T, sigma, lam_grid))   # at lam_q
+    n_limit = min(4 * n_mc, 2000) if A.variant == "multiplication" else min(n_mc, 200)
+    m_amp = abs(limit_term(A, float(np.mean(lam_grid)), surface, n_mc=n_limit,
+                           seed=seed).value)
     m_mult = SpectralMultiplier(lambda lam: m_amp * rho(lam), rho.support)
 
     # (iii) spectral-cutoff tail: m vs its s-truncation
     eps_s = multiplier_tail_bound(m_mult, weight, s, lam_grid) if m_amp > 0 else 0.0
-    H_rho_sq = float(np.sum(np.interp(lam_q, lam_grid, H) ** 2
-                            * rho(lam_q) ** 2 * weight(lam_q) * w_q))
+    H_rho_sq = float(np.sum(H ** 2 * rho(lam_q) ** 2 * weight(lam_q) * w_q))
     term_cutoff = eps_s ** 2 * H_rho_sq if m_amp > 0 else 0.0
 
     # E-tail of the cutoff multiplier at radius r
     e_bound = multiplier_tail_bound(rho, weight, r, lam_grid)
 
     # (iv) mean-kernel mass times the E factor
-    msT_mass = float(np.sum(np.interp(lam_q, lam_grid, H) ** 2
-                            * (m_amp * rho(lam_q)) ** 2
+    msT_mass = float(np.sum(H ** 2 * (m_amp * rho(lam_q)) ** 2
                             * weight.hs_weight(lam_q) * w_q))
     bs_s2T, sat_s = _bs_or_one(surface, s + 2.0 * T, max(n_mc // 4, 20), seed + 1)
-    sup_msT = m_amp * float(np.sum(np.abs(np.interp(lam_q, lam_grid, H))
-                                   * rho(lam_q) * weight(lam_q) * w_q))
+    sup_msT = m_amp * float(np.sum(np.abs(H) * rho(lam_q) * weight(lam_q) * w_q))
     term_mean_kernel = (msT_mass + math.exp(2.0 * (s + 2.0 * T)) / systole
                         * bs_s2T * sup_msT ** 2) * e_bound
 
@@ -314,18 +309,10 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     term_trunc = ((S_T / r) ** 2 * chi_prime_sup ** 2 * math.exp(2.0 * S_T)
                   * rho_l2 * sup_sq)
 
-    terms = {
-        "averaging": term_avg,
-        "wraparound": term_wrap,
-        "cutoff_tail": term_cutoff,
-        "mean_kernel": term_mean_kernel,
-        "hs_times_E": term_hs_E,
-        "truncation": term_trunc,
-    }
-    total = sum(terms.values())
-    dominant = max(terms, key=terms.get)
+    terms = {"averaging": term_avg, "wraparound": term_wrap, "cutoff_tail": term_cutoff,
+             "mean_kernel": term_mean_kernel, "hs_times_E": term_hs_E,
+             "truncation": term_trunc}
     return PipelineBudget(T, r, s, sigma, S_T, nevo_n, "assumed", theta_sq,
-                          sup_sq, term_avg, term_wrap, term_cutoff,
-                          term_mean_kernel, term_hs_E, term_trunc, total,
-                          dominant, bs_wrap, sat_r or sat_s, systole,
+                          sup_sq, *terms.values(), sum(terms.values()),
+                          max(terms, key=terms.get), bs_wrap, sat_r or sat_s, systole,
                           weight.variant)

@@ -96,6 +96,7 @@ class TestBasicRuns:
         assert (d["mesh_nodes"], d["triangles"], d["stiffness_nnz"]) == (400, 800, 2000)
         # L and U hold at least the pattern of K, and L its unit diagonal
         assert d["factor_nnz"] >= d["stiffness_nnz"] + d["mesh_nodes"]
+        assert (d["character_blocks"], d["validated_lifts"]) == (1, 1)
         assert os.path.exists(os.path.join(out, "torusdata.json"))
 
 
@@ -204,6 +205,15 @@ class TestContracts:
         assert 0.0 < rows[1]["min_new_eigenvalue"] < 10.0
         # degree 2 factorizes two blocks with the base's pattern, or more on re-solves
         assert rows[1]["factor_nnz"] >= 2 * rows[0]["factor_nnz"] > 0
+
+    def test_tower_block_counters_frozen(self, tmp_path):
+        # degree d solves the characters 0..d/2 once each here (no block is
+        # short) and checks the lowest mode of each, lifted, against the cover
+        out = str(tmp_path)
+        assert main(["tower", "--out", out, "--degrees", "1,2,4", "--h", "0.05"]) == 0
+        rows = read(out, "tower")["per_degree"]
+        assert [r["character_blocks"] for r in rows] == [1, 2, 3]
+        assert [r["validated_lifts"] for r in rows] == [1, 2, 3]
 
     def test_variance_and_weyl_match_the_tower_row(self, tmp_path):
         # variance, weyl and each tower degree share one mesh-solve-variance

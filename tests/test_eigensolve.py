@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from hypsurf.eigensolve import (_character_pairs, disc_surface_mesh, export_eigendata,
+from hypsurf.eigensolve import (_smallest_pairs, disc_surface_mesh, export_eigendata,
                                 fem_eigensolve, ingest_eigendata, torus_mesh)
 from hypsurf.errors import (FormatError, MeshPairingFailure,
                             OrthonormalityViolation, ResidualViolation)
@@ -72,7 +73,7 @@ class TestBolzaSolve:
         assert np.std(psi0) < 1e-6 * np.abs(psi0).max()
 
     def test_orthonormal(self, bolza_data):
-        assert bolza_data.gram_deviation() < bolza_data.ortho_tol
+        assert bolza_data.gram_deviation < bolza_data.ortho_tol
 
     def test_volume_close(self, bolza_data):
         assert np.sum(bolza_data.weights) == pytest.approx(4 * math.pi, rel=0.05)
@@ -209,7 +210,7 @@ class TestCharacterSolve:
         K, w = mesh.stiffness, mesh.weights
         for nu, psi in zip(data.eigenvalues, data.eigenvectors.T):
             assert np.linalg.norm(K @ psi - nu * w * psi) <= 1e-9 * np.linalg.norm(w * psi)
-        assert data.gram_deviation() <= 1e-8
+        assert data.gram_deviation <= 1e-8
 
     @pytest.mark.parametrize("degree", [2, 4, 8])
     def test_characters(self, solves, degree):
@@ -223,6 +224,20 @@ class TestCharacterSolve:
             if 2 * k % degree:
                 counts = np.unique(nu, return_counts=True)[1]
                 assert np.all(counts[:-1] % 2 == 0)
+
+    def test_validate_checks_a_lifted_sample(self, solves):
+        # conjugating the vectors of the complex block k = 1 keeps their Gram
+        # and their stored residuals; only the lift on the cover can tell
+        _, data = solves[4]
+        assert data.validated_lifts == 3            # the lowest mode of k = 0, 1, 2
+        blocks = data.blocks.copy()
+        sel = data.characters == 1
+        blocks[:, sel] = blocks[:, sel].conj()
+        bad = replace(data, blocks=blocks)
+        assert bad.gram_deviation <= 1e-8
+        with pytest.raises(ResidualViolation):
+            bad.validate()
+        replace(data, blocks=data.blocks.copy()).validate()
 
     def test_non_cyclic_cover_takes_one_block(self, bolza):
         cover = CoverSurface(bolza, 3, ((0, 1, 2), (0, 2, 1), (0, 2, 1), (1, 0, 2)))
@@ -272,7 +287,7 @@ class TestDenseOracle:
     def test_complex_character_block(self, bolza):
         Kk, w, reps = self._k1_block(bolza)
         want = eigh(Kk, np.diag(w), eigvals_only=True)[:12]
-        vals, vecs, fill = _character_pairs(sp.csr_matrix(Kk), w, 12)
+        vals, vecs, fill = _smallest_pairs(sp.csr_matrix(Kk), w, 12)
         assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(want, 1.0))
         gram = vecs.conj().T @ (w[:, None] * vecs)
         assert np.abs(gram - np.eye(12)).max() <= 1e-8
@@ -285,7 +300,7 @@ class TestDenseOracle:
         K2 = sp.block_diag([sp.csr_matrix(Kk)] * 2, format="csr")
         w2 = np.concatenate([w, w])
         want = eigh(K2.toarray(), np.diag(w2), eigvals_only=True)[:12]
-        vals, vecs, _ = _character_pairs(K2, w2, 12)
+        vals, vecs, _ = _smallest_pairs(K2, w2, 12)
         assert np.abs(vals - want).max() <= 1e-10
         gram = vecs.conj().T @ (w2[:, None] * vecs)
         assert np.abs(gram - np.eye(12)).max() <= 1e-10

@@ -186,22 +186,26 @@ class TestPresets:
                             exact_coords=bolza.exact_coords)
 
 
+def _reduced_words(count, seed):
+    """count random reduced words of length 1..10 in the Bolza generators."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        word = []
+        for _ in range(int(rng.integers(1, 11))):
+            choices = [g for g in range(8) if not word or g != (word[-1] + 4) % 8]
+            word.append(int(rng.choice(choices)))
+        yield word
+
+
 class TestExactEngine:
     def test_exact_words_match_float_chain(self, bolza):
         # 200 random reduced words of length <= 10: the engine's integer
         # product equals the test's own Z[zeta] product up to sign and has
         # determinant 1, and its floats equal the GroupElement chain up to
-        # sign.  GroupElement renormalizes each product by its computed
-        # determinant, which loses about |alpha|^2 eps of the scale, so the
-        # floats are compared as (alpha, beta) / |alpha|.
-        rng = np.random.default_rng(8)
+        # sign, whole elements to 1e-13 of |alpha|
         sym, gens = exact_symmetrized(bolza), bolza.symmetrized()
         step = F._right_multiplication(bolza)
-        for _ in range(200):
-            word = []
-            for _ in range(int(rng.integers(1, 11))):
-                choices = [g for g in range(8) if not word or g != (word[-1] + 4) % 8]
-                word.append(int(rng.choice(choices)))
+        for word in _reduced_words(200, 8):
             row, own, chain = F._IDENTITY, [1, 0, 0, 0, 0, 0, 0, 0], GroupElement.identity()
             for gi in word:
                 row = row @ step[:, 8 * gi:8 * gi + 8]
@@ -210,9 +214,26 @@ class TestExactEngine:
             assert row.tolist() in (own, [-v for v in own])
             assert exact_det(own) == [1, 0, 0, 0]
             alpha, beta = F._exact_floats(row[None, :])
-            exact = np.array([alpha[0], beta[0]]) / abs(alpha[0])
-            floats = np.array([chain.alpha, chain.beta]) / abs(chain.alpha)
-            assert min(np.abs(exact - floats).max(), np.abs(exact + floats).max()) <= 1e-9
+            exact = np.array([alpha[0], beta[0]])
+            floats = np.array([chain.alpha, chain.beta])
+            err = min(np.abs(exact - floats).max(), np.abs(exact + floats).max())
+            assert err <= 1e-13 * abs(alpha[0])
+
+    def test_chain_products_keep_their_scale(self, bolza):
+        # the GroupElement chain against a 50-digit product of the same float
+        # generators: a product is not renormalized by its float determinant,
+        # whose cancellation once cost up to 1e-4 of the scale at length 10
+        gens = bolza.symmetrized()
+        with mp.workdps(50):
+            for word in _reduced_words(200, 9):
+                chain, a, b = GroupElement.identity(), mp.mpc(1), mp.mpc(0)
+                for gi in word:
+                    chain = chain @ gens[gi]
+                    ga, gb = mp.mpc(gens[gi].alpha), mp.mpc(gens[gi].beta)
+                    a, b = a * ga + b * mp.conj(gb), a * gb + b * mp.conj(ga)
+                err = min(max(abs(a - s * chain.alpha), abs(b - s * chain.beta))
+                          for s in (1, -1))
+                assert err <= 1e-13 * abs(a)
 
     def test_hash_collisions_are_resolved_on_the_integers(self, bolza, monkeypatch):
         ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), 5.0)

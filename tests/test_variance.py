@@ -97,8 +97,24 @@ class TestQuantumVariance:
 
 
 @pytest.fixture(scope="module")
-def cover_data(bolza):
-    return fem_eigensolve(disc_surface_mesh(random_cover(bolza, 4, seed=0), 0.05), 64)
+def cover_solves(bolza):
+    """Mesh and eigendata of the degree-4 and degree-8 covers, as tower solves them."""
+    out = {}
+    for degree, modes in ((4, 64), (8, 104)):
+        mesh = disc_surface_mesh(random_cover(bolza, degree, seed=0), 0.05)
+        out[degree] = (mesh, fem_eigensolve(mesh, modes))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cover_data(cover_solves):
+    return cover_solves[4][1]
+
+
+def _from_modes(data, vecs):
+    """The eigendata with these cover modes as its one (d = 1) block."""
+    return replace(data, blocks=vecs, walk=np.arange(len(vecs))[None, :],
+                   imaginary=np.zeros(data.n_modes, dtype=bool))
 
 
 def _sign(data):
@@ -123,7 +139,7 @@ class TestDegenerateClusters:
         c, s = math.cos(theta), math.sin(theta)
         vecs = cover_data.eigenvectors.copy()
         vecs[:, [j, k]] = vecs[:, [j, k]] @ np.array([[c, s], [-s, c]])
-        rotated = replace(cover_data, eigenvectors=vecs)
+        rotated = _from_modes(cover_data, vecs)
         a = _sign(cover_data)
         want = quantum_variance(a, cover_data, self.WINDOW).variance
         got = quantum_variance(a, rotated, self.WINDOW).variance
@@ -148,6 +164,89 @@ class TestDegenerateClusters:
         with pytest.raises(WindowNotResolved):
             quantum_variance(_sign(split), split,
                              SpectralWindow(1.0, nu[j] * (1.0 + 5e-11)))
+
+
+def _own_walk(deck):
+    """walk[t, a] = deck^t(r_a), r_a the least node of each deck orbit."""
+    walk = [np.arange(len(deck))]
+    while not np.array_equal(deck[walk[-1]], walk[0]):
+        walk.append(deck[walk[-1]])
+    walk = np.array(walk)
+    return walk[:, walk.min(axis=0) == walk[0]]
+
+
+def _own_lift(deck, data):
+    """Mode j on the cover: sqrt(mult / d) Re or Im of chi_k(t) psi_j(a) at
+    node deck^t(r_a)."""
+    walk = _own_walk(deck)
+    d = len(walk)
+    modes = np.zeros((walk.size, data.n_modes))
+    for j, (k, imag) in enumerate(zip(data.characters, data.imaginary)):
+        f = (np.exp(2j * math.pi * k * np.arange(d) / d)[:, None]
+             * data.blocks[:, j] * math.sqrt((2 if 2 * k % d else 1) / d))
+        modes[walk, j] = f.imag if imag else f.real
+    return modes
+
+
+def _dense_variance(values, modes, data, window):
+    """Matrix elements and variance from the dense compressed observable
+    Psi^T diag(a w) Psi of each cluster of the cover modes."""
+    nu, w = data.eigenvalues, data.weights
+    cluster = np.concatenate([[0], np.cumsum(np.diff(nu) > 1e-8 * np.maximum(1.0, nu[:-1]))])
+    limit = np.sum(values * w) / np.sum(w)
+    elements = []
+    for c in np.unique(cluster[window.contains_nu(nu)]):
+        psi = modes[:, cluster == c]
+        elements.extend(np.linalg.eigvalsh(psi.T @ ((values * w)[:, None] * psi)))
+    elements = np.array(elements)
+    return elements, float(np.mean((elements - limit) ** 2))
+
+
+class TestCharacterBlocks:
+    WINDOW = SpectralWindow(1.0, 4.0)
+
+    @pytest.mark.parametrize("degree", [4, 8])
+    @pytest.mark.parametrize("pullback", [False, True], ids=["chart", "deck_invariant"])
+    def test_variance_equals_the_lifted_dense_one(self, cover_solves, degree, pullback):
+        mesh, data = cover_solves[degree]
+        modes = _own_lift(mesh.deck, data)
+        K, w = mesh.stiffness, mesh.weights
+        residual = K @ modes - w[:, None] * modes * data.eigenvalues
+        assert np.linalg.norm(residual, axis=0).max() <= 1e-9
+        assert np.abs(modes.T @ (w[:, None] * modes) - np.eye(data.n_modes)).max() <= 1e-8
+        values = _sign(data)
+        # the chart sign flips between the copies of a paired side, so it is not
+        # deck-invariant; its pullback from each orbit's least node is
+        assert not np.array_equal(values[mesh.deck], values)
+        if pullback:
+            walk = _own_walk(mesh.deck)
+            values = np.empty_like(values)
+            values[walk] = _sign(data)[walk[0]]
+            values -= np.sum(values * w) / np.sum(w)
+            assert np.array_equal(values[mesh.deck], values)
+        rep = quantum_variance(values, data, self.WINDOW)
+        elements, variance = _dense_variance(values, modes, data, self.WINDOW)
+        assert rep.variance == pytest.approx(variance, rel=1e-12)
+        assert np.abs(rep.matrix_elements - elements).max() <= 1e-12 * variance ** 0.5
+
+    def test_no_mode_is_lifted(self, cover_solves):
+        mesh, _ = cover_solves[8]
+        data = fem_eigensolve(mesh, 104)
+        quantum_variance(_sign(data), data, self.WINDOW)
+        weyl_ratio(data, self.WINDOW)
+        assert "eigenvectors" not in vars(data)
+        assert data.eigenvectors.shape == (len(mesh.points), 104)
+        assert "eigenvectors" in vars(data)         # the check sees a lift
+
+    def test_mode_count_splitting_a_complex_pair(self, cover_solves):
+        # 11 modes of the degree-4 cover end with the real part of a k = 1 pair
+        # at nu = 3.277, inside the window: its plane is not resolved
+        mesh, _ = cover_solves[4]
+        data = fem_eigensolve(mesh, 11)
+        assert (data.characters[-1], data.imaginary[-1]) == (1, False)
+        assert self.WINDOW.contains_nu(data.eigenvalues[-1])
+        with pytest.raises(WindowNotResolved):
+            quantum_variance(_sign(data), data, self.WINDOW)
 
 
 class TestWeyl:
