@@ -399,7 +399,8 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8) -> 
             vals, vecs, f = _smallest_pairs(Kk, w, count[k])
             pairs[k], fill, solved = (Kk, vals, vecs), fill + f, solved + 1
         nu = np.concatenate([np.repeat(pairs[k][1], mult[k]) for k in ks])
-        short = [k for k in ks if pairs[k][1][-1] < np.sort(nu)[n_modes - 1]]
+        cut = np.sort(nu)[n_modes - 1]
+        short = [k for k in ks if pairs[k][1][-1] < cut]
         if not short:
             break
         for k in short:
