@@ -76,7 +76,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (FormatError, MeshPairingFailure, OrthonormalityViolation,
                      ParameterOutOfRange, ResidualViolation, SolverNotConverged)
-from .fuchsian import CoverSurface, _face_points, _in_dirichlet_domain
+from .fuchsian import _face_points, _in_dirichlet_domain
 from .geometry import _mobius_array
 
 _CLEARANCE = 0.5    # grid nodes stay this many h away from every side node
@@ -203,11 +203,9 @@ def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
     from scipy.spatial import Delaunay, cKDTree  # here: keeps CLI start-up short
     if not (0.01 <= h <= 0.2):
         raise ParameterOutOfRange("h must lie in [0.01, 0.2]")
-    cover = surface if isinstance(surface, CoverSurface) else None
-    group = cover.base if cover else surface
+    group, degree = surface.base, surface.degree
     if group.dirichlet_radius is None:
         raise ValueError("mesh needs a cocompact group with known radius")
-    degree = cover.degree if cover else 1
     faces = _face_points(group)
     side_pts, sides = _side_nodes(faces, h)
     tree = cKDTree(_xy(side_pts))
@@ -222,12 +220,11 @@ def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
     tri = Delaunay(_xy(pts)).simplices
     tri = tri[_in_dirichlet_domain(pts[tri].mean(axis=1, keepdims=True), faces)]
     pairings = []
-    for k, g in enumerate(group.symmetrized()):
+    for k, (g, perm) in enumerate(zip(group.symmetrized(), surface.sheets)):
         image = _mobius_array(np.conj(g.alpha), -g.beta, side_pts[sides[k]])  # g^-1
         dist, j = tree.query(_xy(image))
         if dist.max() > _MATCH_TOL:
             raise MeshPairingFailure(f"side {k}: pairing images off by {dist.max():.2e}")
-        perm = cover.perm_array(k) if cover else np.zeros(1, dtype=int)
         pairings.append((len(grid) + sides[k], len(grid) + j, perm))
     density = 4.0 / (1.0 - np.abs(pts) ** 2) ** 2
     label = group.label + (f":deg{degree}" if degree > 1 else "")

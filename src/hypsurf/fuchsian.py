@@ -71,8 +71,17 @@ largest generator displacement at 0: the ball holds the generators, and the
 value is an upper bound.
 
 Injectivity radius at z is half the smallest displacement d(z, gamma z) over
-nontrivial gamma.  Covers are described by one permutation of the sheets per
-generator; the built-in random covers use cyclic shifts (a random weight in
+nontrivial gamma.
+
+Surfaces.  Every surface answers one contract: its base group `base`, its
+`degree`, `volume()` and `sheets`, the (2n, degree) int table whose row i
+is the sheet permutation of symmetrized generator i (s -> sheets[i, s]; the
+inverses follow the generators).  A CoverSurface builds the table once from
+one permutation per generator and checks it: the relation composes to the
+identity and every sheet is reachable from sheet 0.  A FuchsianGroup is its
+own degree-1 cover: its base is itself, and every generator fixes its one
+sheet.  Every layer reads the contract and none asks which kind of surface
+it has.  The built-in random covers use cyclic shifts (a random weight in
 Z_n per generator), which automatically respect the surface relation because
 every generator has zero net exponent in it.
 
@@ -88,7 +97,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,13 +168,6 @@ class FuchsianGroup:
         """Generators followed by their inverses (index i + n = inverse of i)."""
         return list(self.generators) + [g.inverse() for g in self.generators]
 
-    def relation_element(self) -> GroupElement:
-        out = GroupElement.identity()
-        for s in self.relation:
-            g = self.generators[abs(s) - 1]
-            out = out @ (g if s > 0 else g.inverse())
-        return out
-
     def relation_word(self) -> list:
         """The relator in symmetrized indices."""
         n = self.n_generators
@@ -179,6 +181,20 @@ class FuchsianGroup:
         if self.covolume_hint is None:
             raise ValueError(f"group {self.label!r} has no covolume")
         return self.covolume_hint
+
+    # the surface contract: the group is its own cover of degree 1
+    @property
+    def base(self) -> FuchsianGroup:
+        return self
+
+    @property
+    def degree(self) -> int:
+        return 1
+
+    @property
+    def sheets(self) -> np.ndarray:
+        """Every symmetrized generator fixes the one sheet."""
+        return np.zeros((2 * self.n_generators, 1), dtype=int)
 
 
 def _generator_arrays(group: FuchsianGroup):
@@ -443,10 +459,9 @@ def _word_levels(group: FuchsianGroup, element_cap: int = 1_000_000,
     `expand` mask before the search goes on.  The search ends when nothing is
     expanded.  Elements are exact coordinate rows for a group with
     exact_coords, deduplicated by _SeenRows, and (alpha, beta) rows for a
-    free group, which has no duplicates (module docstring).  perms, a (2n,
-    degree) table of the symmetrized generators' sheet permutations, makes
-    each level carry the sheet map of its elements, _compose_perms(cover,
-    word) of the word that reached each one.
+    free group, which has no duplicates (module docstring).  perms, a
+    surface's sheet table, makes each level carry the sheet map of its
+    elements: the rows of the word that reached each one, composed.
     """
     n_sym = 2 * group.n_generators
     inverse = (np.arange(n_sym) + n_sym // 2) % n_sym
@@ -580,21 +595,17 @@ def injrad_below_points(surface, zs, R: float,
     nothing is expanded.  Open points go in blocks whose (points x elements)
     arrays hold at most _BLOCK cells (or one point's row).
     """
-    cover = surface if isinstance(surface, CoverSurface) else None
-    group = cover.base if cover is not None else surface
-    sheets = np.arange(cover.degree if cover is not None else 1)
+    group = surface.base
+    sheets = np.arange(surface.degree)
     zs = np.asarray(zs, dtype=complex)
     below = np.zeros((len(zs), len(sheets)), dtype=bool)
     if group.n_generators == 0 or not len(zs):
         return InjradQuery(below, 0, 0)
-    perms = np.zeros((2 * group.n_generators, len(sheets)), dtype=int)
-    if cover is not None:
-        perms[:] = [cover.perm_array(gi) for gi in range(len(perms))]
     target = 2.0 * R
     bounds = _prune_bounds(group, zs, target)
     open_points = np.arange(len(zs))
     explored = levels = 0
-    for level in _word_levels(group, element_cap, perms):
+    for level in _word_levels(group, element_cap, surface.sheets):
         explored += len(level.alpha)
         levels += 1
         expand = np.zeros(len(level.alpha), dtype=bool)
@@ -614,12 +625,6 @@ def injrad_below_points(surface, zs, R: float,
             break
         level.expand = expand
     return InjradQuery(below, explored, levels)
-
-
-def injrad_below(surface, z: DiscPoint, R: float, sheet: int = 0,
-                 element_cap: int = 1_000_000) -> bool:
-    """Decide InjRad(z[, sheet]) < R: the one-point call of injrad_below_points."""
-    return bool(injrad_below_points(surface, [z.z], R, element_cap).below[0, sheet])
 
 
 def systole_upper_bound(group: FuchsianGroup) -> float:
@@ -655,16 +660,20 @@ def systole_upper_bound(group: FuchsianGroup) -> float:
 
 @dataclass(frozen=True)
 class CoverSurface:
-    """Finite cover described by one sheet permutation per generator.
+    """Finite cover of base given by one sheet permutation per generator.
 
-    Permutations map sheet i -> perm[i]; they must act transitively and kill
-    the defining relation, otherwise construction fails.  Geometry is
-    inherited from the base: volume = degree * base volume.
+    Permutation p maps sheet s to p[s].  Construction builds the surface
+    contract's sheet table (module docstring) from them and checks it: the
+    rows along the relation compose to the identity (RelationViolation
+    otherwise), and every sheet is reachable from sheet 0 (NonTransitive
+    otherwise).  Geometry is inherited from the base: volume = degree * base
+    volume.
     """
 
     base: FuchsianGroup
     degree: int
     permutations: tuple  # tuple of degree-length tuples, one per generator
+    sheets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.degree < 1:
@@ -674,44 +683,35 @@ class CoverSurface:
         for p in self.permutations:
             if sorted(p) != list(range(self.degree)):
                 raise ValueError(f"not a permutation of 0..{self.degree - 1}: {p}")
-        if self.base.relation:
-            perm = _compose_perms(self, self.base.relation_word())
-            if not np.array_equal(perm, np.arange(self.degree)):
-                raise RelationViolation("permutations do not respect the relation")
-        reach = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for gi in range(2 * self.base.n_generators):
-                j = int(self.perm_array(gi)[i])
-                if j not in reach:
-                    reach.add(j)
-                    stack.append(j)
-        if len(reach) != self.degree:
-            raise NonTransitive(f"cover is disconnected ({len(reach)} of {self.degree} sheets)")
-
-    def perm_array(self, gi: int) -> np.ndarray:
-        n = self.base.n_generators
-        if gi < n:
-            return np.asarray(self.permutations[gi], dtype=int)
-        inv = np.empty(self.degree, dtype=int)
-        p = np.asarray(self.permutations[gi - n], dtype=int)
-        inv[p] = np.arange(self.degree)
-        return inv
+        perms = np.array(self.permutations, dtype=int).reshape(-1, self.degree)
+        inverses = np.empty_like(perms)
+        inverses[np.arange(len(perms))[:, None], perms] = np.arange(self.degree)
+        sheets = np.concatenate([perms, inverses])
+        sheets.flags.writeable = False
+        object.__setattr__(self, "sheets", sheets)
+        relation = np.arange(self.degree)
+        for gi in self.base.relation_word():
+            relation = sheets[gi, relation]
+        if not np.array_equal(relation, np.arange(self.degree)):
+            raise RelationViolation("permutations do not respect the relation")
+        reached = np.zeros(self.degree, dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=int)
+        while len(frontier):
+            frontier = np.unique(sheets[:, frontier])
+            frontier = frontier[~reached[frontier]]
+            reached[frontier] = True
+        if not reached.all():
+            raise NonTransitive(f"cover is disconnected ({reached.sum()} of {self.degree} sheets)")
 
     def volume(self) -> float:
         return self.degree * self.base.volume()
 
 
-def _compose_perms(cover: CoverSurface, word) -> np.ndarray:
-    perm = np.arange(cover.degree)
-    for gi in word:
-        perm = cover.perm_array(gi)[perm]
-    return perm
+_MAX_DRAWS = 32   # weight draws random_cover tries before it gives up
 
 
-def random_cover(base: FuchsianGroup, degree: int, seed: int,
-                 max_draws: int = 32) -> CoverSurface:
+def random_cover(base: FuchsianGroup, degree: int, seed: int) -> CoverSurface:
     """Random transitive cyclic-shift cover, deterministic under seed.
 
     Each generator gets a random weight w in Z_degree and permutes sheets by
@@ -722,13 +722,13 @@ def random_cover(base: FuchsianGroup, degree: int, seed: int,
     if degree < 1:
         raise ParameterOutOfRange("degree must be >= 1")
     rng = np.random.default_rng(seed)
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         weights = rng.integers(0, degree, size=base.n_generators)
         if degree == 1 or math.gcd(degree, *[int(w) for w in weights]) == 1:
             perms = tuple(tuple((i + int(w)) % degree for i in range(degree))
                           for w in weights)
             return CoverSurface(base, degree, perms)
-    raise NonTransitive(f"no transitive cover of degree {degree} in {max_draws} draws")
+    raise NonTransitive(f"no transitive cover of degree {degree} in {_MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +809,7 @@ def bs_statistic(surface, R: float, n_samples: int, seed: int) -> BsStatResult:
         raise ParameterOutOfRange("R > 25 not supported")
     if n_samples < 1:
         raise ParameterOutOfRange("n_samples must be >= 1")
-    base = surface.base if isinstance(surface, CoverSurface) else surface
-    sampler = DomainSampler(base)
+    sampler = DomainSampler(surface.base)
     zs = sampler.sample(np.random.default_rng(seed), n_samples)
     query = injrad_below_points(surface, zs, R)
     share = query.below.mean(axis=1)

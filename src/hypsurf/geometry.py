@@ -141,14 +141,6 @@ class GroupElement:
         return (abs(self.alpha - other.alpha) <= tol
                 and abs(self.beta - other.beta) <= tol)
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.alpha, self.beta],
-                         [self.beta.conjugate(), self.alpha.conjugate()]])
-
-    @property
-    def is_identity(self) -> bool:
-        return abs(self.alpha - 1.0) < 1e-9 and abs(self.beta) < 1e-9
-
     # -- constructors ----------------------------------------------------
     @staticmethod
     def identity() -> "GroupElement":
@@ -181,15 +173,6 @@ class GroupElement:
         r = abs(z.z)
         d = 1.0 / math.sqrt(1.0 - r * r)
         return GroupElement(d, z.z * d)
-
-    @staticmethod
-    def from_psl2r(m) -> "GroupElement":
-        """Conjugate a real 2x2 matrix of determinant 1 into SU(1,1)."""
-        a, b = float(m[0][0]), float(m[0][1])
-        c, d = float(m[1][0]), float(m[1][1])
-        alpha = complex((a + d) / 2.0, (b - c) / 2.0)
-        beta = complex((a - d) / 2.0, -(b + c) / 2.0)
-        return GroupElement(alpha, beta)
 
     def to_psl2r(self) -> np.ndarray:
         al, be = self.alpha, self.beta
@@ -298,18 +281,9 @@ def poisson_weight(z: DiscPoint, b: BoundaryPoint) -> float:
     return (1.0 - abs(zz) ** 2) / abs(zz - b.z) ** 2
 
 
-def boundary_angle_derivative(g: GroupElement, b: BoundaryPoint,
-                              step: float = 1e-5) -> float:
-    """d(angle of g*b)/d(angle of b) by a 5-point central difference."""
-    base = mobius_apply(g, b).angle
-
-    def branch(phi):
-        w = mobius_apply(g, BoundaryPoint(b.angle + phi)).angle
-        # unwrap relative to the central image
-        return w - 2.0 * math.pi * round((w - base) / (2.0 * math.pi))
-
-    h = step
-    return (branch(-2 * h) - 8 * branch(-h) + 8 * branch(h) - branch(2 * h)) / (12 * h)
+def boundary_angle_derivative(g: GroupElement, b: BoundaryPoint) -> float:
+    """d(angle of g*b)/d(angle of b) = |g'(b)| = 1 / |conj(beta) b + conj(alpha)|^2."""
+    return 1.0 / abs(g.beta.conjugate() * b.z + g.alpha.conjugate()) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import StencilOutOfDomain
-from .fuchsian import CoverSurface, DomainSampler
+from .fuchsian import DomainSampler
 from .geometry import DiscPoint, GroupElement, _dist_array, _mobius_array
 from .propagators import CutoffSpec, default_eta, smooth_propagator
 from .quadrature import gauss_legendre
@@ -299,9 +299,8 @@ def theta_second_derivative_norm(a: Symbol, lam_window, surface, n_mc: int,
     """sup over lam in the window of the volume-normalized L^2 norm (squared)
     of the second rotation-angle derivative of the symbol over the sphere
     bundle; Monte Carlo over (fundamental domain) x (angle)."""
-    group = surface.base if isinstance(surface, CoverSurface) else surface
     rng = np.random.default_rng(seed)
-    zs = DomainSampler(group).sample(rng, n_mc)
+    zs = DomainSampler(surface.base).sample(rng, n_mc)
     pts = list(zip(zs, rng.uniform(0.0, TWO_PI, n_mc)))
     lams = np.linspace(lam_window[0], lam_window[1], n_lam)
     worst = 0.0
@@ -399,8 +398,7 @@ def limit_term(A: Observable, lam: float, surface, n_mc: int = 2000,
         return LimitTerm(total, 0.0)
     if A.variant not in ("multiplication", "finite_range"):
         raise ValueError("limit term needs an integrable kernel (multiplication or finite range)")
-    group = surface.base if isinstance(surface, CoverSurface) else surface
-    zs = DomainSampler(group).sample(np.random.default_rng(seed), n_mc)
+    zs = DomainSampler(surface.base).sample(np.random.default_rng(seed), n_mc)
     if A.variant == "multiplication":
         vals = A.a(zs)
     else:

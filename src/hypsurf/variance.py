@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EmptyWindow, ParameterOutOfRange, WindowNotResolved
 from .eigensolve import EigenData
-from .fuchsian import CoverSurface, bs_statistic, systole_upper_bound
+from .fuchsian import bs_statistic, systole_upper_bound
 from .observables import (Observable, limit_term, multiplier_tail_bound,
                           sandwich_sup_bound, symbol_of,
                           theta_second_derivative_norm)
@@ -247,13 +247,12 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     the enumeration guard use the trivial volume-fraction bound 1 (flagged).
     """
     weight = weight or PlancherelWeight.paper()
-    group = surface.base if isinstance(surface, CoverSurface) else surface
     S = A.locality.S
     S_T = 2.0 * T + S
     rho = plateau_multiplier(window.lam_lo, window.lam_hi,
                              margin=0.1 * (window.lam_hi - window.lam_lo))
     lam_grid = np.linspace(*window.lam_interval_wide, 9)
-    systole = systole_upper_bound(group)
+    systole = systole_upper_bound(surface.base)
 
     # (i) averaging gain
     theta_sq = theta_second_derivative_norm(symbol_of(A), window.lam_interval_wide,

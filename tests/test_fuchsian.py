@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypsurf.fuchsian as F
+from hypsurf.eigensolve import disc_surface_mesh
 from hypsurf.errors import (BudgetExceeded, NonTransitive, ParameterOutOfRange,
                             RelationViolation)
 from hypsurf.geometry import (DiscPoint, GroupElement, _dist_array, _mobius_array,
@@ -89,16 +90,31 @@ def exhaustive_word_ball(group, R, max_len):
     return count_in_ball
 
 
-def brute_below(surface, group, z, R):
+def compose_word(perms, degree, word):
+    """The sheet map of a word in symmetrized generator indices, composed
+    from the permutation tuples perms (one per generator; index i + n is
+    the inverse of i)."""
+    n = len(perms)
+    sheet = list(range(degree))
+    for gi in word:
+        if gi < n:
+            sheet = [perms[gi][s] for s in sheet]
+        else:
+            sheet = [perms[gi - n].index(s) for s in sheet]
+    return sheet
+
+
+def brute_below(perms, group, z, R):
     """Oracle: InjRad < R at z on each sheet, from the whole ball of radius 2R
-    at z and the composed sheet permutation of each witness's word."""
-    degree = surface.degree if isinstance(surface, F.CoverSurface) else 1
+    at z and the composed sheet permutation of each witness's word; perms
+    are the permutation tuples of a cover of group (empty for the group)."""
+    degree = len(perms[0]) if perms else 1
     below = np.zeros(degree, dtype=bool)
     ball = F.orbit_enumerate(group, DiscPoint(z.real, z.imag), 2.0 * R)
     for disp, word in zip(ball.displacement, ball.words):
         if 1e-12 < disp < 2.0 * R:
-            perm = F._compose_perms(surface, word) if degree > 1 else np.zeros(1)
-            below |= perm == np.arange(degree)
+            sheet = compose_word(perms, degree, word) if perms else [0]
+            below |= np.array(sheet) == np.arange(degree)
     return below
 
 
@@ -156,9 +172,7 @@ def bolza():
 
 
 class TestPresets:
-    def test_bolza_relation_and_area(self, bolza):
-        rel = bolza.relation_element()
-        assert rel.almost_equal(GroupElement.identity(), 1e-8)
+    def test_bolza_area(self, bolza):
         assert F.octagon_area() == pytest.approx(4 * math.pi, abs=1e-6)
 
     def test_generators_valid(self, bolza):
@@ -392,9 +406,10 @@ class TestBsStatistic:
         # (point, sheet) pairs below R (cover seed 0), re-derived from the same
         # drawn points by one full ball per point, then pinned
         surface = bolza if degree == 1 else F.random_cover(bolza, degree, seed=0)
+        perms = () if degree == 1 else surface.permutations
         res = F.bs_statistic(surface, R, n, seed=seed)
         zs = F.DomainSampler(bolza).sample(np.random.default_rng(seed), n)
-        expect = sum(int(brute_below(surface, bolza, z, R).sum()) for z in zs)
+        expect = sum(int(brute_below(perms, bolza, z, R).sum()) for z in zs)
         assert res.n_hits == expect == hits
         assert res.orbit_levels >= 1 and res.orbit_elements_explored >= 8
         assert res.sampler_proposals > n
@@ -592,6 +607,41 @@ class TestCovers:
         with pytest.raises(NonTransitive):
             F.CoverSurface(bolza, 2, (ident, ident, ident, ident))
 
+    def test_partly_reachable_rejected(self, bolza):
+        # every generator swaps 0 <-> 1 and 2 <-> 3: the relator (zero net
+        # exponent) maps to the identity, but sheet 0 reaches only sheet 1
+        swap = (1, 0, 3, 2)
+        with pytest.raises(NonTransitive, match="2 of 4"):
+            F.CoverSurface(bolza, 4, (swap,) * 4)
+
+    def test_sheet_table_rows_invert(self, bolza):
+        s, t = (1, 0, 2), (0, 2, 1)
+        for surface in (F.random_cover(bolza, 5, seed=3), F.CoverSurface(bolza, 3, (s, s, t, t)),
+                        bolza, F.cyclic_group(1.0)):
+            sheets, n = surface.sheets, surface.base.n_generators
+            assert sheets.shape == (2 * n, surface.degree)
+            for i in range(n):
+                assert np.array_equal(sheets[i + n][sheets[i]], np.arange(surface.degree))
+                assert np.array_equal(sheets[i][sheets[i + n]], np.arange(surface.degree))
+        cover = F.random_cover(bolza, 5, seed=3)
+        assert cover.sheets[:4].tolist() == [list(p) for p in cover.permutations]
+
+    def test_group_is_its_degree_one_cover(self, bolza):
+        # the group and the explicit degree-1 cover answer the same contract
+        # and every layer gives the same numbers for them
+        cover = F.CoverSurface(bolza, 1, ((0,),) * 4)
+        assert bolza.base is bolza and bolza.degree == 1
+        assert np.array_equal(bolza.sheets, cover.sheets)
+        zs = F.DomainSampler(bolza).sample(np.random.default_rng(5), 40)
+        for R in (1.2, 1.7):
+            assert np.array_equal(F.injrad_below_points(bolza, zs, R).below,
+                                  F.injrad_below_points(cover, zs, R).below)
+        assert F.bs_statistic(bolza, 1.7, 60, 2) == F.bs_statistic(cover, 1.7, 60, 2)
+        m0, m1 = disc_surface_mesh(bolza, 0.1), disc_surface_mesh(cover, 0.1)
+        assert (m0.stiffness != m1.stiffness).nnz == 0
+        assert np.array_equal(m0.weights, m1.weights)
+        assert np.array_equal(m0.points, m1.points)
+
     def test_lift_injrad_dominates_base(self, bolza):
         cov = F.random_cover(bolza, 4, seed=9)
         rng = np.random.default_rng(8)
@@ -599,8 +649,8 @@ class TestCovers:
         for z in sampler.sample(rng, 12):
             zp = DiscPoint(z.real, z.imag)
             for R in [1.6, 1.8, 2.2]:
-                below_base = F.injrad_below(bolza, zp, R)
-                below_lift = F.injrad_below(cov, zp, R, sheet=0)
+                below_base = F.injrad_below_points(bolza, [zp.z], R).below[0, 0]
+                below_lift = F.injrad_below_points(cov, [zp.z], R).below[0, 0]
                 # the fixing condition only removes candidates
                 assert (not below_base) <= (not below_lift) or below_base >= below_lift
                 if below_lift:
@@ -625,28 +675,22 @@ class TestCovers:
         in_cyclic = list(0.6 * np.sqrt(rng.random(30)) * np.exp(2j * math.pi * rng.random(30))) \
             + list(0.8 * np.exp(2j * math.pi * rng.random(8)))
         shares = {}
-        for case, surface, group, zs, R in [("cyclic4", cyclic4, bolza, in_bolza, 1.7),
-                                            ("mixed3", mixed3, bolza, in_bolza, 1.7),
-                                            ("cyclic", cyclic, cyclic, in_cyclic, 0.9)]:
-            expect = np.array([brute_below(surface, group, z, R) for z in zs])
+        for case, surface, perms, group, zs, R in [
+                ("cyclic4", cyclic4, cyclic4.permutations, bolza, in_bolza, 1.7),
+                ("mixed3", mixed3, mixed3.permutations, bolza, in_bolza, 1.7),
+                ("cyclic", cyclic, (), cyclic, in_cyclic, 0.9)]:
+            expect = np.array([brute_below(perms, group, z, R) for z in zs])
             below = F.injrad_below_points(surface, zs, R).below
             assert below.shape == expect.shape
             assert np.array_equal(below, expect)
-            # the one-point call, each sheet in turn
-            sheets = np.arange(len(zs)) % expect.shape[1]
-            one = [F.injrad_below(surface, DiscPoint(z.real, z.imag), R, sheet=int(k))
-                   for z, k in zip(zs, sheets)]
-            assert one == expect[np.arange(len(zs)), sheets].tolist()
+            # the one-point calls
+            one = [F.injrad_below_points(surface, [z], R).below[0] for z in zs]
+            assert np.array_equal(one, expect)
             assert 0 < expect.sum() < expect.size
             shares[case] = expect.mean(axis=1)
         # a cyclic cover's sheet maps are shifts: one fixed sheet fixes all
         assert set(shares["cyclic4"]) <= {0.0, 1.0}
         assert np.any((shares["mixed3"] > 0.0) & (shares["mixed3"] < 1.0))
-
-    def test_injrad_below_returns_bool(self, bolza):
-        z = DiscPoint(0.1, 0.2)
-        assert type(F.injrad_below(bolza, z, 1.7)) is bool
-        assert type(F.injrad_below(F.random_cover(bolza, 4, seed=0), z, 1.0, sheet=2)) is bool
 
     @pytest.mark.parametrize("group", [F.bolza_group(), F.cyclic_group(4.0)],
                              ids=["bolza", "cyclic4"])

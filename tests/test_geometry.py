@@ -161,7 +161,19 @@ class TestPoisson:
             b = BoundaryPoint(rng.uniform(0, 2 * np.pi))
             lhs = (poisson_weight(mobius_apply(g, z), mobius_apply(g, b))
                    * boundary_angle_derivative(g, b))
-            assert abs(lhs - poisson_weight(z, b)) < 1e-8
+            assert abs(lhs - poisson_weight(z, b)) < 1e-12
+
+    def test_boundary_angle_derivative_matches_difference(self):
+        # the closed form |g'(b)| against a central difference of the image angle
+        rng = np.random.default_rng(4)
+        step = 1e-6
+        for _ in range(100):
+            g = random_element(rng)
+            b = BoundaryPoint(rng.uniform(0, 2 * np.pi))
+            lo = mobius_apply(g, BoundaryPoint(b.angle - step)).angle
+            hi = mobius_apply(g, BoundaryPoint(b.angle + step)).angle
+            diff = (hi - lo - 2 * np.pi * round((hi - lo) / (2 * np.pi))) / (2 * step)
+            assert boundary_angle_derivative(g, b) == pytest.approx(diff, rel=1e-6)
 
     def test_total_mass(self):
         # integral of P(z, b) db over the circle is 2 pi
