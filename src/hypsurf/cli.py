@@ -32,8 +32,8 @@ from .propagators import (beta_norm_check, lemma_a1_check, prop33_certificate)
 from .toy1d import alternating_step, toy1d_variance
 from .transforms import (RadialKernel, abel_sharp, bump_multiplier,
                          c_inverse_square, fourier_of_abel, k_rho_scaled,
-                         selberg_transform, spherical_phi,
-                         spherical_phi_series, weight_from_name)
+                         phi_eval, selberg_transform, spherical_phi,
+                         weight_from_name)
 from .variance import (SpectralWindow, mean_zero_density, quantum_variance,
                        variance_pipeline_bounds, weyl_ratio)
 
@@ -142,13 +142,13 @@ def cmd_geometry_check(args) -> int:
 
 def cmd_spherical(args) -> int:
     lams, ts = args.lams, args.ts
-    rows, worst = [], 0.0
-    for lam in lams:
-        for t in ts:
+    fast = phi_eval(np.array(lams), np.array(ts))      # the (t, lambda) grid
+    rows = []
+    for i, lam in enumerate(lams):
+        for j, t in enumerate(ts):
             vi = spherical_phi(lam, t)
-            vs = spherical_phi_series(lam, t) if t >= 0.5 else vi
-            worst = max(worst, abs(vi - vs))
-            rows.append((lam, t, vi, abs(vi - vs)))
+            rows.append((lam, t, vi, abs(vi - float(fast[j, i]))))
+    worst = max(row[3] for row in rows)
     cid = max(abs(c_inverse_square(lam) - math.pi * lam * math.tanh(math.pi * lam))
               for lam in lams)
     ok = worst < 1e-6 and cid < 1e-10
@@ -235,7 +235,7 @@ def cmd_lemma_a1(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    group = bolza_group() if args.group == "bolza" else cyclic_group(args.length)
+    group = _group(args)
     ball = orbit_enumerate(group, DiscPoint(0, 0), args.R)
     # the injectivity radius is searched within radius max(R, 1)
     inj = (ball if args.R >= 1.0
@@ -265,7 +265,7 @@ def cmd_bs_stat(args) -> int:
 
 
 def cmd_hs_check(args) -> int:
-    group = bolza_group() if args.group == "bolza" else cyclic_group(args.length)
+    group = _group(args)
     kern = RadialKernel(lambda t: np.exp(-t * t), support_bound=8.0)
     rep = hs_bound_check(kern, group, r=args.r, n_mc=args.samples, seed=args.seed,
                          window_radius=None if args.group == "bolza" else 2.5)
@@ -285,14 +285,13 @@ def cmd_hs_check(args) -> int:
 
 def cmd_symbol(args) -> int:
     A = laplacian_observable()
-    worst = 0.0
-    rows = []
-    for zre, zim in ((0.0, 0.0), (0.3, 0.2), (-0.5, 0.1), (0.0, 0.6)):
-        for lam in (0.5, 1.5, 3.0):
-            s = complete_symbol(A, complex(zre, zim), lam, np.exp(1.1j))
-            gap = abs(s - (0.25 + lam * lam))
-            worst = max(worst, gap)
-            rows.append((zre, zim, lam, s.real, s.imag, gap))
+    zs = ((0.0, 0.0), (0.3, 0.2), (-0.5, 0.1), (0.0, 0.6))
+    lams = (0.5, 1.5, 3.0)
+    z = np.array([complex(zre, zim) for zre, zim in zs])
+    syms = [complete_symbol(A, z, lam, np.exp(1.1j)) for lam in lams]
+    rows = [(zre, zim, lam, s[i].real, s[i].imag, abs(s[i] - (0.25 + lam * lam)))
+            for i, (zre, zim) in enumerate(zs) for lam, s in zip(lams, syms)]
+    worst = max(row[5] for row in rows)
     ok = worst < 1e-5
     write_csv(args.out, "symbol", "z_re,z_im,lambda,sym_re,sym_im,gap", rows)
     write_summary(args.out, "symbol", {
@@ -311,6 +310,11 @@ def _mesh_counters(mesh, data) -> dict:
 def _sign_re(z) -> np.ndarray:
     """The sign of Re z: the multiplication observable of the variance runs."""
     return np.where(np.real(z) > 0, 1.0, -1.0)
+
+
+def _group(args):
+    """The group of --group: Bolza, or the cyclic group of translation length --length."""
+    return bolza_group() if args.group == "bolza" else cyclic_group(args.length)
 
 
 def _surface(args, degree: int):

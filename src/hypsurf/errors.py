@@ -9,10 +9,6 @@ class QuadratureNotConverged(HypsurfError):
     """Node doubling (or refinement) failed to stabilize an integral."""
 
 
-class SeriesDiverged(HypsurfError):
-    """Series tail estimate exceeds the requested tolerance."""
-
-
 class ParameterOutOfRange(HypsurfError, ValueError):
     """An input lies outside the range a computation supports."""
 

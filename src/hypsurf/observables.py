@@ -9,7 +9,9 @@ Finite-range operators integrate over B(z, S) on one polar Gauss rule,
 _ball_rule, which the propagator sandwich and the limit term read too.
 
 The complete symbol of an operator A is read off its action on the plane
-waves e_{lam,b}(z) = exp((1/2 + i lam) <z, b>):
+waves e_{lam,b}(z) = exp((1/2 + i lam) <z, b>), on arrays of points z and
+boundary points b that broadcast elementwise (the symbol contract of
+transforms):
 
     a(z, lam, b) = exp(-(1/2 + i lam)<z, b>) * (A e_{lam,b})(z).
 
@@ -28,13 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import StencilOutOfDomain
 from .fuchsian import DomainSampler
-from .geometry import DiscPoint, GroupElement, _dist_array, _mobius_array
+from .geometry import _DISC_EDGE, _dist_array, _mobius_array
 from .propagators import CutoffSpec, default_eta, smooth_propagator
 from .quadrature import gauss_legendre
 from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
@@ -79,17 +82,7 @@ class Observable:
         if self.variant == "differential":
             return _apply_differential(self.coefficients, u, z)
         if self.variant == "finite_range":
-            flat = z.reshape(-1)
-            step = max(1, _BALL_NODES // (48 * 96))
-            parts = []
-            for s in range(0, flat.size, step):
-                zb = flat[s:s + step]
-                pts, _, w = _ball_rule(zb, self.locality.S, 48, 96)
-                vals = u(pts)
-                kw = self.kernel(zb[:, None], pts) * w
-                parts.append(np.sum(_lead(kw, vals) * vals, axis=1))
-            out = np.concatenate(parts)
-            return out.reshape(z.shape + out.shape[1:])[()]
+            return _ball_sum(self, z, lambda block, pts: u(pts))
         raise ValueError(self.variant)
 
 
@@ -98,6 +91,26 @@ def _lead(x, like):
     against `like`, whose trailing axes ride along."""
     x = np.asarray(x)
     return x.reshape(x.shape + (1,) * (np.ndim(like) - x.ndim))
+
+
+def _ball_sum(A: Observable, z: np.ndarray, u: Callable):
+    """int_{B(z, S)} K(z, w) u(w) dw at every point of z, on A's 48 x 96 ball rule.
+
+    The points of z go in blocks of _BALL_NODES / (48 * 96), at least one;
+    u(block, pts) takes the slice of the block's points in z.ravel() and the
+    rule nodes of those points, and returns values with the point axes first.
+    """
+    flat = z.reshape(-1)
+    step = max(1, _BALL_NODES // (48 * 96))
+    parts = []
+    for s in range(0, flat.size, step):
+        zb = flat[s:s + step]
+        pts, _, w = _ball_rule(zb, A.locality.S, 48, 96)
+        vals = u(slice(s, s + step), pts)
+        kw = A.kernel(zb[:, None], pts) * w
+        parts.append(np.sum(_lead(kw, vals) * vals, axis=1))
+    out = np.concatenate(parts)
+    return out.reshape(z.shape + out.shape[1:])[()]
 
 
 def _ball_rule(z, radius: float, n_rad: int, n_ang: int):
@@ -199,69 +212,64 @@ def _apply_differential(coeffs: dict, u: Callable, z: np.ndarray):
 # Complete symbol
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Symbol:
-    """Complete symbol a(z, lambda, b) under the symbol contract of transforms
-    (b an array of boundary points, the result broadcasting to b)."""
-
-    eval: Callable[[complex, float, np.ndarray], np.ndarray]
-    lambda_support: tuple = (0.0, math.inf)
-    derived_from: Observable | None = None
-
-    def __call__(self, z: complex, lam: float, b) -> np.ndarray:
-        return self.eval(z, lam, b)
-
-
-def _busemann_difference(z: complex, b):
-    """w -> <w, b> - <z, b>, without cancellation for w near z, on an array of
-    points w (its axes first) and an array b (its axes trailing).
+def _busemann_difference(z, b, w):
+    """<w, b> - <z, b> for arrays z, b and w that broadcast, without
+    cancellation for w near z.
 
     The difference is log1p((1-|w|^2)/(1-|z|^2) - 1) - log1p(|w-b|^2/|z-b|^2 - 1),
     with each small ratio formed from |p|^2 - |q|^2 = Re((p - q) conj(p + q)).
     """
-    b = np.asarray(b)
-    inside = 1.0 - abs(z) ** 2
-    to_b = np.abs(z - b) ** 2
-
-    def diff(w) -> np.ndarray:
-        w = np.reshape(w, np.shape(w) + (1,) * b.ndim)
-        d, s = w - z, w + z
-        return (np.log1p(-(d * s.conjugate()).real / inside)
-                - np.log1p((d * (s - 2.0 * b).conjugate()).real / to_b))
-    return diff
+    d, s = w - z, w + z
+    return (np.log1p(-(d * s.conjugate()).real / (1.0 - np.abs(z) ** 2))
+            - np.log1p((d * (s - 2.0 * b).conjugate()).real / np.abs(z - b) ** 2))
 
 
-def complete_symbol(A: Observable, z: complex, lam: float, b):
-    """a(z,lam,b) = e^{-(1/2+i lam)<z,b>} (A e_{lam,b})(z), on an array b.
+def complete_symbol(A: Observable, z, lam: float, b):
+    """a(z,lam,b) = e^{-(1/2+i lam)<z,b>} (A e_{lam,b})(z), on arrays z and b
+    that broadcast elementwise; the result has their common shape.
 
     A acts on the relative wave w -> exp((1/2 + i lam)(<w, b> - <z, b>)),
     which equals 1 at z, so the factor e^{-(1/2+i lam)<z,b>} is never formed.
     A differential A acts on the wave minus 1 (expm1), whose differences keep
-    their digits, and its order-0 coefficient adds the 1 back.
+    their digits, and its order-0 coefficient adds the 1 back.  A finite-range
+    A integrates the wave of each (point, b) pair over that point's ball, in
+    the blocks of apply.
     """
+    z, b = np.asarray(z, dtype=complex), np.asarray(b, dtype=complex)
+    shape = np.broadcast_shapes(z.shape, b.shape)
     if A.variant == "multiplication":
-        return complex(A.a(z))
-    c, diff = 0.5 + 1j * lam, _busemann_difference(z, b)
-    if A.variant != "differential":
-        return A.apply(lambda w: np.exp(c * diff(w)), z)
+        return (np.broadcast_to(A.a(z), shape) + 0j)[()]
+    z, b = np.broadcast_to(z, shape), np.broadcast_to(b, shape)
+    c = 0.5 + 1j * lam
+    if A.variant == "finite_range":
+        zf, bf = z.ravel(), b.ravel()
+        return _ball_sum(A, z, lambda block, pts: np.exp(
+            c * _busemann_difference(zf[block, None], bf[block, None], pts)))
     c0 = A.coefficients.get((0, 0), 0.0)
-    return (A.apply(lambda w: np.expm1(c * diff(w)), z)
+    zs, bs = z[..., None], b[..., None]
+    return (A.apply(lambda w: np.expm1(c * _busemann_difference(zs, bs, w)), z)
             + (c0(z) if callable(c0) else c0))
 
 
-def symbol_of(A: Observable, lambda_support=(0.0, math.inf)) -> Symbol:
-    return Symbol(lambda z, lam, b: complete_symbol(A, z, lam, b),
-                  lambda_support, A)
+def symbol_of(A: Observable) -> Callable:
+    """The complete symbol of A as a callable a(z, lam, b)."""
+    return partial(complete_symbol, A)
 
 
 # ---------------------------------------------------------------------------
 # Angular decomposition at a point
 # ---------------------------------------------------------------------------
 
-def rotation_boundary_point(z: complex, theta):
-    """The boundary points at rotation angles theta of the direction circle at z."""
-    trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-    return _mobius_array(trans.alpha, trans.beta, np.exp(1j * np.asarray(theta)))
+def rotation_boundary_point(z, theta):
+    """The boundary points at rotation angles theta of the direction circle at z.
+
+    z and theta broadcast.  The Mobius map (alpha, beta) = (1, z) carries 0
+    to z and the direction theta at 0 to the one at z.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.real ** 2 + z.imag ** 2 >= _DISC_EDGE ** 2):
+        raise ValueError("point too close to the boundary")
+    return _mobius_array(1.0, z, np.exp(1j * np.asarray(theta)))
 
 
 @dataclass(frozen=True)
@@ -271,7 +279,7 @@ class AngularParts:
     residual_mean: float
 
 
-def angular_decompose(a: Symbol, z: complex, lam: float, n: int = 512) -> AngularParts:
+def angular_decompose(a: Callable, z: complex, lam: float, n: int = 512) -> AngularParts:
     """Split a(z, lam, .) into its rotation-invariant mean and the rest.
 
     The mean is over the rotation angle at z (the Liouville fiber measure),
@@ -288,32 +296,31 @@ def angular_decompose(a: Symbol, z: complex, lam: float, n: int = 512) -> Angula
     return AngularParts(mean, zero_mean, residual)
 
 
-def condition_a1_holds(a: Symbol, z: complex, lam: float, tol: float = 1e-9) -> bool:
+def condition_a1_holds(a: Callable, z: complex, lam: float, tol: float = 1e-9) -> bool:
     """Zero angular mean at (z, lam): the cancellation the averaging step needs."""
     return abs(angular_decompose(a, z, lam).mean) <= tol
 
 
-def theta_second_derivative_norm(a: Symbol, lam_window, surface, n_mc: int,
+def theta_second_derivative_norm(a: Callable, lam_window, surface, n_mc: int,
                                  seed: int, fd_step: float = 1e-4,
                                  n_lam: int = 7) -> float:
     """sup over lam in the window of the volume-normalized L^2 norm (squared)
     of the second rotation-angle derivative of the symbol over the sphere
-    bundle; Monte Carlo over (fundamental domain) x (angle)."""
+    bundle; Monte Carlo over (fundamental domain) x (angle).
+
+    The symbol is called once per lambda, on the (n_mc, 1) sampled points and
+    the (n_mc, 5) boundary points of the 5-point stencil in the angle.
+    """
     rng = np.random.default_rng(seed)
-    zs = DomainSampler(surface.base).sample(rng, n_mc)
-    pts = list(zip(zs, rng.uniform(0.0, TWO_PI, n_mc)))
-    lams = np.linspace(lam_window[0], lam_window[1], n_lam)
-    worst = 0.0
+    zs = DomainSampler(surface.base).sample(rng, n_mc)[:, None]
+    ths = rng.uniform(0.0, TWO_PI, n_mc)[:, None]
     h = fd_step
-    steps = h * np.array([2.0, 1.0, 0.0, -1.0, -2.0])
-    for lam in lams:
-        acc = 0.0
-        for z, th in pts:
-            f = np.broadcast_to(a(z, float(lam), rotation_boundary_point(z, th + steps)),
-                                steps.shape)
-            d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-            acc += abs(d2) ** 2
-        worst = max(worst, acc / n_mc)
+    bs = rotation_boundary_point(zs, ths + h * np.array([2.0, 1.0, 0.0, -1.0, -2.0]))
+    worst = 0.0
+    for lam in np.linspace(lam_window[0], lam_window[1], n_lam):
+        f = np.broadcast_to(a(zs, float(lam), bs), bs.shape).T
+        d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+        worst = max(worst, float(np.sum(np.abs(d2) ** 2)) / n_mc)
     return worst
 
 

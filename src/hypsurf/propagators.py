@@ -170,35 +170,31 @@ def lemma_a1_constant(lam_grid, r_grid) -> float:
     return float(np.max(lemma_a1_check(lam_grid, r_grid)))
 
 
-def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta,
-            route: str = "both", cross_tol: float = 1e-7):
-    """delta h = h_{t,sigma} - h_t^sharp.
+def _delta_h_formula(t: float, sigma: float, lams: np.ndarray,
+                     eta: Callable = default_eta) -> np.ndarray:
+    """2 sqrt(2/cosh t) int_{t-sigma}^t (chi(r) - 1) sinh r I(r, lam) dr on an
+    array of lambda, I the Mehler-Dirichlet integral."""
+    rr, w = gauss_legendre(t - sigma, t, 64)
+    coef = (np.asarray(CutoffSpec(t, sigma, eta).chi(rr)) - 1.0) * np.sinh(rr) * w
+    return 2.0 * math.sqrt(2.0 / math.cosh(t)) * (_md_integral(lams, rr).T @ coef)
 
-    route 'subtraction': plain difference of the two multipliers, h_{t,sigma}
-        by the Selberg route minus h_t^sharp by the Abel route.
-    route 'formula': the double-integral form
-        2 sqrt(2/cosh t) int_{t-sigma}^t (chi(r) - 1) sinh r I(r, lam) dr.
-    route 'both' (default) computes the two and checks they agree.
+
+def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta):
+    """delta h = h_{t,sigma} - h_t^sharp, the mean of two routes.
+
+    The plain difference of the two multipliers (h_{t,sigma} by the Selberg
+    route minus h_t^sharp by the Abel route) and the double-integral form of
+    _delta_h_formula must agree to 1e-7, or QuadratureNotConverged is raised.
     """
     if t <= 1.0 + sigma:
         raise ValueError("need t > 1 + sigma")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    out_sub = out_form = None
-    if route in ("subtraction", "both"):
-        out_sub = np.asarray(h_smooth(t, sigma, lams, eta)) - np.asarray(h_sharp(t, lams))
-    if route in ("formula", "both"):
-        spec = CutoffSpec(t, sigma, eta)
-        rr, w = gauss_legendre(t - sigma, t, 64)
-        inner = _md_integral(lams, rr).T
-        coef = (np.asarray(spec.chi(rr)) - 1.0) * np.sinh(rr) * w
-        out_form = 2.0 * math.sqrt(2.0 / math.cosh(t)) * (inner @ coef)
-    if route == "both":
-        if np.max(np.abs(out_sub - out_form)) > cross_tol:
-            raise QuadratureNotConverged(
-                f"delta_h routes disagree by {np.max(np.abs(out_sub - out_form)):.2e}")
-        out = 0.5 * (out_sub + out_form)
-    else:
-        out = out_sub if out_sub is not None else out_form
+    out_sub = np.asarray(h_smooth(t, sigma, lams, eta)) - np.asarray(h_sharp(t, lams))
+    out_form = _delta_h_formula(t, sigma, lams, eta)
+    gap = np.max(np.abs(out_sub - out_form))
+    if gap > 1e-7:
+        raise QuadratureNotConverged(f"delta_h routes disagree by {gap:.2e}")
+    out = 0.5 * (out_sub + out_form)
     return out if np.ndim(lam) else float(out[0])
 
 

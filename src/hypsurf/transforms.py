@@ -22,7 +22,6 @@ forward/inverse pair exact.  Reports always state which convention was used.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import ParameterOutOfRange, QuadratureNotConverged, SeriesDiverged
+from .errors import ParameterOutOfRange, QuadratureNotConverged
 from .geometry import _busemann_array
 from .quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule, trapezoid_periodic
 
@@ -307,32 +306,6 @@ def _phi_series(lams, ts, l_max) -> np.ndarray:
     return out
 
 
-def gamma_growth_bound(lam: float, lmax: int = 60):
-    """Empirical (d1, d2) with |Gamma_l| <= d1 (1 + l^d2); 10x safety margin on d1."""
-    g = np.abs(series_coefficients(lam, lmax))[1:]
-    ls = np.arange(1, lmax + 1, dtype=float)
-    d2 = 1.0
-    if lmax > 2:
-        grow = np.diff(np.log(np.maximum(g, 1e-300))) / np.diff(np.log(1.0 + ls))
-        d2 = max(1.0, float(np.max(grow)))
-    d1 = 10.0 * float(np.max(g / (1.0 + ls ** d2)))
-    return max(d1, 1e-12), d2
-
-
-def spherical_phi_series(lam: float, t: float, l_max: int = 40,
-                         tail_tol: float = 1e-8) -> float:
-    """phi_lambda(t) from the large-t series truncated at l_max, with a tail guard."""
-    if t < 0.5:
-        raise ValueError("series route needs t >= 0.5")
-    d1, d2 = gamma_growth_bound(lam, min(l_max, 60))
-    tail = (2.0 * abs(harish_chandra_c(lam)) * math.exp(-t / 2.0) * d1
-            * (1 + (l_max + 1) ** d2)
-            * math.exp(-2.0 * (l_max + 1) * t) / (1.0 - math.exp(-2.0 * t)))
-    if tail > tail_tol:
-        raise SeriesDiverged(f"tail estimate {tail:.2e} exceeds {tail_tol} at l_max={l_max}")
-    return float(_phi_series(np.array([lam]), np.array([t]), l_max)[0, 0])
-
-
 def phi_eval(lam, t):
     """phi_lambda(t) on the grid of t and lambda, of shape shape(t) + shape(lam).
 
@@ -584,18 +557,19 @@ def fourier_of_abel(g: AbelProfile) -> SpectralMultiplier:
 # ---------------------------------------------------------------------------
 # Helgason transform, symbol kernels, HS norm
 #
-# The symbol contract: a(z, lam, b) takes the chart point z and the frequency
-# lam as scalars and b as an array of unit-modulus boundary points, and
-# returns values that broadcast to b's shape (a scalar when a does not depend
-# on b).  A callable written for one b at a time is passed as
-# np.vectorize(f, otypes=[complex]).
+# The symbol contract: a(z, lam, b) takes chart points z and unit-modulus
+# boundary points b as arrays that broadcast elementwise (z of shape (n, 1)
+# against b of shape (m,), say, or both of shape (n, m)) and the frequency
+# lam as one float, and returns values that broadcast to their common shape.
+# Every consumer calls a once per lambda node, with all its points.
 # ---------------------------------------------------------------------------
 
-def helgason_forward(u: Callable[[complex], complex], support_radius: float = 0.95,
+def helgason_forward(u: Callable[[np.ndarray], np.ndarray], support_radius: float = 0.95,
                      n_rad: int = 120, n_ang: int = 256):
     """u-hat(lambda, b) = int_D exp((1/2 - i lambda)<z, b>) u(z) dmu(z).
 
-    u takes a complex chart point with support inside |z| <= support_radius.
+    u maps an array of complex chart points to values, with support inside
+    |z| <= support_radius; it is called once, on the whole node array.
     Returns a callable of (lambda, boundary angle).  Geodesic polar grid:
     tensor Gauss-Legendre in t times periodic trapezoid in the angle.
     """
@@ -605,7 +579,7 @@ def helgason_forward(u: Callable[[complex], complex], support_radius: float = 0.
     t, wt = gauss_legendre(0.0, t_max, n_rad)
     theta = TWO_PI * np.arange(n_ang) / n_ang
     Z = np.multiply.outer(np.tanh(t / 2.0), np.exp(1j * theta))
-    U = np.array([[u(z) for z in row] for row in Z])
+    U = u(Z)
     area_w = np.multiply.outer(np.sinh(t) * wt, np.full(n_ang, TWO_PI / n_ang))
 
     def transform(lam: float, b_angle: float) -> complex:
@@ -615,7 +589,7 @@ def helgason_forward(u: Callable[[complex], complex], support_radius: float = 0.
     return transform
 
 
-def kernel_from_symbol(a: Callable[[complex, float, np.ndarray], np.ndarray],
+def kernel_from_symbol(a: Callable[[np.ndarray, float, np.ndarray], np.ndarray],
                        lambda_support: tuple, weight: PlancherelWeight,
                        n_lam: int = 96, n_ang: int = 256):
     """Kernel of Op(a):
@@ -623,7 +597,8 @@ def kernel_from_symbol(a: Callable[[complex, float, np.ndarray], np.ndarray],
     K(z, w) = (1/2pi) iint a(z, lam, b) e^{(1/2+i lam)<z,b>} e^{(1/2-i lam)<w,b>}
               w(lam) db dlam.
 
-    a follows the symbol contract, and each K(z, w) calls it once per lambda node.
+    a follows the symbol contract: each K(z, w) calls it once per lambda
+    node, with the point z and the n_ang boundary nodes.
     """
     lam, wl = gauss_legendre(lambda_support[0], lambda_support[1], n_lam)
     b = np.exp(1j * TWO_PI * np.arange(n_ang) / n_ang)
@@ -638,7 +613,7 @@ def kernel_from_symbol(a: Callable[[complex, float, np.ndarray], np.ndarray],
     return K
 
 
-def hs_norm_disc(a: Callable[[complex, float, np.ndarray], np.ndarray],
+def hs_norm_disc(a: Callable[[np.ndarray, float, np.ndarray], np.ndarray],
                  z_support_radius: float, lambda_support: tuple,
                  weight: PlancherelWeight,
                  n_rad: int = 48, n_zang: int = 64, n_lam: int = 48,
@@ -648,25 +623,21 @@ def hs_norm_disc(a: Callable[[complex, float, np.ndarray], np.ndarray],
     ||Op(a)||_HS^2 = iiint |a(z, lam, b)|^2 e^{<z,b>} W(lam) dmu(z) dlam db,
     with W = weight.hs_weight, the weight that makes the identity exact for
     kernels built by kernel_from_symbol under the same convention.  a follows
-    the symbol contract (z and lam scalars, b the array of the n_bang boundary
-    nodes, a result that broadcasts to b): it is called once per (z, lam)
-    node, n_rad * n_zang * n_lam times in all.
+    the symbol contract: it is called once per lambda node, n_lam times in
+    all, with z the (n_rad * n_zang, 1) array of polar nodes and b the
+    (n_bang,) array of boundary nodes.
     """
     t, wt = gauss_legendre(0.0, 2.0 * math.atanh(z_support_radius), n_rad)
     e_ang = np.exp(1j * TWO_PI * np.arange(n_zang) / n_zang)
+    z = np.multiply.outer(np.tanh(t / 2.0), e_ang).reshape(-1, 1)
+    w_z = np.repeat(wt * np.sinh(t) * (TWO_PI / n_zang), n_zang)
     lam, wl = gauss_legendre(lambda_support[0], lambda_support[1], n_lam)
     b = np.exp(1j * TWO_PI * np.arange(n_bang) / n_bang)
     lam_w = wl * np.asarray(weight.hs_weight(lam), dtype=float)
+    pz = np.exp(_busemann_array(z, b)) * (TWO_PI / n_bang)
     total = 0.0
-    # math.tanh and math.sinh: numpy's vectorized forms differ in the last bit
-    for (tt, w_t), e in itertools.product(zip(t, wt), e_ang):
-        z = math.tanh(tt / 2.0) * e
-        pz = np.exp(_busemann_array(z, b))
-        lam_acc = 0.0
-        for l, w_l in zip(lam, lam_w):
-            av = np.broadcast_to(a(z, float(l), b), b.shape)
-            lam_acc += w_l * float(np.sum(np.abs(av) ** 2 * pz)) * (TWO_PI / n_bang)
-        total += w_t * math.sinh(tt) * (TWO_PI / n_zang) * lam_acc
+    for l, w_l in zip(lam, lam_w):
+        total += w_l * float(w_z @ np.sum(np.abs(a(z, float(l), b)) ** 2 * pz, axis=1))
     return total
 
 

@@ -81,6 +81,18 @@ class TestBasicRuns:
         assert main(["symbol", "--out", out]) == 0
         assert read(out, "symbol")["max_laplacian_symbol_gap"] < 1e-7
 
+    def test_symbol_calls_once_per_lambda(self, tmp_path, monkeypatch):
+        import hypsurf.cli as cli
+        calls, complete_symbol = [], cli.complete_symbol
+
+        def counted(A, z, lam, b):
+            calls.append((np.shape(z), lam))
+            return complete_symbol(A, z, lam, b)
+
+        monkeypatch.setattr(cli, "complete_symbol", counted)
+        assert main(["symbol", "--out", str(tmp_path)]) == 0
+        assert calls == [((4,), 0.5), ((4,), 1.5), ((4,), 3.0)]
+
     def test_beta_norm(self, tmp_path):
         out = str(tmp_path)
         assert main(["beta-norm", "--out", out]) == 0

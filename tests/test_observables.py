@@ -96,16 +96,50 @@ class TestCompleteSymbol:
                         * cmath.exp((0.5 + 1j * lam) * (bus_w - bus_z)))
         assert abs(got - acc) < 1e-6
 
+    @pytest.mark.parametrize("A", [
+        O.multiplication_observable(lambda z: np.cos(3 * np.real(z)) + 1j * np.imag(z), 1.0),
+        O.laplacian_observable(),
+        O.radial_kernel_observable(radial_bump(0.5), 0.5),
+        # isometry-invariant operators have symbols free of b; these two do not
+        O.differential_observable({(1, 0): lambda z: 0.5 * (1.0 - np.abs(z) ** 2),
+                                   (0, 0): lambda z: np.real(z)}, C=1.0),
+        O.finite_range_observable(
+            lambda z, w: radial_bump(0.5)(_dist_array(z, w)) * (1.0 + np.real(w)), 0.5, 1.0),
+    ], ids=["multiplication", "laplacian", "radial_kernel", "first_order", "finite_range"])
+    def test_array_matches_pointwise(self, A, monkeypatch):
+        # a b for each point, and z (n, 1) against b (m,)
+        zs = np.array([[0.1 + 0.2j, -0.3j, 0.0j], [0.45 - 0.1j, -0.2 + 0.05j, 0.6j]])
+        bs = np.exp(1j * np.array([[0.3, 2.0, -1.1], [4.0, 0.0, 2.5]]))
+        for lam in [0.5, 1.7]:
+            got = O.complete_symbol(A, zs, lam, bs)
+            assert got.shape == zs.shape
+            each = np.array([O.complete_symbol(A, z, lam, b)
+                             for z, b in zip(zs.ravel(), bs.ravel())]).reshape(zs.shape)
+            np.testing.assert_allclose(got, each, rtol=1e-13, atol=0)
+            grid = O.complete_symbol(A, zs.reshape(-1, 1), lam, bs[0])
+            assert grid.shape == (6, 3)
+            each = np.array([[O.complete_symbol(A, z, lam, b) for b in bs[0]]
+                             for z in zs.ravel()])
+            np.testing.assert_allclose(grid, each, rtol=1e-13, atol=0)
+        # a finite-range A takes its points in the blocks of apply
+        monkeypatch.setattr(O, "_BALL_NODES", 1)
+        assert np.array_equal(O.complete_symbol(A, zs, lam, bs), got)
+
     def test_stencil_guard(self):
         A = O.laplacian_observable()
         with pytest.raises((StencilOutOfDomain, ValueError)):
             O.complete_symbol(A, 0.9999995 + 0j, 1.0, 1j)
 
 
+def _rotation_angle(z, b):
+    """The rotation angle of the boundary points b at the points z."""
+    return np.angle((b - z) / (1.0 - np.conj(z) * b))
+
+
 class TestAngularDecomposition:
     def test_rotation_invariant_symbol(self):
         rho = bump_multiplier(1.0, 2.0)
-        sym = O.Symbol(lambda z, lam, b: complex(rho(lam)), (1.0, 2.0))
+        sym = lambda z, lam, b: complex(rho(lam))
         parts = O.angular_decompose(sym, 0.3 + 0.1j, 1.5)
         assert parts.residual_mean < 1e-9
         for th in [0.0, 1.0, 2.0]:
@@ -113,55 +147,93 @@ class TestAngularDecomposition:
 
     def test_pure_first_mode(self):
         # a = f(z) cos(theta(b; z)): zero rotational mean at every z
-        def sym_eval(z, lam, b):
-            # recover the rotation angle of b at z
-            from hypsurf.geometry import DiscPoint, GroupElement, mobius_apply_complex
-            trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-            u = mobius_apply_complex(trans.inverse(), b)
-            return (1.0 + abs(z) ** 2) * cmath.cos(cmath.phase(u))
+        def sym(z, lam, b):
+            return (1.0 + np.abs(z) ** 2) * np.cos(_rotation_angle(z, b)) + 0j
 
-        sym = O.Symbol(np.vectorize(sym_eval, otypes=[complex]))
         parts = O.angular_decompose(sym, 0.25 - 0.35j, 1.0)
         assert abs(parts.mean) < 1e-10
         assert O.condition_a1_holds(sym, 0.25 - 0.35j, 1.0)
+
+    def test_one_call_for_the_mean(self):
+        calls = []
+
+        def sym(z, lam, b):
+            calls.append(np.shape(b))
+            return np.cos(_rotation_angle(z, b)) + 0j
+
+        O.angular_decompose(sym, 0.1 - 0.2j, 1.0, n=64)
+        assert calls == [(64,)]
 
     def test_multiplication_flagged_nonzero(self):
         A = O.multiplication_observable(lambda z: 1.0 + z.real ** 2, 2.0)
         sym = O.symbol_of(A)
         assert not O.condition_a1_holds(sym, 0.2 + 0.1j, 1.0)
 
+    def test_rotation_boundary_point_on_arrays(self):
+        zs = np.array([0.0j, 0.3 - 0.2j, -0.6 + 0.1j])[:, None]
+        th = np.array([0.0, 1.0, 4.0])
+        got = O.rotation_boundary_point(zs, th)
+        assert got.shape == (3, 3)
+        np.testing.assert_allclose(np.abs(got), 1.0, rtol=0, atol=1e-15)
+        want = np.broadcast_to(np.angle(np.exp(1j * th)), got.shape)
+        np.testing.assert_allclose(_rotation_angle(zs, got), want, rtol=0, atol=1e-13)
+        with pytest.raises(ValueError):
+            O.rotation_boundary_point(np.array([0.1, 1.0 + 0j]), 0.0)
+
+
+def _cos_mode(amp):
+    def sym(z, lam, b):
+        return amp * np.cos(_rotation_angle(z, b)) + 0j
+    return sym
+
 
 class TestThetaNorm:
     def test_rotation_invariant_gives_zero(self, bolza):
-        sym = O.Symbol(lambda z, lam, b: 1.0 + 0j)
+        sym = lambda z, lam, b: 1.0 + 0j
         val = O.theta_second_derivative_norm(sym, (0.9, 1.9), bolza, n_mc=20,
                                              seed=1, n_lam=3)
         assert val < 1e-8
 
     def test_cos_mode_half(self, bolza):
-        def sym_eval(z, lam, b):
-            from hypsurf.geometry import DiscPoint, GroupElement, mobius_apply_complex
-            trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-            u = mobius_apply_complex(trans.inverse(), b)
-            return cmath.cos(cmath.phase(u))
-
-        sym = O.Symbol(np.vectorize(sym_eval, otypes=[complex]))
-        val = O.theta_second_derivative_norm(sym, (1.0, 1.5), bolza, n_mc=300,
+        val = O.theta_second_derivative_norm(_cos_mode(1.0), (1.0, 1.5), bolza, n_mc=300,
                                              seed=2, n_lam=2)
         assert val == pytest.approx(0.5, abs=0.06)
 
     def test_homogeneity(self, bolza):
-        def mk(amp):
-            def sym_eval(z, lam, b):
-                from hypsurf.geometry import DiscPoint, GroupElement, mobius_apply_complex
-                trans = GroupElement.translation_to(DiscPoint(z.real, z.imag))
-                u = mobius_apply_complex(trans.inverse(), b)
-                return amp * cmath.cos(cmath.phase(u))
-            return O.Symbol(np.vectorize(sym_eval, otypes=[complex]))
-
-        v1 = O.theta_second_derivative_norm(mk(1.0), (1.0, 1.2), bolza, 60, 3, n_lam=2)
-        v2 = O.theta_second_derivative_norm(mk(2.0), (1.0, 1.2), bolza, 60, 3, n_lam=2)
+        v1 = O.theta_second_derivative_norm(_cos_mode(1.0), (1.0, 1.2), bolza, 60, 3, n_lam=2)
+        v2 = O.theta_second_derivative_norm(_cos_mode(2.0), (1.0, 1.2), bolza, 60, 3, n_lam=2)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-6)
+
+    def test_matches_pointwise_loop(self, bolza):
+        # a symbol whose angular derivative depends on z and lambda
+        def sym(z, lam, b):
+            return (np.exp(1j * lam * np.real(b * np.conj(z)))
+                    * (1.0 + np.cos(2.0 * _rotation_angle(z, b))))
+
+        calls = []
+
+        def counted(z, lam, b):
+            calls.append(lam)
+            return sym(z, lam, b)
+
+        n_mc, seed, h, window, n_lam = 40, 5, 1e-4, (1.0, 1.6), 3
+        got = O.theta_second_derivative_norm(counted, window, bolza, n_mc, seed, n_lam=n_lam)
+        assert len(calls) == n_lam
+        rng = np.random.default_rng(seed)
+        from hypsurf.fuchsian import DomainSampler
+        zs = DomainSampler(bolza).sample(rng, n_mc)
+        ths = rng.uniform(0.0, 2.0 * math.pi, n_mc)
+        steps = h * np.array([2.0, 1.0, 0.0, -1.0, -2.0])
+        ref = 0.0
+        for lam in np.linspace(window[0], window[1], n_lam):
+            acc = 0.0
+            for z, th in zip(zs, ths):
+                f = sym(z, float(lam), O.rotation_boundary_point(z, th + steps))
+                d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+                acc += abs(d2) ** 2
+            ref = max(ref, acc / n_mc)
+        assert ref > 1e-3
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
 class TestSandwich:

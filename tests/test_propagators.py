@@ -21,7 +21,7 @@ from hypsurf.propagators import (
     sharp_propagator,
     smooth_propagator,
 )
-from hypsurf.propagators import _time_nodes
+from hypsurf.propagators import _delta_h_formula, _time_nodes
 from hypsurf.quadrature import gauss_legendre
 from hypsurf.transforms import _phi_md_grid
 
@@ -128,15 +128,15 @@ class TestSelbergRoute:
 class TestDeltaH:
     def test_routes_agree(self):
         for t, sigma, lam in [(3.0, 0.2, 0.5), (6.0, 0.1, 2.0), (4.0, 0.4, 1.0)]:
-            a = delta_h(t, sigma, lam, route="subtraction")
-            b = delta_h(t, sigma, lam, route="formula")
+            a = h_smooth(t, sigma, lam) - h_sharp(t, lam)
+            b = float(_delta_h_formula(t, sigma, np.array([lam]))[0])
             assert a == pytest.approx(b, abs=1e-7)
 
     def test_degenerate_cutoff_gives_zero(self):
         # eta == 1 on the whole ramp: chi == indicator-like, delta h = 0
         flat = lambda x: (np.asarray(x, dtype=float) < 0.0).astype(float)
         t, sigma = 4.0, 0.2
-        val = delta_h(t, sigma, 1.0, eta=flat, route="formula")
+        val = float(_delta_h_formula(t, sigma, np.array([1.0]), eta=flat)[0])
         assert abs(val) < 1e-10
 
     def test_requires_t_range(self):

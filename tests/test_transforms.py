@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypsurf.errors import SeriesDiverged
 from hypsurf.quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule
 from hypsurf.transforms import (
     PlancherelWeight,
@@ -29,7 +28,6 @@ from hypsurf.transforms import (
     plateau_multiplier,
     selberg_transform,
     spherical_phi,
-    spherical_phi_series,
     weight_from_name,
 )
 from hypsurf.transforms import _phi_md_grid
@@ -114,19 +112,12 @@ class TestSphericalPhi:
             assert abs(phi_eval(float(lam), t) - val) <= 2e-15
 
     def test_series_matches_integral(self):
-        for lam in [0.5, 1.0, 2.0, 3.0]:
-            for t in [1.0, 2.0, 5.0, 10.0]:
-                a = spherical_phi(lam, t)
-                b = spherical_phi_series(lam, t)
-                assert abs(a - b) < 1e-6
-
-    def test_series_rejects_small_t(self):
-        with pytest.raises(ValueError):
-            spherical_phi_series(1.0, 0.2)
-
-    def test_series_tail_guard(self):
-        with pytest.raises(SeriesDiverged):
-            spherical_phi_series(1.0, 0.6, l_max=1, tail_tol=1e-14)
+        # rows t >= 1 of phi_eval are the large-t series
+        lams, ts = [0.5, 1.0, 2.0, 3.0], [1.0, 2.0, 5.0, 10.0]
+        grid = phi_eval(np.array(lams), np.array(ts))
+        for i, lam in enumerate(lams):
+            for j, t in enumerate(ts):
+                assert abs(spherical_phi(lam, t) - grid[j, i]) < 1e-6
 
     def test_decay_constant_stable(self):
         lams = [0.5, 1.0, 2.0]
@@ -312,7 +303,7 @@ class TestHelgason:
         assert abs(tr(1.0, 0.3)) == 0.0
 
     def test_radial_is_isotropic(self):
-        f = lambda z: math.exp(-3.0 * abs(z) ** 2) * (abs(z) < 0.9)
+        f = lambda z: np.exp(-3.0 * np.abs(z) ** 2) * (np.abs(z) < 0.9)
         tr = helgason_forward(f, n_rad=100, n_ang=256)
         vals = [tr(1.2, ang) for ang in [0.0, 1.0, 2.5, 4.0]]
         for v in vals[1:]:
@@ -320,8 +311,8 @@ class TestHelgason:
 
     def test_radial_reduction_to_selberg(self):
         # u radial: |u-hat(lam, b)| = 2 pi |int u phi sinh dt|
-        prof = lambda t: math.exp(-2.0 * t * t)
-        f = lambda z: prof(2.0 * math.atanh(min(abs(z), 0.999999)))
+        prof = lambda t: np.exp(-2.0 * t * t)
+        f = lambda z: prof(2.0 * np.arctanh(np.minimum(np.abs(z), 0.999999)))
         tr = helgason_forward(f, n_rad=140, n_ang=384)
         k = RadialKernel(lambda t: np.exp(-2.0 * t * t), support_bound=2.0 * math.atanh(0.95))
         h = selberg_transform(k)
@@ -410,17 +401,35 @@ class TestSymbolContract:
                             * _poisson(w, b) ** (0.5 - 1j * l))
             assert abs(K(z, w) - ref) <= 1e-13 * abs(ref)
 
-    def test_hs_norm_calls_symbol_once_per_z_and_lambda(self):
+    def test_hs_norm_calls_symbol_once_per_lambda(self):
+        calls = []
+
+        def a(z, l, b):
+            calls.append((np.array(z), l, np.shape(b)))
+            return 1.0 + 0j
+
+        r0, n_rad, n_zang, n_lam = 0.5, 3, 5, 7
+        hs_norm_disc(a, r0, (1.0, 2.0), PlancherelWeight.paper(),
+                     n_rad=n_rad, n_zang=n_zang, n_lam=n_lam, n_bang=32)
+        lam, _ = gauss_legendre(1.0, 2.0, n_lam)
+        assert [l for _, l, _ in calls] == [float(x) for x in lam]
+        t, _ = gauss_legendre(0.0, 2.0 * math.atanh(r0), n_rad)
+        nodes = [math.tanh(tt / 2.0) * cmath.exp(2j * math.pi * p / n_zang)
+                 for tt in t for p in range(n_zang)]
+        for z, _, b_shape in calls:
+            assert z.shape == (n_rad * n_zang, 1) and b_shape == (32,)
+            np.testing.assert_allclose(z[:, 0], nodes, rtol=0, atol=1e-15)
+
+    def test_kernel_calls_symbol_once_per_lambda(self):
         calls = []
 
         def a(z, l, b):
             calls.append(np.shape(b))
-            return 1.0 + 0j
+            return np.ones(np.broadcast_shapes(np.shape(z), np.shape(b)))
 
-        hs_norm_disc(a, 0.5, (1.0, 2.0), PlancherelWeight.paper(),
-                     n_rad=3, n_zang=5, n_lam=7, n_bang=32)
-        assert len(calls) == 3 * 5 * 7
-        assert set(calls) == {(32,)}
+        K = kernel_from_symbol(a, (1.0, 2.0), PlancherelWeight.paper(), n_lam=6, n_ang=24)
+        K(0.1 + 0.2j, -0.3j)
+        assert calls == [(24,)] * 6
 
 
 class TestHsNorm:
@@ -452,7 +461,7 @@ class TestHsNorm:
         weight = weight_from_name(wname)
         rho = bump_multiplier(1.0, 2.5)
         r0 = 0.35
-        gfun = lambda z: math.exp(-4.0 * abs(z) ** 2)
+        gfun = lambda z: np.exp(-4.0 * np.abs(z) ** 2)
 
         def a(z, l, b):
             return complex(rho(l)) * gfun(z) * (abs(z) <= r0)
