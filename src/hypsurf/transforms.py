@@ -317,12 +317,14 @@ def phi_eval(lam, t):
     lambda -> 0, so lambda < 1e-2 goes to the integral on every row.  Its
     matrix products all have one shape per lambda grid, so every row of a
     grid is bit-identical to a one-row call on the same lambdas.  Both
-    routes agree with the boundary-circle definition.  Scalars in give a
-    float.
+    routes agree with the boundary-circle definition.  t must be finite and
+    >= 0 (ParameterOutOfRange otherwise).  Scalars in give a float.
     """
     lams = np.asarray(lam, dtype=float)
     ts = np.asarray(t, dtype=float)
     lam1, t1 = lams.ravel(), ts.ravel()
+    if not (np.all(np.isfinite(t1)) and np.all(t1 >= 0.0)):
+        raise ParameterOutOfRange("phi_eval needs finite t >= 0")
     far, series = t1 >= 1.0, lam1 >= 1e-2
     tf = t1[far]
     # rows t >= 1 enter the integral as t = 0, which it skips; they are filled below
@@ -374,30 +376,86 @@ def selberg_transform(k: RadialKernel, norm: float = TWO_PI,
     return SpectralMultiplier(lambda lam: h(lam) if np.ndim(lam) else float(h(lam)[0]))
 
 
+# k_rho is a Chebyshev interpolant on each unit panel [j, j + 1) of degree
+# _K_RHO_DEG0 + ceil(1.5 hi), hi the top of rho's support.
+_K_RHO_DEG0 = 16
+
+
+def _clenshaw(c, x) -> np.ndarray:
+    """sum_k c[:, k] T_k(x), each point x[i] with its own coefficient row c[i]."""
+    b1, b2 = np.zeros(x.shape), np.zeros(x.shape)
+    x2 = 2.0 * x
+    for k in range(c.shape[1] - 1, 0, -1):
+        b1, b2 = c[:, k] + x2 * b1 - b2, b1
+    return c[:, 0] + x * b1 - b2
+
+
 def inverse_selberg(rho: SpectralMultiplier, weight: PlancherelWeight,
                     norm: float = 1.0, n_lambda: int = 256) -> RadialKernel:
     """k_rho(t) = norm * int rho(lambda) phi_lambda(t) w(lambda) d lambda.
 
     With norm = 1 this is the radial kernel of the operator with multiplier
-    rho under the chosen weight convention.  k_rho on an array of t is the
+    rho under the chosen weight convention.  The exact values are the
     phi_eval grid at the n_lambda Gauss-Legendre nodes of rho's support
-    times the vector of rho w and the node weights, taken 16 _BLOCK grid
-    cells at a time: the whole grid is never held, and phi_eval's per-call
-    work (the series coefficients) stays small beside a chunk's.
+    times the vector wvals of rho w and the node weights.  They are taken
+    only at the deg + 1 first-kind Chebyshev points of each unit panel
+    [j, j + 1), deg = _K_RHO_DEG0 + ceil(1.5 hi), and k_rho is the panel's
+    interpolant there (Clenshaw, _BLOCK points at a time).  No point lies
+    on a panel edge, so a panel reads either the Mehler-Dirichlet rows
+    (t < 1) or the series rows (t >= 1).  The kernel caches each panel's
+    coefficients; a call gathers the panels it lacks into one phi_eval
+    grid, taken 16 _BLOCK cells at a time.  A panel whose last 3
+    coefficients exceed 1e-14 (max |panel values| + sum |wvals| e^{-j/2})
+    raises QuadratureNotConverged; the second term is the rounding floor
+    of the tail, where k_rho has cancelled far below its terms.  Every sum
+    is taken row by row (einsum), so k_rho(t) depends on t alone, not on
+    the other points of a call or on the calls before it.  t must be
+    finite and >= 0.
     """
     lo, hi = rho.support
     if not math.isfinite(hi):
         raise ValueError("inverse transform needs a compactly supported multiplier")
     lam, lw = gauss_legendre(lo, hi, n_lambda)
     wvals = weight(lam) * rho(lam) * lw * norm
+    floor = float(np.sum(np.abs(wvals)))
+    m = _K_RHO_DEG0 + math.ceil(1.5 * hi) + 1
+    theta = math.pi * (np.arange(m) + 0.5) / m
+    nodes = 0.5 + 0.5 * np.cos(theta)
+    dct = (2.0 / m) * np.cos(np.multiply.outer(np.arange(m), theta))
+    dct[0] *= 0.5
     step = max(1, 16 * _BLOCK // n_lambda)
+    coefs = {}
+
+    def build(panels):
+        ts = np.add.outer(panels, nodes).ravel()
+        vals = np.empty(ts.size)
+        for s in range(0, ts.size, step):
+            vals[s:s + step] = np.einsum("ij,j->i", phi_eval(lam, ts[s:s + step]), wvals)
+        vals = vals.reshape(panels.size, m)
+        c = np.einsum("pi,ki->pk", vals, dct)
+        tol = 1e-14 * (np.max(np.abs(vals), axis=1) + floor * np.exp(-panels / 2.0))
+        bad = np.flatnonzero(np.max(np.abs(c[:, -3:]), axis=1) > tol)
+        if bad.size:
+            j = int(panels[bad[0]])
+            raise QuadratureNotConverged(
+                f"k_rho not resolved on [{j}, {j + 1}) at Chebyshev degree {m - 1}")
+        coefs.update(zip(panels.tolist(), c))
 
     def k(t):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
+        if not (np.all(np.isfinite(flat)) and np.all(flat >= 0.0)):
+            raise ParameterOutOfRange("k_rho needs finite t >= 0")
+        panel = np.floor(flat)
+        have, at = np.unique(panel, return_inverse=True)
+        new = [j for j in have if j not in coefs]
+        if new:
+            build(np.array(new))
+        table = np.array([coefs[j] for j in have]).reshape(-1, m)
         vals = np.empty(flat.shape)
-        for s in range(0, flat.size, step):
-            vals[s:s + step] = phi_eval(lam, flat[s:s + step]) @ wvals
+        for s in range(0, flat.size, _BLOCK):
+            c = slice(s, s + _BLOCK)
+            vals[c] = _clenshaw(table[at[c]], 2.0 * (flat[c] - panel[c]) - 1.0)
         return vals.reshape(t.shape)
 
     return RadialKernel(k, smoothness_class="schwartz-like")

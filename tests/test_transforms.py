@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hypsurf import transforms
+from hypsurf.errors import ParameterOutOfRange, QuadratureNotConverged
 from hypsurf.quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule
 from hypsurf.transforms import (
     PlancherelWeight,
@@ -110,6 +112,14 @@ class TestSphericalPhi:
         row = phi_eval(lams, t)
         for lam, val in zip(lams, row):
             assert abs(phi_eval(float(lam), t) - val) <= 2e-15
+
+    @pytest.mark.parametrize("t", [-0.5, -2.0, math.nan, math.inf])
+    def test_rejects_negative_and_non_finite_t(self, t):
+        # phi is even in t, but a negative t used to return a wrong value
+        with pytest.raises(ParameterOutOfRange):
+            phi_eval(1.5, t)
+        with pytest.raises(ParameterOutOfRange):
+            phi_eval([0.5, 1.5], np.array([0.3, t]))
 
     def test_series_matches_integral(self):
         # rows t >= 1 of phi_eval are the large-t series
@@ -282,6 +292,42 @@ class TestInverse:
         h1 = selberg_transform(trunc)(lams)
         h2 = fourier_of_abel(abel_transform(trunc, n=300))(lams)
         assert np.max(np.abs(h1 - h2)) < 1e-6
+
+    @pytest.mark.parametrize("support", [(1.0, 2.0), (1.75, 3.0), (0.5, 6.0), (2.0, 10.0)])
+    def test_panels_match_exact_phi_grid(self, support):
+        # the panel interpolant against the exact phi grid times the weights
+        weight = PlancherelWeight.paper()
+        rho = bump_multiplier(*support)
+        ts = np.linspace(0.0, 40.0, 4000)
+        lam, lw = gauss_legendre(*support, 256)
+        exact = phi_eval(lam, ts) @ (weight(lam) * rho(lam) * lw)
+        got = inverse_selberg(rho, weight)(ts)
+        assert np.max(np.abs(got - exact)) <= 1e-13 * abs(exact[0])
+
+    def test_value_independent_of_call(self):
+        # a point's value depends on its panel's coefficients alone
+        rho, weight = bump_multiplier(1.0, 2.0), PlancherelWeight.paper()
+        ts = np.linspace(0.0, 40.0, 2000)
+        grid = inverse_selberg(rho, weight)(ts)
+        for i in [0, 1, 49, 50, 999, 1999]:
+            one = inverse_selberg(rho, weight)(ts[i:i + 1])[0]
+            k = inverse_selberg(rho, weight)
+            k(np.array([0.5, 3.2, 17.9, 39.1]))
+            assert one == grid[i] == k(ts[i])
+
+    def test_unresolved_panel_raises(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_K_RHO_DEG0", 0)
+        k = inverse_selberg(bump_multiplier(1.0, 2.0), PlancherelWeight.paper())
+        with pytest.raises(QuadratureNotConverged):
+            k(np.array([0.3]))
+
+    @pytest.mark.parametrize("t", [-0.5, -2.0, math.nan, math.inf])
+    def test_kernel_rejects_negative_and_non_finite_t(self, t):
+        k = inverse_selberg(bump_multiplier(1.0, 2.0), PlancherelWeight.paper())
+        with pytest.raises(ParameterOutOfRange):
+            k(t)
+        with pytest.raises(ParameterOutOfRange):
+            k(np.array([0.3, t]))
 
     def test_decay_bound(self):
         # |k_rho(t)| e^{t/2} (1+t)^N finite on [1, 40] for N <= 4 and the sup
