@@ -323,10 +323,13 @@ def _surface(args, degree: int):
     return base if degree == 1 else random_cover(base, degree, args.seed)
 
 
-def _solve(args, degree: int, modes: int):
-    """Mesh the degree-`degree` surface at args.h and solve for `modes` modes."""
+def _solve(args, degree: int, window: SpectralWindow):
+    """Mesh the degree-`degree` surface at args.h and solve it to the
+    window's reach; the mesh, the eigendata and the summary's reach and
+    modes (eigenpairs solved)."""
     mesh = disc_surface_mesh(_surface(args, degree), args.h)
-    return mesh, fem_eigensolve(mesh, modes)
+    data = fem_eigensolve(mesh, reach=window.reach)
+    return mesh, data, {"reach": window.reach, "modes": data.n_modes}
 
 
 def _variance_row(data, window: SpectralWindow):
@@ -339,28 +342,27 @@ def _variance_row(data, window: SpectralWindow):
 
 def cmd_variance(args) -> int:
     window = SpectralWindow(*args.window)
-    _, data = _solve(args, args.degree, args.modes)
+    _, data, solved = _solve(args, args.degree, window)
     rep, row = _variance_row(data, window)
     write_csv(args.out, "variance", "nu,matrix_element,limit,term",
               [(float(n), float(m), float(l), float(t)) for n, m, l, t in
                zip(rep.eigenvalues, rep.matrix_elements, rep.limit_terms, rep.terms)])
     write_summary(args.out, "variance", {
         "config": {**_base_config(args), "degree": args.degree, "h": args.h,
-                   "modes": args.modes, "window": args.window,
-                   "observable": "sign_re_mean_zero"},
-        **row, "passed": True})
+                   "window": args.window, "observable": "sign_re_mean_zero"},
+        **solved, **row, "passed": True})
     return 0
 
 
 def cmd_weyl(args) -> int:
     window = SpectralWindow(*args.window)
-    _, data = _solve(args, args.degree, args.modes)
+    _, data, solved = _solve(args, args.degree, window)
     rep = weyl_ratio(data, window)
     ok = 0.5 <= rep.ratio <= 2.0
     write_summary(args.out, "weyl", {
         "config": {**_base_config(args), "degree": args.degree, "h": args.h,
-                   "modes": args.modes, "window": args.window},
-        "measured_density": rep.measured, "predicted_density": rep.predicted,
+                   "window": args.window},
+        **solved, "measured_density": rep.measured, "predicted_density": rep.predicted,
         "ratio": rep.ratio, "count": rep.count, "volume": rep.volume,
         "passed": ok})
     return 0 if ok else 1
@@ -371,12 +373,12 @@ def cmd_tower(args) -> int:
     degrees = args.degrees
     rows, summaries = [], []
     for deg in degrees:
-        mesh, data = _solve(args, deg, args.modes_base + 10 * deg)
+        mesh, data, solved = _solve(args, deg, window)
         _, row = _variance_row(data, window)
         wr = weyl_ratio(data, window)
         new = data.eigenvalues[data.characters != 0]
         rows.append((deg, row["count"], row["variance"], row["spread_stderr"], wr.ratio))
-        summaries.append({"degree": deg, **row, "weyl_ratio": wr.ratio,
+        summaries.append({"degree": deg, **solved, **row, "weyl_ratio": wr.ratio,
                           "min_new_eigenvalue": float(new.min()) if len(new) else None,
                           **_mesh_counters(mesh, data)})
     trend_ok = all(
@@ -387,8 +389,7 @@ def cmd_tower(args) -> int:
     write_csv(args.out, "tower", "degree,count,variance,spread,weyl_ratio", rows)
     write_summary(args.out, "tower", {
         "config": {**_base_config(args), "degrees": degrees, "h": args.h,
-                   "window": args.window, "modes_base": args.modes_base,
-                   "observable": "sign_re_mean_zero",
+                   "window": args.window, "observable": "sign_re_mean_zero",
                    "bs_spectral_gap_assumption": (
                        "measured per degree as min_new_eigenvalue, the lowest"
                        " eigenvalue of a nontrivial deck character; cyclic covers"
@@ -399,11 +400,9 @@ def cmd_tower(args) -> int:
 
 
 def cmd_fem(args) -> int:
-    if args.surface == "torus":
-        mesh = torus_mesh(args.h)
-        data = fem_eigensolve(mesh, args.modes)
-    else:
-        mesh, data = _solve(args, args.degree, args.modes)
+    mesh = (torus_mesh(args.h) if args.surface == "torus"
+            else disc_surface_mesh(_surface(args, args.degree), args.h))
+    data = fem_eigensolve(mesh, args.modes)
     if args.export:
         export_eigendata(data, os.path.join(args.out, args.export))
     write_csv(args.out, "fem_eigs", "index,eigenvalue,residual",
@@ -567,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--degree", type=int, default=1)
     sp.add_argument("--h", type=float, default=0.05)
-    sp.add_argument("--modes", type=int, default=30)
     sp.add_argument("--window", type=_PAIR, default="1:4")
     sp.set_defaults(func=cmd_variance)
 
@@ -575,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--h", type=float, default=0.05)
-    sp.add_argument("--modes", type=int, default=60)
     sp.add_argument("--window", type=_PAIR, default="1:4")
     sp.set_defaults(func=cmd_weyl)
 
@@ -584,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degrees", type=_split(int, ","), default="1,2,4")
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--window", type=_PAIR, default="1:4")
-    sp.add_argument("--modes-base", type=int, default=24, dest="modes_base")
     sp.set_defaults(func=cmd_tower)
 
     sp = sub.add_parser("fem", help="eigensolver run, optional eigendata export")

@@ -47,11 +47,17 @@ real when 2k = 0 mod d and complex Hermitian otherwise; character d - k is
 its conjugate and adds nothing new, so k runs over 0..d // 2.  Complex
 blocks go through ARPACK's non-Hermitian driver, so their Ritz vectors are
 made M_k-orthonormal by a Rayleigh-Ritz step on the returned span.
-Completeness: each block is asked for ceil(n_modes / d) + _PAD pairs, and a
-block whose top eigenvalue lies below the n_modes-th of the union is solved
-again with twice the count; once none is short, every eigenvalue below that
-value has been found and the union, sorted stably, is the cover spectrum.
-At d = 1 the one block is K itself and the solve is the plain one.
+A solve asks either for the n_modes lowest eigenpairs or for every
+eigenpair up to a reach nu_max, and one block loop serves both.  For a mode
+count each block starts at ceil(n_modes / d) + _PAD pairs; for a reach, at
+ceil(V nu_max / 4 pi) + _PAD, Weyl's leading term for the block's volume
+V = mesh.volume / d.  A block is short when its top eigenvalue lies below
+the cut (the n_modes-th of the union), or at or below nu_max, and is solved
+again with twice the count.  Once none is short, every eigenvalue below
+each block top has been found: the union, sorted stably, is the cover
+spectrum, cut to its first n_modes or to everything up to the lowest block
+top, which lies past nu_max.  At d = 1 the one block is K itself, and a
+mode count is asked of it without a pad: the plain solve.
 
 The eigendata stay in the blocks.  An eigenpair (nu, psi) of block k lifts
 to f(u) = chi_k(sigma(u)) psi(orbit(u)) / sqrt(d): the real mode f of a real
@@ -368,10 +374,15 @@ def _smallest_pairs(K, weights: np.ndarray, count: int):
     return vals, vecs, int(lu.L.nnz + lu.U.nnz)
 
 
-def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8) -> EigenData:
-    """The n_modes lowest eigenpairs of K psi = nu M psi on the mesh, by
-    shift-invert Lanczos on each character block of the deck group (one
-    block, K, off covers), kept in the blocks (see the module docstring)."""
+def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None, ortho_tol: float = 1e-8,
+                   reach: float | None = None) -> EigenData:
+    """The n_modes lowest eigenpairs of K psi = nu M psi on the mesh, or
+    (given reach instead) every eigenpair up to reach and on to the lowest
+    block top, by shift-invert Lanczos on each character block of the deck
+    group (one block, K, off covers), kept in the blocks (see the module
+    docstring)."""
+    if (n_modes is None) == (reach is None):
+        raise ValueError("give exactly one of n_modes and reach")
     walk = _deck_walk(mesh.deck)
     d = len(walk)
     orbit, offset = np.empty(walk.size, dtype=int), np.empty(walk.size, dtype=int)
@@ -380,15 +391,19 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8) -> 
     w, size = mesh.weights[walk[0]], walk.shape[1]
     ks = range(d // 2 + 1)
     mult = {k: 1 if 2 * k % d == 0 else 2 for k in ks}   # a complex pair is 2 modes
-    # at d = 1 the one block holds the whole spectrum and needs no pad
-    count = dict.fromkeys(ks, -(-n_modes // d) + (_PAD if d > 1 else 0))
+    if reach is None:
+        # at d = 1 the one block holds the whole spectrum and needs no pad
+        start = -(-n_modes // d) + (_PAD if d > 1 else 0)
+    else:
+        start = math.ceil(mesh.volume / d * reach / (4.0 * math.pi)) + _PAD
+    count = dict.fromkeys(ks, start)
     pairs, fill, solved = {}, 0, 0
     while True:
         for k in ks:
             if k in pairs and len(pairs[k][1]) == count[k]:
                 continue
             if count[k] > size - 2:
-                raise ParameterOutOfRange("n_modes must be far below the mesh size")
+                raise ParameterOutOfRange("the modes asked for must be far below the mesh size")
             phase = np.exp(2j * np.pi * (k * offset[rows.col] % d) / d)
             Kk = sp.csr_matrix((rows.data * (phase.real if mult[k] == 1 else phase),
                                 (rows.row, orbit[rows.col])), shape=(size, size))
@@ -396,12 +411,14 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int, ortho_tol: float = 1e-8) -> 
             vals, vecs, f = _smallest_pairs(Kk, w, count[k])
             pairs[k], fill, solved = (Kk, vals, vecs), fill + f, solved + 1
         nu = np.concatenate([np.repeat(pairs[k][1], mult[k]) for k in ks])
-        cut = np.sort(nu)[n_modes - 1]
-        short = [k for k in ks if pairs[k][1][-1] < cut]
-        if not short:
+        top = np.array([pairs[k][1][-1] for k in ks])
+        short = top < np.sort(nu)[n_modes - 1] if reach is None else top <= reach
+        if not short.any():
             break
-        for k in short:
-            count[k] *= 2
+        for k in np.flatnonzero(short):
+            count[ks[k]] *= 2
+    if reach is not None:
+        n_modes = int(np.count_nonzero(nu <= top.min()))
     # the modes in the order of nu: pair p of block k, its imaginary part if i
     kpi = np.array([(k, p, i) for k in ks for p in range(len(pairs[k][1]))
                     for i in range(mult[k])])[np.argsort(nu, kind="stable")[:n_modes]]

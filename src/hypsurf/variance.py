@@ -80,6 +80,12 @@ class SpectralWindow:
         lo = max(self.lam_lo - self.margin * width, 0.05)
         return (lo, self.lam_hi + self.margin * width)
 
+    @property
+    def reach(self) -> float:
+        """How far past the window eigendata must reach: 1.2 nu_hi, which
+        weyl_ratio checks and the windowed subcommands solve to."""
+        return 1.2 * self.nu_hi
+
     def contains_nu(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
         return (nu >= self.nu_lo) & (nu <= self.nu_hi)
@@ -186,9 +192,11 @@ def weyl_predicted_density(window: SpectralWindow) -> float:
 
 
 def weyl_ratio(data: EigenData, window: SpectralWindow) -> WeylReport:
-    if float(np.max(data.eigenvalues)) < 1.2 * window.nu_hi:
+    top = float(np.max(data.eigenvalues))
+    if top < window.reach:
         raise WindowNotResolved(
-            "eigendata does not reach 1.2x past the window; request more modes")
+            f"eigendata stop at nu = {top:.6g}, short of the window's reach"
+            f" {window.reach:.6g} (1.2 nu_hi); solve to that reach")
     count = int(np.sum(window.contains_nu(data.eigenvalues)))
     measured = count / data.volume
     predicted = weyl_predicted_density(window)

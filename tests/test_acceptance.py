@@ -275,7 +275,7 @@ def test_criterion_10_qe_trend():
     rows = []
     for deg in (1, 2, 4):
         surface = base if deg == 1 else F.random_cover(base, deg, seed=seed)
-        data = fem_eigensolve(disc_surface_mesh(surface, 0.05), 24 + 10 * deg)
+        data = fem_eigensolve(disc_surface_mesh(surface, 0.05), reach=window.reach)
         vals = mean_zero_density(lambda z: np.where(np.real(z) > 0, 1.0, -1.0), data)
         rep = quantum_variance(vals, data, window)
         spread = float(np.std(rep.terms) / math.sqrt(rep.count))

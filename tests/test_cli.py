@@ -196,6 +196,17 @@ class TestContracts:
                 main(["--config", str(cfg), subcommand, "--out", str(tmp_path)])
             assert exc.value.code == 2
 
+    # the windowed subcommands solve to the window's reach: the mode counts
+    # they once took are stale config keys
+    @pytest.mark.parametrize("subcommand,key", [("tower", "modes_base"),
+                                                ("variance", "modes"), ("weyl", "modes")])
+    def test_stale_mode_count_config_exits_2(self, tmp_path, subcommand, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 44}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), subcommand, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("argv", [["toy1d", "--window", "abc"],
                                       ["tower", "--degrees", "1,x"],
                                       ["prop33", "--T", "10,a"],
@@ -220,27 +231,32 @@ class TestContracts:
 
     def test_tower_block_counters_frozen(self, tmp_path):
         # degree d solves the characters 0..d/2 once each here (no block is
-        # short) and checks the lowest mode of each, lifted, against the cover
+        # short) and checks the lowest mode of each, lifted, against the cover;
+        # each block is solved to the reach 1.2 x 4 of the window 1:4, 11 pairs
         out = str(tmp_path)
         assert main(["tower", "--out", out, "--degrees", "1,2,4", "--h", "0.05"]) == 0
         rows = read(out, "tower")["per_degree"]
         assert [r["character_blocks"] for r in rows] == [1, 2, 3]
         assert [r["validated_lifts"] for r in rows] == [1, 2, 3]
+        assert [r["reach"] for r in rows] == [4.8] * 3
+        assert [r["modes"] for r in rows] == [11, 21, 42]
 
     def test_variance_and_weyl_match_the_tower_row(self, tmp_path):
         # variance, weyl and each tower degree share one mesh-solve-variance
-        # path; the degree-2 row of tower solves 24 + 10 * 2 = 44 modes
+        # path, which solves to the reach of the window
         out = str(tmp_path)
         assert main(["tower", "--out", out, "--degrees", "1,2", "--h", "0.05"]) == 0
         row = read(out, "tower")["per_degree"][1]
-        same = ["--out", out, "--degree", "2", "--modes", "44", "--h", "0.05"]
+        same = ["--out", out, "--degree", "2", "--h", "0.05"]
         assert main(["variance"] + same) == 0
         var = read(out, "variance")
         assert var["count"] == row["count"] == 5
-        for key in ("variance", "spread_stderr", "uncertainty"):
+        for key in ("variance", "spread_stderr", "uncertainty", "reach", "modes"):
             assert var[key] == row[key]
         assert main(["weyl"] + same) == 0
-        assert read(out, "weyl")["ratio"] == row["weyl_ratio"]
+        weyl = read(out, "weyl")
+        assert weyl["ratio"] == row["weyl_ratio"]
+        assert (weyl["reach"], weyl["modes"]) == (row["reach"], row["modes"])
 
     def test_pipeline_config_records_samples(self, tmp_path):
         out = str(tmp_path)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
+import hypsurf.eigensolve as E
 from hypsurf.eigensolve import (_smallest_pairs, disc_surface_mesh, export_eigendata,
                                 fem_eigensolve, ingest_eigendata, torus_mesh)
 from hypsurf.errors import (FormatError, MeshPairingFailure,
@@ -174,16 +175,18 @@ def _oracle_eigenvalues(mesh, n_modes):
     return np.sort(vals)[:n_modes]
 
 
+@pytest.fixture(scope="module")
+def solves(bolza):
+    """Mesh and mode-count solve of the covers of degree 2, 4 and 8 at h = 0.05."""
+    out = {}
+    for degree in (2, 4, 8):
+        mesh = disc_surface_mesh(random_cover(bolza, degree, seed=0), 0.05)
+        out[degree] = (mesh, fem_eigensolve(mesh, 24 + 10 * degree))
+    return out
+
+
 class TestCharacterSolve:
     H = 0.05
-
-    @pytest.fixture(scope="class")
-    def solves(self, bolza):
-        out = {}
-        for degree in (2, 4, 8):
-            mesh = disc_surface_mesh(random_cover(bolza, degree, seed=0), self.H)
-            out[degree] = (mesh, fem_eigensolve(mesh, 24 + 10 * degree))
-        return out
 
     @pytest.mark.parametrize("degree", [2, 4, 8])
     def test_deck_map_is_a_symmetry(self, solves, degree):
@@ -251,6 +254,85 @@ class TestCharacterSolve:
     def test_base_surface_and_torus_have_no_deck(self, bolza):
         for mesh in (disc_surface_mesh(bolza, 0.1), torus_mesh(0.1)):
             assert np.array_equal(mesh.deck, np.arange(len(mesh.deck)))
+
+
+class TestReachSolve:
+    """fem_eigensolve(mesh, reach=nu_max): every eigenvalue up to the lowest
+    block top, which must lie past nu_max."""
+    NU_MAX = 4.8      # 1.2 x the top of the default window 1:4
+
+    @pytest.fixture(scope="class")
+    def cases(self, bolza, bolza_data, solves):
+        """degree -> (mesh, mode-count solve, reach solve, (count, top) of
+        each block solve of the reach solve)."""
+        meshes = {1: (disc_surface_mesh(bolza, 0.05), bolza_data)}
+        meshes.update({d: solves[d] for d in (4, 8)})
+        out = {}
+        for degree, (mesh, data) in meshes.items():
+            blocks = []
+            reach = _record_blocks(blocks, lambda: fem_eigensolve(mesh, reach=self.NU_MAX))
+            out[degree] = (mesh, data, reach, blocks)
+        return out
+
+    @staticmethod
+    def _agree_to_reach(got, want, nu_max):
+        """got and want hold the same eigenvalues and characters up to nu_max."""
+        a, b = got.eigenvalues <= nu_max, want.eigenvalues <= nu_max
+        assert a.sum() == b.sum() > 0
+        assert np.all(np.abs(got.eigenvalues[a] - want.eigenvalues[b])
+                      <= 1e-12 * np.maximum(np.abs(want.eigenvalues[b]), 1.0))
+        assert np.array_equal(got.characters[a], want.characters[b])
+
+    @pytest.mark.parametrize("degree", [1, 4, 8])
+    def test_matches_the_mode_count_solve(self, cases, degree):
+        _, data, reach, _ = cases[degree]
+        assert data.eigenvalues[-1] > self.NU_MAX       # the oracle reaches far enough
+        self._agree_to_reach(reach, data, self.NU_MAX)
+
+    @pytest.mark.parametrize("degree", [1, 4, 8])
+    def test_every_block_top_lies_past_the_reach(self, cases, degree):
+        _, _, reach, blocks = cases[degree]
+        counts, tops = zip(*blocks)
+        assert len(blocks) == reach.character_blocks == degree // 2 + 1    # no re-solve
+        # each block asks for Weyl's count on its volume 4 pi, plus the pad
+        assert set(counts) == {math.ceil(self.NU_MAX) + E._PAD}
+        assert min(tops) > self.NU_MAX
+        assert reach.eigenvalues[-1] == min(tops)        # cut at the lowest block top
+
+    @pytest.mark.parametrize("degree", [4, 8])
+    def test_short_block_is_solved_again(self, cases, monkeypatch, degree):
+        # with no pad, a block holding more than Weyl's share below 4.8 (the
+        # character k = 2 of the degree-4 cover tops out at 4.72) is short
+        mesh, _, padded, _ = cases[degree]
+        monkeypatch.setattr(E, "_PAD", 0)
+        blocks = []
+        data = _record_blocks(blocks, lambda: fem_eigensolve(mesh, reach=self.NU_MAX))
+        assert data.character_blocks == len(blocks) > degree // 2 + 1
+        assert min(top for _, top in blocks) <= self.NU_MAX < data.eigenvalues[-1]
+        self._agree_to_reach(data, padded, self.NU_MAX)
+
+    def test_exactly_one_target(self, cases):
+        mesh = cases[1][0]
+        for target in ({}, {"n_modes": 8, "reach": self.NU_MAX}):
+            with pytest.raises(ValueError):
+                fem_eigensolve(mesh, **target)
+
+
+def _record_blocks(blocks, solve):
+    """solve(), with the pair count and top eigenvalue of every block solve
+    appended to blocks."""
+    inner = E._smallest_pairs
+
+    def recorded(K, weights, count):
+        vals, vecs, fill = inner(K, weights, count)
+        blocks.append((count, float(vals[-1])))
+        return vals, vecs, fill
+
+    E._smallest_pairs = recorded
+    try:
+        return solve()
+    finally:
+        E._smallest_pairs = inner
 
 
 class TestDenseOracle:
