@@ -483,7 +483,8 @@ _FLOATS = _split(float, ",")
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hypsurf",
                                 description="hyperbolic-surface spectral experiments")
-    p.add_argument("--config", help="JSON file overriding subcommand defaults")
+    p.add_argument("--config", help="JSON file overriding subcommand defaults; "
+                   "flags on the command line override the file")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -613,26 +614,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(parser: argparse.ArgumentParser, args, path: str):
-    """Set the subcommand options named in a JSON file, through their own
-    argparse types and choices; an unknown key is a usage error (exit 2)."""
-    with open(path) as f:
-        overrides = json.load(f)
+def _apply_config(parser: argparse.ArgumentParser, command: str, path: str):
+    """Make the subcommand options named in a JSON file its defaults, each
+    value converted by its option's own argparse type and choices; an
+    unreadable file, an unknown key or a bad value is a usage error (exit 2)."""
+    try:
+        with open(path) as f:
+            overrides = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"unreadable config {path}: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error(f"config {path} must hold a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sp = sub.choices[args.command]
+    sp = sub.choices[command]
     options = {a.dest: a.option_strings[0] for a in sp._actions
                if a.option_strings and a.dest != "help"}
+    defaults = {}
     for key, val in overrides.items():
         if key not in options:
             sp.error(f"unknown config key {key!r} in {path}")
-        sp.parse_args([f"{options[key]}={val}"], namespace=args)
+        defaults[key] = getattr(sp.parse_args([f"{options[key]}={val}"]), key)
+    sp.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        _apply_config(parser, args, args.config)
+        # the file's values become defaults, so flags given in argv still win
+        _apply_config(parser, args.command, args.config)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except HypsurfError as exc:

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -88,6 +89,7 @@ from .geometry import _mobius_array
 _CLEARANCE = 0.5    # grid nodes stay this many h away from every side node
 _MATCH_TOL = 1e-9   # a side node's pairing image lands this close to a side node
 _PAD = 6            # eigenpairs asked of each character block beyond its share
+_ORTHO_TOL = 1e-8   # largest |Gram - I| entry a solve may return
 # shift of the one factorization per block.  K is positive semidefinite, so
 # K~ - _SHIFT I is positive definite: its LU needs no pivoting for stability
 # and can keep the symmetric fill-reducing order on the diagonal.
@@ -374,13 +376,13 @@ def _smallest_pairs(K, weights: np.ndarray, count: int):
     return vals, vecs, int(lu.L.nnz + lu.U.nnz)
 
 
-def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None, ortho_tol: float = 1e-8,
+def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None,
                    reach: float | None = None) -> EigenData:
     """The n_modes lowest eigenpairs of K psi = nu M psi on the mesh, or
     (given reach instead) every eigenpair up to reach and on to the lowest
     block top, by shift-invert Lanczos on each character block of the deck
     group (one block, K, off covers), kept in the blocks (see the module
-    docstring)."""
+    docstring).  Their Gram matrix must be the identity to _ORTHO_TOL."""
     if (n_modes is None) == (reach is None):
         raise ValueError("give exactly one of n_modes and reach")
     walk = _deck_walk(mesh.deck)
@@ -426,7 +428,7 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None, ortho_tol: flo
     res = np.array([np.linalg.norm(pairs[k][0] @ v - pairs[k][1][p] * (w * v))
                     / max(np.linalg.norm(w * v), 1e-300) for (k, p, _), v in zip(kpi, blocks.T)])
     return EigenData(mesh.label, mesh.points, mesh.sheets, mesh.weights, np.sort(nu)[:n_modes],
-                     blocks, walk, kpi[:, 0], kpi[:, 2] == 1, res, ortho_tol,
+                     blocks, walk, kpi[:, 0], kpi[:, 2] == 1, res, _ORTHO_TOL,
                      residual_tol=max(1e-6, 10.0 * float(res.max())),
                      volume=mesh.volume, h=mesh.h, factor_nnz=fill,
                      character_blocks=solved, stiffness=mesh.stiffness).validate()
@@ -440,7 +442,9 @@ _FMT = "%.17g"
 
 
 def export_eigendata(data: EigenData, basename: str):
-    """Write {basename}.json / _mesh.csv / _eigs.csv / _modes.csv."""
+    """Write {basename}.json / _mesh.csv / _eigs.csv / _modes.csv, creating
+    the directory of basename if it is missing."""
+    os.makedirs(os.path.dirname(basename) or ".", exist_ok=True)
     header = {"surface_id": data.surface_id, "n_mesh": int(len(data.points)),
               "n_modes": int(data.n_modes), "ortho_tol": data.ortho_tol,
               "residual_tol": data.residual_tol, "volume": data.volume, "h": data.h,
@@ -461,8 +465,9 @@ def export_eigendata(data: EigenData, basename: str):
             f.write(",".join(_FMT % v for v in data.eigenvectors[:, j]) + "\n")
 
 
-def ingest_eigendata(basename: str, ortho_tol: float | None = None) -> EigenData:
-    """Read and validate the canonical eigendata files."""
+def ingest_eigendata(basename: str) -> EigenData:
+    """Read and validate the canonical eigendata files, against the
+    tolerances their header declares."""
     try:
         with open(basename + ".json") as f:
             header = json.load(f)
@@ -492,6 +497,6 @@ def ingest_eigendata(basename: str, ortho_tol: float | None = None) -> EigenData
                      eigs, modes.T, np.arange(header["n_mesh"])[None, :], characters,
                      np.zeros(header["n_modes"], dtype=bool),
                      np.asarray(header["residuals"], dtype=float),
-                     ortho_tol if ortho_tol is not None else header["ortho_tol"],
+                     header["ortho_tol"],
                      header.get("residual_tol", math.inf),
                      header.get("volume", float("nan")), header.get("h", float("nan"))).validate()

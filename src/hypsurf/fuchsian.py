@@ -106,7 +106,7 @@ from .errors import (BudgetExceeded, NonTransitive, ParameterOutOfRange,
 from .geometry import (DiscPoint, GroupElement, _dist_array, _dist_complex,
                        _mobius_array, mobius_apply_complex)
 from .quadrature import gauss_legendre
-from .transforms import RadialKernel
+from .transforms import _BLOCK, RadialKernel
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +273,9 @@ def _sinh2_half_dists(z: complex, points: np.ndarray):
     return own, others
 
 
-def _in_dirichlet_domain(z, points: np.ndarray, tol: float = 1e-12):
-    """Dirichlet-domain membership at 0: no face point is closer to z than 0.
+def _in_dirichlet_domain(z, points: np.ndarray):
+    """Dirichlet-domain membership at 0: no face point is closer to z than 0,
+    up to 1e-12 in sinh^2 of the half distances.
 
     points are the face points of the group (_face_points); with the face
     pairing contract of FuchsianGroup this is membership in D itself.  For an
@@ -282,7 +283,7 @@ def _in_dirichlet_domain(z, points: np.ndarray, tol: float = 1e-12):
     along it.
     """
     own, others = _sinh2_half_dists(z, points)
-    return (own <= others + tol).all(axis=-1)
+    return (own <= others + 1e-12).all(axis=-1)
 
 
 BOLZA_SIDE_LENGTH = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
@@ -325,9 +326,10 @@ def octagon_area() -> float:
     return 6.0 * math.pi - sum(angles)
 
 
-def cyclic_group(length: float, axis_angle: float = 0.0) -> FuchsianGroup:
-    """Infinite cyclic group generated by one translation of given length."""
-    return FuchsianGroup((GroupElement.translation(axis_angle, length),),
+def cyclic_group(length: float) -> FuchsianGroup:
+    """Infinite cyclic group generated by one translation of given length
+    along the real axis."""
+    return FuchsianGroup((GroupElement.translation(0.0, length),),
                          label=f"cyclic:{length:g}")
 
 
@@ -402,9 +404,6 @@ class _Level:
 def _displacements(alpha: np.ndarray, beta: np.ndarray, c: complex) -> np.ndarray:
     """d(c, g c) for the elements g = (alpha, beta)."""
     return _dist_array(c, _mobius_array(alpha, beta, c))
-
-
-_BLOCK = 16384   # cells of one (points x elements) block of an array pass
 
 
 class _SeenRows:
@@ -759,8 +758,8 @@ class DomainSampler:
         self.faces = _face_points(group)
         self.proposals = 0
 
-    def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        return _in_dirichlet_domain(z, self.faces, tol)
+    def contains(self, z: complex) -> bool:
+        return _in_dirichlet_domain(z, self.faces)
 
     def sample(self, rng: np.random.Generator, n: int,
                max_proposals: int | None = None) -> np.ndarray:
@@ -824,7 +823,10 @@ def bs_statistic(surface, R: float, n_samples: int, seed: int) -> BsStatResult:
 # ---------------------------------------------------------------------------
 
 def smoothstep_cutoff(x):
-    """Default chi: 1 minus the cubic smoothstep, clamped; 1 at 0, 0 for x >= 1."""
+    """Default chi: 1 minus the cubic smoothstep, clamped; 1 at 0, 0 for x >= 1.
+
+    Shifted by 1, it is also the cutoff eta of the smooth propagator
+    (propagators.default_eta)."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     return 1.0 - (3.0 * x * x - 2.0 * x ** 3)
 

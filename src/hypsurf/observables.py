@@ -38,7 +38,7 @@ import numpy as np
 from .errors import StencilOutOfDomain
 from .fuchsian import DomainSampler
 from .geometry import _DISC_EDGE, _dist_array, _mobius_array
-from .propagators import CutoffSpec, default_eta, smooth_propagator
+from .propagators import CutoffSpec, smooth_propagator
 from .quadrature import gauss_legendre
 from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
                          phi_eval)
@@ -138,12 +138,11 @@ def finite_range_observable(K: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return Observable("finite_range", LocalityConstants(C, S, 0), kernel=K)
 
 
-def radial_kernel_observable(psi: Callable, S: float, C: float | None = None) -> Observable:
+def radial_kernel_observable(psi: Callable, S: float) -> Observable:
     """Finite-range observable with K(z, w) = psi(d(z, w)), psi supported [0, S]."""
-    if C is None:
-        # |Au(x)| <= ||u||_C0 * int |psi| dmu over the ball
-        t, w = gauss_legendre(0.0, S, 256)
-        C = TWO_PI * float(np.sum(np.abs(psi(t)) * np.sinh(t) * w))
+    # |Au(x)| <= ||u||_C0 * int |psi| dmu over the ball
+    t, w = gauss_legendre(0.0, S, 256)
+    C = TWO_PI * float(np.sum(np.abs(psi(t)) * np.sinh(t) * w))
     return Observable("finite_range", LocalityConstants(C, S, 0),
                       kernel=lambda z, w: psi(_dist_array(z, w)), radial_profile=psi)
 
@@ -296,25 +295,26 @@ def angular_decompose(a: Callable, z: complex, lam: float, n: int = 512) -> Angu
     return AngularParts(mean, zero_mean, residual)
 
 
-def condition_a1_holds(a: Callable, z: complex, lam: float, tol: float = 1e-9) -> bool:
-    """Zero angular mean at (z, lam): the cancellation the averaging step needs."""
-    return abs(angular_decompose(a, z, lam).mean) <= tol
+def condition_a1_holds(a: Callable, z: complex, lam: float) -> bool:
+    """Zero angular mean at (z, lam), to 1e-9: the cancellation the averaging
+    step needs."""
+    return abs(angular_decompose(a, z, lam).mean) <= 1e-9
 
 
 def theta_second_derivative_norm(a: Callable, lam_window, surface, n_mc: int,
-                                 seed: int, fd_step: float = 1e-4,
-                                 n_lam: int = 7) -> float:
+                                 seed: int, n_lam: int = 7) -> float:
     """sup over lam in the window of the volume-normalized L^2 norm (squared)
     of the second rotation-angle derivative of the symbol over the sphere
     bundle; Monte Carlo over (fundamental domain) x (angle).
 
     The symbol is called once per lambda, on the (n_mc, 1) sampled points and
-    the (n_mc, 5) boundary points of the 5-point stencil in the angle.
+    the (n_mc, 5) boundary points of the 5-point stencil in the angle, of
+    step 1e-4.
     """
     rng = np.random.default_rng(seed)
     zs = DomainSampler(surface.base).sample(rng, n_mc)[:, None]
     ths = rng.uniform(0.0, TWO_PI, n_mc)[:, None]
-    h = fd_step
+    h = 1e-4
     bs = rotation_boundary_point(zs, ths + h * np.array([2.0, 1.0, 0.0, -1.0, -2.0]))
     worst = 0.0
     for lam in np.linspace(lam_window[0], lam_window[1], n_lam):
@@ -329,37 +329,35 @@ def theta_second_derivative_norm(a: Callable, lam_window, surface, n_mc: int,
 # ---------------------------------------------------------------------------
 
 def smooth_sandwich_kernel(A: Observable, t: float, sigma: float, z: complex,
-                           w: complex, eta=default_eta, n_rad: int = 48,
-                           n_ang: int = 96) -> complex:
+                           w: complex, n_rad: int = 48, n_ang: int = 96) -> complex:
     """Kernel of P_t A P_t at (z, w); exactly 0 beyond distance 2t + S.
 
     One formula for every variant: int_{B(z,t)} k_t(d(z,u)) (A k_t(d(., w)))(u) du,
-    with k_t the kernel of smooth_propagator(t, sigma, eta), on the polar
+    with k_t the kernel of smooth_propagator(t, sigma), on the polar
     rule of B(z, t).  A finite-range A applies its own 48 x 96 rule at every
     node, in blocks of _BALL_NODES rule points.
     """
     if _dist_array(z, w) > 2.0 * t + A.locality.S:
         return 0.0 + 0.0j
-    k_t = smooth_propagator(t, sigma, eta).kernel
+    k_t = smooth_propagator(t, sigma)
     us, d, wq = _ball_rule(z, t, n_rad, n_ang)
     inner = A.apply(lambda v: k_t(_dist_array(v, w)), us)
     return complex(np.sum(wq * k_t(d) * inner))
 
 
-def sandwich_sup_bound(A: Observable, t: float, sigma: float, eta=default_eta,
-                       n_grid: int = 160) -> float:
+def sandwich_sup_bound(A: Observable, t: float, sigma: float) -> float:
     """Computable version of the pointwise sandwich-kernel bound:
 
         sup |K_{P_t A P_t}| <= C * sup_w ||k_t(d(., w))||_{C^k} * ||K_t||_L1,
 
-    with the C^k factor measured on a finite-difference grid (same stencils
-    as the operator) and the L1 norm integrated exactly.
+    with the C^k factor measured on a finite-difference grid of 160 radii
+    (same stencils as the operator) and the L1 norm integrated exactly.
     """
     c_t = math.cosh(t) ** -0.5
-    chi = CutoffSpec(t, sigma, eta).chi
+    chi = CutoffSpec(t, sigma).chi
     # radial symmetry: put w at the origin, scan v along a ray and measure
     # chart derivatives up to order k by centered differences
-    v = np.tanh(np.linspace(0.0, t + 0.05, n_grid) / 2.0) + 0.0j
+    v = np.tanh(np.linspace(0.0, t + 0.05, 160) / 2.0) + 0.0j
     worst = float(np.max(_ck_sum(lambda p: c_t * chi(_dist_array(p, 0j)), v,
                                  1e-5 * (1.0 - np.abs(v) ** 2), A.locality.k)))
     r, wq = gauss_legendre(0.0, t, 256)
@@ -367,12 +365,12 @@ def sandwich_sup_bound(A: Observable, t: float, sigma: float, eta=default_eta,
     return A.locality.C * worst * l1
 
 
-def locality_ratio(A: Observable, u: Callable, z: complex, n_ball: int = 7) -> float:
+def locality_ratio(A: Observable, u: Callable, z: complex) -> float:
     """Measured |Au(z)| / ||u||_{C^k(B(z, S))} on a finite-difference grid
-    of n_ball radii from 0 to S and 8 angles."""
+    of 7 radii from 0 to S and 8 angles."""
     val = abs(A.apply(u, z))
     S_eff = max(A.locality.S, 0.05)
-    rays = np.multiply.outer(np.tanh(np.linspace(0.0, S_eff, n_ball) / 2.0),
+    rays = np.multiply.outer(np.tanh(np.linspace(0.0, S_eff, 7) / 2.0),
                              np.exp(1j * TWO_PI * np.arange(8) / 8))
     v = _mobius_array(1.0, z, rays)
     norm = float(np.max(_ck_sum(u, v, 1e-4 * (1.0 - np.abs(v) ** 2), A.locality.k)))
@@ -419,9 +417,10 @@ def limit_term(A: Observable, lam: float, surface, n_mc: int = 2000,
 # ---------------------------------------------------------------------------
 
 def multiplier_tail_bound(rho: SpectralMultiplier, weight: PlancherelWeight,
-                          r: float, lam_grid, t_max_extra: float = 60.0) -> float:
-    """max over the lambda grid of int_r^inf |k_rho(t) phi_lam(t) sinh t| dt."""
-    t, w = gauss_legendre(r, r + t_max_extra, 600)
+                          r: float, lam_grid) -> float:
+    """max over the lambda grid of int_r^inf |k_rho(t) phi_lam(t) sinh t| dt,
+    taken over [r, r + 60]."""
+    t, w = gauss_legendre(r, r + 60.0, 600)
     k = np.abs(inverse_selberg(rho, weight)(t))
     phis = np.abs(phi_eval(np.atleast_1d(lam_grid), t))
     return float(np.max((k * np.sinh(t) * w) @ phis))

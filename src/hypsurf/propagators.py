@@ -1,8 +1,9 @@
-"""Smooth and sharp radial propagators and their spectral multipliers.
+"""The smooth radial propagator and the smooth and sharp spectral multipliers.
 
 The sharp propagator at time t has radial kernel (cosh t)^{-1/2} 1_{r <= t};
-the smooth one replaces the indicator with chi_{t,sigma}(r) = eta((r-t)/sigma)
-for a decreasing eta equal to 1 on (-inf, -1] and 0 on [0, inf).
+the smooth one replaces the indicator with chi_{t,sigma}(r) = eta((r-t)/sigma),
+where eta = default_eta is the toolkit's one cutoff: smoothstep_cutoff
+shifted to fall from 1 at -1 to 0 at 0.
 
 The smooth multiplier h_{t,sigma} comes by the Selberg route
 
@@ -32,79 +33,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
-from .quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule
+from .fuchsian import smoothstep_cutoff
+from .quadrature import composite_gl, cosh_diff, gauss_legendre, sqrt_edge_rule
 from .transforms import (_BLOCK, TWO_PI, RadialKernel, _md_integral, abel_sharp,
                          abel_smooth, fourier_of_abel, phi_eval)
 
+# Gauss-Legendre nodes on each unit panel of the time average over [0, T].
+_N_T = 8
+
 
 def default_eta(x):
-    """C^1 decreasing cutoff: 1 on (-inf, -1], cubic smoothstep down to 0 at 0."""
-    x = np.clip(np.asarray(x, dtype=float) + 1.0, 0.0, 1.0)
-    return 1.0 - (3.0 * x * x - 2.0 * x ** 3)
+    """C^1 decreasing cutoff: 1 on (-inf, -1], cubic smoothstep down to 0 at 0.
+
+    The one eta of the toolkit: smoothstep_cutoff moved left by 1."""
+    return smoothstep_cutoff(np.asarray(x, dtype=float) + 1.0)
 
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """chi_{t,sigma}(r) = eta((r - t)/sigma); 1 up to t - sigma, 0 past t."""
+    """chi_{t,sigma}(r) = default_eta((r - t)/sigma); 1 up to t - sigma, 0 past t."""
 
     t: float
     sigma: float
-    eta: Callable = default_eta
 
     def __post_init__(self):
         if not (0.0 < self.sigma < self.t):
             raise ParameterOutOfRange("need 0 < sigma < t")
-        eps = 1e-9 * max(1.0, self.t)
-        if abs(float(self.eta(np.array([-1.0 - 1e-9]))[0]) - 1.0) > 1e-12:
-            raise ValueError("eta must equal 1 on (-inf, -1]")
-        if abs(float(self.eta(np.array([1e-9]))[0])) > 1e-12:
-            raise ValueError("eta must vanish on [0, inf)")
-        lo = self.chi(self.t - self.sigma - eps)
-        hi = self.chi(self.t + eps)
-        if abs(lo - 1.0) > 1e-10 or abs(hi) > 1e-10:
-            raise ValueError("cutoff does not match its plateau contract")
 
     def chi(self, r):
-        return self.eta((np.asarray(r, dtype=float) - self.t) / self.sigma)
+        return default_eta((np.asarray(r, dtype=float) - self.t) / self.sigma)
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Radial propagation operator; kind 'smooth' or 'sharp'."""
-
-    kind: str
-    t: float
-    sigma: float | None
-    kernel: RadialKernel
-
-
-def sharp_propagator(t: float) -> Propagator:
-    if t <= 0:
-        raise ParameterOutOfRange("t must be positive")
+def smooth_propagator(t: float, sigma: float) -> RadialKernel:
+    """Radial kernel (cosh t)^{-1/2} chi_{t,sigma}(r) of the smooth propagator."""
+    spec = CutoffSpec(t, sigma)
     c = math.cosh(t) ** -0.5
-    kern = RadialKernel(lambda r: c * (np.asarray(r, dtype=float) <= t),
-                        support_bound=t, smoothness_class="indicator")
-    return Propagator("sharp", t, None, kern)
-
-
-def smooth_propagator(t: float, sigma: float, eta: Callable = default_eta) -> Propagator:
-    spec = CutoffSpec(t, sigma, eta)
-    c = math.cosh(t) ** -0.5
-    kern = RadialKernel(lambda r: c * spec.chi(r), support_bound=t,
+    return RadialKernel(lambda r: c * spec.chi(r), support_bound=t,
                         smoothness_class="smooth", breakpoints=(t - sigma,))
-    return Propagator("smooth", t, sigma, kern)
 
 
 # ---------------------------------------------------------------------------
 # Multipliers h_t^sharp and h_{t,sigma}
 # ---------------------------------------------------------------------------
 
-def _h_from_profile(t: float, lams: np.ndarray, g_fn, n_u: int = 96) -> np.ndarray:
+def _h_from_profile(t: float, lams: np.ndarray, g_fn) -> np.ndarray:
     """h(lam) = 2 int_0^t cos(lam u) g(u) du for a profile g smooth on [0, t).
 
     The last stretch is integrated in v = sqrt(cosh t - cosh u), which turns
@@ -114,7 +90,7 @@ def _h_from_profile(t: float, lams: np.ndarray, g_fn, n_u: int = 96) -> np.ndarr
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     split = t - min(1.0, t / 2.0)
-    n_scale = max(n_u, int(10 * t) + 8 * int(np.max(lams) if lams.size else 1))
+    n_scale = max(96, int(10 * t) + 8 * int(np.max(lams) if lams.size else 1))
     n_scale = -(-n_scale // 32) * 32
     u0, w0 = gauss_legendre(0.0, split, n_scale)
     u1, _, w1 = sqrt_edge_rule(t, split, t, n_scale)
@@ -130,10 +106,10 @@ def h_sharp(t: float, lam) -> float | np.ndarray:
     return vals if np.ndim(lam) else float(vals[0])
 
 
-def h_smooth(t: float, sigma: float, lam, eta: Callable = default_eta) -> float | np.ndarray:
+def h_smooth(t: float, sigma: float, lam) -> float | np.ndarray:
     """Multiplier of the smooth propagator (Selberg route): one row of h_smooth_on_grid."""
-    CutoffSpec(t, sigma, eta)
-    vals = h_smooth_on_grid(np.array([t]), sigma, np.atleast_1d(lam), eta)[0]
+    CutoffSpec(t, sigma)
+    vals = h_smooth_on_grid(np.array([t]), sigma, np.atleast_1d(lam))[0]
     return vals if np.ndim(lam) else float(vals[0])
 
 
@@ -142,9 +118,8 @@ def h_sharp_reference(t: float, lam: float) -> float:
     return float(fourier_of_abel(abel_sharp(t))(lam))
 
 
-def h_smooth_reference(t: float, sigma: float, lam: float,
-                       eta: Callable = default_eta) -> float:
-    return float(fourier_of_abel(abel_smooth(t, sigma, eta))(lam))
+def h_smooth_reference(t: float, sigma: float, lam: float) -> float:
+    return float(fourier_of_abel(abel_smooth(t, sigma, default_eta))(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +145,15 @@ def lemma_a1_constant(lam_grid, r_grid) -> float:
     return float(np.max(lemma_a1_check(lam_grid, r_grid)))
 
 
-def _delta_h_formula(t: float, sigma: float, lams: np.ndarray,
-                     eta: Callable = default_eta) -> np.ndarray:
+def _delta_h_formula(t: float, sigma: float, lams: np.ndarray) -> np.ndarray:
     """2 sqrt(2/cosh t) int_{t-sigma}^t (chi(r) - 1) sinh r I(r, lam) dr on an
     array of lambda, I the Mehler-Dirichlet integral."""
     rr, w = gauss_legendre(t - sigma, t, 64)
-    coef = (np.asarray(CutoffSpec(t, sigma, eta).chi(rr)) - 1.0) * np.sinh(rr) * w
+    coef = (np.asarray(CutoffSpec(t, sigma).chi(rr)) - 1.0) * np.sinh(rr) * w
     return 2.0 * math.sqrt(2.0 / math.cosh(t)) * (_md_integral(lams, rr).T @ coef)
 
 
-def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta):
+def delta_h(t: float, sigma: float, lam):
     """delta h = h_{t,sigma} - h_t^sharp, the mean of two routes.
 
     The plain difference of the two multipliers (h_{t,sigma} by the Selberg
@@ -189,8 +163,8 @@ def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta):
     if t <= 1.0 + sigma:
         raise ValueError("need t > 1 + sigma")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    out_sub = np.asarray(h_smooth(t, sigma, lams, eta)) - np.asarray(h_sharp(t, lams))
-    out_form = _delta_h_formula(t, sigma, lams, eta)
+    out_sub = np.asarray(h_smooth(t, sigma, lams)) - np.asarray(h_sharp(t, lams))
+    out_form = _delta_h_formula(t, sigma, lams)
     gap = np.max(np.abs(out_sub - out_form))
     if gap > 1e-7:
         raise QuadratureNotConverged(f"delta_h routes disagree by {gap:.2e}")
@@ -202,8 +176,7 @@ def delta_h(t: float, sigma: float, lam, eta: Callable = default_eta):
 # Averaged multiplier H_T and the positivity certificate
 # ---------------------------------------------------------------------------
 
-def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray,
-                     eta: Callable = default_eta) -> np.ndarray:
+def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray) -> np.ndarray:
     """Matrix h_{t,sigma}(lam) for all (t in ts) x (lam in lam_grid), by the Selberg route.
 
     The running integral S_lam(x) = int_0^x phi_lam(r) sinh r dr is the
@@ -214,7 +187,7 @@ def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray,
     (48 nodes, weighted by chi); the rows go to phi_eval in blocks of at
     most 4 _BLOCK (t, lambda) cells.  phi_eval gives a row the same bits in
     any call, and each row is contracted with its own weights, so a row
-    depends only on t, sigma, eta and the lambda grid, never on the other
+    depends only on t, sigma and the lambda grid, never on the other
     rows.  Rows t <= sigma are 0.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
@@ -239,7 +212,7 @@ def h_smooth_on_grid(ts: np.ndarray, sigma: float, lam_grid: np.ndarray,
         r0, w0 = gauss_legendre(whole[i, None], xi, n)
         r1, w1 = gauss_legendre(xi, t, 48)
         r = np.concatenate([r0, r1], axis=1)
-        w = np.concatenate([w0, eta((r1 - t) / sigma) * w1], axis=1) * np.sinh(r)
+        w = np.concatenate([w0, default_eta((r1 - t) / sigma) * w1], axis=1) * np.sinh(r)
         out[i] = (TWO_PI / np.sqrt(np.cosh(t))
                   * (S[whole[i]]
                      + np.matmul(w[:, None, :], phi_eval(lam_grid, r))[:, 0]))
@@ -260,25 +233,23 @@ def _time_nodes(T: float, n_t: int):
     panels of [0, T], one row per panel."""
     if T <= 0:
         raise ParameterOutOfRange("T must be positive")
-    edges = np.linspace(0.0, T, max(1, int(math.ceil(T))) + 1)
-    rules = [gauss_legendre(lo, hi, n_t) for lo, hi in zip(edges[:-1], edges[1:])]
-    return np.array([t for t, _ in rules]), np.array([w for _, w in rules])
+    t, w = composite_gl(0.0, T, math.ceil(T), n_t)
+    return t.reshape(-1, n_t), w.reshape(-1, n_t)
 
 
-def avg_multiplier_H(T: float, sigma: float, lam, n_t: int = 8,
-                     eta: Callable = default_eta):
+def avg_multiplier_H(T: float, sigma: float, lam):
     """H_T(lambda) = (1/T) int_0^T h_{t,sigma}(lambda)^2 dt."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    t, w = _time_nodes(T, n_t)
-    h = h_smooth_on_grid(t.ravel(), sigma, lams, eta).reshape(t.shape + lams.shape)
+    t, w = _time_nodes(T, _N_T)
+    h = h_smooth_on_grid(t.ravel(), sigma, lams).reshape(t.shape + lams.shape)
     out = _time_average_sq(T, w, h)
     return out if np.ndim(lam) else float(out[0])
 
 
-def avg_multiplier_H_sharp(T: float, lam, n_t: int = 8):
+def avg_multiplier_H_sharp(T: float, lam):
     """Sharp-kernel analogue (1/T) int h_t^sharp(lam)^2 dt."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    t, w = _time_nodes(T, n_t)
+    t, w = _time_nodes(T, _N_T)
     h = np.array([[h_sharp(float(tt), lams) for tt in tp] for tp in t])
     out = _time_average_sq(T, w, h)
     return out if np.ndim(lam) else float(out[0])
@@ -297,8 +268,8 @@ class Prop33Certificate:
     passed: bool
 
 
-def prop33_certificate(interval, sigma: float, T_list, lam_spacing: float = 0.02,
-                       eta: Callable = default_eta, n_t: int = 8) -> Prop33Certificate:
+def prop33_certificate(interval, sigma: float, T_list,
+                       lam_spacing: float = 0.02) -> Prop33Certificate:
     """Measured positive floor of H_T over a lambda window.
 
     pass = every floor positive and the floor stable (variation < 20%)
@@ -311,11 +282,11 @@ def prop33_certificate(interval, sigma: float, T_list, lam_spacing: float = 0.02
     lam_grid = np.linspace(lo, hi, n_lam)
     T_list = tuple(float(T) for T in T_list)
     # h_{t,sigma} once per distinct time node: the unit panels of the T's overlap
-    ts = np.unique(np.concatenate([_time_nodes(T, n_t)[0] for T in T_list]))
-    h_all = h_smooth_on_grid(ts, sigma, lam_grid, eta)
+    ts = np.unique(np.concatenate([_time_nodes(T, _N_T)[0] for T in T_list]))
+    h_all = h_smooth_on_grid(ts, sigma, lam_grid)
     c_min, argmin = [], []
     for T in T_list:
-        t, w = _time_nodes(T, n_t)
+        t, w = _time_nodes(T, _N_T)
         H = _time_average_sq(T, w, h_all[np.searchsorted(ts, t)])
         i = int(np.argmin(H))
         c_min.append(float(H[i]))

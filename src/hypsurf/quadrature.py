@@ -71,13 +71,14 @@ def sqrt_edge_rule(c, a, b, n: int):
     return 2.0 * np.arcsinh(s), v, w
 
 
-def trapezoid_periodic(f, n0: int = 64, tol: float = 1e-9,
-                       max_nodes: int = 1 << 21, period: float = 2.0 * np.pi):
-    """Integrate f over one period, doubling nodes until the change is < tol.
+def trapezoid_periodic(f, n0: int = 64):
+    """Integrate f over [0, 2 pi), doubling nodes until the change is at most
+    1e-9 max(1, |integral|).
 
     f must accept a vector of sample angles.  Spectrally accurate for
-    analytic integrands; raises QuadratureNotConverged past max_nodes.
+    analytic integrands; raises QuadratureNotConverged past 2^21 nodes.
     """
+    tol, max_nodes, period = 1e-9, 1 << 21, 2.0 * np.pi
     n = n0
     theta = period * np.arange(n) / n
     prev = np.sum(f(theta)) * (period / n)

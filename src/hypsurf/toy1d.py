@@ -85,12 +85,12 @@ def window_mode_range(L: float, window) -> range:
     return range(max(k_lo, 1), k_hi + 1)
 
 
-def toy1d_variance(L: float, window, a, M: float | None = None,
-                   quad_pts_per_period: int = 12) -> Toy1dReport:
+def toy1d_variance(L: float, window, a, M: float | None = None) -> Toy1dReport:
     """Quantum variance of the interval model over a spectral window.
 
     a: StepObservable (integrated exactly) or callable on [0, L] (composite
-    Gauss-Legendre resolving every cosine oscillation).  M: declared sup
+    Gauss-Legendre, 12 nodes on each of max(8, 2 k_max) panels, resolving
+    every cosine oscillation).  M: declared sup
     bound; inferred for step observables.
     """
     ks = window_mode_range(L, window)
@@ -105,7 +105,7 @@ def toy1d_variance(L: float, window, a, M: float | None = None,
             raise ValueError("callable observables need an explicit sup bound M")
         k_max = ks[-1]
         x, w = composite_gl(0.0, L, n_panels=max(8, 2 * k_max),
-                            n_per_panel=quad_pts_per_period)
+                            n_per_panel=12)
         ax = np.asarray([a(float(xx)) for xx in x], dtype=float)
         mean = float(np.sum(ax * w)) / L
         karr = np.array(list(ks), dtype=float)

@@ -11,7 +11,7 @@ by
 where phi_lambda is the spherical function of the disc (the Legendre/conical
 function P_{-1/2 + i lambda}(cosh t)).  The three legs agree exactly; the
 factor 2 pi on the spherical-pairing leg is pinned by the Fourier-of-Abel
-route and is exposed as a configurable normalization.
+route, and selberg_transform carries it.
 
 The inverse transform uses a Plancherel weight in lambda.  Two conventions
 are provided: `lambda * tanh(2 pi lambda)` and `pi * lambda * tanh(pi lambda)`;
@@ -139,10 +139,11 @@ def weight_from_name(name: str) -> PlancherelWeight:
 # Spherical function: boundary-circle integral
 # ---------------------------------------------------------------------------
 
-def spherical_phi(lam: float, t: float, tol: float = 1e-9) -> float:
+def spherical_phi(lam: float, t: float) -> float:
     """phi_lambda(t) = (1/2pi) int_B exp((1/2 + i lam) <z_t, b>) db.
 
-    Periodic trapezoid in the boundary angle with node doubling; the Poisson
+    Periodic trapezoid in the boundary angle with node doubling (to 1e-9
+    relative, trapezoid_periodic); the Poisson
     kernel concentrates at angular scale exp(-t), so the node budget limits
     this route to moderate t (raises QuadratureNotConverged beyond it).
     """
@@ -160,7 +161,7 @@ def spherical_phi(lam: float, t: float, tol: float = 1e-9) -> float:
     n0 = 64
     while n0 < 8 * math.exp(t) and n0 < (1 << 21):  # resolve the Poisson peak
         n0 *= 2
-    val = trapezoid_periodic(f, n0=n0, tol=tol) / TWO_PI
+    val = trapezoid_periodic(f, n0=n0) / TWO_PI
     if abs(val.imag) > 1e-10:
         raise QuadratureNotConverged(f"imaginary residue {val.imag:.2e} in phi")
     return float(val.real)
@@ -171,8 +172,9 @@ def spherical_phi(lam: float, t: float, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 # Size of one batched block, in array elements: (t, lambda) cells of a phi
-# grid, (cell, node) values of the Mehler-Dirichlet integral, or kernel nodes
-# of one abel_transform call.  It keeps the temporaries of a call near a MB
+# grid, (cell, node) values of the Mehler-Dirichlet integral, kernel nodes
+# of one abel_transform call, or (points x elements) cells of an orbit or
+# periodization pass in fuchsian.  It keeps the temporaries of a call near a MB
 # whatever the grid size.
 _BLOCK = 1 << 14
 
@@ -348,14 +350,14 @@ def phi_decay_constant(lam_grid, t_grid) -> float:
 # Selberg transform and its inverse
 # ---------------------------------------------------------------------------
 
-def selberg_transform(k: RadialKernel, norm: float = TWO_PI,
-                      t_max: float | None = None) -> SpectralMultiplier:
-    """S(k)(lambda) = norm * int_0^inf k(t) phi_lambda(t) sinh(t) dt.
+def selberg_transform(k: RadialKernel) -> SpectralMultiplier:
+    """S(k)(lambda) = 2 pi int_0^inf k(t) phi_lambda(t) sinh(t) dt.
 
-    norm = 2*pi makes the triangle S = Fourier o Abel exact; norm = 1 gives
-    the bare spherical pairing.  Evaluates on a whole lambda array at once.
+    The factor 2 pi makes the triangle S = Fourier o Abel exact.  A kernel
+    without finite support is integrated up to t = 40.  Evaluates on a whole
+    lambda array at once.
     """
-    upper = k.support_bound if math.isfinite(k.support_bound) else (t_max or 40.0)
+    upper = k.support_bound if math.isfinite(k.support_bound) else 40.0
     edges = [0.0] + sorted(b for b in k.breakpoints if 0.0 < b < upper) + [upper]
 
     def h(lams):
@@ -366,7 +368,7 @@ def selberg_transform(k: RadialKernel, norm: float = TWO_PI,
             for lo, hi in zip(edges[:-1], edges[1:]):
                 n = mult * max(64, int(16 * (hi - lo)))
                 t, w = gauss_legendre(lo, hi, n)
-                cur = cur + norm * (k(t) * np.sinh(t) * w) @ phi_eval(lams, t)
+                cur = cur + TWO_PI * (k(t) * np.sinh(t) * w) @ phi_eval(lams, t)
             if vals is not None and np.max(np.abs(cur - vals)) > 1e-7 * max(
                     1.0, float(np.max(np.abs(cur)))):
                 raise QuadratureNotConverged("Selberg transform did not stabilize")
@@ -462,24 +464,24 @@ def inverse_selberg(rho: SpectralMultiplier, weight: PlancherelWeight,
 
 
 def k_rho_scaled(rho: SpectralMultiplier, weight: PlancherelWeight, ts,
-                 norm: float = 1.0, n_lambda: int = 256) -> np.ndarray:
+                 n_lambda: int = 256) -> np.ndarray:
     """e^{t/2} k_rho(t) on an array of t (decay diagnostics)."""
     ts = np.asarray(ts, dtype=float)
-    return np.exp(ts / 2.0) * inverse_selberg(rho, weight, norm=norm, n_lambda=n_lambda)(ts)
+    return np.exp(ts / 2.0) * inverse_selberg(rho, weight, n_lambda=n_lambda)(ts)
 
 
-def matched_norm(weight: PlancherelWeight, selberg_norm: float = TWO_PI) -> float:
+def matched_norm(weight: PlancherelWeight) -> float:
     """Inverse prefactor making selberg_transform(inverse_selberg(rho)) == rho.
 
     The spherical pairing S~(k) = int k phi sinh dt inverts exactly against
     the lam tanh(pi lam) measure, so the harmonic convention (pi lam tanh pi lam)
-    needs 1/(norm * pi).  Under the tanh(2 pi lam) convention the round trip
-    carries a residual factor tanh(2 pi lam)/tanh(pi lam), below 1e-4 for
-    lam >= 1.6.
+    needs 1/(2 pi * pi) against selberg_transform's 2 pi.  Under the
+    tanh(2 pi lam) convention the round trip carries a residual factor
+    tanh(2 pi lam)/tanh(pi lam), below 1e-4 for lam >= 1.6.
     """
     if weight.variant == "harmonic_tanh_pi":
-        return 1.0 / (selberg_norm * math.pi)
-    return 1.0 / selberg_norm
+        return 1.0 / (TWO_PI * math.pi)
+    return 1.0 / TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -622,18 +624,16 @@ def fourier_of_abel(g: AbelProfile) -> SpectralMultiplier:
 # Every consumer calls a once per lambda node, with all its points.
 # ---------------------------------------------------------------------------
 
-def helgason_forward(u: Callable[[np.ndarray], np.ndarray], support_radius: float = 0.95,
-                     n_rad: int = 120, n_ang: int = 256):
+def helgason_forward(u: Callable[[np.ndarray], np.ndarray], n_rad: int = 120,
+                     n_ang: int = 256):
     """u-hat(lambda, b) = int_D exp((1/2 - i lambda)<z, b>) u(z) dmu(z).
 
     u maps an array of complex chart points to values, with support inside
-    |z| <= support_radius; it is called once, on the whole node array.
+    |z| <= 0.95; it is called once, on the whole node array.
     Returns a callable of (lambda, boundary angle).  Geodesic polar grid:
     tensor Gauss-Legendre in t times periodic trapezoid in the angle.
     """
-    if support_radius >= 0.96:
-        raise ValueError("support must stay inside |z| <= 0.95")
-    t_max = 2.0 * math.atanh(support_radius)
+    t_max = 2.0 * math.atanh(0.95)
     t, wt = gauss_legendre(0.0, t_max, n_rad)
     theta = TWO_PI * np.arange(n_ang) / n_ang
     Z = np.multiply.outer(np.tanh(t / 2.0), np.exp(1j * theta))

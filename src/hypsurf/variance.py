@@ -54,13 +54,12 @@ _DEGENERATE_REL = 1e-8   # eigenvalues this close (relative, floor 1) are one cl
 class SpectralWindow:
     """Window J in the eigenvalue nu, with the lambda interval I it induces.
 
-    nu = 1/4 + lambda^2; I_prime is the enlarged interval for spectral
-    cutoffs (default 10% relative margin on each side).
+    nu = 1/4 + lambda^2; lam_interval_wide is the enlarged interval for
+    spectral cutoffs (10% relative margin on each side).
     """
 
     nu_lo: float
     nu_hi: float
-    margin: float = 0.1
 
     def __post_init__(self):
         if not (0.25 + 1e-9 < self.nu_lo < self.nu_hi):
@@ -77,8 +76,8 @@ class SpectralWindow:
     @property
     def lam_interval_wide(self):
         width = self.lam_hi - self.lam_lo
-        lo = max(self.lam_lo - self.margin * width, 0.05)
-        return (lo, self.lam_hi + self.margin * width)
+        lo = max(self.lam_lo - 0.1 * width, 0.05)
+        return (lo, self.lam_hi + 0.1 * width)
 
     @property
     def reach(self) -> float:

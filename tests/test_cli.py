@@ -111,6 +111,13 @@ class TestBasicRuns:
         assert (d["character_blocks"], d["validated_lifts"]) == (1, 1)
         assert os.path.exists(os.path.join(out, "torusdata.json"))
 
+    def test_fem_export_creates_the_out_directory(self, tmp_path):
+        out = str(tmp_path / "new" / "run")
+        assert main(["fem", "--out", out, "--surface", "torus", "--h", "0.1",
+                     "--modes", "4", "--export", "td"]) == 0
+        for suffix in (".json", "_mesh.csv", "_eigs.csv", "_modes.csv"):
+            assert os.path.exists(os.path.join(out, "td" + suffix))
+
 
 class TestContracts:
     def test_unknown_flag_exits_2(self, tmp_path):
@@ -154,6 +161,13 @@ class TestContracts:
         assert main(["--config", str(cfg), "toy1d", "--out", out]) == 0
         assert read(out, "toy1d")["config"]["L"] == 200.0
 
+    def test_command_line_flags_override_config(self, tmp_path):
+        out = str(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 200}))
+        assert main(["--config", str(cfg), "toy1d", "--out", out, "--L", "150"]) == 0
+        assert read(out, "toy1d")["config"]["L"] == 150.0
+
     def test_provenance_fields_present(self, tmp_path):
         out = str(tmp_path)
         assert main(["toy1d", "--out", out]) == 0
@@ -195,6 +209,16 @@ class TestContracts:
             with pytest.raises(SystemExit) as exc:
                 main(["--config", str(cfg), subcommand, "--out", str(tmp_path)])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", [None, "{bad", "[1, 2]"],
+                             ids=["missing", "malformed", "not_an_object"])
+    def test_unreadable_config_exits_2(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "toy1d", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     # the windowed subcommands solve to the window's reach: the mode counts
     # they once took are stale config keys

@@ -259,6 +259,20 @@ class TestSandwich:
         k2 = O.smooth_sandwich_kernel(A, t, sigma, z2, w2, n_rad=n_rad, n_ang=n_ang)
         assert abs(k1 - k2) < 1e-6 * max(1.0, abs(k1))
 
+    def test_sup_bound_frozen_on_the_pipeline_grid(self):
+        # the eight t nodes of variance_pipeline_bounds at T = 4, sigma = 0.1
+        sign = O.multiplication_observable(lambda z: np.where(np.real(z) > 0, 1.0, -1.0), 1.0)
+        frozen = {
+            "sign": [0.07098271998439737, 1.2192279683827154, 2.7955296837218593,
+                     4.026144914136771, 4.8207744852546215, 5.30044850111847,
+                     5.583183565779931, 5.748384207655694],
+            "laplacian": [172.98291746153717, 3561.6702613286966, 14443.4977424926,
+                          34255.991165049665, 90491.72545743031, 289827.66841180465,
+                          616166.709644664, 2704524.853260789]}
+        for name, A in [("sign", sign), ("laplacian", O.laplacian_observable())]:
+            got = [O.sandwich_sup_bound(A, float(t), 0.1) for t in np.linspace(0.2, 4.0, 8)]
+            np.testing.assert_allclose(got, frozen[name], rtol=1e-12, atol=0.0)
+
     def test_sup_bound_dominates_measured(self):
         t, sigma = 0.9, 0.2
         for A in [O.multiplication_observable(lambda z: np.cos(3 * np.real(z)), 1.0),

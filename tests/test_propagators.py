@@ -18,7 +18,6 @@ from hypsurf.propagators import (
     lemma_a1_check,
     lemma_a1_constant,
     prop33_certificate,
-    sharp_propagator,
     smooth_propagator,
 )
 from hypsurf.propagators import _delta_h_formula, _time_nodes
@@ -38,15 +37,11 @@ class TestCutoff:
             CutoffSpec(1.0, 1.5)
 
     def test_kernel_support_and_plateau(self):
-        prop = smooth_propagator(4.0, 0.3)
-        k = prop.kernel
+        k = smooth_propagator(4.0, 0.3)
         c = math.cosh(4.0) ** -0.5
         assert float(k(4.5)) == 0.0
         assert float(k(3.6)) == pytest.approx(c, abs=1e-12)
         assert float(k(0.7)) == pytest.approx(c, abs=1e-12)
-        ks = sharp_propagator(4.0).kernel
-        assert float(ks(3.99)) == pytest.approx(c)
-        assert float(ks(4.01)) == 0.0
 
 
 class TestMultipliers:
@@ -116,6 +111,15 @@ class TestSelbergRoute:
         for i in np.flatnonzero(ts > 0.1):
             assert np.array_equal(grid[i], h_smooth(float(ts[i]), 0.1, lam))
 
+    def test_rows_frozen(self):
+        # values of the rows when the cutoff was an argument defaulting to eta
+        lam = np.array([0.87, 1.3, 1.94])
+        frozen = [[0.2748148834088416, 0.27184954795729904, 0.26533756197536496],
+                  [-2.219771268072901, 1.6918874757511762, 1.2604345524363638],
+                  [1.5790958274850866, 2.6272741785352554, 1.6928088304862121]]
+        grid = h_smooth_on_grid(np.array([0.35, 7.25, 39.9]), 0.1, lam)
+        np.testing.assert_allclose(grid, frozen, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("t", [0.15, 0.95, 1.05])
     def test_rows_across_r_equals_one(self, t):
         # the partial panel and the ramp straddle the switch of phi_eval at r = 1
@@ -131,13 +135,6 @@ class TestDeltaH:
             a = h_smooth(t, sigma, lam) - h_sharp(t, lam)
             b = float(_delta_h_formula(t, sigma, np.array([lam]))[0])
             assert a == pytest.approx(b, abs=1e-7)
-
-    def test_degenerate_cutoff_gives_zero(self):
-        # eta == 1 on the whole ramp: chi == indicator-like, delta h = 0
-        flat = lambda x: (np.asarray(x, dtype=float) < 0.0).astype(float)
-        t, sigma = 4.0, 0.2
-        val = float(_delta_h_formula(t, sigma, np.array([1.0]), eta=flat)[0])
-        assert abs(val) < 1e-10
 
     def test_requires_t_range(self):
         with pytest.raises(ValueError):
