@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import HypsurfError
+from .errors import HypsurfError, ParameterOutOfRange
 from .eigensolve import disc_surface_mesh, export_eigendata, fem_eigensolve, torus_mesh
 from .fuchsian import (bolza_group, bs_statistic, cyclic_group, hs_bound_check,
                        orbit_enumerate, random_cover, systole_upper_bound)
@@ -400,6 +400,8 @@ def cmd_tower(args) -> int:
 
 
 def cmd_fem(args) -> int:
+    if args.surface == "torus" and args.degree != 1:
+        raise ParameterOutOfRange("the torus is solved at degree 1 only")
     mesh = (torus_mesh(args.h) if args.surface == "torus"
             else disc_surface_mesh(_surface(args, args.degree), args.h))
     data = fem_eigensolve(mesh, args.modes)
@@ -473,6 +475,7 @@ def _split(convert, sep: str, count: int | None = None):
             raise argparse.ArgumentTypeError(
                 f"expected {count} values separated by {sep!r}, got {text!r}")
         return values
+    parse.sep = sep     # a config file may give the list as a JSON array
     return parse
 
 
@@ -483,8 +486,8 @@ _FLOATS = _split(float, ",")
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hypsurf",
                                 description="hyperbolic-surface spectral experiments")
-    p.add_argument("--config", help="JSON file overriding subcommand defaults; "
-                   "flags on the command line override the file")
+    p.add_argument("--config", help="JSON file overriding subcommand defaults (a list "
+                   "option may be a JSON array); flags on the command line override the file")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -616,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, command: str, path: str):
     """Make the subcommand options named in a JSON file its defaults, each
-    value converted by its option's own argparse type and choices; an
+    value converted by its option's own argparse type and choices (a JSON
+    array for a list option is joined with the option's separator first); an
     unreadable file, an unknown key or a bad value is a usage error (exit 2)."""
     try:
         with open(path) as f:
@@ -627,13 +631,15 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str):
         parser.error(f"config {path} must hold a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sp = sub.choices[command]
-    options = {a.dest: a.option_strings[0] for a in sp._actions
-               if a.option_strings and a.dest != "help"}
+    options = {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
     defaults = {}
     for key, val in overrides.items():
         if key not in options:
             sp.error(f"unknown config key {key!r} in {path}")
-        defaults[key] = getattr(sp.parse_args([f"{options[key]}={val}"]), key)
+        sep = getattr(options[key].type, "sep", None)
+        if sep is not None and isinstance(val, list):
+            val = sep.join(map(str, val))
+        defaults[key] = getattr(sp.parse_args([f"{options[key].option_strings[0]}={val}"]), key)
     sp.set_defaults(**defaults)
 
 

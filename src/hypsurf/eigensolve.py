@@ -13,11 +13,13 @@ unknowns, and K and the masses are assembled straight onto the labels.
 Octagon: nodes on each geodesic side, equally spaced in chart arc length (a
 pairing g keeps |z| on a side, so it keeps arc length and density), grid
 nodes of spacing h inside D and clear of the sides, and the Delaunay
-triangles whose centroid lies in D.  Flat unit torus: the (n+1)^2 lattice in
-right triangles with opposite edges identified; its stiffness is exactly the
-5-point Laplacian and its masses h^2, so the known spectrum
-(4/h^2)(sin^2 pi m h + sin^2 pi n h) tests the assembly that builds the
-octagon and its covers.
+triangles whose centroid lies in D.  None of this reads the sheet table, so
+it is the chart of (group, h), built once and cached with its own degree-1
+mesh (`_chart`); a cover's mesh is that chart lifted to its sheets.  Flat
+unit torus: the (n+1)^2 lattice in right triangles with opposite edges
+identified; its stiffness is exactly the 5-point Laplacian and its masses
+h^2, so the known spectrum (4/h^2)(sin^2 pi m h + sin^2 pi n h) tests the
+assembly that builds the octagon and its covers.
 
 K is exactly symmetric and its rows sum to zero up to rounding.  M is
 diagonal (the weights W), so K psi = nu M psi is solved in the standard form
@@ -59,6 +61,15 @@ spectrum, cut to its first n_modes or to everything up to the lowest block
 top, which lies past nu_max.  At d = 1 the one block is K itself, and a
 mode count is asked of it without a pad: the plain solve.
 
+When d is the cover's degree, each deck orbit is the fibre over one
+unknown of the base mesh and K_0 sums K over fibres: character 0 is the
+base surface's problem.  It is solved on the chart's degree-1 mesh, once
+per chart and pair count (`_base_pairs`), and a degree-1 disc mesh goes
+through the same memo, so a tower factorizes its base once.  Its residuals,
+Gram matrix and lifted check are still formed on the cover's own K_0 and
+weights.  Covers whose deck map is the identity keep their one whole-cover
+block, and the torus its plain solve.
+
 The eigendata stay in the blocks.  An eigenpair (nu, psi) of block k lifts
 to f(u) = chi_k(sigma(u)) psi(orbit(u)) / sqrt(d): the real mode f of a real
 block, the modes sqrt(2) Re f and sqrt(2) Im f of a complex one.  For each
@@ -75,7 +86,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,6 +118,21 @@ class SurfaceMesh:
     h: float
     triangles: int          # over all sheets
     deck: np.ndarray        # int, (n,): the unknown one sheet up (identity if none)
+    classes: np.ndarray     # int, (degree, chart nodes): the unknown of each node on each sheet
+    chart: _Chart | None = None    # the chart a disc mesh is lifted from; None for the torus
+
+
+@dataclass(frozen=True, eq=False)
+class _Chart:
+    """The triangulated Dirichlet domain of a group at one h, shared by every
+    cover: chart points, triangles, metric density, per symmetrized generator
+    the side nodes (i, j) it pairs, and the degree-1 mesh `base` (whose own
+    `chart` is None).  eq=False: it hashes by identity, as a memo key."""
+    points: np.ndarray
+    triangles: np.ndarray
+    density: np.ndarray
+    sides: tuple
+    base: SurfaceMesh
 
 
 def _xy(z: np.ndarray) -> np.ndarray:
@@ -146,7 +172,7 @@ def _p1_mesh(label, pts, tri, density, pairings, degree, volume, h) -> SurfaceMe
     weights = np.bincount(lab.ravel(), np.tile(mass, degree), n_lab)
     _, first = np.unique(lab.ravel(), return_index=True)
     return SurfaceMesh(label, np.tile(pts, degree)[first], first // n, weights, K,
-                       volume, h, degree * len(tri), _deck_map(lab, n_lab))
+                       volume, h, degree * len(tri), _deck_map(lab, n_lab), lab)
 
 
 def _deck_map(lab: np.ndarray, n_lab: int) -> np.ndarray:
@@ -206,14 +232,16 @@ def _side_nodes(faces: np.ndarray, h: float):
     return nodes, sides
 
 
-def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
-    """Conforming P1 mesh of a cocompact quotient (or a finite cover of one)."""
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@lru_cache(maxsize=4)
+def _chart(group, h: float) -> _Chart:
+    """The chart of group at h: everything of a mesh that does not read the
+    sheet table, triangulated once per (group, h).  Its arrays are read-only."""
     from scipy.spatial import Delaunay, cKDTree  # here: keeps CLI start-up short
-    if not (0.01 <= h <= 0.2):
-        raise ParameterOutOfRange("h must lie in [0.01, 0.2]")
-    group, degree = surface.base, surface.degree
-    if group.dirichlet_radius is None:
-        raise ValueError("mesh needs a cocompact group with known radius")
     faces = _face_points(group)
     side_pts, sides = _side_nodes(faces, h)
     tree = cKDTree(_xy(side_pts))
@@ -227,17 +255,37 @@ def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
     pts = np.concatenate([grid, side_pts])
     tri = Delaunay(_xy(pts)).simplices
     tri = tri[_in_dirichlet_domain(pts[tri].mean(axis=1, keepdims=True), faces)]
-    pairings = []
-    for k, (g, perm) in enumerate(zip(group.symmetrized(), surface.sheets)):
+    pairs = []
+    for k, g in enumerate(group.symmetrized()):
         image = _mobius_array(np.conj(g.alpha), -g.beta, side_pts[sides[k]])  # g^-1
         dist, j = tree.query(_xy(image))
         if dist.max() > _MATCH_TOL:
             raise MeshPairingFailure(f"side {k}: pairing images off by {dist.max():.2e}")
-        pairings.append((len(grid) + sides[k], len(grid) + j, perm))
+        pairs.append((len(grid) + sides[k], len(grid) + j))
     density = 4.0 / (1.0 - np.abs(pts) ** 2) ** 2
-    label = group.label + (f":deg{degree}" if degree > 1 else "")
-    return _p1_mesh(label, pts, tri, density, pairings, degree,
-                    group.volume() * degree, h)
+    base = _p1_mesh(group.label, pts, tri, density,
+                    [(i, j, perm) for (i, j), perm in zip(pairs, group.sheets)], 1,
+                    group.volume(), h)
+    _frozen(pts, tri, density, *(a for pair in pairs for a in pair), base.points,
+            base.sheets, base.weights, base.deck, base.classes, base.stiffness.data,
+            base.stiffness.indices, base.stiffness.indptr)
+    return _Chart(pts, tri, density, tuple(pairs), base)
+
+
+def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
+    """Conforming P1 mesh of a cocompact quotient (or a finite cover of one):
+    the chart of its group at h, lifted to the sheet table."""
+    if not (0.01 <= h <= 0.2):
+        raise ParameterOutOfRange("h must lie in [0.01, 0.2]")
+    group, degree = surface.base, surface.degree
+    if group.dirichlet_radius is None:
+        raise ValueError("mesh needs a cocompact group with known radius")
+    chart = _chart(group, h)
+    mesh = chart.base if degree == 1 else _p1_mesh(
+        f"{group.label}:deg{degree}", chart.points, chart.triangles, chart.density,
+        [(i, j, perm) for (i, j), perm in zip(chart.sides, surface.sheets)], degree,
+        group.volume() * degree, h)
+    return replace(mesh, chart=chart)
 
 
 def torus_mesh(h: float) -> SurfaceMesh:
@@ -376,6 +424,15 @@ def _smallest_pairs(K, weights: np.ndarray, count: int):
     return vals, vecs, int(lu.L.nnz + lu.U.nnz)
 
 
+@lru_cache(maxsize=8)
+def _base_pairs(chart: _Chart, count: int):
+    """_smallest_pairs of the base problem of a chart (its degree-1 mesh),
+    solved once per pair count; the arrays are read-only."""
+    vals, vecs, fill = _smallest_pairs(chart.base.stiffness, chart.base.weights, count)
+    _frozen(vals, vecs)
+    return vals, vecs, fill
+
+
 def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None,
                    reach: float | None = None) -> EigenData:
     """The n_modes lowest eigenpairs of K psi = nu M psi on the mesh, or
@@ -385,10 +442,19 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None,
     docstring).  Their Gram matrix must be the identity to _ORTHO_TOL."""
     if (n_modes is None) == (reach is None):
         raise ValueError("give exactly one of n_modes and reach")
+    if n_modes is not None and n_modes < 1:
+        raise ParameterOutOfRange("n_modes must be at least 1")
     walk = _deck_walk(mesh.deck)
     d = len(walk)
     orbit, offset = np.empty(walk.size, dtype=int), np.empty(walk.size, dtype=int)
     orbit[walk], offset[walk] = np.arange(walk.shape[1]), np.arange(d)[:, None]
+    if mesh.chart is not None and d == len(mesh.classes):
+        # character 0 is the base problem: below[a] is the base unknown under r_a
+        below = np.empty(walk.size, dtype=int)
+        below[mesh.classes] = mesh.chart.base.classes[0]
+        below = below[walk[0]]
+    else:
+        below = None
     rows = mesh.stiffness[walk[0]].tocoo()
     w, size = mesh.weights[walk[0]], walk.shape[1]
     ks = range(d // 2 + 1)
@@ -410,7 +476,11 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None,
             Kk = sp.csr_matrix((rows.data * (phase.real if mult[k] == 1 else phase),
                                 (rows.row, orbit[rows.col])), shape=(size, size))
             Kk = 0.5 * (Kk + Kk.conj().T)
-            vals, vecs, f = _smallest_pairs(Kk, w, count[k])
+            if k == 0 and below is not None:
+                vals, vecs, f = _base_pairs(mesh.chart, count[k])
+                vecs = vecs[below]
+            else:
+                vals, vecs, f = _smallest_pairs(Kk, w, count[k])
             pairs[k], fill, solved = (Kk, vals, vecs), fill + f, solved + 1
         nu = np.concatenate([np.repeat(pairs[k][1], mult[k]) for k in ks])
         top = np.array([pairs[k][1][-1] for k in ks])
@@ -427,9 +497,12 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None,
     blocks = np.column_stack([pairs[k][2][:, p] for k, p, _ in kpi])
     res = np.array([np.linalg.norm(pairs[k][0] @ v - pairs[k][1][p] * (w * v))
                     / max(np.linalg.norm(w * v), 1e-300) for (k, p, _), v in zip(kpi, blocks.T)])
+    # modes the memo served are held to the bound of the blocks factorized
+    # here, so base modes that do not solve this mesh's own K_0 are refused
+    served = (kpi[:, 0] == 0) & (below is not None)
     return EigenData(mesh.label, mesh.points, mesh.sheets, mesh.weights, np.sort(nu)[:n_modes],
                      blocks, walk, kpi[:, 0], kpi[:, 2] == 1, res, _ORTHO_TOL,
-                     residual_tol=max(1e-6, 10.0 * float(res.max())),
+                     residual_tol=max(1e-6, 10.0 * float(res[~served].max(initial=0.0))),
                      volume=mesh.volume, h=mesh.h, factor_nnz=fill,
                      character_blocks=solved, stiffness=mesh.stiffness).validate()
 

@@ -62,7 +62,9 @@ class SpectralWindow:
     nu_hi: float
 
     def __post_init__(self):
-        if not (0.25 + 1e-9 < self.nu_lo < self.nu_hi):
+        if not self.nu_lo < self.nu_hi:
+            raise ParameterOutOfRange("window must have nu_lo < nu_hi")
+        if not self.nu_lo > 0.25 + 1e-9:
             raise ParameterOutOfRange("window must sit strictly above 1/4")
 
     @property

@@ -315,3 +315,43 @@ class TestContracts:
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["error"] == "ParameterOutOfRange"
         assert rec["subcommand"] == argv[0]
+
+    # the torus has no covers; fem solves it by default, so a stray --degree
+    # must not write a summary claiming a cover it never solved
+    @pytest.mark.parametrize("argv", [["--surface", "torus", "--degree", "4"],
+                                      ["--degree", "0"], ["--degree", "-3"],
+                                      ["--modes", "0"],
+                                      ["--surface", "bolza", "--h", "0.1", "--modes", "0"]],
+                             ids=["torus-degree-4", "degree-0", "degree-minus-3",
+                                  "torus-modes-0", "bolza-modes-0"])
+    def test_fem_guard_is_a_json_error(self, tmp_path, capsys, argv):
+        out = str(tmp_path)
+        assert main(["fem", "--out", out] + argv) == 1
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert (rec["error"], rec["subcommand"]) == ("ParameterOutOfRange", "fem")
+        assert not os.path.exists(os.path.join(out, "fem.json"))
+
+    @pytest.mark.parametrize("window, message", [("4:1", "nu_lo < nu_hi"),
+                                                 ("2:2", "nu_lo < nu_hi"),
+                                                 ("0.1:4", "above 1/4")])
+    def test_window_messages(self, tmp_path, capsys, window, message):
+        assert main(["variance", "--out", str(tmp_path), "--window", window]) == 1
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "ParameterOutOfRange"
+        assert message in rec["message"]
+
+    @pytest.mark.parametrize("key, listed, spelled", [("degrees", [1, 2], "1,2"),
+                                                      ("window", [1, 4], "1:4")])
+    def test_config_lists_join_with_the_option_separator(self, tmp_path, key, listed,
+                                                         spelled):
+        summaries = []
+        for val in (listed, spelled):
+            out = str(tmp_path / str(len(summaries)))
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"degrees": "1,2", "h": 0.1, key: val}))
+            assert main(["--config", str(cfg), "tower", "--out", out]) == 0
+            summary = read(out, "tower")
+            del summary["config"]["out_dir"]
+            summaries.append(summary)
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["config"][key] == listed

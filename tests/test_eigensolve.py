@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+import scipy.spatial
 from scipy.linalg import eigh
 
 import hypsurf.eigensolve as E
+from hypsurf.cli import main
 from hypsurf.eigensolve import (_smallest_pairs, disc_surface_mesh, export_eigendata,
                                 fem_eigensolve, ingest_eigendata, torus_mesh)
 from hypsurf.errors import (FormatError, MeshPairingFailure,
-                            OrthonormalityViolation, ResidualViolation)
+                            OrthonormalityViolation, ParameterOutOfRange,
+                            ResidualViolation)
 from hypsurf.fuchsian import (BOLZA_SIDE_LENGTH, CoverSurface, FuchsianGroup,
                               bolza_group, random_cover)
 from hypsurf.geometry import GroupElement
@@ -319,20 +322,118 @@ class TestReachSolve:
 
 
 def _record_blocks(blocks, solve):
-    """solve(), with the pair count and top eigenvalue of every block solve
-    appended to blocks."""
-    inner = E._smallest_pairs
+    """solve(), with the pair count and top eigenvalue of every block it
+    holds appended to blocks: each block it factorizes, and each base-problem
+    block the memo serves."""
+    inner, memo = E._smallest_pairs, E._base_pairs
 
     def recorded(K, weights, count):
         vals, vecs, fill = inner(K, weights, count)
         blocks.append((count, float(vals[-1])))
         return vals, vecs, fill
 
-    E._smallest_pairs = recorded
+    def served(chart, count):
+        E._smallest_pairs = inner           # a memo miss is recorded once, here
+        try:
+            vals, vecs, fill = memo(chart, count)
+        finally:
+            E._smallest_pairs = recorded
+        blocks.append((count, float(vals[-1])))
+        return vals, vecs, fill
+
+    E._smallest_pairs, E._base_pairs = recorded, served
     try:
         return solve()
     finally:
-        E._smallest_pairs = inner
+        E._smallest_pairs, E._base_pairs = inner, memo
+
+
+class TestChartAndBaseProblem:
+    """A tower triangulates each (group, h) once, and character 0 of a
+    cyclic cover is the base problem, solved once per pair count."""
+    NU_MAX = 4.8
+
+    @staticmethod
+    def _clear():
+        E._chart.cache_clear()
+        E._base_pairs.cache_clear()
+
+    def test_tower_triangulates_once(self, tmp_path, monkeypatch):
+        calls, delaunay = [], scipy.spatial.Delaunay
+
+        def counted(points):
+            calls.append(len(points))
+            return delaunay(points)
+
+        self._clear()
+        monkeypatch.setattr(scipy.spatial, "Delaunay", counted)
+        assert main(["tower", "--out", str(tmp_path), "--degrees", "1,2,4"]) == 0
+        assert len(calls) == 1
+
+    def test_tower_factorizes_the_base_once(self, tmp_path, monkeypatch):
+        # degree 1 fills the memo; degrees 2 and 4 factorize k = 1 and k = 1, 2
+        calls, inner = [], E._smallest_pairs
+
+        def counted(K, weights, count):
+            calls.append(K.shape[0])
+            return inner(K, weights, count)
+
+        self._clear()
+        monkeypatch.setattr(E, "_smallest_pairs", counted)
+        assert main(["tower", "--out", str(tmp_path), "--degrees", "1,2,4",
+                     "--h", "0.05"]) == 0
+        assert len(calls) == 4
+
+    def test_character_zero_is_the_base_spectrum(self, bolza):
+        base = fem_eigensolve(disc_surface_mesh(bolza, 0.05), reach=self.NU_MAX)
+        for degree in (2, 4):
+            mesh = disc_surface_mesh(random_cover(bolza, degree, seed=0), 0.05)
+            data = fem_eigensolve(mesh, reach=self.NU_MAX)
+            nu = data.eigenvalues[data.characters == 0]
+            assert len(nu) > 0
+            assert np.array_equal(nu, base.eigenvalues[:len(nu)])
+
+    @pytest.mark.parametrize("degree", [1, 4])
+    def test_cold_and_warm_calls_agree(self, bolza, degree):
+        surface = bolza if degree == 1 else random_cover(bolza, degree, seed=0)
+        runs = []
+        for clear in (True, False):
+            if clear:
+                self._clear()
+            mesh = disc_surface_mesh(surface, 0.05)
+            runs.append((mesh, fem_eigensolve(mesh, reach=self.NU_MAX)))
+        (cold_mesh, cold), (warm_mesh, warm) = runs
+        assert (cold_mesh.stiffness != warm_mesh.stiffness).nnz == 0
+        assert np.array_equal(cold_mesh.weights, warm_mesh.weights)
+        for key in ("eigenvalues", "blocks", "characters", "imaginary", "residuals"):
+            assert np.array_equal(getattr(cold, key), getattr(warm, key))
+        assert (cold.factor_nnz, cold.character_blocks) == (warm.factor_nnz,
+                                                            warm.character_blocks)
+
+    def test_cached_arrays_are_read_only(self, bolza):
+        chart = E._chart(bolza, 0.05)
+        base = chart.base
+        arrays = [chart.points, chart.triangles, chart.density,
+                  *(a for pair in chart.sides for a in pair), base.points, base.sheets,
+                  base.weights, base.deck, base.classes, base.stiffness.data,
+                  base.stiffness.indices, base.stiffness.indptr]
+        arrays += list(E._base_pairs(chart, 4)[:2])
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            disc_surface_mesh(bolza, 0.05).weights[0] = 1.0
+
+    def test_served_modes_must_solve_the_mesh(self, bolza):
+        # a mesh whose K is not its chart's: the base modes miss its own K_0
+        for surface in (bolza, random_cover(bolza, 4, seed=0)):
+            mesh = disc_surface_mesh(surface, 0.05)
+            with pytest.raises(ResidualViolation):
+                fem_eigensolve(replace(mesh, stiffness=2.0 * mesh.stiffness), 20)
+
+    def test_mode_count_below_one_rejected(self, bolza):
+        mesh = disc_surface_mesh(bolza, 0.1)
+        for n_modes in (0, -1):
+            with pytest.raises(ParameterOutOfRange):
+                fem_eigensolve(mesh, n_modes)
 
 
 class TestDenseOracle:
