@@ -1,10 +1,12 @@
 """Experiment driver: every subcommand writes CSV data plus a JSON summary.
 
-Summaries embed the full configuration (seed, weight convention, cutoff and
-exponent choices) so a run is reproducible from its own output; floats are
-serialized with 17 significant digits and files are written atomically, so
-the same configuration and seed produce byte-identical summaries.  Exit code
-0 means every internal assertion of the subcommand passed.
+A summary's config is the subcommand's parsed options under their dests
+(valid as a --config file, which reruns the run) plus seed,
+weight_convention, out_dir, subcommand and the run's fixed labels, so a run
+is reproducible from its own output; floats are serialized with 17
+significant digits and files are written atomically, so the same
+configuration and seed produce byte-identical summaries.  Exit code 0 means
+every internal assertion of the subcommand passed.
 """
 
 from __future__ import annotations
@@ -85,9 +87,21 @@ def write_csv(out_dir: str, name: str, header: str, rows):
     _atomic_write(os.path.join(out_dir, name + ".csv"), "\n".join(lines) + "\n")
 
 
-def _base_config(args) -> dict:
-    return {"seed": args.seed, "weight_convention": args.weight,
-            "out_dir": args.out, "subcommand": args.command}
+# Keys of the parse that config leaves out: the global ones, and the two
+# common options it records under their provenance names
+_NOT_OPTIONS = ("config", "command", "func", "out", "weight")
+
+
+def _finish(args, name: str, fields: dict, passed, verdict: str = "passed",
+            **labels) -> int:
+    """Write the summary `name`.json: `fields`, `passed` under the key
+    `verdict`, and a config of the parsed subcommand options, the provenance
+    keys and the fixed `labels`; return the exit code, 0 exactly when passed."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+    config.update(weight_convention=args.weight, out_dir=args.out,
+                  subcommand=args.command, **labels)
+    write_summary(args.out, name, {"config": config, **fields, verdict: passed})
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -95,24 +109,19 @@ def _base_config(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_toy1d(args) -> int:
-    window = tuple(args.window)
-    rep = toy1d_variance(args.L, window, alternating_step(args.blocks))
-    ok = rep.passed
+    rep = toy1d_variance(args.L, tuple(args.window), alternating_step(args.blocks))
     write_csv(args.out, "toy1d", "L,n_modes,variance,bound",
               [(rep.L, rep.n_modes, rep.variance, rep.parseval_bound)])
-    write_summary(args.out, "toy1d", {
-        "config": {**_base_config(args), "L": args.L, "window": list(window),
-                   "blocks": args.blocks},
-        "n_modes": rep.n_modes, "variance": rep.variance,
-        "parseval_bound": rep.parseval_bound, "passed": ok})
-    return 0 if ok else 1
+    return _finish(args, "toy1d", {"n_modes": rep.n_modes, "variance": rep.variance,
+                                   "parseval_bound": rep.parseval_bound}, rep.passed)
 
 
 def cmd_geometry_check(args) -> int:
+    if args.samples < 1:
+        raise ParameterOutOfRange("--samples must be >= 1")
     rng = np.random.default_rng(args.seed)
-    n = args.samples
     worst = {"cocycle": 0.0, "poisson": 0.0, "ank": 0.0, "cosh_formula": 0.0}
-    for _ in range(n):
+    for _ in range(args.samples):
         s, u = rng.uniform(-2, 2, 2)
         th = rng.uniform(0, 2 * math.pi)
         g = ank_compose(AnkCoords(s, u, th))
@@ -133,11 +142,8 @@ def cmd_geometry_check(args) -> int:
         lhs2 = math.cosh(hyp_distance(DiscPoint(0, 0), zz))
         rhs2 = (u * u * math.exp(s) + 2.0 * math.cosh(s)) / 2.0
         worst["cosh_formula"] = max(worst["cosh_formula"], abs(lhs2 - rhs2))
-    ok = all(v < args.tol for v in worst.values())
-    write_summary(args.out, "geometry_check", {
-        "config": {**_base_config(args), "samples": n, "tol": args.tol},
-        "worst_deviations": worst, "passed": ok})
-    return 0 if ok else 1
+    return _finish(args, "geometry_check", {"worst_deviations": worst},
+                   all(v < args.tol for v in worst.values()))
 
 
 def cmd_spherical(args) -> int:
@@ -151,16 +157,15 @@ def cmd_spherical(args) -> int:
     worst = max(row[3] for row in rows)
     cid = max(abs(c_inverse_square(lam) - math.pi * lam * math.tanh(math.pi * lam))
               for lam in lams)
-    ok = worst < 1e-6 and cid < 1e-10
     write_csv(args.out, "spherical", "lambda,t,phi,int_vs_series", rows)
-    write_summary(args.out, "spherical", {
-        "config": {**_base_config(args), "lams": lams, "ts": ts},
-        "max_integral_series_gap": worst, "c_function_identity_gap": cid,
-        "passed": ok})
-    return 0 if ok else 1
+    return _finish(args, "spherical", {"max_integral_series_gap": worst,
+                                       "c_function_identity_gap": cid},
+                   worst < 1e-6 and cid < 1e-10)
 
 
 def cmd_selberg(args) -> int:
+    if args.n_lams < 1:
+        raise ParameterOutOfRange("--n-lams must be >= 1")
     t0 = args.t
     k = RadialKernel(lambda r: np.cosh(t0) ** -0.5 * (r <= t0), support_bound=t0)
     h1 = selberg_transform(k)
@@ -170,18 +175,15 @@ def cmd_selberg(args) -> int:
     gaps = np.abs(a - b)
     worst = float(np.max(gaps))
     rows = list(zip(lams.tolist(), a.tolist(), b.tolist(), gaps.tolist()))
-    ok = worst < 1e-6
     write_csv(args.out, "selberg", "lambda,selberg,fourier_abel,gap", rows)
-    write_summary(args.out, "selberg", {
-        "config": {**_base_config(args), "t": t0, "n_lams": args.n_lams},
-        "max_triangle_gap": worst, "passed": ok})
-    return 0 if ok else 1
+    return _finish(args, "selberg", {"max_triangle_gap": worst}, worst < 1e-6)
 
 
 def cmd_kernel_decay(args) -> int:
+    if args.n_t < 1:
+        raise ParameterOutOfRange("--n-t must be >= 1")
     weight = weight_from_name(args.weight)
-    lo, hi = args.support
-    rho = bump_multiplier(lo, hi)
+    rho = bump_multiplier(*args.support)
     ts = np.linspace(1.0, 40.0, args.n_t)
     s1 = np.abs(k_rho_scaled(rho, weight, ts, n_lambda=256))
     s2 = np.abs(k_rho_scaled(rho, weight, ts, n_lambda=512))
@@ -194,27 +196,19 @@ def cmd_kernel_decay(args) -> int:
     write_csv(args.out, "kernel_decay", "t,scaled_abs_k,est_error",
               [(float(t), float(v), float(e)) for t, v, e in
                zip(ts, s2, np.abs(s1 - s2))])
-    write_summary(args.out, "kernel_decay", {
-        "config": {**_base_config(args), "support": [lo, hi], "n_t": args.n_t},
-        "sup_scaled_times_poly": sups, "grid_stable": stable, "passed": stable})
-    return 0 if stable else 1
+    return _finish(args, "kernel_decay", {"sup_scaled_times_poly": sups,
+                                          "grid_stable": stable}, stable)
 
 
 def cmd_prop33(args) -> int:
-    T_list = args.T
-    lam_lo, lam_hi = args.interval
-    cert = prop33_certificate((lam_lo, lam_hi), args.sigma, T_list,
+    cert = prop33_certificate(args.interval, args.sigma, args.T,
                               lam_spacing=args.lam_spacing)
-    write_summary(args.out, "prop33", {
-        "config": {**_base_config(args), "interval": [lam_lo, lam_hi],
-                   "sigma": args.sigma, "T_list": T_list,
-                   "lam_spacing": args.lam_spacing},
+    return _finish(args, "prop33", {
         "I": [cert.lam_lo, cert.lam_hi], "sigma": cert.sigma,
         "T_list": list(cert.T_list), "c_min": list(cert.c_min),
         "argmin_lambda": list(cert.argmin_lambda),
         "lemmaA1_constant": cert.lemma_a1_const,
-        "upper_half_variation": cert.upper_half_variation, "pass": cert.passed})
-    return 0 if cert.passed else 1
+        "upper_half_variation": cert.upper_half_variation}, cert.passed, verdict="pass")
 
 
 def cmd_lemma_a1(args) -> int:
@@ -225,13 +219,10 @@ def cmd_lemma_a1(args) -> int:
     rows = [(lam, r, v) for lam, col in zip(lams, vals.T.tolist())
             for r, v in zip(rs.tolist(), col)]
     ratio = max(per_lam_max.values()) / min(per_lam_max.values())
-    ok = ratio < 10.0
     write_csv(args.out, "lemma_a1", "lambda,r,value", rows)
-    write_summary(args.out, "lemma_a1", {
-        "config": {**_base_config(args), "lams": lams},
+    return _finish(args, "lemma_a1", {
         "per_lambda_max": {str(k): v for k, v in per_lam_max.items()},
-        "max_over_min_ratio": ratio, "passed": ok})
-    return 0 if ok else 1
+        "max_over_min_ratio": ratio}, ratio < 10.0)
 
 
 def cmd_orbit(args) -> int:
@@ -242,26 +233,20 @@ def cmd_orbit(args) -> int:
            else orbit_enumerate(group, DiscPoint(0, 0), 1.0)).injectivity_radius()
     write_csv(args.out, "orbit", "displacement,word_length",
               zip(ball.displacement.tolist(), map(len, ball.words)))
-    write_summary(args.out, "orbit", {
-        "config": {**_base_config(args), "group": args.group, "R": args.R,
-                   "length": args.length},
+    return _finish(args, "orbit", {
         "count": len(ball), "orbit_elements_explored": ball.elements_explored,
         "orbit_levels": ball.levels, "injectivity_radius": inj.value,
         "inj_is_lower_bound": inj.is_lower_bound,
-        "systole_upper_bound": systole_upper_bound(group), "passed": True})
-    return 0
+        "systole_upper_bound": systole_upper_bound(group)}, True)
 
 
 def cmd_bs_stat(args) -> int:
     res = bs_statistic(_surface(args, args.degree), args.R, args.samples, args.seed)
-    write_summary(args.out, "bs_stat", {
-        "config": {**_base_config(args), "R": args.R, "degree": args.degree,
-                   "samples": args.samples},
+    return _finish(args, "bs_stat", {
         "value": res.value, "stderr": res.stderr, "n_hits": res.n_hits,
         "orbit_elements_explored": res.orbit_elements_explored,
         "orbit_levels": res.orbit_levels,
-        "sampler_proposals": res.sampler_proposals, "passed": True})
-    return 0
+        "sampler_proposals": res.sampler_proposals}, True)
 
 
 def cmd_hs_check(args) -> int:
@@ -269,9 +254,7 @@ def cmd_hs_check(args) -> int:
     kern = RadialKernel(lambda t: np.exp(-t * t), support_bound=8.0)
     rep = hs_bound_check(kern, group, r=args.r, n_mc=args.samples, seed=args.seed,
                          window_radius=None if args.group == "bolza" else 2.5)
-    write_summary(args.out, "hs_check", {
-        "config": {**_base_config(args), "group": args.group, "r": args.r,
-                   "samples": args.samples, "length": args.length},
+    return _finish(args, "hs_check", {
         "lhs_estimate": rep.lhs_estimate, "lhs_stderr": rep.lhs_stderr,
         "rhs_bound": rep.rhs_bound, "rhs_first_term": rep.rhs_first_term,
         "rhs_second_term": rep.rhs_second_term,
@@ -279,8 +262,7 @@ def cmd_hs_check(args) -> int:
         "orbit_elements_explored": rep.orbit_elements_explored,
         "orbit_levels": rep.orbit_levels,
         "sampler_proposals": rep.sampler_proposals,
-        "systole_bound": rep.systole_bound, "passed": rep.passed})
-    return 0 if rep.passed else 1
+        "systole_bound": rep.systole_bound}, rep.passed)
 
 
 def cmd_symbol(args) -> int:
@@ -292,12 +274,8 @@ def cmd_symbol(args) -> int:
     rows = [(zre, zim, lam, s[i].real, s[i].imag, abs(s[i] - (0.25 + lam * lam)))
             for i, (zre, zim) in enumerate(zs) for lam, s in zip(lams, syms)]
     worst = max(row[5] for row in rows)
-    ok = worst < 1e-5
     write_csv(args.out, "symbol", "z_re,z_im,lambda,sym_re,sym_im,gap", rows)
-    write_summary(args.out, "symbol", {
-        "config": _base_config(args),
-        "max_laplacian_symbol_gap": worst, "passed": ok})
-    return 0 if ok else 1
+    return _finish(args, "symbol", {"max_laplacian_symbol_gap": worst}, worst < 1e-5)
 
 
 def _mesh_counters(mesh, data) -> dict:
@@ -347,32 +325,24 @@ def cmd_variance(args) -> int:
     write_csv(args.out, "variance", "nu,matrix_element,limit,term",
               [(float(n), float(m), float(l), float(t)) for n, m, l, t in
                zip(rep.eigenvalues, rep.matrix_elements, rep.limit_terms, rep.terms)])
-    write_summary(args.out, "variance", {
-        "config": {**_base_config(args), "degree": args.degree, "h": args.h,
-                   "window": args.window, "observable": "sign_re_mean_zero"},
-        **solved, **row, "passed": True})
-    return 0
+    return _finish(args, "variance", {**solved, **row}, True,
+                   observable="sign_re_mean_zero")
 
 
 def cmd_weyl(args) -> int:
     window = SpectralWindow(*args.window)
     _, data, solved = _solve(args, args.degree, window)
     rep = weyl_ratio(data, window)
-    ok = 0.5 <= rep.ratio <= 2.0
-    write_summary(args.out, "weyl", {
-        "config": {**_base_config(args), "degree": args.degree, "h": args.h,
-                   "window": args.window},
+    return _finish(args, "weyl", {
         **solved, "measured_density": rep.measured, "predicted_density": rep.predicted,
-        "ratio": rep.ratio, "count": rep.count, "volume": rep.volume,
-        "passed": ok})
-    return 0 if ok else 1
+        "ratio": rep.ratio, "count": rep.count, "volume": rep.volume},
+        0.5 <= rep.ratio <= 2.0)
 
 
 def cmd_tower(args) -> int:
     window = SpectralWindow(*args.window)
-    degrees = args.degrees
     rows, summaries = [], []
-    for deg in degrees:
+    for deg in args.degrees:
         mesh, data, solved = _solve(args, deg, window)
         _, row = _variance_row(data, window)
         wr = weyl_ratio(data, window)
@@ -387,16 +357,13 @@ def cmd_tower(args) -> int:
         for i in range(len(summaries) - 1))
     weyl_ok = 0.5 <= summaries[-1]["weyl_ratio"] <= 2.0
     write_csv(args.out, "tower", "degree,count,variance,spread,weyl_ratio", rows)
-    write_summary(args.out, "tower", {
-        "config": {**_base_config(args), "degrees": degrees, "h": args.h,
-                   "window": args.window, "observable": "sign_re_mean_zero",
-                   "bs_spectral_gap_assumption": (
-                       "measured per degree as min_new_eigenvalue, the lowest"
-                       " eigenvalue of a nontrivial deck character; cyclic covers"
-                       " are not expanders, so it shrinks as the degree grows")},
+    return _finish(args, "tower", {
         "per_degree": summaries, "trend_nonincreasing_within_bars": trend_ok,
-        "weyl_ratio_final_ok": weyl_ok, "passed": trend_ok and weyl_ok})
-    return 0 if (trend_ok and weyl_ok) else 1
+        "weyl_ratio_final_ok": weyl_ok}, trend_ok and weyl_ok,
+        observable="sign_re_mean_zero", bs_spectral_gap_assumption=(
+            "measured per degree as min_new_eigenvalue, the lowest"
+            " eigenvalue of a nontrivial deck character; cyclic covers"
+            " are not expanders, so it shrinks as the degree grows"))
 
 
 def cmd_fem(args) -> int:
@@ -410,14 +377,11 @@ def cmd_fem(args) -> int:
     write_csv(args.out, "fem_eigs", "index,eigenvalue,residual",
               [(j, float(v), float(r)) for j, (v, r) in
                enumerate(zip(data.eigenvalues, data.residuals))])
-    write_summary(args.out, "fem", {
-        "config": {**_base_config(args), "surface": args.surface, "h": args.h,
-                   "modes": args.modes, "degree": args.degree},
+    return _finish(args, "fem", {
         "n_mesh": len(data.points), **_mesh_counters(mesh, data),
         "eigenvalues": list(data.eigenvalues),
         "max_residual": float(np.max(data.residuals)),
-        "gram_deviation": data.gram_deviation, "passed": True})
-    return 0
+        "gram_deviation": data.gram_deviation}, True)
 
 
 def cmd_pipeline(args) -> int:
@@ -428,13 +392,7 @@ def cmd_pipeline(args) -> int:
                                       weight=weight_from_name(args.weight),
                                       sigma=args.sigma, nevo_n=args.nevo_n,
                                       n_mc=args.samples, seed=args.seed)
-    write_summary(args.out, "pipeline", {
-        "config": {**_base_config(args), "T": args.T, "r": args.r, "s": args.s,
-                   "window": args.window, "sigma": args.sigma,
-                   "degree": args.degree, "samples": args.samples,
-                   "nevo_n": args.nevo_n,
-                   "nevo_n_provenance": budget.nevo_n_provenance,
-                   "suppressed_constants": budget.note},
+    return _finish(args, "pipeline", {
         "terms": {"averaging": budget.term_averaging,
                   "wraparound": budget.term_wraparound,
                   "cutoff_tail": budget.term_cutoff_tail,
@@ -443,20 +401,18 @@ def cmd_pipeline(args) -> int:
                   "truncation": budget.term_truncation},
         "total": budget.total, "dominant": budget.dominant,
         "bs_fraction_wrap": budget.bs_fraction_wrap,
-        "bs_saturated": budget.bs_saturated, "systole": budget.systole,
-        "passed": math.isfinite(budget.total)})
-    return 0 if math.isfinite(budget.total) else 1
+        "bs_saturated": budget.bs_saturated, "systole": budget.systole},
+        math.isfinite(budget.total), nevo_n_provenance=budget.nevo_n_provenance,
+        suppressed_constants=budget.note)
 
 
 def cmd_beta(args) -> int:
-    ts = args.ts
-    vals = [beta_norm_check(t, args.p) for t in ts]
+    if not all(t > 0 for t in args.ts):
+        raise ParameterOutOfRange("--ts must be positive")
+    vals = [beta_norm_check(t, args.p) for t in args.ts]
     band_ok = max(vals) / max(min(v for v in vals if v > 0), 1e-12) < 10.0
-    write_csv(args.out, "beta_norm", "t,value", list(zip(ts, vals)))
-    write_summary(args.out, "beta_norm", {
-        "config": {**_base_config(args), "ts": ts, "p": args.p},
-        "values": vals, "bounded_band": band_ok, "passed": band_ok})
-    return 0 if band_ok else 1
+    write_csv(args.out, "beta_norm", "t,value", list(zip(args.ts, vals)))
+    return _finish(args, "beta_norm", {"values": vals, "bounded_band": band_ok}, band_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,9 @@ def octagon_area() -> float:
 
 def cyclic_group(length: float) -> FuchsianGroup:
     """Infinite cyclic group generated by one translation of given length
-    along the real axis."""
+    along the real axis; the length must be finite and positive."""
+    if not (math.isfinite(length) and length > 0):
+        raise ParameterOutOfRange(f"translation length must be finite and > 0, got {length}")
     return FuchsianGroup((GroupElement.translation(0.0, length),),
                          label=f"cyclic:{length:g}")
 
@@ -546,6 +548,8 @@ def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
     """
     if R > 25:
         raise ParameterOutOfRange("R > 25 would enumerate exponentially many elements")
+    if not R >= 0:
+        raise ParameterOutOfRange("R must be >= 0")
     c = center.z
     alpha, beta = [np.ones(1, dtype=complex)], [np.zeros(1, dtype=complex)]
     disp, words = [np.zeros(1)], [()]
@@ -806,6 +810,8 @@ def bs_statistic(surface, R: float, n_samples: int, seed: int) -> BsStatResult:
     """
     if R > 25:
         raise ParameterOutOfRange("R > 25 not supported")
+    if not R >= 0:
+        raise ParameterOutOfRange("R must be >= 0")
     if n_samples < 1:
         raise ParameterOutOfRange("n_samples must be >= 1")
     sampler = DomainSampler(surface.base)
@@ -895,6 +901,10 @@ def hs_bound_check(kernel: RadialKernel, group: FuchsianGroup, r: float,
     window_radius) replaces D; the unfolding argument applies verbatim on
     the window.
     """
+    if not r > 0:
+        raise ParameterOutOfRange("r must be > 0")
+    if n_mc < 1:
+        raise ParameterOutOfRange("n_mc must be >= 1")
     base_radius = group.dirichlet_radius
     if window_radius is None:
         if base_radius is None:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyWindow
+from .errors import EmptyWindow, ParameterOutOfRange
 from .quadrature import composite_gl
 
 
@@ -57,6 +57,8 @@ class StepObservable:
 
 def alternating_step(n_blocks: int = 10) -> StepObservable:
     """Sign-alternating step of unit sup norm."""
+    if n_blocks < 1:
+        raise ParameterOutOfRange("n_blocks must be >= 1")
     edges = tuple(i / n_blocks for i in range(n_blocks + 1))
     values = tuple(1.0 if i % 2 == 0 else -1.0 for i in range(n_blocks))
     return StepObservable(edges, values)

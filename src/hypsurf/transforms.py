@@ -250,7 +250,7 @@ def harish_chandra_c(lam):
     """c(lambda) = Gamma(i lam) / (sqrt(pi) Gamma(1/2 + i lam)), lam > 0; lam may be an array."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 1e-8):
-        raise ValueError("lambda too close to the Gamma(i lambda) pole")
+        raise ParameterOutOfRange("lambda too close to the Gamma(i lambda) pole")
     c = np.exp(loggamma(1j * lam) - loggamma(0.5 + 1j * lam)) / math.sqrt(math.pi)
     return c if c.ndim else complex(c)
 

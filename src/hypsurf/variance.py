@@ -255,6 +255,12 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     orbit ball, and spectral tails of the cutoff multiplier.  Radii beyond
     the enumeration guard use the trivial volume-fraction bound 1 (flagged).
     """
+    if not (T > 0 and r > 0):
+        raise ParameterOutOfRange("T and r must be > 0")
+    if not nevo_n > 1:
+        raise ParameterOutOfRange("nevo_n must be > 1: rho(n) = 1 - 1/n divides")
+    if n_mc < 1:
+        raise ParameterOutOfRange("n_mc must be >= 1")
     weight = weight or PlancherelWeight.paper()
     S = A.locality.S
     S_T = 2.0 * T + S

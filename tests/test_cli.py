@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypsurf.cli import main
+from hypsurf.cli import build_parser, main
 
 
 def read(out_dir, name):
@@ -27,6 +28,36 @@ def read_all_bytes(out_dir):
         with open(os.path.join(out_dir, name), "rb") as f:
             out[name] = f.read()
     return out
+
+
+def subparsers() -> dict:
+    """Each subcommand's parser, by name."""
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# one small run of every subcommand, each with a non-default option, and the
+# name of its summary
+ROUND_TRIP = [
+    (["toy1d", "--blocks", "5"], "toy1d"),
+    (["geometry-check", "--samples", "50"], "geometry_check"),
+    (["spherical", "--lams", "0.5,2", "--ts", "1,5"], "spherical"),
+    (["selberg", "--n-lams", "5"], "selberg"),
+    (["kernel-decay", "--n-t", "20"], "kernel_decay"),
+    (["prop33", "--T", "5,10", "--lam-spacing", "0.1"], "prop33"),
+    (["lemma-a1", "--lams", "0.5,2"], "lemma_a1"),
+    (["orbit", "--R", "4"], "orbit"),
+    (["bs-stat", "--R", "1.5", "--samples", "30"], "bs_stat"),
+    (["hs-check", "--samples", "40"], "hs_check"),
+    (["symbol", "--seed", "3"], "symbol"),
+    (["variance", "--h", "0.1"], "variance"),
+    (["weyl", "--degree", "1", "--h", "0.1"], "weyl"),
+    (["tower", "--degrees", "1,2", "--h", "0.1"], "tower"),
+    (["fem", "--surface", "bolza", "--h", "0.1", "--modes", "4", "--export", "e"], "fem"),
+    (["pipeline", "--T", "3", "--samples", "10"], "pipeline"),
+    (["beta-norm", "--ts", "2,5"], "beta_norm"),
+]
 
 
 class TestBasicRuns:
@@ -339,6 +370,49 @@ class TestContracts:
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["error"] == "ParameterOutOfRange"
         assert message in rec["message"]
+
+    def test_option_flags_spell_their_dests(self):
+        # config keys and flags are one vocabulary: --lam-spacing is lam_spacing
+        assert set(subparsers()) == {argv[0] for argv, _ in ROUND_TRIP}
+        for sp in subparsers().values():
+            for action in sp._actions:
+                if action.option_strings and action.dest != "help":
+                    assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+
+    # the summary's config, as a --config file, reruns the same run
+    @pytest.mark.parametrize("argv, name", ROUND_TRIP, ids=[a[0] for a, _ in ROUND_TRIP])
+    def test_summary_config_reruns_the_run(self, tmp_path, argv, name):
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        assert main(argv + ["--out", first]) == 0
+        dests = {a.dest for a in subparsers()[argv[0]]._actions if a.option_strings}
+        config = read(first, name)["config"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in config.items() if k in dests}))
+        assert main(["--config", str(cfg), argv[0], "--out", second]) == 0
+        rerun = read_all_bytes(second)
+        rerun[name + ".json"] = rerun[name + ".json"].replace(
+            json.dumps(second).encode(), json.dumps(first).encode())
+        assert rerun == read_all_bytes(first)
+
+    # inputs that once ended in a traceback, or passed with a meaningless
+    # result (a ball of radius -1, a check from no samples, a NaN bound)
+    @pytest.mark.parametrize("argv", [
+        ["kernel-decay", "--n-t", "0"], ["selberg", "--n-lams", "0"],
+        ["toy1d", "--blocks", "0"], ["toy1d", "--blocks", "-2"],
+        ["pipeline", "--samples", "0"], ["pipeline", "--T", "0"],
+        ["pipeline", "--r", "0"], ["pipeline", "--nevo-n", "1"],
+        ["pipeline", "--nevo-n", "0.5"], ["hs-check", "--samples", "0"],
+        ["prop33", "--lam-spacing", "0"], ["spherical", "--lams", "0"],
+        ["spherical", "--lams", "-1"], ["beta-norm", "--ts", "-1"],
+        ["beta-norm", "--ts", "nan"],
+        ["orbit", "--R", "-1"], ["bs-stat", "--R", "-1"],
+        ["geometry-check", "--samples", "-5"], ["hs-check", "--r", "0"]], ids=" ".join)
+    def test_bad_input_is_a_json_error(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "out")
+        assert main(argv + ["--out", out]) == 1
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert (rec["error"], rec["subcommand"]) == ("ParameterOutOfRange", argv[0])
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("key, listed, spelled", [("degrees", [1, 2], "1,2"),
                                                       ("window", [1, 4], "1:4")])

@@ -277,6 +277,13 @@ class TestOrbit:
         assert len(ball) == 5
         assert np.round(ball.displacement, 9).tolist() == [0.0, 1.0, 1.0, 2.0, 2.0]
 
+    # the identity as generator would leave the word search nothing to
+    # prune: it ran on toward the million-element cap, two elements a level
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
+    def test_cyclic_group_needs_a_positive_length(self, length):
+        with pytest.raises(ParameterOutOfRange):
+            F.cyclic_group(length)
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.4, 2.0), st.floats(0.5, 6.0))
     def test_cyclic_count_property(self, L, R):
