@@ -28,8 +28,11 @@ Lanczos (ARPACK mode 3, no M-products) around _SHIFT, below the spectrum,
 started from a fixed vector so that runs are reproducible.  K~ - _SHIFT I is
 positive definite, so SuperLU factorizes it once without pivoting, in its
 symmetric mode (minimum degree on A^T + A, diagonal pivots): about half the
-fill of a column-pivoted LU.  Every solve, plain or one character block,
-goes through this one path.
+fill of a column-pivoted LU.  The fill reported is the entry count SuperLU
+stores for L and U (`SuperLU.nnz`, its supernodes' explicit zeros
+included), which is what the factor's memory scales with; no copy of L or U
+is made.  Every solve, plain or one character block, goes through this one
+path.
 
 Covers are solved one character of the deck group at a time.  The mesh
 records `deck`, the unknown holding the same node one sheet up
@@ -327,7 +330,7 @@ class EigenData:
     residual_tol: float
     volume: float
     h: float
-    factor_nnz: int = 0         # L + U entries of the solve's factors; 0 if read from files
+    factor_nnz: int = 0         # entries SuperLU stores for the solve's factors; 0 if read from files
     character_blocks: int = 0   # blocks solved, re-solves included; 0 if read from files
     stiffness: sp.csr_matrix | None = None   # the cover's K, for validate's lifted sample
 
@@ -393,7 +396,8 @@ class EigenData:
 
 def _smallest_pairs(K, weights: np.ndarray, count: int):
     """The count lowest eigenpairs of K psi = nu diag(weights) psi, ascending
-    and M-orthonormal, and the L + U entries of the one factorization made.
+    and M-orthonormal, and the entries SuperLU stores for the L and U of the
+    one factorization made (SuperLU.nnz).
     A complex K goes through ARPACK's non-Hermitian iteration, whose Ritz
     vectors are not orthogonal inside clusters: a Rayleigh-Ritz step on
     their span makes them so."""
@@ -421,7 +425,7 @@ def _smallest_pairs(K, weights: np.ndarray, count: int):
         from scipy.linalg import eigh
         vals, coef = eigh(vecs.conj().T @ (K @ vecs), vecs.conj().T @ (weights[:, None] * vecs))
         vecs = vecs @ coef
-    return vals, vecs, int(lu.L.nnz + lu.U.nnz)
+    return vals, vecs, lu.nnz
 
 
 @lru_cache(maxsize=8)
@@ -494,9 +498,20 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None,
     # the modes in the order of nu: pair p of block k, its imaginary part if i
     kpi = np.array([(k, p, i) for k in ks for p in range(len(pairs[k][1]))
                     for i in range(mult[k])])[np.argsort(nu, kind="stable")[:n_modes]]
-    blocks = np.column_stack([pairs[k][2][:, p] for k, p, _ in kpi])
-    res = np.array([np.linalg.norm(pairs[k][0] @ v - pairs[k][1][p] * (w * v))
-                    / max(np.linalg.norm(w * v), 1e-300) for (k, p, _), v in zip(kpi, blocks.T)])
+    kept = np.unique(kpi[:, 0])
+    blocks = np.empty((size, n_modes), dtype=np.result_type(*(pairs[k][2] for k in kept)))
+    res = np.empty(n_modes)
+    for k in kept:
+        # one gather and one K_k product per character, on the columns as
+        # stored (complex beside a complex block); norms column by column
+        sel = np.flatnonzero(kpi[:, 0] == k)
+        Kk, vals, vecs = pairs[k]
+        p = kpi[sel, 1]
+        V = blocks[:, sel] = vecs[:, p].astype(blocks.dtype, copy=False)
+        wV = w[:, None] * V
+        R = Kk @ V - vals[p] * wV
+        res[sel] = [np.linalg.norm(r) / max(np.linalg.norm(m), 1e-300)
+                    for r, m in zip(R.T, wV.T)]
     # modes the memo served are held to the bound of the blocks factorized
     # here, so base modes that do not solve this mesh's own K_0 are refused
     served = (kpi[:, 0] == 0) & (below is not None)

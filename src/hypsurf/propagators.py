@@ -280,6 +280,8 @@ def prop33_certificate(interval, sigma: float, T_list,
         raise ParameterOutOfRange("need 0 < lam_lo < lam_hi")
     if not lam_spacing > 0:
         raise ParameterOutOfRange("lam_spacing must be > 0")
+    if not sigma > 0:
+        raise ParameterOutOfRange("sigma must be > 0")
     n_lam = max(2, int(math.ceil((hi - lo) / lam_spacing)) + 1)
     lam_grid = np.linspace(lo, hi, n_lam)
     T_list = tuple(float(T) for T in T_list)

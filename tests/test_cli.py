@@ -402,7 +402,8 @@ class TestContracts:
         ["pipeline", "--samples", "0"], ["pipeline", "--T", "0"],
         ["pipeline", "--r", "0"], ["pipeline", "--nevo-n", "1"],
         ["pipeline", "--nevo-n", "0.5"], ["hs-check", "--samples", "0"],
-        ["prop33", "--lam-spacing", "0"], ["spherical", "--lams", "0"],
+        ["prop33", "--lam-spacing", "0"], ["prop33", "--sigma", "-0.5"],
+        ["prop33", "--sigma", "0"], ["spherical", "--lams", "0"],
         ["spherical", "--lams", "-1"], ["beta-norm", "--ts", "-1"],
         ["beta-norm", "--ts", "nan"],
         ["orbit", "--R", "-1"], ["bs-stat", "--R", "-1"],

@@ -384,6 +384,27 @@ class TestChartAndBaseProblem:
                      "--h", "0.05"]) == 0
         assert len(calls) == 4
 
+    def test_fill_is_what_the_factors_store(self, bolza, monkeypatch):
+        # factor_nnz sums SuperLU's stored entries; no CSC copy of L or U is made
+        stored, splu = [], spla.splu
+
+        class Factor:
+            def __init__(self, lu):
+                self._lu = lu
+                stored.append(lu.nnz)
+
+            def __getattr__(self, name):
+                if name in ("L", "U"):
+                    raise AssertionError(f"the solve copied the factor's {name}")
+                return getattr(self._lu, name)
+
+        self._clear()
+        monkeypatch.setattr(spla, "splu", lambda *a, **kw: Factor(splu(*a, **kw)))
+        data = fem_eigensolve(disc_surface_mesh(random_cover(bolza, 4, seed=0), 0.05), 20)
+        assert np.iscomplexobj(data.blocks)           # k = 1 is a complex block
+        assert len(stored) == data.character_blocks == 3
+        assert data.factor_nnz == sum(stored)
+
     def test_character_zero_is_the_base_spectrum(self, bolza):
         base = fem_eigensolve(disc_surface_mesh(bolza, 0.05), reach=self.NU_MAX)
         for degree in (2, 4):
