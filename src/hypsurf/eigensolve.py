@@ -35,14 +35,18 @@ is made.  Every solve, plain or one character block, goes through this one
 path.
 
 Covers are solved one character of the deck group at a time.  The mesh
-records `deck`, the unknown holding the same node one sheet up
-(deck[lab[s]] = lab[s + 1 mod degree]).  It is kept when the sheet shift
-maps identification classes onto classes and acts freely on them, which
-holds for the cyclic-shift covers of `random_cover`; otherwise (degree 1,
-the torus, a non-cyclic cover) it is the identity and the deck order d is 1.
-K and M commute with the deck map, so they are block-diagonal in the
-characters chi_k(s) = exp(2 pi i k s / d).  With orbit representatives r_a
-and sheet offsets sigma(u) (u = deck^sigma(u) r_a), character k gives the
+carries the deck orbits as the table `walk`, which disc_surface_mesh reads
+off the sheet table.  When every sheet permutation commutes with the shift
+s -> s + 1 (the cyclic-shift covers of `random_cover`), the shift is a deck
+transformation of order d = degree.  Orbit a is then the set of copies of
+base unknown a on the sheets: walk[t, a] is the copy t sheets above the
+least one r_a = walk[0, a], and the orbits are sorted by r_a.  A deck
+transformation of a connected cover fixes no point, so it fixes no
+unknown and nothing is left to check.  Otherwise (degree 1, the torus, a
+non-cyclic cover) the table is one row and d is 1.
+K and M commute with the shift, so they are block-diagonal in the
+characters chi_k(t) = exp(2 pi i k t / d).  With sheet offsets sigma(u)
+(u = walk[sigma(u), a] for u in orbit a), character k gives the
 twisted Laplacian on N = n / d unknowns
 
     K_k[a, b] = sum over u in orbit b of K[r_a, u] chi_k(sigma(u)),
@@ -64,14 +68,14 @@ spectrum, cut to its first n_modes or to everything up to the lowest block
 top, which lies past nu_max.  At d = 1 the one block is K itself, and a
 mode count is asked of it without a pad: the plain solve.
 
-When d is the cover's degree, each deck orbit is the fibre over one
-unknown of the base mesh and K_0 sums K over fibres: character 0 is the
-base surface's problem.  It is solved on the chart's degree-1 mesh, once
-per chart and pair count (`_base_pairs`), and a degree-1 disc mesh goes
-through the same memo, so a tower factorizes its base once.  Its residuals,
-Gram matrix and lifted check are still formed on the cover's own K_0 and
-weights.  Covers whose deck map is the identity keep their one whole-cover
-block, and the torus its plain solve.
+On a cyclic-shift cover each orbit is the fibre over one unknown of the
+base mesh, so K_0 sums K over fibres: character 0 is the base surface's
+problem.  It is solved on the chart's degree-1 mesh, once per chart and
+pair count (`_base_pairs`), and a degree-1 disc mesh goes through the same
+memo, so a tower factorizes its base once.  Its residuals, Gram matrix and
+lifted check are still formed on the cover's own K_0 and weights.
+Non-cyclic covers keep their one whole-cover block, and the torus its
+plain solve.
 
 The eigendata stay in the blocks.  An eigenpair (nu, psi) of block k lifts
 to f(u) = chi_k(sigma(u)) psi(orbit(u)) / sqrt(d): the real mode f of a real
@@ -80,7 +84,9 @@ character the lift is an isometry onto the cover's problem, so residuals
 |K_k psi - nu M_k psi| / |M_k psi| and Gram matrices are formed on the
 blocks; validation also lifts the lowest mode of each character and checks
 it against the full cover K.  Every mode is lifted only on request
-(EigenData.eigenvectors: exports and tests).
+(EigenData.eigenvectors: exports and tests).  Past the solve only
+EigenData reads the blocks and the orbit table: the quantum variance takes
+each cluster's compressed observable from EigenData.compress.
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (FormatError, MeshPairingFailure, OrthonormalityViolation,
-                     ParameterOutOfRange, ResidualViolation, SolverNotConverged)
+                     ParameterOutOfRange, ResidualViolation, SolverNotConverged,
+                     WindowNotResolved)
 from .fuchsian import _face_points, _in_dirichlet_domain
 from .geometry import _mobius_array
 
@@ -120,7 +127,7 @@ class SurfaceMesh:
     volume: float           # continuum volume, for reference
     h: float
     triangles: int          # over all sheets
-    deck: np.ndarray        # int, (n,): the unknown one sheet up (identity if none)
+    walk: np.ndarray        # int, (d, n / d): the deck orbits (module docstring)
     classes: np.ndarray     # int, (degree, chart nodes): the unknown of each node on each sheet
     chart: _Chart | None = None    # the chart a disc mesh is lifted from; None for the torus
 
@@ -175,34 +182,7 @@ def _p1_mesh(label, pts, tri, density, pairings, degree, volume, h) -> SurfaceMe
     weights = np.bincount(lab.ravel(), np.tile(mass, degree), n_lab)
     _, first = np.unique(lab.ravel(), return_index=True)
     return SurfaceMesh(label, np.tile(pts, degree)[first], first // n, weights, K,
-                       volume, h, degree * len(tri), _deck_map(lab, n_lab), lab)
-
-
-def _deck_map(lab: np.ndarray, n_lab: int) -> np.ndarray:
-    """deck[lab[s]] = lab[s + 1 mod degree] when that is a free action on the
-    classes (a deck transformation); the identity otherwise."""
-    up = np.roll(lab, -1, axis=0)
-    deck = np.empty(n_lab, dtype=int)
-    deck[lab] = up
-    if np.array_equal(deck[lab], up) and _deck_walk(deck) is not None:
-        return deck
-    return np.arange(n_lab)
-
-
-def _deck_walk(deck: np.ndarray) -> np.ndarray | None:
-    """walk[t, a] = deck^t(r_a) for the least node r_a of each orbit and t
-    below the order of deck, or None when an orbit is shorter than the order
-    (the action is not free)."""
-    identity = np.arange(len(deck))
-    least, power, order = identity, deck, 1
-    while not np.array_equal(power, identity):
-        if np.any(power == identity):
-            return None
-        least, power, order = np.minimum(least, power), deck[power], order + 1
-    walk = [np.flatnonzero(least == identity)]
-    for _ in range(order - 1):
-        walk.append(deck[walk[-1]])
-    return np.array(walk)
+                       volume, h, degree * len(tri), np.arange(n_lab)[None, :], lab)
 
 
 def _side_nodes(faces: np.ndarray, h: float):
@@ -270,7 +250,7 @@ def _chart(group, h: float) -> _Chart:
                     [(i, j, perm) for (i, j), perm in zip(pairs, group.sheets)], 1,
                     group.volume(), h)
     _frozen(pts, tri, density, *(a for pair in pairs for a in pair), base.points,
-            base.sheets, base.weights, base.deck, base.classes, base.stiffness.data,
+            base.sheets, base.weights, base.walk, base.classes, base.stiffness.data,
             base.stiffness.indices, base.stiffness.indptr)
     return _Chart(pts, tri, density, tuple(pairs), base)
 
@@ -284,10 +264,19 @@ def disc_surface_mesh(surface, h: float) -> SurfaceMesh:
     if group.dirichlet_radius is None:
         raise ValueError("mesh needs a cocompact group with known radius")
     chart = _chart(group, h)
-    mesh = chart.base if degree == 1 else _p1_mesh(
-        f"{group.label}:deg{degree}", chart.points, chart.triangles, chart.density,
-        [(i, j, perm) for (i, j), perm in zip(chart.sides, surface.sheets)], degree,
-        group.volume() * degree, h)
+    if degree == 1:
+        return replace(chart.base, chart=chart)
+    sheets = surface.sheets
+    mesh = _p1_mesh(f"{group.label}:deg{degree}", chart.points, chart.triangles,
+                    chart.density, [(i, j, perm) for (i, j), perm in zip(chart.sides, sheets)],
+                    degree, group.volume() * degree, h)
+    if np.array_equal(np.roll(sheets, -1, axis=1), (sheets + 1) % degree):
+        # the shift s -> s + 1 is a deck transformation: orbit a holds the
+        # copies of base unknown a, from its least one on, sorted by it
+        orbits = mesh.classes[:, np.unique(chart.base.classes[0], return_index=True)[1]]
+        orbits = orbits[(orbits.argmin(axis=0) + np.arange(degree)[:, None]) % degree,
+                        np.arange(orbits.shape[1])]
+        mesh = replace(mesh, walk=orbits[:, np.argsort(orbits[0])])
     return replace(mesh, chart=chart)
 
 
@@ -314,8 +303,8 @@ def torus_mesh(h: float) -> SurfaceMesh:
 class EigenData:
     """Eigenpairs in the deck-character blocks they were solved in: mode j is
     the lift of blocks[:, j] with character characters[j] (its imaginary part
-    if imaginary[j]), and walk[t, a] = deck^t(r_a).  Off cyclic covers and
-    for files d = 1: walk is one row and the blocks are the modes."""
+    if imaginary[j]), and walk is the mesh's deck-orbit table.  Off cyclic
+    covers and for files d = 1: walk is one row and the blocks are the modes."""
     surface_id: str
     points: np.ndarray
     sheets: np.ndarray
@@ -370,6 +359,26 @@ class EigenData:
             G = (phi.conj().T @ (w[:, None] * phi)).real
             dev = max(dev, float(np.max(np.abs(G - np.eye(len(sel))))))
         return dev
+
+    def compress(self, values: np.ndarray, clusters):
+        """Yield Psi^H diag(values w) Psi for each cluster (an array of mode
+        indices), with no mode lifted.  It is formed in the complex character
+        basis: psi with character k, and the imaginary part of a complex pair
+        as conj(psi) with -k, spanning the same plane.  Its entries are
+        sum_a w_a conj(psi_i(a)) psi_j(a) vhat_a(k_j - k_i), vhat_a the DFT of
+        the values along orbit a, taken once per call; a deck-invariant
+        density has only its zero frequency.  A cluster holding one part of a
+        complex pair raises WindowNotResolved."""
+        d, w = len(self.walk), self.weights[self.walk[0]]
+        vhat = np.fft.ifft(values[self.walk], axis=0)
+        for members in clusters:
+            imag, k = self.imaginary[members], self.characters[members]
+            if 2 * np.sum(imag) != np.count_nonzero(2 * k % d):
+                raise WindowNotResolved("the mode count splits a complex pair in the window")
+            psi = np.where(imag, self.blocks[:, members].conj(), self.blocks[:, members])
+            k = np.where(imag, -k, k)
+            yield np.einsum("ai,aj,ija->ij", w[:, None] * psi.conj(), psi,
+                            vhat[(k - k[:, None]) % d])
 
     @property
     def validated_lifts(self) -> int:
@@ -442,13 +451,13 @@ def fem_eigensolve(mesh: SurfaceMesh, n_modes: int | None = None,
     """The n_modes lowest eigenpairs of K psi = nu M psi on the mesh, or
     (given reach instead) every eigenpair up to reach and on to the lowest
     block top, by shift-invert Lanczos on each character block of the deck
-    group (one block, K, off covers), kept in the blocks (see the module
+    group (one block, K, off cyclic covers), kept in the blocks (see the module
     docstring).  Their Gram matrix must be the identity to _ORTHO_TOL."""
     if (n_modes is None) == (reach is None):
         raise ValueError("give exactly one of n_modes and reach")
     if n_modes is not None and n_modes < 1:
         raise ParameterOutOfRange("n_modes must be at least 1")
-    walk = _deck_walk(mesh.deck)
+    walk = mesh.walk
     d = len(walk)
     orbit, offset = np.empty(walk.size, dtype=int), np.empty(walk.size, dtype=int)
     orbit[walk], offset[walk] = np.arange(walk.shape[1]), np.arange(d)[:, None]

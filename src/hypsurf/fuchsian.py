@@ -762,6 +762,7 @@ class DomainSampler:
         self.faces = _face_points(group)
         self.proposals = 0
 
+    # kept only because perfbench/tracer.py wraps it; goes with ROADMAP item 8
     def contains(self, z: complex) -> bool:
         return _in_dirichlet_domain(z, self.faces)
 
@@ -792,7 +793,6 @@ class DomainSampler:
 class BsStatResult:
     value: float
     stderr: float
-    n_samples: int
     n_hits: int                    # (point, sheet) pairs with InjRad < R
     orbit_elements_explored: int   # by the one injrad search of all samples
     orbit_levels: int
@@ -820,7 +820,7 @@ def bs_statistic(surface, R: float, n_samples: int, seed: int) -> BsStatResult:
     share = query.below.mean(axis=1)
     return BsStatResult(float(share.mean()),
                         math.sqrt(max(float(share.var()), 1e-12) / n_samples),
-                        n_samples, int(query.below.sum()), query.elements_explored,
+                        int(query.below.sum()), query.elements_explored,
                         query.levels, sampler.proposals)
 
 

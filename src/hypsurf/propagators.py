@@ -135,6 +135,8 @@ def lemma_a1_check(lam, r) -> float | np.ndarray:
     if np.any(r <= 1.0):
         raise ValueError("r must exceed 1")
     lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ParameterOutOfRange("lambda must be finite")
     vals = (np.exp(r / 2.0)[(...,) + (None,) * lam.ndim]
             * np.abs(_md_integral(lam, r)))
     return vals if vals.ndim else float(vals)
@@ -231,8 +233,8 @@ def _time_average_sq(T: float, w: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _time_nodes(T: float, n_t: int):
     """Nodes and weights of n_t-point Gauss-Legendre rules on the ceil(T) equal
     panels of [0, T], one row per panel."""
-    if T <= 0:
-        raise ParameterOutOfRange("T must be positive")
+    if not 0 < T < math.inf:
+        raise ParameterOutOfRange("T must be positive and finite")
     t, w = composite_gl(0.0, T, math.ceil(T), n_t)
     return t.reshape(-1, n_t), w.reshape(-1, n_t)
 
@@ -276,12 +278,12 @@ def prop33_certificate(interval, sigma: float, T_list,
     across the upper half of T_list.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not (0 < lo < hi):
-        raise ParameterOutOfRange("need 0 < lam_lo < lam_hi")
+    if not (0 < lo < hi < math.inf):
+        raise ParameterOutOfRange("need 0 < lam_lo < lam_hi < inf")
     if not lam_spacing > 0:
         raise ParameterOutOfRange("lam_spacing must be > 0")
-    if not sigma > 0:
-        raise ParameterOutOfRange("sigma must be > 0")
+    if not 0 < sigma < math.inf:
+        raise ParameterOutOfRange("sigma must be positive and finite")
     n_lam = max(2, int(math.ceil((hi - lo) / lam_spacing)) + 1)
     lam_grid = np.linspace(lo, hi, n_lam)
     T_list = tuple(float(T) for T in T_list)
@@ -315,6 +317,8 @@ def beta_norm_check(t: float, p: float = 1.5) -> float:
     """
     if not (1.0 < p < 2.0):
         raise ParameterOutOfRange("p must lie in (1, 2)")
+    if not math.isfinite(t):
+        raise ParameterOutOfRange("t must be finite")
     if t <= 0:
         return 0.0
     # integrate in v = sqrt(cosh t - cosh s) near s = t, plain elsewhere

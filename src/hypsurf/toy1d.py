@@ -82,6 +82,8 @@ class Toy1dReport:
 def window_mode_range(L: float, window) -> range:
     """Dirichlet modes with (k pi / L)^2 inside the window."""
     lo, hi = window
+    if not all(map(math.isfinite, (L, lo, hi))):
+        raise ParameterOutOfRange("L and the window must be finite")
     k_lo = int(math.ceil(math.sqrt(max(lo, 0.0)) * L / math.pi - 1e-12))
     k_hi = int(math.floor(math.sqrt(hi) * L / math.pi + 1e-12))
     return range(max(k_lo, 1), k_hi + 1)

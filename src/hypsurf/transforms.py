@@ -319,14 +319,15 @@ def phi_eval(lam, t):
     lambda -> 0, so lambda < 1e-2 goes to the integral on every row.  Its
     matrix products all have one shape per lambda grid, so every row of a
     grid is bit-identical to a one-row call on the same lambdas.  Both
-    routes agree with the boundary-circle definition.  t must be finite and
-    >= 0 (ParameterOutOfRange otherwise).  Scalars in give a float.
+    routes agree with the boundary-circle definition.  lambda must be finite
+    and t finite and >= 0 (ParameterOutOfRange otherwise).  Scalars in give a
+    float.
     """
     lams = np.asarray(lam, dtype=float)
     ts = np.asarray(t, dtype=float)
     lam1, t1 = lams.ravel(), ts.ravel()
-    if not (np.all(np.isfinite(t1)) and np.all(t1 >= 0.0)):
-        raise ParameterOutOfRange("phi_eval needs finite t >= 0")
+    if not (np.all(np.isfinite(lam1)) and np.all(np.isfinite(t1)) and np.all(t1 >= 0.0)):
+        raise ParameterOutOfRange("phi_eval needs finite lambda and finite t >= 0")
     far, series = t1 >= 1.0, lam1 >= 1e-2
     tf = t1[far]
     # rows t >= 1 enter the integral as t = 0, which it skips; they are filled below
@@ -553,8 +554,8 @@ def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
 
 def abel_sharp(t: float) -> AbelProfile:
     """Closed-form Abel profile of the sharp ball kernel (cosh t)^{-1/2} 1_{r<=t}."""
-    if t <= 0:
-        raise ParameterOutOfRange("t must be positive")
+    if not 0 < t < math.inf:
+        raise ParameterOutOfRange("t must be positive and finite")
 
     def g(us):
         us = np.abs(np.atleast_1d(np.asarray(us, dtype=float)))
@@ -705,8 +706,8 @@ def hs_norm_disc(a: Callable[[np.ndarray, float, np.ndarray], np.ndarray],
 
 def bump_multiplier(lo: float, hi: float, amplitude: float = 1.0) -> SpectralMultiplier:
     """Smooth compactly supported bump on [lo, hi], sup value = amplitude."""
-    if not (0 <= lo < hi):
-        raise ParameterOutOfRange("need 0 <= lo < hi")
+    if not (0 <= lo < hi < math.inf):
+        raise ParameterOutOfRange("need 0 <= lo < hi < inf")
 
     def f(lam):
         lam = np.asarray(lam, dtype=float)

@@ -11,7 +11,7 @@ a cluster, or a mode count that splits a complex pair in the window, raises
 WindowNotResolved.
 The observable is a multiplication density given by its values at the mesh
 nodes; matrix elements are mesh quadratures against the character blocks of
-EigenData (see quantum_variance), and the limit term is the weighted mesh
+EigenData (EigenData.compress), and the limit term is the weighted mesh
 mean of the density (the spherical function at distance zero is 1).  Limit
 terms of other observables come from observables.limit_term, which the
 pipeline budget uses.
@@ -62,8 +62,8 @@ class SpectralWindow:
     nu_hi: float
 
     def __post_init__(self):
-        if not self.nu_lo < self.nu_hi:
-            raise ParameterOutOfRange("window must have nu_lo < nu_hi")
+        if not self.nu_lo < self.nu_hi < math.inf:
+            raise ParameterOutOfRange("window must have nu_lo < nu_hi < inf")
         if not self.nu_lo > 0.25 + 1e-9:
             raise ParameterOutOfRange("window must sit strictly above 1/4")
 
@@ -128,12 +128,8 @@ def quantum_variance(values: np.ndarray, data: EigenData,
     values: the density at the mesh nodes, an array of the shape of
     data.points (Gamma-invariance is the caller's contract; bounded
     measurable densities are fine).  mean_zero_density builds it from a
-    callable on chart points.  No mode is lifted: a cluster's compressed
-    observable is formed in the complex character basis (psi with character
-    k; the imaginary part of a complex pair as conj(psi) with -k, spanning
-    the same plane), with entries sum_a w_a conj(psi_i(a)) psi_j(a)
-    ahat_a(k_j - k_i), ahat_a the DFT of the density along the deck orbit of
-    r_a.  A deck-invariant density has only its zero frequency.
+    callable on chart points.  Each cluster's compressed observable comes
+    from EigenData.compress, which lifts no mode.
     """
     nu = data.eigenvalues
     inside = window.contains_nu(nu)
@@ -149,19 +145,10 @@ def quantum_variance(values: np.ndarray, data: EigenData,
         raise ValueError("density array must match the mesh")
     sup_a = float(np.max(np.abs(a_vals)))
     limit = mesh_mean(a_vals, data)
-    d = len(data.walk)
-    ahat = np.fft.ifft(a_vals[data.walk], axis=0)
-    w = data.weights[data.walk[0]]
     me, terms, unc = [], [], []
-    for c in np.unique(cluster[idx]):
-        members = np.flatnonzero(cluster == c)
-        imag, k = data.imaginary[members], data.characters[members]
-        if 2 * np.sum(imag) != np.count_nonzero(2 * k % d):
-            raise WindowNotResolved("the mode count splits a complex pair in the window")
-        psi = np.where(imag, data.blocks[:, members].conj(), data.blocks[:, members])
-        k = np.where(imag, -k, k)
-        vals = np.linalg.eigvalsh(np.einsum("ai,aj,ija->ij", w[:, None] * psi.conj(), psi,
-                                            ahat[(k - k[:, None]) % d]))
+    clusters = [np.flatnonzero(cluster == c) for c in np.unique(cluster[idx])]
+    for members, block in zip(clusters, data.compress(a_vals, clusters)):
+        vals = np.linalg.eigvalsh(block)
         eps = float(np.max(data.residuals[members])) * sup_a
         dev = vals - limit
         me.extend(vals)
@@ -212,10 +199,6 @@ def weyl_ratio(data: EigenData, window: SpectralWindow) -> WeylReport:
 
 @dataclass(frozen=True)
 class PipelineBudget:
-    T: float
-    r: float
-    s: float
-    sigma: float
     S_T: float
     nevo_n: float
     nevo_n_provenance: str
@@ -232,7 +215,6 @@ class PipelineBudget:
     bs_fraction_wrap: float      # Vol{InjRad < r + S_T}/Vol estimate
     bs_saturated: bool
     systole: float
-    weight_convention: str
     note: str = "suppressed absolute constants set to 1"
 
 
@@ -326,7 +308,6 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     terms = {"averaging": term_avg, "wraparound": term_wrap, "cutoff_tail": term_cutoff,
              "mean_kernel": term_mean_kernel, "hs_times_E": term_hs_E,
              "truncation": term_trunc}
-    return PipelineBudget(T, r, s, sigma, S_T, nevo_n, "assumed", theta_sq,
-                          sup_sq, *terms.values(), sum(terms.values()),
-                          max(terms, key=terms.get), bs_wrap, sat_r or sat_s, systole,
-                          weight.variant)
+    return PipelineBudget(S_T, nevo_n, "assumed", theta_sq, sup_sq, *terms.values(),
+                          sum(terms.values()), max(terms, key=terms.get), bs_wrap,
+                          sat_r or sat_s, systole)

@@ -407,7 +407,13 @@ class TestContracts:
         ["spherical", "--lams", "-1"], ["beta-norm", "--ts", "-1"],
         ["beta-norm", "--ts", "nan"],
         ["orbit", "--R", "-1"], ["bs-stat", "--R", "-1"],
-        ["geometry-check", "--samples", "-5"], ["hs-check", "--r", "0"]], ids=" ".join)
+        ["geometry-check", "--samples", "-5"], ["hs-check", "--r", "0"],
+        ["selberg", "--t", "inf"], ["selberg", "--t", "nan"], ["toy1d", "--L", "nan"],
+        ["spherical", "--lams", "nan"], ["lemma-a1", "--lams", "nan"],
+        ["beta-norm", "--ts", "inf"], ["kernel-decay", "--support", "1:inf"],
+        ["variance", "--window", "1:inf"], ["prop33", "--interval", "1:inf"],
+        ["prop33", "--T", "inf"], ["prop33", "--T", "nan"], ["prop33", "--sigma", "inf"]],
+        ids=" ".join)
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, argv):
         out = str(tmp_path / "out")
         assert main(argv + ["--out", out]) == 1

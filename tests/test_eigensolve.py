@@ -178,6 +178,14 @@ def _oracle_eigenvalues(mesh, n_modes):
     return np.sort(vals)[:n_modes]
 
 
+def _own_deck(mesh):
+    """deck[u] is the unknown one sheet up from u, read off the mesh's classes
+    alone (a deck map only where the sheet shift maps classes onto classes)."""
+    deck = np.empty(mesh.classes.max() + 1, dtype=int)
+    deck[mesh.classes] = np.roll(mesh.classes, -1, axis=0)
+    return deck
+
+
 @pytest.fixture(scope="module")
 def solves(bolza):
     """Mesh and mode-count solve of the covers of degree 2, 4 and 8 at h = 0.05."""
@@ -191,18 +199,34 @@ def solves(bolza):
 class TestCharacterSolve:
     H = 0.05
 
-    @pytest.mark.parametrize("degree", [2, 4, 8])
-    def test_deck_map_is_a_symmetry(self, solves, degree):
-        mesh, _ = solves[degree]
-        deck, K = mesh.deck, mesh.stiffness
-        assert not np.array_equal(deck, np.arange(len(deck)))
-        assert np.allclose(mesh.weights[deck], mesh.weights, rtol=1e-14, atol=0.0)
+    @pytest.mark.parametrize("degree, h", [(2, 0.05), (4, 0.05), (8, 0.05), (16, 0.05),
+                                           (16, 0.03)],
+                             ids=["2", "4", "8", "16", "16-h0.03"])
+    def test_deck_map_is_a_symmetry(self, bolza, degree, h):
+        mesh = disc_surface_mesh(random_cover(bolza, degree, seed=0), h)
+        deck, K, w = _own_deck(mesh), mesh.stiffness, mesh.weights
+        n = len(deck)
+        assert np.array_equal(deck[mesh.classes], np.roll(mesh.classes, -1, axis=0))
+        assert np.allclose(w[deck], w, rtol=1e-14, atol=0.0)
         assert abs(K[deck][:, deck] - K).max() <= 1e-12 * abs(K).max()
         power = deck
         for _ in range(degree - 1):
-            assert np.all(power != np.arange(len(deck)))     # acts freely
+            assert np.all(power != np.arange(n))     # acts freely
             power = deck[power]
-        assert np.array_equal(power, np.arange(len(deck)))   # order = degree
+        assert np.array_equal(power, np.arange(n))   # order = degree
+        # the orbit table: a partition of the unknowns into degree rows, each
+        # row the deck image of the one before, with K and the weights the
+        # same on every row up to rounding; each orbit starts at its least
+        # unknown, and the orbits are sorted by it
+        walk = mesh.walk
+        assert walk.shape == (degree, n // degree)
+        assert np.array_equal(np.sort(walk.ravel()), np.arange(n))
+        assert np.array_equal(walk[0], np.sort(walk.min(axis=0)))
+        assert np.array_equal(deck[walk], np.roll(walk, -1, axis=0))
+        K0 = K[walk[0]][:, walk[0]]
+        for row in walk[1:]:
+            assert np.allclose(w[row], w[walk[0]], rtol=1e-14, atol=0.0)
+            assert abs(K[row][:, row] - K0).max() <= 1e-12 * abs(K).max()
 
     @pytest.mark.parametrize("degree", [2, 4, 8])
     def test_matches_the_whole_cover_solve(self, solves, degree):
@@ -248,7 +272,9 @@ class TestCharacterSolve:
     def test_non_cyclic_cover_takes_one_block(self, bolza):
         cover = CoverSurface(bolza, 3, ((0, 1, 2), (0, 2, 1), (0, 2, 1), (1, 0, 2)))
         mesh = disc_surface_mesh(cover, self.H)
-        assert np.array_equal(mesh.deck, np.arange(len(mesh.deck)))
+        deck = _own_deck(mesh)
+        assert not np.array_equal(deck[mesh.classes], np.roll(mesh.classes, -1, axis=0))
+        assert np.array_equal(mesh.walk, np.arange(len(deck))[None, :])
         data = fem_eigensolve(mesh, 40)
         assert not np.any(data.characters)
         want = _oracle_eigenvalues(mesh, 40)
@@ -256,7 +282,9 @@ class TestCharacterSolve:
 
     def test_base_surface_and_torus_have_no_deck(self, bolza):
         for mesh in (disc_surface_mesh(bolza, 0.1), torus_mesh(0.1)):
-            assert np.array_equal(mesh.deck, np.arange(len(mesh.deck)))
+            deck = _own_deck(mesh)
+            assert np.array_equal(deck, np.arange(len(deck)))
+            assert np.array_equal(mesh.walk, np.arange(len(deck))[None, :])
 
 
 class TestReachSolve:
@@ -436,7 +464,7 @@ class TestChartAndBaseProblem:
         base = chart.base
         arrays = [chart.points, chart.triangles, chart.density,
                   *(a for pair in chart.sides for a in pair), base.points, base.sheets,
-                  base.weights, base.deck, base.classes, base.stiffness.data,
+                  base.weights, base.walk, base.classes, base.stiffness.data,
                   base.stiffness.indices, base.stiffness.indptr]
         arrays += list(E._base_pairs(chart, 4)[:2])
         assert not any(a.flags.writeable for a in arrays)
@@ -474,12 +502,13 @@ class TestDenseOracle:
         P[deck^t(r_a), a] = exp(2 pi i t / 4) / 2 for orbit representatives r_a."""
         d, k = 4, 1
         mesh = disc_surface_mesh(random_cover(bolza, d, seed=0), 0.05)
-        walk = [np.arange(len(mesh.deck))]
+        deck = _own_deck(mesh)
+        walk = [np.arange(len(deck))]
         for _ in range(d - 1):
-            walk.append(mesh.deck[walk[-1]])
+            walk.append(deck[walk[-1]])
         walk = np.array(walk)
         reps = np.flatnonzero(walk.min(axis=0) == walk[0])
-        P = np.zeros((len(mesh.deck), len(reps)), dtype=complex)
+        P = np.zeros((len(deck), len(reps)), dtype=complex)
         P[walk[:, reps], np.arange(len(reps))] = (
             np.exp(2j * np.pi * k * np.arange(d) / d)[:, None] / math.sqrt(d))
         Kk = P.conj().T @ (mesh.stiffness @ P)
