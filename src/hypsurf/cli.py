@@ -1,12 +1,14 @@
 """Experiment driver: every subcommand writes CSV data plus a JSON summary.
 
-A summary's config is the subcommand's parsed options under their dests
-(valid as a --config file, which reruns the run) plus seed,
-weight_convention, out_dir, subcommand and the run's fixed labels, so a run
+Each subcommand takes --out and only the options it reads: --seed only
+where a random cover or random points are drawn, --weight only in kernel-decay
+and pipeline.  A summary's config is exactly that parse, each option under
+its dest (valid as a --config file, which reruns the run), with --out
+recorded as out_dir, plus subcommand and the run's fixed labels, so a run
 is reproducible from its own output; floats are serialized with 17
 significant digits and files are written atomically, so the same
-configuration and seed produce byte-identical summaries.  Exit code 0 means
-every internal assertion of the subcommand passed.
+configuration produces byte-identical summaries.  Exit code 0 means every
+internal assertion of the subcommand passed.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ def write_csv(out_dir: str, name: str, header: str, rows):
     _atomic_write(os.path.join(out_dir, name + ".csv"), "\n".join(lines) + "\n")
 
 
-# Keys of the parse that config leaves out: the global ones, and the two
-# common options it records under their provenance names
-_NOT_OPTIONS = ("config", "command", "func", "out", "weight")
+# Keys of the parse that config leaves out: the global ones, and --out,
+# which it records as out_dir
+_NOT_OPTIONS = ("config", "command", "func", "out")
 
 
 def _finish(args, name: str, fields: dict, passed, verdict: str = "passed",
@@ -98,8 +100,7 @@ def _finish(args, name: str, fields: dict, passed, verdict: str = "passed",
     `verdict`, and a config of the parsed subcommand options, the provenance
     keys and the fixed `labels`; return the exit code, 0 exactly when passed."""
     config = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
-    config.update(weight_convention=args.weight, out_dir=args.out,
-                  subcommand=args.command, **labels)
+    config.update(out_dir=args.out, subcommand=args.command, **labels)
     write_summary(args.out, name, {"config": config, **fields, verdict: passed})
     return 0 if passed else 1
 
@@ -393,13 +394,7 @@ def cmd_pipeline(args) -> int:
                                       sigma=args.sigma, nevo_n=args.nevo_n,
                                       n_mc=args.samples, seed=args.seed)
     return _finish(args, "pipeline", {
-        "terms": {"averaging": budget.term_averaging,
-                  "wraparound": budget.term_wraparound,
-                  "cutoff_tail": budget.term_cutoff_tail,
-                  "mean_kernel": budget.term_mean_kernel,
-                  "hs_times_E": budget.term_hs_times_E,
-                  "truncation": budget.term_truncation},
-        "total": budget.total, "dominant": budget.dominant,
+        "terms": budget.terms, "total": budget.total, "dominant": budget.dominant,
         "bs_fraction_wrap": budget.bs_fraction_wrap,
         "bs_saturated": budget.bs_saturated, "systole": budget.systole},
         math.isfinite(budget.total), nevo_n_provenance=budget.nevo_n_provenance,
@@ -448,8 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", default="runs", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--weight", choices=["paper", "harmonic"], default="paper")
+
+    def seed(sp, seeds: str):
+        sp.add_argument("--seed", type=int, default=0, help="seeds " + seeds)
+
+    def weight(sp):
+        sp.add_argument("--weight", choices=["paper", "harmonic"], default="paper",
+                        help="Plancherel weight convention")
+
+    cover, points = "the random cover (degree > 1)", "the Monte Carlo points"
 
     sp = sub.add_parser("toy1d", help="interval-model variance and Parseval bound")
     common(sp)
@@ -460,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("geometry-check", help="disc-geometry identity battery")
     common(sp)
+    seed(sp, "the random test isometries and points")
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_geometry_check)
@@ -478,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel-decay", help="scaled decay of the multiplier kernel")
     common(sp)
+    weight(sp)
     sp.add_argument("--support", type=_PAIR, default="1:2")
     sp.add_argument("--n-t", type=int, default=200, dest="n_t")
     sp.set_defaults(func=cmd_kernel_decay)
@@ -505,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bs-stat", help="small-injectivity-radius volume fraction")
     common(sp)
+    seed(sp, f"{cover} and {points}")
     sp.add_argument("--R", type=float, default=1.7)
     sp.add_argument("--degree", type=int, default=1)
     sp.add_argument("--samples", type=int, default=300)
@@ -512,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hs-check", help="truncated-periodization HS inequality")
     common(sp)
+    seed(sp, points)
     sp.add_argument("--group", choices=["bolza", "cyclic"], default="bolza")
     sp.add_argument("--r", type=float, default=2.0)
     sp.add_argument("--length", type=float, default=1.0)
@@ -524,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("variance", help="windowed quantum variance on one surface")
     common(sp)
+    seed(sp, cover)
     sp.add_argument("--degree", type=int, default=1)
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--window", type=_PAIR, default="1:4")
@@ -531,6 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weyl", help="window eigenvalue count vs predicted density")
     common(sp)
+    seed(sp, cover)
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--window", type=_PAIR, default="1:4")
@@ -538,6 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tower", help="variance trend across a cover tower")
     common(sp)
+    seed(sp, "the random covers (degrees > 1)")
     sp.add_argument("--degrees", type=_split(int, ","), default="1,2,4")
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--window", type=_PAIR, default="1:4")
@@ -545,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fem", help="eigensolver run, optional eigendata export")
     common(sp)
+    seed(sp, cover)
     sp.add_argument("--surface", choices=["torus", "bolza"], default="torus")
     sp.add_argument("--h", type=float, default=0.02)
     sp.add_argument("--modes", type=int, default=10)
@@ -554,6 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pipeline", help="term-by-term variance budget")
     common(sp)
+    seed(sp, f"{cover} and {points}")
+    weight(sp)
     sp.add_argument("--degree", type=int, default=1)
     sp.add_argument("--window", type=_PAIR, default="1:4")
     sp.add_argument("--T", type=float, default=4.0)

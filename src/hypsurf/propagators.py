@@ -280,12 +280,11 @@ def prop33_certificate(interval, sigma: float, T_list,
     lo, hi = float(interval[0]), float(interval[1])
     if not (0 < lo < hi < math.inf):
         raise ParameterOutOfRange("need 0 < lam_lo < lam_hi < inf")
-    if not lam_spacing > 0:
-        raise ParameterOutOfRange("lam_spacing must be > 0")
+    if not 0 < lam_spacing <= hi - lo:
+        raise ParameterOutOfRange("need 0 < lam_spacing <= lam_hi - lam_lo")
     if not 0 < sigma < math.inf:
         raise ParameterOutOfRange("sigma must be positive and finite")
-    n_lam = max(2, int(math.ceil((hi - lo) / lam_spacing)) + 1)
-    lam_grid = np.linspace(lo, hi, n_lam)
+    lam_grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / lam_spacing)) + 1)
     T_list = tuple(float(T) for T in T_list)
     # h_{t,sigma} once per distinct time node: the unit panels of the T's overlap
     ts = np.unique(np.concatenate([_time_nodes(T, _N_T)[0] for T in T_list]))

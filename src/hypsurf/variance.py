@@ -204,18 +204,24 @@ class PipelineBudget:
     nevo_n_provenance: str
     theta_norm_sq: float
     sup_sandwich_sq: float
-    term_averaging: float        # C / rho(n) / T
-    term_wraparound: float       # e^{2r + 2 S_T}/l * BS(r) * sup^2 * C'_rho
-    term_cutoff_tail: float      # multiplier tail at s (m vs m_s)
-    term_mean_kernel: float      # m_s kernel mass * E_bound factor
-    term_hs_times_E: float       # ||A_T||_HS^2/Vol * E_bound
-    term_truncation: float       # (S_T/r)^2 remainder budget
+    terms: dict                  # the six terms by name:
+    #   averaging     C / rho(n) / T
+    #   wraparound    e^{2r + 2 S_T}/l * BS(r) * sup^2 * C'_rho
+    #   cutoff_tail   multiplier tail at s (m vs m_s)
+    #   mean_kernel   m_s kernel mass * E_bound factor
+    #   hs_times_E    ||A_T||_HS^2/Vol * E_bound
+    #   truncation    (S_T/r)^2 remainder budget
     total: float
     dominant: str
     bs_fraction_wrap: float      # Vol{InjRad < r + S_T}/Vol estimate
     bs_saturated: bool
     systole: float
     note: str = "suppressed absolute constants set to 1"
+
+
+# sup |chi'| of the truncation cutoff smoothstep_cutoff: its slope 6x(1 - x)
+# peaks at x = 1/2 with the value 3/2
+_CHI_PRIME_SUP = 1.5
 
 
 def _bs_or_one(surface, R: float, n_mc: int, seed: int):
@@ -228,8 +234,7 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
                              s: float, window: SpectralWindow,
                              weight: PlancherelWeight | None = None,
                              sigma: float = 0.1, nevo_n: float = 2.0,
-                             n_mc: int = 200, seed: int = 0,
-                             chi_prime_sup: float = 1.5) -> PipelineBudget:
+                             n_mc: int = 200, seed: int = 0) -> PipelineBudget:
     """Numeric evaluation of every term of the windowed variance inequality.
 
     Measured inputs: the theta-derivative norm of the symbol, sandwich-kernel
@@ -237,8 +242,12 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     orbit ball, and spectral tails of the cutoff multiplier.  Radii beyond
     the enumeration guard use the trivial volume-fraction bound 1 (flagged).
     """
-    if not (T > 0 and r > 0):
-        raise ParameterOutOfRange("T and r must be > 0")
+    if not 0 < T < math.inf:
+        raise ParameterOutOfRange("T must be positive and finite")
+    if not 0 < r < math.inf:
+        raise ParameterOutOfRange("r must be positive and finite")
+    if not 0 <= s < math.inf:
+        raise ParameterOutOfRange("s must be non-negative and finite")
     if not nevo_n > 1:
         raise ParameterOutOfRange("nevo_n must be > 1: rho(n) = 1 - 1/n divides")
     if n_mc < 1:
@@ -302,12 +311,12 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
 
     # (vi) truncation remainder: the explicit (S_T / r)^2 commutator budget
     # (its small-injectivity companion is merged into the wraparound term)
-    term_trunc = ((S_T / r) ** 2 * chi_prime_sup ** 2 * math.exp(2.0 * S_T)
+    term_trunc = ((S_T / r) ** 2 * _CHI_PRIME_SUP ** 2 * math.exp(2.0 * S_T)
                   * rho_l2 * sup_sq)
 
     terms = {"averaging": term_avg, "wraparound": term_wrap, "cutoff_tail": term_cutoff,
              "mean_kernel": term_mean_kernel, "hs_times_E": term_hs_E,
              "truncation": term_trunc}
-    return PipelineBudget(S_T, nevo_n, "assumed", theta_sq, sup_sq, *terms.values(),
+    return PipelineBudget(S_T, nevo_n, "assumed", theta_sq, sup_sq, terms,
                           sum(terms.values()), max(terms, key=terms.get), bs_wrap,
                           sat_r or sat_s, systole)

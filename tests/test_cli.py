@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -45,19 +46,42 @@ ROUND_TRIP = [
     (["spherical", "--lams", "0.5,2", "--ts", "1,5"], "spherical"),
     (["selberg", "--n-lams", "5"], "selberg"),
     (["kernel-decay", "--n-t", "20"], "kernel_decay"),
+    (["kernel-decay", "--n-t", "20", "--weight", "harmonic"], "kernel_decay"),
     (["prop33", "--T", "5,10", "--lam-spacing", "0.1"], "prop33"),
     (["lemma-a1", "--lams", "0.5,2"], "lemma_a1"),
     (["orbit", "--R", "4"], "orbit"),
     (["bs-stat", "--R", "1.5", "--samples", "30"], "bs_stat"),
     (["hs-check", "--samples", "40"], "hs_check"),
-    (["symbol", "--seed", "3"], "symbol"),
+    (["symbol"], "symbol"),
     (["variance", "--h", "0.1"], "variance"),
     (["weyl", "--degree", "1", "--h", "0.1"], "weyl"),
     (["tower", "--degrees", "1,2", "--h", "0.1"], "tower"),
     (["fem", "--surface", "bolza", "--h", "0.1", "--modes", "4", "--export", "e"], "fem"),
     (["pipeline", "--T", "3", "--samples", "10"], "pipeline"),
+    (["pipeline", "--T", "3", "--samples", "10", "--weight", "harmonic"], "pipeline"),
     (["beta-norm", "--ts", "2,5"], "beta_norm"),
 ]
+ROUND_TRIP_IDS = [argv[0] + "-harmonic" * ("harmonic" in argv) for argv, _ in ROUND_TRIP]
+
+# the fixed labels each subcommand adds to its summary's config
+LABELS = {"variance": {"observable"},
+          "tower": {"observable", "bs_spectral_gap_assumption"},
+          "pipeline": {"nevo_n_provenance", "suppressed_constants"}}
+
+
+def option_dests(subcommand) -> set:
+    """The dests of a subcommand's options, --help aside."""
+    return {a.dest for a in subparsers()[subcommand]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+@pytest.fixture(scope="module", params=ROUND_TRIP, ids=ROUND_TRIP_IDS)
+def round_trip(request, tmp_path_factory):
+    """A ROUND_TRIP run, made once: its argv, summary name and output directory."""
+    argv, name = request.param
+    out = str(tmp_path_factory.mktemp("first"))
+    assert main(argv + ["--out", out]) == 0
+    return argv, name, out
 
 
 class TestBasicRuns:
@@ -162,15 +186,15 @@ class TestContracts:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, name", [
-        (["geometry-check", "--samples", "200"], "geometry_check"),
-        (["bs-stat", "--degree", "4"], "bs_stat"),
-        (["hs-check", "--samples", "100"], "hs_check"),
+        (["geometry-check", "--samples", "200", "--seed", "7"], "geometry_check"),
+        (["bs-stat", "--degree", "4", "--seed", "7"], "bs_stat"),
+        (["hs-check", "--samples", "100", "--seed", "7"], "hs_check"),
         (["orbit", "--R", "8"], "orbit")],
         ids=["geometry-check", "bs-stat", "hs-check", "orbit"])
     def test_deterministic_summaries(self, tmp_path, argv, name):
         # the summary and every other file the run writes (orbit's CSV)
         out = str(tmp_path)
-        args = argv + ["--out", out, "--seed", "7"]
+        args = argv + ["--out", out]
         assert main(args) == 0
         first = read_all_bytes(out)
         assert name + ".json" in first
@@ -199,12 +223,28 @@ class TestContracts:
         assert main(["--config", str(cfg), "toy1d", "--out", out, "--L", "150"]) == 0
         assert read(out, "toy1d")["config"]["L"] == 150.0
 
-    def test_provenance_fields_present(self, tmp_path):
-        out = str(tmp_path)
-        assert main(["toy1d", "--out", out]) == 0
-        cfg = read(out, "toy1d")["config"]
-        for key in ("seed", "weight_convention", "subcommand"):
-            assert key in cfg
+    # config is the parse: every option the subcommand takes and no other
+    def test_config_keys_are_the_options(self, round_trip):
+        argv, name, out = round_trip
+        config = read(out, name)["config"]
+        expected = option_dests(argv[0]) - {"out"} | {"out_dir", "subcommand"}
+        assert set(config) == expected | LABELS.get(argv[0], set())
+        assert (config["out_dir"], config["subcommand"]) == (out, argv[0])
+
+    # --seed and --weight are taken only where a run reads them
+    @pytest.mark.parametrize("argv", [["spherical", "--seed", "3"],
+                                      ["orbit", "--weight", "harmonic"]], ids=" ".join)
+    def test_unread_option_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_seed_and_weight_options(self):
+        takes = {opt: {cmd for cmd in subparsers() if opt in option_dests(cmd)}
+                 for opt in ("seed", "weight")}
+        assert takes["seed"] == {"geometry-check", "bs-stat", "hs-check", "variance",
+                                 "weyl", "tower", "fem", "pipeline"}
+        assert takes["weight"] == {"kernel-decay", "pipeline"}
 
     def test_machine_readable_failure(self, tmp_path, capsys):
         # empty spectral window is a domain error -> exit 1 with a JSON record
@@ -251,10 +291,11 @@ class TestContracts:
             main(["--config", str(cfg), "toy1d", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    # the windowed subcommands solve to the window's reach: the mode counts
-    # they once took are stale config keys
+    # stale config keys: the windowed subcommands solve to the window's reach,
+    # so the mode counts they once took, and the seed symbol never read
     @pytest.mark.parametrize("subcommand,key", [("tower", "modes_base"),
-                                                ("variance", "modes"), ("weyl", "modes")])
+                                                ("variance", "modes"), ("weyl", "modes"),
+                                                ("symbol", "seed")])
     def test_stale_mode_count_config_exits_2(self, tmp_path, subcommand, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 44}))
@@ -380,11 +421,10 @@ class TestContracts:
                     assert action.option_strings == ["--" + action.dest.replace("_", "-")]
 
     # the summary's config, as a --config file, reruns the same run
-    @pytest.mark.parametrize("argv, name", ROUND_TRIP, ids=[a[0] for a, _ in ROUND_TRIP])
-    def test_summary_config_reruns_the_run(self, tmp_path, argv, name):
-        first, second = str(tmp_path / "first"), str(tmp_path / "second")
-        assert main(argv + ["--out", first]) == 0
-        dests = {a.dest for a in subparsers()[argv[0]]._actions if a.option_strings}
+    def test_summary_config_reruns_the_run(self, tmp_path, round_trip):
+        argv, name, first = round_trip
+        second = str(tmp_path / "second")
+        dests = option_dests(argv[0])
         config = read(first, name)["config"]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({k: v for k, v in config.items() if k in dests}))
@@ -412,7 +452,10 @@ class TestContracts:
         ["spherical", "--lams", "nan"], ["lemma-a1", "--lams", "nan"],
         ["beta-norm", "--ts", "inf"], ["kernel-decay", "--support", "1:inf"],
         ["variance", "--window", "1:inf"], ["prop33", "--interval", "1:inf"],
-        ["prop33", "--T", "inf"], ["prop33", "--T", "nan"], ["prop33", "--sigma", "inf"]],
+        ["prop33", "--T", "inf"], ["prop33", "--T", "nan"], ["prop33", "--sigma", "inf"],
+        ["prop33", "--lam-spacing", "inf"], ["prop33", "--lam-spacing", "2"],
+        ["pipeline", "--T", "inf"], ["pipeline", "--r", "inf"], ["pipeline", "--s", "inf"],
+        ["pipeline", "--s", "-1"]],
         ids=" ".join)
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, argv):
         out = str(tmp_path / "out")
@@ -420,6 +463,19 @@ class TestContracts:
         rec = json.loads(capsys.readouterr().err.strip())
         assert (rec["error"], rec["subcommand"]) == ("ParameterOutOfRange", argv[0])
         assert not os.path.exists(out)
+
+    # a radius the budget cannot use is refused before any quadrature runs,
+    # in a message that names it
+    @pytest.mark.parametrize("flag, value", [("T", "inf"), ("r", "inf"), ("s", "inf"),
+                                             ("s", "-1")])
+    def test_pipeline_radius_message_names_the_input(self, tmp_path, capsys, flag,
+                                                     value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pipeline", "--out", str(tmp_path), "--" + flag, value]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["message"].split()[0] == flag
 
     @pytest.mark.parametrize("key, listed, spelled", [("degrees", [1, 2], "1,2"),
                                                       ("window", [1, 4], "1:4")])

@@ -298,9 +298,10 @@ class TestPipelineBudget:
         b2 = variance_pipeline_bounds(A, g, T=8.0, r=3.0, s=3.0, window=w,
                                       n_mc=40, seed=1)
         if b1.theta_norm_sq == 0.0:
-            assert b1.term_averaging == b2.term_averaging == 0.0
+            assert b1.terms["averaging"] == b2.terms["averaging"] == 0.0
         else:
-            assert b2.term_averaging == pytest.approx(b1.term_averaging / 2, rel=0.3)
+            assert b2.terms["averaging"] == pytest.approx(b1.terms["averaging"] / 2,
+                                                          rel=0.3)
 
     def test_r_doubling_quarters_truncation(self, budget_args):
         A, g, w = budget_args
@@ -308,8 +309,8 @@ class TestPipelineBudget:
                                       n_mc=40, seed=1)
         b2 = variance_pipeline_bounds(A, g, T=4.0, r=6.0, s=3.0, window=w,
                                       n_mc=40, seed=1)
-        assert b2.term_truncation == pytest.approx(b1.term_truncation / 4.0,
-                                                   rel=1e-9)
+        assert b2.terms["truncation"] == pytest.approx(b1.terms["truncation"] / 4.0,
+                                                       rel=1e-9)
 
     def test_budget_finite_and_reported(self, budget_args):
         A, g, w = budget_args
@@ -326,9 +327,10 @@ class TestPipelineBudget:
         # report's measured ingredients
         from hypsurf.transforms import plateau_multiplier
         A, g, w = budget_args
-        T, r, chi_p = 4.0, 3.0, 1.5
+        T, r = 4.0, 3.0
+        chi_p = 1.5         # sup |chi'| of the smoothstep cutoff, at x = 1/2
         b = variance_pipeline_bounds(A, g, T=T, r=r, s=3.0, window=w,
-                                     n_mc=40, seed=1, chi_prime_sup=chi_p)
+                                     n_mc=40, seed=1)
         rho = plateau_multiplier(w.lam_lo, w.lam_hi,
                                  margin=0.1 * (w.lam_hi - w.lam_lo))
         lam, q = gauss_legendre(rho.support[0], rho.support[1], 256)
@@ -339,9 +341,9 @@ class TestPipelineBudget:
         assert b.S_T == S_T
         hand_trunc = ((S_T / r) ** 2 * chi_p ** 2 * math.exp(2.0 * S_T)
                       * rho_l2 * b.sup_sandwich_sq)
-        assert b.term_truncation == pytest.approx(hand_trunc, rel=1e-12)
+        assert b.terms["truncation"] == pytest.approx(hand_trunc, rel=1e-12)
         hand_wrap = ((1.0 + (S_T / r) ** 2) * (k_mass + rho_l2)
                      * b.sup_sandwich_sq * math.exp(2.0 * (r + S_T))
                      / b.systole * b.bs_fraction_wrap)
-        assert b.term_wraparound == pytest.approx(hand_wrap, rel=1e-12)
-        assert b.term_averaging == b.theta_norm_sq / (1 - 1 / b.nevo_n) / T
+        assert b.terms["wraparound"] == pytest.approx(hand_wrap, rel=1e-12)
+        assert b.terms["averaging"] == b.theta_norm_sq / (1 - 1 / b.nevo_n) / T
