@@ -379,7 +379,7 @@ def cmd_fem(args) -> int:
               [(j, float(v), float(r)) for j, (v, r) in
                enumerate(zip(data.eigenvalues, data.residuals))])
     return _finish(args, "fem", {
-        "n_mesh": len(data.points), **_mesh_counters(mesh, data),
+        **_mesh_counters(mesh, data),
         "eigenvalues": list(data.eigenvalues),
         "max_residual": float(np.max(data.residuals)),
         "gram_deviation": data.gram_deviation}, True)

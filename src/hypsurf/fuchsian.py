@@ -348,9 +348,6 @@ class InjRadResult:
     value: float
     is_lower_bound: bool
 
-    def __float__(self):
-        return self.value
-
 
 @dataclass(frozen=True)
 class OrbitBall:

@@ -5,8 +5,8 @@ K(z, ws) and the differential coefficients take arrays of chart points and
 broadcast.  A.apply(u, z) takes a u that maps an array of points to values,
 with the point axes leading and any trailing axes riding along (the
 boundary points of a plane wave, say), and a point or an array of points z.
-Finite-range operators integrate over B(z, S) on one polar Gauss rule,
-_ball_rule, which the propagator sandwich and the limit term read too.
+Finite-range operators integrate over B(z, S) on quadrature.ball_rule, the
+polar Gauss rule that the propagator sandwich and the limit term read too.
 
 The complete symbol of an operator A is read off its action on the plane
 waves e_{lam,b}(z) = exp((1/2 + i lam) <z, b>), on arrays of points z and
@@ -39,7 +39,7 @@ from .errors import StencilOutOfDomain
 from .fuchsian import DomainSampler
 from .geometry import _DISC_EDGE, _dist_array, _mobius_array
 from .propagators import CutoffSpec, smooth_propagator
-from .quadrature import gauss_legendre
+from .quadrature import ball_rule, gauss_legendre
 from .transforms import (PlancherelWeight, SpectralMultiplier, inverse_selberg,
                          phi_eval)
 
@@ -105,26 +105,12 @@ def _ball_sum(A: Observable, z: np.ndarray, u: Callable):
     parts = []
     for s in range(0, flat.size, step):
         zb = flat[s:s + step]
-        pts, _, w = _ball_rule(zb, A.locality.S, 48, 96)
+        pts, _, w = ball_rule(zb, A.locality.S, 48, 96)
         vals = u(slice(s, s + step), pts)
         kw = A.kernel(zb[:, None], pts) * w
         parts.append(np.sum(_lead(kw, vals) * vals, axis=1))
     out = np.concatenate(parts)
     return out.reshape(z.shape + out.shape[1:])[()]
-
-
-def _ball_rule(z, radius: float, n_rad: int, n_ang: int):
-    """Polar Gauss rule on B(z, radius) for a point or an array of points z.
-
-    Returns the nodes, of shape shape(z) + (n_rad * n_ang,), their distances t
-    to z and their weights w_t * sinh t * 2 pi / n_ang.  The Mobius map
-    (alpha, beta) = (1, z) carries 0 to z.
-    """
-    t, wt = gauss_legendre(0.0, radius, n_rad)
-    ring = np.exp(1j * TWO_PI * np.arange(n_ang) / n_ang)
-    nodes = np.multiply.outer(np.tanh(t / 2.0), ring).ravel()
-    pts = _mobius_array(1.0, np.asarray(z, dtype=complex)[..., None], nodes)
-    return pts, np.repeat(t, n_ang), np.repeat(wt * np.sinh(t) * (TWO_PI / n_ang), n_ang)
 
 
 def multiplication_observable(a: Callable[[np.ndarray], np.ndarray],
@@ -340,7 +326,7 @@ def smooth_sandwich_kernel(A: Observable, t: float, sigma: float, z: complex,
     if _dist_array(z, w) > 2.0 * t + A.locality.S:
         return 0.0 + 0.0j
     k_t = smooth_propagator(t, sigma)
-    us, d, wq = _ball_rule(z, t, n_rad, n_ang)
+    us, d, wq = ball_rule(z, t, n_rad, n_ang)
     inner = A.apply(lambda v: k_t(_dist_array(v, w)), us)
     return complex(np.sum(wq * k_t(d) * inner))
 
@@ -407,7 +393,7 @@ def limit_term(A: Observable, lam: float, surface, n_mc: int = 2000,
     if A.variant == "multiplication":
         vals = A.a(zs)
     else:
-        pts, t, w = _ball_rule(zs, A.locality.S, 32, 48)
+        pts, t, w = ball_rule(zs, A.locality.S, 32, 48)
         vals = np.real(A.kernel(zs[:, None], pts)) @ (w * phi_eval(lam, t))
     return LimitTerm(float(np.mean(vals)), float(np.std(vals) / math.sqrt(n_mc)))
 

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
 from .fuchsian import smoothstep_cutoff
-from .quadrature import composite_gl, cosh_diff, gauss_legendre, sqrt_edge_rule
+from .quadrature import (composite_gl, cosh_diff, gauss_legendre, sqrt_edge_rule,
+                         sqrt_edge_split)
 from .transforms import (_BLOCK, TWO_PI, RadialKernel, _md_integral, abel_sharp,
                          abel_smooth, fourier_of_abel, phi_eval)
 
@@ -83,13 +84,14 @@ def smooth_propagator(t: float, sigma: float) -> RadialKernel:
 def _h_from_profile(t: float, lams: np.ndarray, g_fn) -> np.ndarray:
     """h(lam) = 2 int_0^t cos(lam u) g(u) du for a profile g smooth on [0, t).
 
-    The last stretch is integrated in v = sqrt(cosh t - cosh u), which turns
-    the square-root vanishing of ball-type profiles at u = t into a smooth
-    integrand.  The order is rounded up to a multiple of 32, so that nearby t
-    share their Gauss-Legendre rules.
+    The last stretch, from sqrt_edge_split(t) on, is integrated in
+    v = sqrt(cosh t - cosh u), which turns the square-root vanishing of
+    ball-type profiles at u = t into a smooth integrand.  The order is
+    rounded up to a multiple of 32, so that nearby t share their
+    Gauss-Legendre rules.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    split = t - min(1.0, t / 2.0)
+    split = sqrt_edge_split(t)
     n_scale = max(96, int(10 * t) + 8 * int(np.max(lams) if lams.size else 1))
     n_scale = -(-n_scale // 32) * 32
     u0, w0 = gauss_legendre(0.0, split, n_scale)
@@ -321,7 +323,7 @@ def beta_norm_check(t: float, p: float = 1.5) -> float:
     if t <= 0:
         return 0.0
     # integrate in v = sqrt(cosh t - cosh s) near s = t, plain elsewhere
-    split = t - min(1.0, t / 2.0)
+    split = sqrt_edge_split(t)
     s, w = gauss_legendre(0.0, split, 200)
     total = float(np.sum(np.exp((p - 1.0) * s / 2.0) * np.sqrt(cosh_diff(t, s)) * 2.0 * w))
     s, v, w = sqrt_edge_rule(t, split, t, 200)

@@ -1,10 +1,10 @@
 """Quadrature helpers used throughout the toolkit.
 
-Two workhorses: Gauss-Legendre rules (cached nodes, plain or composite) for
-integrals over intervals, and the periodic trapezoid rule with node doubling
-for integrals of analytic periodic functions over the circle.  Convergence is
-always assessed by comparing successive refinements; failure to stabilize
-raises :class:`~hypsurf.errors.QuadratureNotConverged`.
+Each rule is stated here once: Gauss-Legendre rules (cached nodes, plain or
+composite), the square-root-edge rule and where a plain panel hands over to
+it, the polar rule on a geodesic ball, and the periodic trapezoid rule with
+node doubling.  Convergence is always assessed by comparing successive
+refinements; failure to stabilize raises QuadratureNotConverged.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import QuadratureNotConverged
+from .geometry import _mobius_array
+
+TWO_PI = 2.0 * np.pi
 
 
 @lru_cache(maxsize=None)
@@ -31,19 +34,42 @@ def gauss_legendre(a: float, b: float, n: int):
 
 def composite_gl(a: float, b: float, n_panels: int, n_per_panel: int = 8):
     """Composite Gauss-Legendre rule: n_panels equal panels on [a, b]."""
-    edges = np.linspace(a, b, n_panels + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(lo, hi, n_per_panel)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.linspace(a, b, n_panels + 1)[:, None]
+    x, w = gauss_legendre(edges[:-1], edges[1:], n_per_panel)
+    return x.ravel(), w.ravel()
+
+
+def refined(rule, tol: float, message: str):
+    """rule(2), the rule at twice its base orders, if within tol max(1, max |rule(2)|)
+    of rule(1); QuadratureNotConverged(message) otherwise."""
+    coarse, fine = rule(1), rule(2)
+    if np.max(np.abs(fine - coarse)) > tol * max(1.0, float(np.max(np.abs(fine)))):
+        raise QuadratureNotConverged(message)
+    return fine
+
+
+def ball_rule(z, radius: float, n_rad: int, n_ang: int):
+    """Polar rule on B(z, radius), z a point or an array: n_rad Gauss-Legendre
+    distances t times n_ang equal angles.  Returns the nodes, of shape
+    shape(z) + (n_rad * n_ang,), their t and their weights w_t sinh t 2 pi / n_ang;
+    the Mobius map (alpha, beta) = (1, z) carries 0 to z."""
+    t, wt = gauss_legendre(0.0, radius, n_rad)
+    ring = np.exp(1j * TWO_PI * np.arange(n_ang) / n_ang)
+    nodes = np.multiply.outer(np.tanh(t / 2.0), ring).ravel()
+    pts = _mobius_array(1.0, np.asarray(z, dtype=complex)[..., None], nodes)
+    return pts, np.repeat(t, n_ang), np.repeat(wt * np.sinh(t) * (TWO_PI / n_ang), n_ang)
 
 
 def cosh_diff(a, b):
     """cosh a - cosh b, formed as 2 sinh((a+b)/2) sinh((a-b)/2) so that close
     arguments keep their digits (cosh a - cosh b cancels for small a, b)."""
     return 2.0 * np.sinh(0.5 * (a + b)) * np.sinh(0.5 * (a - b))
+
+
+def sqrt_edge_split(c):
+    """c - min(1, c/2): where a plain panel on [0, c] hands over to the
+    sqrt_edge_rule panel that ends at the edge c; c may be an array."""
+    return c - np.minimum(1.0, c / 2.0)
 
 
 def sqrt_edge_rule(c, a, b, n: int):

@@ -67,12 +67,9 @@ def alternating_step(n_blocks: int = 10) -> StepObservable:
 @dataclass(frozen=True)
 class Toy1dReport:
     L: float
-    window: tuple
     n_modes: int
     variance: float
     parseval_bound: float
-    mean_value: float
-    observable_sup: float
 
     @property
     def passed(self) -> bool:
@@ -80,10 +77,12 @@ class Toy1dReport:
 
 
 def window_mode_range(L: float, window) -> range:
-    """Dirichlet modes with (k pi / L)^2 inside the window."""
+    """Dirichlet modes with (k pi / L)^2 inside the window [lo, hi]."""
     lo, hi = window
     if not all(map(math.isfinite, (L, lo, hi))):
         raise ParameterOutOfRange("L and the window must be finite")
+    if not (L > 0 and lo < hi):
+        raise ParameterOutOfRange("need L > 0 and a window lo < hi")
     k_lo = int(math.ceil(math.sqrt(max(lo, 0.0)) * L / math.pi - 1e-12))
     k_hi = int(math.floor(math.sqrt(hi) * L / math.pi + 1e-12))
     return range(max(k_lo, 1), k_hi + 1)
@@ -102,7 +101,6 @@ def toy1d_variance(L: float, window, a, M: float | None = None) -> Toy1dReport:
         raise EmptyWindow(f"no Dirichlet mode of [0, {L}] in {window}")
     if isinstance(a, StepObservable):
         coeffs = np.array([a.cos_coefficient(L, k) for k in ks])
-        mean = a.mean()
         M = a.sup_norm() if M is None else M
     else:
         if M is None:
@@ -111,13 +109,11 @@ def toy1d_variance(L: float, window, a, M: float | None = None) -> Toy1dReport:
         x, w = composite_gl(0.0, L, n_panels=max(8, 2 * k_max),
                             n_per_panel=12)
         ax = np.asarray([a(float(xx)) for xx in x], dtype=float)
-        mean = float(np.sum(ax * w)) / L
         karr = np.array(list(ks), dtype=float)
         coeffs = (np.cos(np.multiply.outer(karr, x) * (2.0 * math.pi / L)) @ (ax * w)) / L
     variance = float(np.mean(coeffs ** 2))
     bound = M * M / len(ks)
-    return Toy1dReport(L, (float(window[0]), float(window[1])), len(ks),
-                       variance, bound, mean, float(M))
+    return Toy1dReport(L, len(ks), variance, bound)
 
 
 def mode_count_density(L_values: Sequence[float], window) -> list:

@@ -31,7 +31,8 @@ from scipy.special import loggamma
 
 from .errors import ParameterOutOfRange, QuadratureNotConverged
 from .geometry import _busemann_array
-from .quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule, trapezoid_periodic
+from .quadrature import (ball_rule, cosh_diff, gauss_legendre, refined, sqrt_edge_rule,
+                         sqrt_edge_split, trapezoid_periodic)
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,9 +131,7 @@ class PlancherelWeight:
 
 def weight_from_name(name: str) -> PlancherelWeight:
     return {"paper": PlancherelWeight.paper(),
-            "harmonic": PlancherelWeight.harmonic(),
-            "paper_tanh_2pi": PlancherelWeight.paper(),
-            "harmonic_tanh_pi": PlancherelWeight.harmonic()}[name]
+            "harmonic": PlancherelWeight.harmonic()}[name]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def _md_rows(lams, ts) -> np.ndarray:
     in blocks of at most _BLOCK node values.
     """
     out = np.zeros((ts.size, lams.size))
-    split = ts - np.minimum(1.0, ts / 2.0)
+    split = sqrt_edge_split(ts)
     edge = 32 * np.ceil((24.0 + np.multiply.outer(ts, np.abs(lams))) / 32.0).astype(int)
     plain = np.maximum(edge, (6.0 * ts).astype(int)[:, None])
     for orders, is_edge in ((plain, False), (edge, True)):
@@ -211,25 +210,22 @@ def _md_rows(lams, ts) -> np.ndarray:
 def _md_integral(lams, t) -> np.ndarray:
     """int_0^t cos(lam u) / sqrt(cosh t - cosh u) du on the (t, lambda) grid, t >= 0.
 
-    Plain panel up to t - min(1, t/2); the rest in v = sqrt(cosh t - cosh u),
-    which removes the integrable 1/sqrt singularity at u = t.  Each cell has
-    its own Gauss-Legendre order n = 32 ceil((24 + |lam| t) / 32), enough for
-    the |lam| t / (2 pi) periods of cos(lam u); the plain panel takes at
-    least 6 t nodes, for the growth of the integrand towards u = t.  As the
-    order depends on the cell alone, a cell's value does not depend on the
-    grid around it.  Rows go to _md_rows in groups of about _BLOCK cells, so
-    memory stays bounded.  Rows t = 0 are 0, the integral over [0, 0].
-    Returns shape(t) + shape(lams).
+    Plain panel up to sqrt_edge_split(t) = t - min(1, t/2); the rest in
+    v = sqrt(cosh t - cosh u), which removes the integrable 1/sqrt
+    singularity at u = t.  Each cell has its own Gauss-Legendre order
+    n = 32 ceil((24 + |lam| t) / 32), enough for the |lam| t / (2 pi) periods
+    of cos(lam u); the plain panel takes at least 6 t nodes, for the growth
+    of the integrand towards u = t.  As the order depends on the cell alone,
+    a cell's value does not depend on the grid around it.  Every row t > 0
+    goes to _md_rows in one call, which sums _BLOCK node values at a time.
+    Rows t = 0 are 0, the integral over [0, 0].  Returns shape(t) + shape(lams).
     """
     lams = np.asarray(lams, dtype=float)
     ts = np.asarray(t, dtype=float)
     lam1, t1 = lams.ravel(), ts.ravel()
     out = np.zeros((t1.size, lam1.size))
     pos = np.flatnonzero(t1)
-    step = max(1, _BLOCK // max(1, lam1.size))
-    for s in range(0, pos.size, step):
-        rows = pos[s:s + step]
-        out[rows] = _md_rows(lam1, t1[rows])
+    out[pos] = _md_rows(lam1, t1[pos])
     return out.reshape(ts.shape + lams.shape)
 
 
@@ -351,30 +347,34 @@ def phi_decay_constant(lam_grid, t_grid) -> float:
 # Selberg transform and its inverse
 # ---------------------------------------------------------------------------
 
+def _panels(lo: float, hi: float, breakpoints) -> list:
+    """The (lo, hi) pairs of [lo, hi] cut at the breakpoints strictly inside."""
+    edges = [lo] + sorted(b for b in breakpoints if lo < b < hi) + [hi]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def selberg_transform(k: RadialKernel) -> SpectralMultiplier:
     """S(k)(lambda) = 2 pi int_0^inf k(t) phi_lambda(t) sinh(t) dt.
 
     The factor 2 pi makes the triangle S = Fourier o Abel exact.  A kernel
-    without finite support is integrated up to t = 40.  Evaluates on a whole
+    without finite support is integrated up to t = 40, max(64, 16 length)
+    nodes a panel between its knots, refined once.  Evaluates on a whole
     lambda array at once.
     """
     upper = k.support_bound if math.isfinite(k.support_bound) else 40.0
-    edges = [0.0] + sorted(b for b in k.breakpoints if 0.0 < b < upper) + [upper]
+    panels = _panels(0.0, upper, k.breakpoints)
 
     def h(lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        vals = None
-        for mult in (1, 2):
+
+        def rule(mult):
             cur = np.zeros(lams.shape)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                n = mult * max(64, int(16 * (hi - lo)))
-                t, w = gauss_legendre(lo, hi, n)
+            for lo, hi in panels:
+                t, w = gauss_legendre(lo, hi, mult * max(64, int(16 * (hi - lo))))
                 cur = cur + TWO_PI * (k(t) * np.sinh(t) * w) @ phi_eval(lams, t)
-            if vals is not None and np.max(np.abs(cur - vals)) > 1e-7 * max(
-                    1.0, float(np.max(np.abs(cur)))):
-                raise QuadratureNotConverged("Selberg transform did not stabilize")
-            vals = cur
-        return vals
+            return cur
+
+        return refined(rule, 1e-7, "Selberg transform did not stabilize")
 
     return SpectralMultiplier(lambda lam: h(lam) if np.ndim(lam) else float(h(lam)[0]))
 
@@ -394,11 +394,11 @@ def _clenshaw(c, x) -> np.ndarray:
 
 
 def inverse_selberg(rho: SpectralMultiplier, weight: PlancherelWeight,
-                    norm: float = 1.0, n_lambda: int = 256) -> RadialKernel:
-    """k_rho(t) = norm * int rho(lambda) phi_lambda(t) w(lambda) d lambda.
+                    n_lambda: int = 256) -> RadialKernel:
+    """k_rho(t) = int rho(lambda) phi_lambda(t) w(lambda) d lambda.
 
-    With norm = 1 this is the radial kernel of the operator with multiplier
-    rho under the chosen weight convention.  The exact values are the
+    This is the radial kernel of the operator with multiplier rho under the
+    chosen weight convention.  The exact values are the
     phi_eval grid at the n_lambda Gauss-Legendre nodes of rho's support
     times the vector wvals of rho w and the node weights.  They are taken
     only at the deg + 1 first-kind Chebyshev points of each unit panel
@@ -419,7 +419,7 @@ def inverse_selberg(rho: SpectralMultiplier, weight: PlancherelWeight,
     if not math.isfinite(hi):
         raise ValueError("inverse transform needs a compactly supported multiplier")
     lam, lw = gauss_legendre(lo, hi, n_lambda)
-    wvals = weight(lam) * rho(lam) * lw * norm
+    wvals = weight(lam) * rho(lam) * lw
     floor = float(np.sum(np.abs(wvals)))
     m = _K_RHO_DEG0 + math.ceil(1.5 * hi) + 1
     theta = math.pi * (np.arange(m) + 0.5) / m
@@ -506,8 +506,7 @@ def abel_transform(k: RadialKernel, n: int = 200) -> AbelProfile:
     if not math.isfinite(k.support_bound):
         raise ValueError("Abel transform implemented for compactly supported kernels")
     T = k.support_bound
-    cuts = [0.0] + sorted(b for b in k.breakpoints if 0.0 < b < T) + [T]
-    intervals = list(zip(cuts[:-1], cuts[1:]))
+    intervals = _panels(0.0, T, k.breakpoints)
     # a u has at most one panel per stretch and interval: bound its nodes
     most = sum(n + max(n, 32 * math.ceil(16 * (hi - lo) / 32)) for lo, hi in intervals)
     per_block = max(1, _BLOCK // most)
@@ -582,35 +581,31 @@ def fourier_of_abel(g: AbelProfile) -> SpectralMultiplier:
     """h(lambda) = 2 int_0^S cos(lambda u) g(u) du.
 
     Abel profiles of ball-type kernels vanish like sqrt(cosh S - cosh u) at the
-    support edge, so the tail piece is integrated in the variable
-    v = sqrt(cosh S - cosh u), where the integrand is smooth.
+    support edge, so the tail piece from sqrt_edge_split(S) on is integrated
+    in the variable v = sqrt(cosh S - cosh u), where the integrand is smooth.
+    Every panel takes n = max(192, 16 S (1 + max lambda / 4)) nodes, refined once.
     """
     if not math.isfinite(g.support_bound):
         raise ValueError("profile must have compact support")
     S = g.support_bound
-    split = S - min(1.0, S / 2.0)
-    plain_edges = [0.0] + sorted(b for b in g.breakpoints if 0.0 < b < split) + [split]
-    tail_edges = [split] + sorted(b for b in g.breakpoints if split < b < S) + [S]
+    split = sqrt_edge_split(S)
+    plain, tail = _panels(0.0, split, g.breakpoints), _panels(split, S, g.breakpoints)
 
     def h(lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         n = max(192, int(16 * S * (1.0 + float(np.max(lams)) / 4.0)))
-        vals = None
-        for trial in (n, 2 * n):
+
+        def rule(mult):
             cur = np.zeros(lams.shape)
-            for lo, hi in zip(plain_edges[:-1], plain_edges[1:]):
-                if hi <= lo:
-                    continue
-                u, w = gauss_legendre(lo, hi, trial)
+            for lo, hi in plain:
+                u, w = gauss_legendre(lo, hi, mult * n)
                 cur = cur + 2.0 * np.cos(np.multiply.outer(lams, u)) @ (g(u) * w)
-            for lo, hi in zip(tail_edges[:-1], tail_edges[1:]):
-                u, _, w = sqrt_edge_rule(S, lo, hi, trial)
+            for lo, hi in tail:
+                u, _, w = sqrt_edge_rule(S, lo, hi, mult * n)
                 cur = cur + 2.0 * np.cos(np.multiply.outer(lams, u)) @ (g(u) * w)
-            if vals is not None and np.max(np.abs(cur - vals)) > 3e-8 * max(
-                    1.0, float(np.max(np.abs(cur)))):
-                raise QuadratureNotConverged("Fourier of Abel profile did not stabilize")
-            vals = cur
-        return vals
+            return cur
+
+        return refined(rule, 3e-8, "Fourier of Abel profile did not stabilize")
 
     return SpectralMultiplier(lambda lam: h(lam) if np.ndim(lam) else float(h(lam)[0]))
 
@@ -630,16 +625,12 @@ def helgason_forward(u: Callable[[np.ndarray], np.ndarray], n_rad: int = 120,
     """u-hat(lambda, b) = int_D exp((1/2 - i lambda)<z, b>) u(z) dmu(z).
 
     u maps an array of complex chart points to values, with support inside
-    |z| <= 0.95; it is called once, on the whole node array.
-    Returns a callable of (lambda, boundary angle).  Geodesic polar grid:
-    tensor Gauss-Legendre in t times periodic trapezoid in the angle.
+    |z| <= 0.95; it is called once, on the flat array of the n_rad * n_ang
+    nodes of ball_rule on the ball about 0 of that chart radius.  Returns a
+    callable of (lambda, boundary angle).
     """
-    t_max = 2.0 * math.atanh(0.95)
-    t, wt = gauss_legendre(0.0, t_max, n_rad)
-    theta = TWO_PI * np.arange(n_ang) / n_ang
-    Z = np.multiply.outer(np.tanh(t / 2.0), np.exp(1j * theta))
+    Z, _, area_w = ball_rule(0.0, 2.0 * math.atanh(0.95), n_rad, n_ang)
     U = u(Z)
-    area_w = np.multiply.outer(np.sinh(t) * wt, np.full(n_ang, TWO_PI / n_ang))
 
     def transform(lam: float, b_angle: float) -> complex:
         bus = _busemann_array(Z, np.exp(1j * b_angle))
@@ -683,13 +674,11 @@ def hs_norm_disc(a: Callable[[np.ndarray, float, np.ndarray], np.ndarray],
     with W = weight.hs_weight, the weight that makes the identity exact for
     kernels built by kernel_from_symbol under the same convention.  a follows
     the symbol contract: it is called once per lambda node, n_lam times in
-    all, with z the (n_rad * n_zang, 1) array of polar nodes and b the
-    (n_bang,) array of boundary nodes.
+    all, with z the (n_rad * n_zang, 1) nodes of ball_rule about 0 (chart
+    radius z_support_radius) and b the (n_bang,) array of boundary nodes.
     """
-    t, wt = gauss_legendre(0.0, 2.0 * math.atanh(z_support_radius), n_rad)
-    e_ang = np.exp(1j * TWO_PI * np.arange(n_zang) / n_zang)
-    z = np.multiply.outer(np.tanh(t / 2.0), e_ang).reshape(-1, 1)
-    w_z = np.repeat(wt * np.sinh(t) * (TWO_PI / n_zang), n_zang)
+    z, _, w_z = ball_rule(0.0, 2.0 * math.atanh(z_support_radius), n_rad, n_zang)
+    z = z[:, None]
     lam, wl = gauss_legendre(lambda_support[0], lambda_support[1], n_lam)
     b = np.exp(1j * TWO_PI * np.arange(n_bang) / n_bang)
     lam_w = wl * np.asarray(weight.hs_weight(lam), dtype=float)
@@ -704,8 +693,8 @@ def hs_norm_disc(a: Callable[[np.ndarray, float, np.ndarray], np.ndarray],
 # Convenience multipliers
 # ---------------------------------------------------------------------------
 
-def bump_multiplier(lo: float, hi: float, amplitude: float = 1.0) -> SpectralMultiplier:
-    """Smooth compactly supported bump on [lo, hi], sup value = amplitude."""
+def bump_multiplier(lo: float, hi: float) -> SpectralMultiplier:
+    """Smooth compactly supported bump on [lo, hi], sup value 1."""
     if not (0 <= lo < hi < math.inf):
         raise ParameterOutOfRange("need 0 <= lo < hi < inf")
 
@@ -714,7 +703,7 @@ def bump_multiplier(lo: float, hi: float, amplitude: float = 1.0) -> SpectralMul
         x = (2.0 * lam - (lo + hi)) / (hi - lo)
         out = np.zeros_like(lam)
         inside = np.abs(x) < 1.0
-        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - x[inside] ** 2))
         return out
 
     return SpectralMultiplier(f, support=(lo, hi))

@@ -244,6 +244,8 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     """
     if not 0 < T < math.inf:
         raise ParameterOutOfRange("T must be positive and finite")
+    if not 0 < sigma < T:   # then every node of the t-window exceeds sigma
+        raise ParameterOutOfRange(f"sigma must satisfy 0 < sigma < T = {T:g}")
     if not 0 < r < math.inf:
         raise ParameterOutOfRange("r must be positive and finite")
     if not 0 <= s < math.inf:

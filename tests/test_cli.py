@@ -455,7 +455,10 @@ class TestContracts:
         ["prop33", "--T", "inf"], ["prop33", "--T", "nan"], ["prop33", "--sigma", "inf"],
         ["prop33", "--lam-spacing", "inf"], ["prop33", "--lam-spacing", "2"],
         ["pipeline", "--T", "inf"], ["pipeline", "--r", "inf"], ["pipeline", "--s", "inf"],
-        ["pipeline", "--s", "-1"]],
+        ["pipeline", "--s", "-1"], ["pipeline", "--sigma", "inf"],
+        ["pipeline", "--sigma", "0"], ["pipeline", "--sigma", "nan"],
+        ["pipeline", "--T", "4", "--sigma", "5"], ["toy1d", "--L", "-5"],
+        ["toy1d", "--window", "2:1"]],
         ids=" ".join)
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, argv):
         out = str(tmp_path / "out")
@@ -464,10 +467,12 @@ class TestContracts:
         assert (rec["error"], rec["subcommand"]) == ("ParameterOutOfRange", argv[0])
         assert not os.path.exists(out)
 
-    # a radius the budget cannot use is refused before any quadrature runs,
-    # in a message that names it
+    # a radius or ramp width the budget cannot use is refused before any
+    # quadrature runs, in a message that names it
     @pytest.mark.parametrize("flag, value", [("T", "inf"), ("r", "inf"), ("s", "inf"),
-                                             ("s", "-1")])
+                                             ("s", "-1"), ("sigma", "inf"),
+                                             ("sigma", "0"), ("sigma", "nan"),
+                                             ("sigma", "5")])
     def test_pipeline_radius_message_names_the_input(self, tmp_path, capsys, flag,
                                                      value):
         with warnings.catch_warnings(record=True) as caught:

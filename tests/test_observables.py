@@ -9,7 +9,7 @@ import hypsurf.observables as O
 from hypsurf.errors import StencilOutOfDomain
 from hypsurf.fuchsian import bolza_group
 from hypsurf.geometry import _dist_array
-from hypsurf.transforms import PlancherelWeight, bump_multiplier
+from hypsurf.transforms import PlancherelWeight, SpectralMultiplier, bump_multiplier
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +348,7 @@ class TestLimitTerm:
 
 class TestMultiplierTail:
     def test_zero_multiplier(self):
-        rho = bump_multiplier(1.0, 2.0, amplitude=0.0)
+        rho = SpectralMultiplier(np.zeros_like, support=(1.0, 2.0))
         e = O.multiplier_tail_bound(rho, PlancherelWeight.paper(), 3.0, [1.2, 1.5])
         assert e == 0.0
 

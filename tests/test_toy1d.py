@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypsurf.errors import EmptyWindow
+from hypsurf.errors import EmptyWindow, ParameterOutOfRange
 from hypsurf.toy1d import (StepObservable, alternating_step, mode_count_density,
                            toy1d_variance, window_mode_range)
 
@@ -45,6 +45,13 @@ class TestModeWindow:
         for k in window_mode_range(L, (lo, hi)):
             nu = (k * math.pi / L) ** 2
             assert lo - 1e-9 <= nu <= hi + 1e-9
+
+    @pytest.mark.parametrize("L, window", [(-5.0, (1.0, 2.0)), (0.0, (1.0, 2.0)),
+                                           (100.0, (2.0, 1.0)), (100.0, (1.5, 1.5))])
+    def test_bad_length_or_window_is_out_of_range(self, L, window):
+        # not an empty window: no length or window of this kind holds a mode
+        with pytest.raises(ParameterOutOfRange):
+            window_mode_range(L, window)
 
 
 class TestVariance:

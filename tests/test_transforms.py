@@ -12,6 +12,7 @@ from hypsurf.quadrature import cosh_diff, gauss_legendre, sqrt_edge_rule
 from hypsurf.transforms import (
     PlancherelWeight,
     RadialKernel,
+    SpectralMultiplier,
     abel_sharp,
     abel_smooth,
     abel_transform,
@@ -262,7 +263,7 @@ class TestTriangle:
 
 class TestInverse:
     def test_zero_multiplier(self):
-        rho = bump_multiplier(1.0, 2.0, 0.0)
+        rho = SpectralMultiplier(np.zeros_like, support=(1.0, 2.0))
         k = inverse_selberg(rho, PlancherelWeight.paper())
         assert k(1.3) == 0.0
 
@@ -273,10 +274,10 @@ class TestInverse:
         # lambda >= 1.75 where its residual factor is < 1e-4
         lo, hi = (1.0, 2.0) if wname == "harmonic" else (1.75, 3.0)
         rho = bump_multiplier(lo, hi)
-        k = inverse_selberg(rho, weight, norm=matched_norm(weight), n_lambda=384)
+        k, norm = inverse_selberg(rho, weight, n_lambda=384), matched_norm(weight)
         # k_rho has unbounded support; truncate where its scaled decay makes
         # the spherical-pairing tail negligible at the 1e-4 level
-        trunc = RadialKernel(lambda t: k(t), support_bound=160.0)
+        trunc = RadialKernel(lambda t: norm * k(t), support_bound=160.0)
         h = selberg_transform(trunc)
         lams = np.linspace(lo + 0.1, hi - 0.1, 5)
         got = h(lams)
