@@ -396,7 +396,9 @@ def cmd_pipeline(args) -> int:
     return _finish(args, "pipeline", {
         "terms": budget.terms, "total": budget.total, "dominant": budget.dominant,
         "bs_fraction_wrap": budget.bs_fraction_wrap,
-        "bs_saturated": budget.bs_saturated, "systole": budget.systole},
+        "bs_saturated": budget.bs_saturated, "systole": budget.systole,
+        "orbit_elements_explored": budget.orbit_elements_explored,
+        "sampler_proposals": budget.sampler_proposals},
         math.isfinite(budget.total), nevo_n_provenance=budget.nevo_n_provenance,
         suppressed_constants=budget.note)
 

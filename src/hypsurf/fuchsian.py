@@ -30,16 +30,33 @@ Tile prune.  When a group declares a Dirichlet radius R_D, its symmetrized
 generators pair the sides of the Dirichlet domain D at 0 (see
 FuchsianGroup), so the tile gD shares a side with each tile g s D, s a
 symmetrized generator, and lies in the ball B(g 0, R_D).  The tiles that
-meet a convex ball B(c, R) are connected through shared sides.  For c in D,
-every gamma with d(c, gamma c) <= R is among them (gamma c lies in gamma D),
-and each of them has d(c, g 0) <= R + R_D.  A search that expands g while
-d(c, g 0) <= R + R_D + 1e-9 therefore reaches every such gamma.  For c
-outside D the same argument runs on B(c, R + d(0, c)), which holds 0 and
-every such gamma 0, so the margin grows by d(0, c).  The search runs until
-its frontier is empty, and that is what makes the ball complete.  Groups
-without a Dirichlet radius (the cyclic and trivial presets) expand g while
-d(c, g c) <= R + max generator displacement + 1; for a cyclic group the
-displacement grows along the powers of the generator, so this loses nothing.
+meet a convex ball B(c, R') are connected through shared sides.  For c in
+D take R' = R: every gamma with d(c, gamma c) <= R has gamma c in gamma D,
+so its tile meets B(c, R).  For c outside D take R' = R + d(0, c): the ball
+holds 0 and every such gamma 0.  A search that expands g while gD can still
+meet B(c, R') therefore reaches every such gamma, and it runs until its
+frontier is empty, which makes the ball complete.  Two necessary conditions
+decide "can still meet", each with a margin of 1e-9 on R':
+- Centre test: d(c, g 0) <= R' + R_D, because gD lies in B(g 0, R_D).
+- Side test, run only on the elements that pass the centre test: d(c, g
+  H_s) <= R' for every symmetrized generator s, where H_s = {z : d(z, 0) <=
+  d(z, s 0)}.  Proof: D is the intersection of the H_s, so gD lies in each
+  g H_s and d(c, gD) >= max_s d(c, g H_s).  When c is outside g H_s, its
+  distance to the bisector of g 0 and g s 0 is given by sinh d(c, g H_s) =
+  (cosh d(c, g 0) - cosh d(c, g s 0)) / (2 sinh(d(0, s 0) / 2)).
+Both tests are taken in sinh^2(d / 2) = |c conj(alpha) - beta|^2 / (1 -
+|c|^2) of the element (alpha, beta), where cosh d = 1 + 2 sinh^2(d / 2), so
+nothing cancels at large radii, and sinh(d(0, s 0) / 2) = |beta_s|.  With
+the side test the Bolza ball of radius 8 at 0 explores 33,504 elements
+instead of 58,208, and the one of radius 12 1,905,640 instead of 3,203,016.
+The balls need not come out word for word as with the centre test alone (a
+narrower search may first reach an element by another word), but on every
+centre and radius checked they did, to the last bit.
+
+Groups without a Dirichlet radius (the cyclic and trivial presets) expand g
+while d(c, g c) <= R + max generator displacement + 1; for a cyclic group
+the displacement grows along the powers of the generator, so this loses
+nothing.
 
 Shared injectivity-radius search.  injrad_below_points decides InjRad < R at
 every point of a sample, on every sheet, from one search at radius 2R.
@@ -384,6 +401,22 @@ class OrbitBall:
             return InjRadResult(self.radius / 2.0, True)
         return InjRadResult(float(moving.min()) / 2.0, False)
 
+    def least_translation_length(self) -> float:
+        """Least translation length 2 arccosh |Re alpha| over the hyperbolic
+        elements of the ball; inf if it has none.
+
+        A free group's long words carry round-off in their traces (a group
+        with exact coordinates has each trace to its last bit), so the value
+        comes from the first element in displacement order whose trace is
+        within 1e-9 relative of the least one.
+        """
+        half_trace = np.abs(self.alpha.real)
+        half_trace = half_trace[half_trace > 1.0 + 1e-12]   # the hyperbolic elements
+        if not len(half_trace):
+            return math.inf
+        first = half_trace[np.argmax(half_trace <= half_trace.min() * (1.0 + 1e-9))]
+        return 2.0 * math.acosh(float(first))
+
 
 @dataclass
 class _Level:
@@ -506,31 +539,65 @@ def _word_levels(group: FuchsianGroup, element_cap: int = 1_000_000,
         maps = level.maps[keep] if perms is not None else None
 
 
+def _outside_margin(group: FuchsianGroup, zs: np.ndarray) -> np.ndarray:
+    """d(0, c) for each centre c outside D, 0 inside: B(c, R + this) meets
+    the tile of every gamma with d(c, gamma c) <= R (module docstring)."""
+    outside = ~_in_dirichlet_domain(zs[:, None], _face_points(group))
+    return np.where(outside, 2.0 * np.arctanh(np.abs(zs)), 0.0)
+
+
 def _prune_bounds(group: FuchsianGroup, centres, radius: float) -> np.ndarray:
     """Per centre c, the bound of the prune of a search for every gamma with
-    d(c, gamma c) <= radius; see _expand_mask, and the module docstring for
-    why the tile prune is sound.
+    d(c, gamma c) <= radius: the centre bound of the tile prune, or the
+    displacement bound; see _expand_mask, and the module docstring for why
+    the prune is sound.
     """
     zs = np.asarray(centres, dtype=complex)
     if group.dirichlet_radius is None:
         disp = _displacements(*_generator_arrays(group), zs[:, None])
         return radius + disp.max(axis=1, initial=0.0) + 1.0
-    outside = ~_in_dirichlet_domain(zs[:, None], _face_points(group))
-    margin = group.dirichlet_radius + np.where(outside, 2.0 * np.arctanh(np.abs(zs)), 0.0)
+    margin = group.dirichlet_radius + _outside_margin(group, zs)
     return np.sinh((radius + margin + 1e-9) / 2.0) ** 2 * (1.0 - np.abs(zs) ** 2)
 
 
-def _expand_mask(group: FuchsianGroup, c, bound, alpha, beta, disp) -> np.ndarray:
-    """The elements (alpha, beta) with displacements disp at c that the prune
-    of _prune_bounds expands; c and bound broadcast against the elements.
+def _side_bounds(group: FuchsianGroup, centres, radius: float) -> np.ndarray:
+    """Per centre c, the side bound of the tile prune of the same search,
+    sinh(R' + 1e-9) (1 - |c|^2) with R' = radius + _outside_margin (inf for
+    a group without a Dirichlet radius, which has no side test)."""
+    zs = np.asarray(centres, dtype=complex)
+    if group.dirichlet_radius is None:
+        return np.full(len(zs), np.inf)
+    reach = radius + _outside_margin(group, zs)
+    return np.sinh(reach + 1e-9) * (1.0 - np.abs(zs) ** 2)
 
-    Tile prune: d(c, g 0) within the bound, as sinh^2(d(c, g 0) / 2) =
-    |c conj(alpha) - beta|^2 / (1 - |c|^2).  Displacement prune: d(c, g c)
-    within it.
+
+def _expand_mask(group: FuchsianGroup, c, bound, side, alpha, beta, disp) -> np.ndarray:
+    """The elements (alpha, beta) with displacements disp at c that the prune
+    of _prune_bounds and _side_bounds expands; c, bound and side broadcast
+    against the elements.
+
+    Tile prune, two tests on g.  Centre test: d(c, g 0) within the bound,
+    as sinh^2(d(c, g 0) / 2) = |u|^2 / (1 - |c|^2), u = c conj(alpha) -
+    beta.  Side test, on the elements that pass it: for every symmetrized
+    generator s, sinh d(c, g H_s) = (S(g 0) - S(g s 0)) / |beta_s| within
+    sinh R', S the sinh^2(d(c, .) / 2) above; the numerator of S(g s 0) is
+    |conj(alpha_s) u + beta_s v|^2 with v = c conj(beta) - alpha.
+    Displacement prune: d(c, g c) within the bound.
     """
-    if group.dirichlet_radius is not None:
-        return np.abs(c * np.conj(alpha) - beta) ** 2 <= bound
-    return disp <= bound
+    if group.dirichlet_radius is None:
+        return disp <= bound
+    u = c * np.conj(alpha) - beta
+    su = np.abs(u) ** 2
+    expand = su <= bound
+    pick = np.nonzero(expand)
+    c, alpha, beta, side = (np.broadcast_to(x, expand.shape)[pick]
+                            for x in (c, alpha, beta, side))
+    u, su, v = u[pick], su[pick], c * np.conj(beta) - alpha
+    meets = np.ones(len(u), dtype=bool)
+    for gen_alpha, gen_beta in zip(*_generator_arrays(group)):
+        meets &= su - np.abs(np.conj(gen_alpha) * u + gen_beta * v) ** 2 <= abs(gen_beta) * side
+    expand[pick] = meets
+    return expand
 
 
 def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
@@ -552,12 +619,12 @@ def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
     disp, words = [np.zeros(1)], [()]
     explored = levels = 0
     if group.n_generators:
-        bound = _prune_bounds(group, [c], R)[0]
+        bound, side = _prune_bounds(group, [c], R)[0], _side_bounds(group, [c], R)[0]
         for level in _word_levels(group, element_cap):
             explored += len(level.alpha)
             levels += 1
             d = _displacements(level.alpha, level.beta, c)
-            level.expand = _expand_mask(group, c, bound, level.alpha, level.beta, d)
+            level.expand = _expand_mask(group, c, bound, side, level.alpha, level.beta, d)
             kept = d <= R
             alpha.append(level.alpha[kept])
             beta.append(level.beta[kept])
@@ -602,7 +669,7 @@ def injrad_below_points(surface, zs, R: float,
     if group.n_generators == 0 or not len(zs):
         return InjradQuery(below, 0, 0)
     target = 2.0 * R
-    bounds = _prune_bounds(group, zs, target)
+    bounds, sides = _prune_bounds(group, zs, target), _side_bounds(group, zs, target)
     open_points = np.arange(len(zs))
     explored = levels = 0
     for level in _word_levels(group, element_cap, surface.sheets):
@@ -619,7 +686,8 @@ def injrad_below_points(surface, zs, R: float,
             below[idx] |= witness[:, cols] @ (level.maps[cols] == sheets)
             stay = ~below[idx].all(axis=1)
             expand |= _expand_mask(group, c[stay], bounds[idx[stay], None],
-                                   level.alpha, level.beta, disp[stay]).any(axis=0)
+                                   sides[idx[stay], None], level.alpha, level.beta,
+                                   disp[stay]).any(axis=0)
         open_points = open_points[~below[open_points].all(axis=1)]
         if not len(open_points):
             break
@@ -627,31 +695,26 @@ def injrad_below_points(surface, zs, R: float,
     return InjradQuery(below, explored, levels)
 
 
-def systole_upper_bound(group: FuchsianGroup) -> float:
-    """Least translation length 2 arccosh |Re alpha| over the complete orbit
-    ball B(0, rho); rho and why it suffices are in the module docstring.
-
-    Exact for groups with a Dirichlet radius, an upper bound for the others,
-    and inf for a group without hyperbolic elements in the ball.  A free
-    group's long words carry round-off in their traces (a group with exact
-    coordinates has each trace to its last bit), so the value comes from the
-    first element in displacement order whose trace is within 1e-9 relative
-    of the least one.
+def systole_ball(group: FuchsianGroup) -> OrbitBall:
+    """The complete orbit ball B(0, rho) whose least translation length is
+    systole_upper_bound; rho and why it suffices are in the module docstring.
     """
-    if group.n_generators == 0:
-        return math.inf
     if group.dirichlet_radius is None:
         rho = group.max_generator_displacement()
     else:
         cosh_half = min(abs(g.alpha.real) for g in group.generators)   # cosh(l0 / 2)
         rho = 2.0 * math.asinh(math.cosh(group.dirichlet_radius)
                                * math.sqrt(cosh_half ** 2 - 1.0))
-    half_trace = np.abs(orbit_enumerate(group, DiscPoint(0, 0), rho + 1e-9).alpha.real)
-    half_trace = half_trace[half_trace > 1.0 + 1e-12]   # the hyperbolic elements
-    if not len(half_trace):
-        return math.inf
-    first = half_trace[np.argmax(half_trace <= half_trace.min() * (1.0 + 1e-9))]
-    return 2.0 * math.acosh(float(first))
+    return orbit_enumerate(group, DiscPoint(0, 0), rho + 1e-9)
+
+
+def systole_upper_bound(group: FuchsianGroup) -> float:
+    """Least translation length over systole_ball(group).
+
+    Exact for groups with a Dirichlet radius, an upper bound for the others,
+    and inf for a group without hyperbolic elements in the ball.
+    """
+    return systole_ball(group).least_translation_length()
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,6 @@ class StepObservable:
     def sup_norm(self) -> float:
         return max(abs(v) for v in self.values)
 
-    def mean(self) -> float:
-        return sum(v * (b - a) for v, a, b in
-                   zip(self.values, self.edges, self.edges[1:]))
-
     def cos_coefficient(self, L: float, k: int) -> float:
         """(1/L) int_0^L a(x) cos(2 k pi x / L) dx, exactly."""
         w = 2.0 * k * math.pi / L

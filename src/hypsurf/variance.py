@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EmptyWindow, ParameterOutOfRange, WindowNotResolved
 from .eigensolve import EigenData
-from .fuchsian import bs_statistic, systole_upper_bound
+from .fuchsian import bs_statistic, systole_ball
 from .observables import (Observable, limit_term, multiplier_tail_bound,
                           sandwich_sup_bound, symbol_of,
                           theta_second_derivative_norm)
@@ -216,6 +216,8 @@ class PipelineBudget:
     bs_fraction_wrap: float      # Vol{InjRad < r + S_T}/Vol estimate
     bs_saturated: bool
     systole: float
+    orbit_elements_explored: int  # systole ball and both BS-fraction searches
+    sampler_proposals: int        # of both BS-fraction searches
     note: str = "suppressed absolute constants set to 1"
 
 
@@ -225,9 +227,13 @@ _CHI_PRIME_SUP = 1.5
 
 
 def _bs_or_one(surface, R: float, n_mc: int, seed: int):
+    """The BS fraction at R, whether it is the flagged bound 1 of a radius
+    past the guard, and the explored elements and sampler proposals of its
+    search (0 and 0 when flagged)."""
     if R > 25.0:
-        return 1.0, True
-    return bs_statistic(surface, R, n_mc, seed).value, False
+        return 1.0, True, 0, 0
+    res = bs_statistic(surface, R, n_mc, seed)
+    return res.value, False, res.orbit_elements_explored, res.sampler_proposals
 
 
 def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
@@ -240,7 +246,8 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     Measured inputs: the theta-derivative norm of the symbol, sandwich-kernel
     sup bounds, injectivity-radius statistics, the systole from a complete
     orbit ball, and spectral tails of the cutoff multiplier.  Radii beyond
-    the enumeration guard use the trivial volume-fraction bound 1 (flagged).
+    the enumeration guard use the trivial volume-fraction bound 1 (flagged)
+    and add nothing to the search counters.
     """
     if not 0 < T < math.inf:
         raise ParameterOutOfRange("T must be positive and finite")
@@ -260,7 +267,8 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     rho = plateau_multiplier(window.lam_lo, window.lam_hi,
                              margin=0.1 * (window.lam_hi - window.lam_lo))
     lam_grid = np.linspace(*window.lam_interval_wide, 9)
-    systole = systole_upper_bound(surface.base)
+    systole_search = systole_ball(surface.base)
+    systole = systole_search.least_translation_length()
 
     # (i) averaging gain
     theta_sq = theta_second_derivative_norm(symbol_of(A), window.lam_interval_wide,
@@ -281,7 +289,7 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
 
     # (ii) wraparound: the merged small-injectivity-radius term, with the
     # volume fraction taken at the widest relevant radius r + S_T
-    bs_wrap, sat_r = _bs_or_one(surface, r + S_T, n_mc, seed)
+    bs_wrap, sat_r, explored_r, proposals_r = _bs_or_one(surface, r + S_T, n_mc, seed)
     term_wrap = ((1.0 + (S_T / r) ** 2) * c_rho_prime * sup_sq
                  * math.exp(2.0 * (r + S_T)) / systole * bs_wrap)
 
@@ -303,7 +311,8 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
     # (iv) mean-kernel mass times the E factor
     msT_mass = float(np.sum(H ** 2 * (m_amp * rho(lam_q)) ** 2
                             * weight.hs_weight(lam_q) * w_q))
-    bs_s2T, sat_s = _bs_or_one(surface, s + 2.0 * T, max(n_mc // 4, 20), seed + 1)
+    bs_s2T, sat_s, explored_s, proposals_s = _bs_or_one(surface, s + 2.0 * T,
+                                                        max(n_mc // 4, 20), seed + 1)
     sup_msT = m_amp * float(np.sum(np.abs(H) * rho(lam_q) * weight(lam_q) * w_q))
     term_mean_kernel = (msT_mass + math.exp(2.0 * (s + 2.0 * T)) / systole
                         * bs_s2T * sup_msT ** 2) * e_bound
@@ -321,4 +330,6 @@ def variance_pipeline_bounds(A: Observable, surface, T: float, r: float,
              "truncation": term_trunc}
     return PipelineBudget(S_T, nevo_n, "assumed", theta_sq, sup_sq, terms,
                           sum(terms.values()), max(terms, key=terms.get), bs_wrap,
-                          sat_r or sat_s, systole)
+                          sat_r or sat_s, systole,
+                          systole_search.elements_explored + explored_r + explored_s,
+                          proposals_r + proposals_s)

@@ -122,7 +122,8 @@ class TestBasicRuns:
         assert main(["orbit", "--out", out, "--R", "8"]) == 0
         d = read(out, "orbit")
         assert d["count"] == 793
-        assert (d["orbit_elements_explored"], d["orbit_levels"]) == (58208, 10)
+        # (58208, 10) before the side test of the tile prune
+        assert (d["orbit_elements_explored"], d["orbit_levels"]) == (33504, 10)
 
     def test_symbol(self, tmp_path):
         out = str(tmp_path)
@@ -357,7 +358,9 @@ class TestContracts:
     def test_pipeline_config_records_samples(self, tmp_path):
         out = str(tmp_path)
         assert main(["pipeline", "--out", out, "--samples", "20"]) == 0
-        assert read(out, "pipeline")["config"]["samples"] == 20
+        d = read(out, "pipeline")
+        assert d["config"]["samples"] == 20
+        assert d["orbit_elements_explored"] > 0 and d["sampler_proposals"] >= 40
 
     def test_torus_eigensolve_reproducible_across_processes(self, tmp_path):
         # 21 modes cut into the 8-fold level 197.17: the degenerate solve whose

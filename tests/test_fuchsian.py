@@ -166,6 +166,31 @@ def dist(z, w):
     return 2 * math.asinh(abs(z - w) / math.sqrt((1 - abs(z) ** 2) * (1 - abs(w) ** 2)))
 
 
+def octagon_sides(n_per_side):
+    """The test's own octagon: Klein-model vertices of octagon_vertices()
+    (counterclockwise) and n_per_side points of each side, a straight Klein
+    chord, evenly spaced in hyperbolic length, as Poincare points."""
+    v = np.array(F.octagon_vertices())
+    klein = 2.0 * v / (1.0 + np.abs(v) ** 2)
+    p, q = klein[:, None], np.roll(klein, -1)[:, None]
+    hp, hq = 1.0 / np.sqrt(1.0 - np.abs(p) ** 2), 1.0 / np.sqrt(1.0 - np.abs(q) ** 2)
+    # on the hyperboloid, cosh d = x0 y0 (1 - k . k'); the geodesic is the
+    # sinh-weighted combination of its end points, a straight Klein chord
+    side = np.arccosh(hp * hq * (1.0 - (p * np.conj(q)).real))
+    t = np.arange(n_per_side) / n_per_side
+    a, b = np.sinh((1.0 - t) * side) * hp, np.sinh(t * side) * hq
+    chord = ((a * p + b * q) / (a + b)).ravel()
+    return klein, chord / (1.0 + np.sqrt(1.0 - np.abs(chord) ** 2))
+
+
+def in_klein_polygon(z, klein):
+    """Poincare points z inside the convex Klein polygon with vertices klein."""
+    z = np.asarray(z)
+    k = 2.0 * z / (1.0 + np.abs(z) ** 2)
+    edge = np.roll(klein, -1) - klein
+    return ((np.conj(edge) * (k[..., None] - klein)).imag >= 0.0).all(axis=-1)
+
+
 @pytest.fixture(scope="module")
 def bolza():
     return F.bolza_group()
@@ -260,9 +285,11 @@ class TestExactEngine:
                                                                     ball.levels)
 
     def test_overflow_guard(self, bolza, monkeypatch):
+        # the search at R = 5 stays below 8 since the side test of the tile
+        # prune; at 5.5 it reaches it
         monkeypatch.setattr(F, "_COEFF_LIMIT", 8)
         with pytest.raises(BudgetExceeded):
-            F.orbit_enumerate(bolza, DiscPoint(0, 0), 5.0)
+            F.orbit_enumerate(bolza, DiscPoint(0, 0), 5.5)
 
 
 class TestOrbit:
@@ -326,6 +353,46 @@ class TestOrbit:
             F.orbit_enumerate(bolza, DiscPoint(0, 0), 26.0)
         with pytest.raises(ParameterOutOfRange):
             F.bs_statistic(bolza, 1.0, 0, seed=0)
+
+
+class TestTilePruneSoundness:
+    """The tile prune against the test's own octagon: every tile that meets
+    B(c, R') is expanded, R' = R for c in D and R + d(0, c) outside, with
+    d(c, g D) = d(g^-1 c, D) measured on sampled sides."""
+
+    # 0, inside, near a vertex (which is at 0.841), outside beyond a vertex
+    @pytest.mark.parametrize("c, R", [(0j, 5.0), (0.3 + 0.2j, 5.0),
+                                      (0.8 * np.exp(1j * math.pi / 8), 4.0),
+                                      (0.87 * np.exp(1j * math.pi / 8), 2.0)])
+    def test_every_tile_meeting_the_ball_is_expanded(self, bolza, monkeypatch, c, R):
+        klein, sides = octagon_sides(300)   # 0.0102 apart along each side
+        reach = R if in_klein_polygon(c, klein) else R + dist(0, c)
+        expanded, own_mask = set(), F._expand_mask
+
+        def recording(*args):
+            mask = own_mask(*args)
+            alpha, beta = args[-3:-1]
+            expanded.update(zip(alpha[mask].tolist(), beta[mask].tolist()))
+            return mask
+
+        monkeypatch.setattr(F, "_expand_mask", recording)
+        F.orbit_enumerate(bolza, DiscPoint.from_complex(c), R)
+        monkeypatch.undo()
+        # a tile lies within the circumradius of its centre g 0
+        circum = max(dist(0, v) for v in F.octagon_vertices())
+        big = F.orbit_enumerate(bolza, DiscPoint(0, 0), dist(0, c) + reach + circum + 0.1)
+        alpha, beta = big.alpha[1:], big.beta[1:]     # the identity is the root
+        near = _dist_array(c, beta / np.conj(alpha)) <= reach + circum
+        alpha, beta = alpha[near], beta[near]
+        w = (np.conj(alpha) * c - beta) / (alpha - np.conj(beta) * c)   # g^-1 c
+        to_tile = np.zeros(len(w))
+        outside = ~in_klein_polygon(w, klein)
+        to_tile[outside] = [_dist_array(z, sides).min() for z in w[outside]]
+        meets = to_tile <= reach
+        assert meets.sum() > len(F.orbit_enumerate(bolza, DiscPoint.from_complex(c), R))
+        missed = [k for k in zip(alpha[meets].tolist(), beta[meets].tolist())
+                  if k not in expanded]
+        assert not missed
 
 
 class TestDirichletDomain:

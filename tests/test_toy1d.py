@@ -28,10 +28,6 @@ class TestStepObservable:
             num += val
         assert a.cos_coefficient(L, k) == pytest.approx(num / L, abs=1e-10)
 
-    def test_mean(self):
-        assert alternating_step(8).mean() == 0.0
-        assert alternating_step(7).mean() == pytest.approx(1.0 / 7.0)
-
 
 class TestModeWindow:
     def test_counts(self):

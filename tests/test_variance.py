@@ -6,11 +6,11 @@ import pytest
 
 from hypsurf.eigensolve import disc_surface_mesh, fem_eigensolve
 from hypsurf.errors import EmptyWindow, WindowNotResolved
-from hypsurf.fuchsian import bolza_group, random_cover
+from hypsurf.fuchsian import bolza_group, bs_statistic, random_cover, systole_ball
 from hypsurf.observables import multiplication_observable
 from hypsurf.quadrature import gauss_legendre
 from hypsurf.transforms import PlancherelWeight
-from hypsurf.variance import (SpectralWindow, mean_zero_density,
+from hypsurf.variance import (SpectralWindow, _bs_or_one, mean_zero_density,
                               quantum_variance, variance_pipeline_bounds,
                               weyl_predicted_density, weyl_ratio)
 
@@ -321,6 +321,20 @@ class TestPipelineBudget:
                               "mean_kernel", "hs_times_E", "truncation")
         assert b.nevo_n_provenance == "assumed"
         assert b.systole > 0
+
+    def test_search_counters_sum_the_systole_ball_and_both_bs_searches(self, budget_args):
+        A, g, w = budget_args
+        T, r, s = 4.0, 3.0, 3.0
+        b = variance_pipeline_bounds(A, g, T=T, r=r, s=s, window=w, n_mc=40, seed=1)
+        wrap = bs_statistic(g, r + b.S_T, 40, 1)
+        mean_kernel = bs_statistic(g, s + 2.0 * T, 20, 2)
+        assert wrap.value == b.bs_fraction_wrap
+        assert b.orbit_elements_explored == (systole_ball(g).elements_explored
+                                             + wrap.orbit_elements_explored
+                                             + mean_kernel.orbit_elements_explored)
+        assert b.sampler_proposals == wrap.sampler_proposals + mean_kernel.sampler_proposals
+        # a radius past the guard is the flagged bound 1 and searches nothing
+        assert _bs_or_one(g, 25.5, 40, 1) == (1.0, True, 0, 0)
 
     def test_terms_match_hand_recomputation(self, budget_args):
         # frozen configuration: rebuild the explicit-formula terms from the
