@@ -2,10 +2,11 @@
 
 Orbit balls and injectivity-radius queries share one breadth-first search
 over reduced words (no generator next to its own inverse).  The search is
-level-synchronous: all children of a level come from one numpy product, in
-first-found order (parent order, then generator order).  Each caller prunes
-which elements the search expands.  The systole bound and the periodization
-read complete orbit balls.
+level-synchronous: all children of a level come from one numpy product.
+First-found order is parent order, then generator order; each element
+carries its rank in it and the first word that reached it.  Each caller
+prunes which elements the search expands.  The systole bound and the
+periodization read complete orbit balls.
 
 Exact elements.  A group with a relation carries exact coordinates of its
 generators (FuchsianGroup.exact_coords), and the search identifies its
@@ -47,16 +48,47 @@ decide "can still meet", each with a margin of 1e-9 on R':
 Both tests are taken in sinh^2(d / 2) = |c conj(alpha) - beta|^2 / (1 -
 |c|^2) of the element (alpha, beta), where cosh d = 1 + 2 sinh^2(d / 2), so
 nothing cancels at large radii, and sinh(d(0, s 0) / 2) = |beta_s|.  With
-the side test the Bolza ball of radius 8 at 0 explores 33,504 elements
-instead of 58,208, and the one of radius 12 1,905,640 instead of 3,203,016.
-The balls need not come out word for word as with the centre test alone (a
-narrower search may first reach an element by another word), but on every
-centre and radius checked they did, to the last bit.
+the side test the Bolza ball of radius 8 at 0 finds 33,504 elements
+instead of 58,208, and the one of radius 12 1,905,640 instead of 3,203,016
+(one row per element).  The balls need not come out word for word as with
+the centre test alone (a narrower search may first reach an element by
+another word), but on every centre and radius checked they did, to the
+last bit.
 
 Groups without a Dirichlet radius (the cyclic and trivial presets) expand g
 while d(c, g c) <= R + max generator displacement + 1; for a cyclic group
 the displacement grows along the powers of the generator, so this loses
 nothing.
+
+Rotation.  The rotation r(w) = zeta w fixes 0, and r g r^-1 takes (a,
+lambda b) to (a, lambda zeta b): on a coordinate row it leaves a, and with it
+the projective sign, alone and turns b into zeta b.  _rotation reads off the
+exact generator rows whether it permutes the symmetrized generators; for the
+octagon group it takes generator i to i + 1 mod 8, so r normalizes Gamma.
+A ball at 0 then runs the level loop on one row per orbit {r^j g r^-j : j <
+8}, its least turn (the lexicographically least row, chosen on the
+integers), and turns the rows it keeps back at the end.  The quotient is
+exact:
+- r fixes 0 and permutes the generators with the half-planes H_s, so the
+  centre test, the side test and the displacement prune decide every turn
+  of g as they decide g, and the children of r^j g r^-j are the turns of the
+  children of g: level by level the rows are the plain search modulo r.
+- Gamma is torsion-free: r^j g r^-j = g with 0 < j < 8 means zeta^j b = b,
+  so b = 0 and g fixes 0, and only the identity does.  Every other orbit
+  has 8 elements.  (A row with b = 0 is listed once all the same.)
+- A level's first-found order is the shortlex order of the first-found
+  words, by induction on the level.  If the least turn of the product of a
+  row p and generator h is turn m of the product, then turn j of it is
+  reached from turn j + m of p with generator sigma^(j+m)(h).  So the least
+  (parent rank, generator) over all the rows that found an element ranks
+  each of its turns and names the turn's first finder, along which the
+  words are read back.  The ball keeps the order, the words and the bits of
+  the plain search: each turn's floats and displacement come from its own
+  exact row.
+The Bolza ball of radius 8 at 0 finds 4,188 rows instead of 33,504, and the
+one of radius 12 238,205 instead of 1,905,640.  Balls off 0, groups the
+rotation does not map to themselves and injrad_below_points run the same
+loop with one turn per element.
 
 Shared injectivity-radius search.  injrad_below_points decides InjRad < R at
 every point of a sample, on every sheet, from one search at radius 2R.
@@ -228,12 +260,16 @@ _LAMBDA = math.sqrt(2.0 + 2.0 * math.sqrt(2.0))
 _SQRT_HALF = math.sqrt(0.5)
 _IDENTITY = np.eye(1, 8, dtype=np.int64)[0]
 _COEFF_LIMIT = 2 ** 40    # far below where an int64 product of the search overflows
+_RANK_LIMIT = 2 ** 62     # word ranks are renumbered before they pass it
 # odd multipliers of the 64-bit row hash of _SeenRows
 _HASH_MULT = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
                        0xD6E8FEB86659FD93, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53,
                        0x94D049BB133111EB, 0xBF58476D1CE4E5B9], dtype=np.uint64)
 _ZETA_SHIFT = (np.arange(4) - np.arange(4)[:, None]) % 4
 _ZETA_SIGN = np.where(np.arange(4) >= np.arange(4)[:, None], 1, -1)
+# coefficient k of zeta^j b is _TURN_SIGN[j, k] b[_TURN_AT[j, k]], j < 8
+_TURN_AT = np.tile(_ZETA_SHIFT, (2, 1))
+_TURN_SIGN = np.concatenate([_ZETA_SIGN, -_ZETA_SIGN])
 
 
 def _zeta_times(x: np.ndarray) -> np.ndarray:
@@ -373,9 +409,10 @@ class OrbitBall:
     Arrays over the elements, sorted by displacement (ties within 1e-9 in
     first-found order, so shorter words first): alpha and beta of each
     element, its displacement d(center, gamma center), and in words the
-    first word (symmetrized generator indices) that reached it.
-    elements_explored and levels count the search that built the ball, the
-    identity excluded.
+    first word (symmetrized generator indices) that reached it; coords
+    holds the exact coordinate rows (int64, (n, 8); None for a free group).
+    elements_explored counts the rows the search found, the identity
+    excluded, and levels its levels.
     """
 
     center: DiscPoint
@@ -384,6 +421,7 @@ class OrbitBall:
     beta: np.ndarray
     displacement: np.ndarray
     words: tuple
+    coords: np.ndarray | None
     elements_explored: int
     levels: int
 
@@ -420,15 +458,22 @@ class OrbitBall:
 
 @dataclass
 class _Level:
-    """The fresh elements of one search level, in first-found order.
+    """The fresh elements of one search level, one row per element.
 
+    coords are the exact coordinate rows (None for a free group).  Turn j of
+    element e (the element itself without a rotation) has a first-found
+    word, which rank[e, j] orders among the level's words, and which is the
+    word of turn t of element p of the previous level's expanded ones
+    followed by generator g, where found[e, j] = (p * turns + t) * 2n + g.
     The consumer sets `expand` to the mask of elements whose children the
     search visits next; the others stay among the seen elements all the same.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    words: np.ndarray           # (count, depth) symmetrized generator indices
+    coords: np.ndarray | None
+    rank: np.ndarray            # (count, turns)
+    found: np.ndarray           # (count, turns)
     maps: np.ndarray | None     # (count, degree) sheet map of each element (covers)
     expand: np.ndarray | None = None
 
@@ -451,25 +496,30 @@ class _SeenRows:
         self.rows, self.count = np.empty((64, 8), dtype=np.int64), 0
         self.hash, self.at = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp)
 
-    def add(self, coords: np.ndarray) -> np.ndarray:
-        """Index of the rows of coords that equal no earlier row and no seen
-        row, in row order; those rows are added to the seen ones."""
+    def add(self, coords: np.ndarray):
+        """(fresh, cls): fresh indexes the rows of coords that equal no
+        earlier row and no seen row, in row order, and those rows are added
+        to the seen ones; row i equals row fresh[cls[i]], or a row seen
+        before where cls[i] = -1."""
         hashes = coords.view(np.uint64) @ _HASH_MULT      # wraps mod 2^64
         order = np.argsort(hashes, kind="stable")
         h, c = hashes[order], coords[order]
         pos = np.arange(len(h))
         run_start = np.maximum.accumulate(np.where(np.r_[True, h[1:] != h[:-1]], pos, 0))
-        dup = np.zeros(len(h), dtype=bool)
-        # within a run of equal hashes the rows stay in row order
+        first = pos.copy()
+        # within a run of equal hashes the rows stay in row order; the
+        # largest j, set last, finds the earliest equal row
         for j in range(1, int(np.max(pos - run_start, initial=0)) + 1):
             p = pos[pos - run_start >= j]
-            dup[p] |= (c[p] == c[p - j]).all(axis=1)
+            p = p[(c[p] == c[p - j]).all(axis=1)]
+            first[p] = p - j
+        old = np.zeros(len(h), dtype=bool)
         lo = np.searchsorted(self.hash, h, "left")
         span = np.searchsorted(self.hash, h, "right") - lo
         for j in range(int(np.max(span, initial=0))):
             p = np.flatnonzero(span > j)
-            dup[p] |= (self.rows[self.at[lo[p] + j]] == c[p]).all(axis=1)
-        new = ~dup
+            old[p] |= (self.rows[self.at[lo[p] + j]] == c[p]).all(axis=1)
+        new = (first == pos) & ~old
         end = self.count + int(new.sum())
         if end > len(self.rows):
             grown = np.empty((max(end, 2 * len(self.rows)), 8), dtype=np.int64)
@@ -479,11 +529,56 @@ class _SeenRows:
         self.hash = np.insert(self.hash, lo[new], h[new])
         self.at = np.insert(self.at, lo[new], np.arange(self.count, end))
         self.count = end
-        return np.sort(order[new])
+        fresh = np.sort(order[new])
+        at = np.full(len(h), -1)
+        at[fresh] = np.arange(len(fresh))
+        cls = np.empty(len(h), dtype=np.intp)
+        cls[order] = at[order[first]]
+        return fresh, cls
+
+
+def _turn(coords: np.ndarray, j) -> np.ndarray:
+    """Turn j of each element g with a row in coords, r^j g r^-j for the
+    rotation r: w -> zeta w: a stays and b becomes zeta^j b (j broadcasts)."""
+    out = coords.copy()
+    out[:, 4:] = coords[np.arange(len(coords))[:, None], 4 + _TURN_AT[j]] * _TURN_SIGN[j]
+    return out
+
+
+def _least_turn(coords: np.ndarray):
+    """The lexicographically least turn of each row, and which turn it is;
+    a is the same in every turn, and only rows still tied read on."""
+    least = np.ones((len(coords), 8), dtype=bool)
+    rows = np.arange(len(coords))
+    for col in range(4):
+        v = coords[rows[:, None], 4 + _TURN_AT[:, col]] * _TURN_SIGN[:, col]
+        v[~least[rows]] = np.iinfo(np.int64).max
+        least[rows] &= v == v.min(axis=1, keepdims=True)
+        rows = rows[least[rows].sum(axis=1) > 1]
+    shift = least.argmax(axis=1)
+    return _turn(coords, shift), shift
+
+
+def _rotation(group: FuchsianGroup) -> np.ndarray | None:
+    """(8, 2n) table whose row j is sigma^j, where r g_i r^-1 = g_sigma(i)
+    for the symmetrized generators g_i and the rotation r of _turn; None
+    when r does not permute them (no exact coordinates, or other ones)."""
+    if group.exact_coords is None:
+        return None
+    gens = (_IDENTITY @ _right_multiplication(group)).reshape(-1, 8)
+    turned = _turn(gens, 1)
+    match = (turned[:, None] == gens).all(axis=2) | (turned[:, None] == -gens).all(axis=2)
+    sigma = match.argmax(axis=1)
+    if not match.any(axis=1).all() or len(np.unique(sigma)) < len(sigma):
+        return None
+    table = [np.arange(len(sigma))]
+    for _ in range(7):
+        table.append(sigma[table[-1]])
+    return np.array(table)
 
 
 def _word_levels(group: FuchsianGroup, element_cap: int = 1_000_000,
-                 perms: np.ndarray | None = None):
+                 perms: np.ndarray | None = None, rotation: np.ndarray | None = None):
     """Level-synchronous breadth-first search over reduced words.
 
     Yields one _Level per word length, starting at 1; the consumer sets its
@@ -492,10 +587,15 @@ def _word_levels(group: FuchsianGroup, element_cap: int = 1_000_000,
     exact_coords, deduplicated by _SeenRows, and (alpha, beta) rows for a
     free group, which has no duplicates (module docstring).  perms, a
     surface's sheet table, makes each level carry the sheet map of its
-    elements: the rows of the word that reached each one, composed.
+    elements: the rows of a word that reached each one, composed.  rotation,
+    a table of _rotation, makes the rows the least turns of the elements, and
+    each level carries the rank and first finder of every turn (module
+    docstring); without it an element is its own one turn.
     """
     n_sym = 2 * group.n_generators
     inverse = (np.arange(n_sym) + n_sym // 2) % n_sym
+    sigma = np.arange(n_sym)[None, :] if rotation is None else rotation
+    turns = len(sigma)
     exact = group.exact_coords is not None
     if exact:
         step = _right_multiplication(group)
@@ -505,38 +605,62 @@ def _word_levels(group: FuchsianGroup, element_cap: int = 1_000_000,
     else:
         gen_alpha, gen_beta = _generator_arrays(group)
         elems = np.array([[1.0 + 0j, 0j]])
-    words = np.zeros((1, 0), dtype=np.int64)
+    rank, last = np.zeros((1, turns), dtype=np.int64), None
     maps = np.arange(perms.shape[1])[None, :] if perms is not None else None
     explored = 1
     while len(elems):
         parent = np.repeat(np.arange(len(elems)), n_sym)
         gen = np.tile(np.arange(n_sym), len(elems))
-        if words.shape[1]:  # reduced: no generator right after its inverse
-            ok = gen != inverse[words[parent, -1]]
+        if last is not None:  # reduced: no generator right after its inverse
+            ok = gen != inverse[last[parent]]
             parent, gen = parent[ok], gen[ok]
+        shift = np.zeros(len(parent), dtype=np.intp)
         if exact:
             # a child's coefficients are at most 9 times its parent's largest
             if max(elems.max(), -elems.min()) >= _COEFF_LIMIT:
                 raise BudgetExceeded(f"exact coordinates reached {_COEFF_LIMIT}")
             kids = (elems @ step).reshape(len(elems), n_sym, 8)[parent, gen]
             kids *= np.sign(kids[np.arange(len(kids)), np.argmax(kids != 0, axis=1)])[:, None]
-            fresh = seen.add(kids)
-            kids, parent, gen = kids[fresh], parent[fresh], gen[fresh]
-            alpha, beta = _exact_floats(kids)
+            if turns > 1:
+                kids, shift = _least_turn(kids)
+            fresh, cls = seen.add(kids)
+            alpha, beta = _exact_floats(kids[fresh])
         else:
             a, b = elems[parent, 0], elems[parent, 1]
             alpha = a * gen_alpha[gen] + b * np.conj(gen_beta[gen])
             beta = a * gen_beta[gen] + b * np.conj(gen_alpha[gen])
             kids = np.column_stack([alpha, beta])
-        explored += len(kids)
+            fresh = cls = np.arange(len(kids))
+        explored += len(fresh)
         if explored > element_cap:
             raise BudgetExceeded(f"orbit search passed {element_cap} elements")
-        level = _Level(alpha, beta, np.column_stack([words[parent], gen]),
-                       perms[gen[:, None], maps[parent]] if perms is not None else None)
+        if perms is not None:
+            maps = perms[gen[fresh, None], maps[parent[fresh]]]
+        # turn j of a found element comes from turn j + shift of the parent
+        # row; its rank is the least (parent rank, generator) over its rows
+        live = cls >= 0
+        parent, gen, shift, cls = parent[live], gen[live], shift[live], cls[live]
+        turn = (np.arange(turns) + shift[:, None]) % turns
+        letter = sigma[turn, gen[:, None]]
+        key = rank[parent[:, None], turn] * n_sym + letter
+        rank = np.full(len(fresh) * turns, np.iinfo(np.int64).max)
+        np.minimum.at(rank, (cls[:, None] * turns + np.arange(turns)).ravel(), key.ravel())
+        rank = rank.reshape(-1, turns)
+        found = np.empty(len(fresh) * turns, dtype=np.int64)
+        row, j = np.nonzero(key == rank[cls])
+        found[cls[row] * turns + j] = (parent[row] * turns + turn[row, j]) * n_sym + letter[row, j]
+        found = found.reshape(-1, turns)
+        # an element the rotation fixes (b = 0) is each of its turns
+        fixed = np.flatnonzero(~kids[fresh, 4:].any(axis=1) if turns > 1 else 0)
+        least = rank[fixed].argmin(axis=1)
+        rank[fixed], found[fixed] = rank[fixed, least][:, None], found[fixed, least][:, None]
+        if rank.max(initial=0) >= _RANK_LIMIT // n_sym:
+            rank = np.unique(rank, return_inverse=True)[1].reshape(rank.shape)
+        level = _Level(alpha, beta, kids[fresh] if exact else None, rank, found, maps)
         yield level
         keep = level.expand
-        elems, words = kids[keep], level.words[keep]
-        maps = level.maps[keep] if perms is not None else None
+        elems, rank, last = kids[fresh][keep], rank[keep], found[keep, 0] % n_sym
+        maps = maps[keep] if perms is not None else None
 
 
 def _outside_margin(group: FuchsianGroup, zs: np.ndarray) -> np.ndarray:
@@ -606,38 +730,72 @@ def orbit_enumerate(group: FuchsianGroup, center: DiscPoint, R: float,
 
     Breadth-first search over reduced words with the tile prune (groups
     with a Dirichlet radius) or the displacement prune (the others), run
-    until the frontier is empty, which makes the ball complete; see the
-    module docstring.  Each element carries the first word that reached it;
-    displacements that tie within 1e-9 keep first-found order.
+    until the frontier is empty, which makes the ball complete; at centre 0
+    it runs on one row per orbit of the rotation when the rotation permutes
+    the generators.  See the module docstring.  Each element carries the
+    first word that reached it; displacements that tie within 1e-9 keep
+    first-found order.
     """
     if R > 25:
         raise ParameterOutOfRange("R > 25 would enumerate exponentially many elements")
     if not R >= 0:
         raise ParameterOutOfRange("R must be >= 0")
     c = center.z
+    exact = group.exact_coords is not None
+    coords = [_IDENTITY[None, :]] if exact else []
     alpha, beta = [np.ones(1, dtype=complex)], [np.zeros(1, dtype=complex)]
-    disp, words = [np.zeros(1)], [()]
+    disp, words, place = [np.zeros(1)], [()], [np.zeros((1, 2), dtype=np.int64)]
     explored = levels = 0
-    if group.n_generators:
+    n_sym, chain = 2 * group.n_generators, []
+    if n_sym:
         bound, side = _prune_bounds(group, [c], R)[0], _side_bounds(group, [c], R)[0]
-        for level in _word_levels(group, element_cap):
+        rotation = _rotation(group) if c == 0 else None
+        turns = 1 if rotation is None else len(rotation)
+        for level in _word_levels(group, element_cap, rotation=rotation):
             explored += len(level.alpha)
             levels += 1
             d = _displacements(level.alpha, level.beta, c)
             level.expand = _expand_mask(group, c, bound, side, level.alpha, level.beta, d)
+            # a turn's displacement differs from its row's by rounding only;
+            # an element with b = 0 is each of its turns
+            rep = np.repeat(np.flatnonzero(d <= R + 1e-6), turns)
+            j = np.tile(np.arange(turns), len(rep) // turns)
+            if turns > 1:
+                own = (j == 0) | level.coords[rep, 4:].any(axis=1)
+                rep, j = rep[own], j[own]
+            if exact:
+                rows = _turn(level.coords[rep], j)
+                a, b = _exact_floats(rows)
+            else:
+                a, b = level.alpha[rep], level.beta[rep]
+            d = _displacements(a, b, c)
             kept = d <= R
-            alpha.append(level.alpha[kept])
-            beta.append(level.beta[kept])
+            rep, j = rep[kept], j[kept]
+            if exact:
+                coords.append(rows[kept])
+            alpha.append(a[kept])
+            beta.append(b[kept])
             disp.append(d[kept])
-            words.extend(map(tuple, level.words[kept].tolist()))
+            place.append(np.column_stack([np.full(len(rep), levels), level.rank[rep, j]]))
+            # the words, read back along the first finders of the levels
+            step, word = level.found[rep, j], []
+            for finders in reversed(chain):
+                word.append(step % n_sym)
+                step = finders.ravel()[step // n_sym]
+            word.append(step % n_sym)
+            words.extend(map(tuple, np.column_stack(word[::-1]).tolist()))
+            chain.append(level.found[level.expand])
+    place = np.concatenate(place)
+    first = np.lexsort((place[:, 1], place[:, 0]))     # first-found order
     disp = np.concatenate(disp)
-    order = np.argsort(disp, kind="stable")
+    order = np.argsort(disp[first], kind="stable")
     # displacements within 1e-9 of their neighbour are one tie, kept in
     # first-found order whatever their last bits
-    tie = np.cumsum(np.diff(disp[order], prepend=0.0) > 1e-9)
-    order = order[np.lexsort((order, tie))]
+    tie = np.cumsum(np.diff(disp[first][order], prepend=0.0) > 1e-9)
+    order = first[order[np.lexsort((order, tie))]]
     return OrbitBall(center, R, np.concatenate(alpha)[order], np.concatenate(beta)[order],
-                     disp[order], tuple(words[i] for i in order), explored, levels)
+                     disp[order], tuple(words[i] for i in order),
+                     np.concatenate(coords)[order] if exact else None, explored, levels)
 
 
 @dataclass(frozen=True)

@@ -122,8 +122,17 @@ class TestBasicRuns:
         assert main(["orbit", "--out", out, "--R", "8"]) == 0
         d = read(out, "orbit")
         assert d["count"] == 793
-        # (58208, 10) before the side test of the tile prune
-        assert (d["orbit_elements_explored"], d["orbit_levels"]) == (33504, 10)
+        # one row per orbit of the rotation about 0: (33504, 10) with a row
+        # per element, and (58208, 10) before the side test of the tile prune
+        assert (d["orbit_elements_explored"], d["orbit_levels"]) == (4188, 10)
+
+    def test_orbit_r12_fits_the_default_cap(self, tmp_path):
+        # 1,905,640 elements explored with a row per element, past the cap
+        out = str(tmp_path)
+        assert main(["orbit", "--out", out, "--R", "12"]) == 0
+        d = read(out, "orbit")
+        assert d["count"] == 40905
+        assert (d["orbit_elements_explored"], d["orbit_levels"]) == (238205, 14)
 
     def test_symbol(self, tmp_path):
         out = str(tmp_path)

@@ -157,6 +157,58 @@ def exact_symmetrized(group):
     return gens + [zeta_conj(c[:4]) + [-v for v in c[4:]] for c in gens]
 
 
+def plain_ball(group, R):
+    """Oracle: the plain search at centre 0 on the test's own products, one
+    row per element, deduplicated on Python tuples, the prune of
+    F._expand_mask on every element, and first-found words.  Returns alpha,
+    beta, displacement and words of the ball sorted by displacement, ties
+    within 1e-9 in first-found order, and the count of elements found."""
+    sym = exact_symmetrized(group)
+    n_sym = len(sym)
+    bound, side = F._prune_bounds(group, [0j], R)[0], F._side_bounds(group, [0j], R)[0]
+    identity = (1, 0, 0, 0, 0, 0, 0, 0)
+    seen, frontier = {identity}, [(identity, ())]
+    rows, words = [identity], [()]
+    while frontier:
+        level = []
+        for row, word in frontier:
+            for g in range(n_sym):
+                if word and g == (word[-1] + n_sym // 2) % n_sym:
+                    continue
+                kid = exact_mul(row, sym[g])
+                sign = 1 if next(v for v in kid if v) > 0 else -1
+                kid = tuple(sign * v for v in kid)
+                if kid not in seen:
+                    seen.add(kid)
+                    level.append((kid, word + (g,)))
+        if not level:
+            break
+        alpha, beta = F._exact_floats(np.array([kid for kid, _ in level]))
+        disp = F._displacements(alpha, beta, 0j)
+        expand = F._expand_mask(group, 0j, bound, side, alpha, beta, disp)
+        rows += [kid for (kid, _), d in zip(level, disp) if d <= R]
+        words += [word for (_, word), d in zip(level, disp) if d <= R]
+        frontier = [found for found, e in zip(level, expand) if e]
+    alpha, beta = F._exact_floats(np.array(rows))
+    disp = F._displacements(alpha, beta, 0j)
+    order = np.argsort(disp, kind="stable")
+    tie = np.cumsum(np.diff(disp[order], prepend=0.0) > 1e-9)
+    order = order[np.lexsort((order, tie))]
+    return alpha[order], beta[order], disp[order], tuple(words[i] for i in order), len(seen) - 1
+
+
+def exact_group(rows, label, **kw):
+    """The group of exact generator rows, with floats evaluated from them
+    (each row takes the projective sign of its float element)."""
+    gens, signed = [], []
+    for row in rows:
+        alpha, beta = F._exact_floats(np.array([row]))
+        g = GroupElement._unit(complex(alpha[0]), complex(beta[0]))
+        gens.append(g)
+        signed.append(tuple(row) if g.alpha == alpha[0] else tuple(-v for v in row))
+    return F.FuchsianGroup(tuple(gens), label, exact_coords=tuple(signed), **kw)
+
+
 def element_keys(alpha, beta):
     return set(zip(np.round(alpha.real, 7), np.round(alpha.imag, 7),
                    np.round(beta.real, 7), np.round(beta.imag, 7)))
@@ -355,6 +407,93 @@ class TestOrbit:
             F.bs_statistic(bolza, 1.0, 0, seed=0)
 
 
+def same_ball(ball, alpha, beta, disp, words):
+    return (np.array_equal(ball.alpha, alpha) and np.array_equal(ball.beta, beta)
+            and np.array_equal(ball.displacement, disp) and ball.words == words)
+
+
+class TestRotationQuotient:
+    """Balls at 0 searched on one row per orbit of the rotation w -> zeta w
+    against the plain search of the test's own products."""
+
+    @pytest.mark.parametrize("R", [1.0, 3.06, 5.0, 6.4916, 7.1])
+    def test_ball_at_0_is_the_plain_search(self, bolza, R):
+        *plain, explored = plain_ball(bolza, R)
+        ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), R)
+        assert same_ball(ball, *plain)
+        # one row for each orbit of eight elements
+        assert 8 * ball.elements_explored == explored
+
+    def test_rotation_shifts_the_generators(self, bolza):
+        # r g r^-1 = (a, zeta b) is symmetrized generator i + 1 mod 8
+        sym = exact_symmetrized(bolza)
+        for i, row in enumerate(sym):
+            turned = row[:4] + zeta_mul([0, 1, 0, 0], row[4:])
+            assert turned in (sym[(i + 1) % 8], [-v for v in sym[(i + 1) % 8]])
+        assert np.array_equal(F._rotation(bolza), (np.arange(8) + np.arange(8)[:, None]) % 8)
+
+    def test_groups_the_rotation_does_not_permute(self, bolza):
+        # Bolza's generators conjugated by g0, and the free group of g0, g1
+        sym = exact_symmetrized(bolza)
+        conjugated = exact_group([exact_mul(exact_mul(sym[0], g), sym[4]) for g in sym[:4]],
+                                 "conjugated", relation=bolza.relation)
+        assert F._rotation(conjugated) is None
+        free = exact_group(sym[:2], "g0, g1")
+        assert F._rotation(free) is None
+        *plain, explored = plain_ball(free, 6.0)
+        ball = F.orbit_enumerate(free, DiscPoint(0, 0), 6.0)
+        assert same_ball(ball, *plain)
+        assert ball.elements_explored == explored and len(ball) > 9
+
+    def test_elements_the_rotation_fixes_are_listed_once(self, bolza):
+        # with a quarter turn q about 0 the group has elements the rotation
+        # fixes (b = 0): q itself, a generator beside the octagon's, and with
+        # the generators g_k q and g_k^-1 q the product (g0 q)(g2 q), which
+        # its rows find from the turns of g0 q, each with its own rank
+        sym, q = exact_symmetrized(bolza), [0, 1, 0, 0, 0, 0, 0, 0]
+        with_q = exact_group(sym[:4] + [q], "octagon and q")
+        assert F._rotation(with_q)[1].tolist() == [1, 2, 3, 5, 4, 6, 7, 8, 0, 9]
+        times_q = exact_group([exact_mul(g, q) for g in sym], "g_k q and g_k^-1 q")
+        for group, R, first in [(with_q, 3.1, ((), (4,), (9,), (4, 4))),
+                                (times_q, 2.0, ((), (0, 2)))]:
+            *plain, explored = plain_ball(group, R)
+            ball = F.orbit_enumerate(group, DiscPoint(0, 0), R)
+            assert same_ball(ball, *plain)
+            assert ball.words[:len(first)] == first
+            fixed = len(first) - 1
+            assert explored == fixed + 8 * (ball.elements_explored - fixed)
+
+    @pytest.mark.parametrize("word", [(0,), (0, 3)])
+    def test_radius_at_a_displacement(self, bolza, word):
+        # the turns (a, zeta^k b) of one element differ in the last bits of
+        # their displacements; at the least of them as R each turn is kept
+        # or not by its own, as in the plain search
+        sym, row = exact_symmetrized(bolza), [1, 0, 0, 0, 0, 0, 0, 0]
+        for gi in word:
+            row = exact_mul(row, sym[gi])
+        turns = [row]
+        for _ in range(7):
+            turns.append(row[:4] + zeta_mul([0, 1, 0, 0], turns[-1][4:]))
+        d = F._displacements(*F._exact_floats(np.array(turns)), 0j)
+        assert d.min() < d.max()
+        *plain, _ = plain_ball(bolza, d.min())
+        assert same_ball(F.orbit_enumerate(bolza, DiscPoint(0, 0), d.min()), *plain)
+
+    def test_coords_are_the_exact_rows(self, bolza):
+        ball = F.orbit_enumerate(bolza, DiscPoint(0, 0), 8.0)
+        assert ball.coords.dtype == np.int64 and ball.coords.shape == (793, 8)
+        alpha, beta = F._exact_floats(ball.coords)
+        assert np.array_equal(alpha, ball.alpha) and np.array_equal(beta, ball.beta)
+        assert all(exact_det(row) == [1, 0, 0, 0] for row in ball.coords.tolist())
+        assert F.orbit_enumerate(F.cyclic_group(1.0), DiscPoint(0, 0), 3.0).coords is None
+
+    def test_long_words_keep_first_found_order(self):
+        # 100 levels: the word ranks pass 2^61 and are renumbered
+        ball = F.orbit_enumerate(F.cyclic_group(0.1), DiscPoint(0, 0), 10.05)
+        assert ball.words == ((),) + tuple(w for k in range(1, 101)
+                                           for w in ((0,) * k, (1,) * k))
+
+
 class TestTilePruneSoundness:
     """The tile prune against the test's own octagon: every tile that meets
     B(c, R') is expanded, R' = R for c in D and R + d(0, c) outside, with
@@ -367,12 +506,12 @@ class TestTilePruneSoundness:
     def test_every_tile_meeting_the_ball_is_expanded(self, bolza, monkeypatch, c, R):
         klein, sides = octagon_sides(300)   # 0.0102 apart along each side
         reach = R if in_klein_polygon(c, klein) else R + dist(0, c)
-        expanded, own_mask = set(), F._expand_mask
+        expanded, own_mask = [], F._expand_mask
 
         def recording(*args):
             mask = own_mask(*args)
             alpha, beta = args[-3:-1]
-            expanded.update(zip(alpha[mask].tolist(), beta[mask].tolist()))
+            expanded.append((alpha[mask], beta[mask]))
             return mask
 
         monkeypatch.setattr(F, "_expand_mask", recording)
@@ -390,8 +529,17 @@ class TestTilePruneSoundness:
         to_tile[outside] = [_dist_array(z, sides).min() for z in w[outside]]
         meets = to_tile <= reach
         assert meets.sum() > len(F.orbit_enumerate(bolza, DiscPoint.from_complex(c), R))
-        missed = [k for k in zip(alpha[meets].tolist(), beta[meets].tolist())
-                  if k not in expanded]
+        alpha, beta = alpha[meets], beta[meets]
+        seen_a, seen_b = (np.concatenate(x) for x in zip(*expanded))
+        if c == 0:
+            # the search at 0 expands one element of each rotation orbit, and
+            # with it every r^k g r^-k = (alpha, e^{i k pi / 4} beta)
+            turns = np.exp(1j * math.pi / 4 * np.arange(8))[:, None]
+            keys = element_keys(np.tile(seen_a, 8), (turns * seen_b).ravel())
+            missed = element_keys(alpha, beta) - keys
+        else:
+            keys = set(zip(seen_a.tolist(), seen_b.tolist()))
+            missed = [k for k in zip(alpha.tolist(), beta.tolist()) if k not in keys]
         assert not missed
 
 
